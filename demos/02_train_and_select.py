@@ -4,13 +4,13 @@ To keep the run under a minute the ground truth here is memoryless: the
 collision Hamiltonian is replaced by a pure system term, so the reduced
 dynamics is exactly unitary and a trivial reservoir (d_er = 1) suffices.
 Validation likelihood correctly refuses to pay for the extra dimension.
-On the full collision model the same sweep selects d_er = 2; see the
-command-line `train` subcommand or tests/test_acceptance.py for that run.
+On the full collision model the same sweep selects d_er = 2; the
+command-line `train` subcommand runs it at full size.
 """
 import numpy as np
 
-from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
-                                split_dataset, true_model_log_likelihood)
+from embedlearn.datagen import CollisionModelConfig, generate_trajectory, split_dataset
+from embedlearn.likelihood import true_model_log_likelihood
 from embedlearn.qla import SIGMA_X, kron
 from embedlearn.train import TrainConfig, select_d_er
 
@@ -26,7 +26,7 @@ print(f"400 training / 400 validation records; "
 tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3, restarts=1,
                  convergence_window=60, convergence_tol=1e-4, val_every=25)
 print("\nfitting candidates d_er = 1, 2 ...")
-best, table, models = select_d_er(train, val, [1, 2], tc)
+best, table, models, _ = select_d_er(train, val, [1, 2], tc)
 print("\nd_er  validation per-step ll")
 for k, v in table:
     mark = "  <- selected" if k == best else ""

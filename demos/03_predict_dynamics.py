@@ -12,7 +12,7 @@ from embedlearn.datagen import (CollisionModelConfig, dataset_prefix,
                                 exact_reference_dynamics, generate_trajectory,
                                 split_dataset, validation_continuation)
 from embedlearn.embedding import extract_generator, predict_dynamics
-from embedlearn.likelihood import conditional_validation_ll
+from embedlearn.likelihood import conditional_validation_ll, forward_pass
 from embedlearn.qla import DimSpec, bloch_vector, ptrace
 from embedlearn.train import TrainConfig, fit
 
@@ -26,7 +26,7 @@ tc = TrainConfig(d_er=2, epochs=500, batch_size=1000, seed=3, restarts=1,
 print(f"fitting d_er = 2 on {n} records (a minute or so) ...")
 model, curve = fit(train, val, DimSpec(d_s=2, d_er=2), tc)
 print(f"stopped after {len(curve.epoch)} epochs; validation per-step ll "
-      f"{conditional_validation_ll(model, train, val):+.4f}")
+      f"{conditional_validation_ll(model, train, val, forward_pass(model, train)):+.4f}")
 
 gen = extract_generator(model)
 rho_er0 = ptrace(model.rho0_ser, [2, 2], [0])
@@ -45,4 +45,4 @@ learned_maps = dynamics_maps(gen, model.dims, rho_er0, times)
 exact_chois = [choi_from_superop(m, 2) for m in exact_chans]
 err = average_choi_error(learned_maps, exact_chois)
 print(f"\naverage process-matrix error over t = 1..10: {err:.4f}")
-print("(the acceptance suite reaches <= 0.10 over t = 1..20 at n = 20000)")
+print("(the error falls as 1/sqrt(n); 'predict' with n_values measures the slope)")

@@ -49,4 +49,4 @@ print(f"\nmax trace distance to truth: embedding {de.max():.2e}, "
       f"stitched {dc.max():.2e}")
 print("memoryless dynamics is divisible, so all three agree; on the")
 print("collision model the stitched error jumps above 0.4 after the gate")
-print("while the embedding stays close (see tests/test_acceptance.py)")
+print("while the embedding stays close (run the 'compare' subcommand)")

@@ -36,10 +36,10 @@ from .datagen import (CollisionModelConfig, dataset_prefix,
 from .embedding import (equilibrium_er_state, extract_generator, load_model,
                         predict_dynamics, save_model)
 from .errors import ConfigError, DataError, NumericalError
-from .likelihood import conditional_validation_ll, log_likelihood
+from .likelihood import conditional_validation_ll, forward_pass
 from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector, kron,
                   ptrace, trace_norm)
-from .train import TrainConfig, fit
+from .train import TrainConfig, fit, select_d_er
 
 _GATES = {
     "x": SIGMA_X,
@@ -137,9 +137,7 @@ def load_run_config(path: str | None, seed_override: int | None) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "seed" in raw:
-            if not isinstance(raw["seed"], int):
-                raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
-            resolved["seed"] = raw["seed"]
+            resolved["seed"] = _ensure_int(raw["seed"], "seed")
         for name in resolved:
             if name != "seed" and name in raw:
                 resolved[name] = _merge_section(resolved[name], raw[name], name)
@@ -154,6 +152,8 @@ def _value(section: dict, key: str, cast, allow_none: bool = False):
         if allow_none:
             return None
         raise ConfigError(f"'{key}' must not be null")
+    if cast is int:
+        return _ensure_int(val, key)
     try:
         return cast(val)
     except (TypeError, ValueError) as exc:
@@ -174,6 +174,13 @@ def _ensure_number(x, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"'{key}' entries must be numbers, got {x!r}")
     return float(x)
+
+
+def _ensure_int(x, key: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"'{key}' must be an integer, got {x!r}")
+    return x
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -222,7 +229,7 @@ def _model_path(out: Path, d_er: int) -> Path:
 
 def _resolve_d_er(requested, out: Path) -> int:
     if requested is not None:
-        d_er = int(requested)
+        d_er = _ensure_int(requested, "d_er")
         if d_er < 1:
             raise ConfigError(f"d_er must be >= 1, got {d_er}")
         return d_er
@@ -316,27 +323,20 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
     raw_candidates = t["candidates"]
     if not isinstance(raw_candidates, list) or not raw_candidates:
         raise ConfigError("'candidates' must be a nonempty list")
-    candidates = sorted({int(_ensure_number(k, "candidates")) for k in raw_candidates})
+    candidates = sorted({_ensure_int(k, "candidates") for k in raw_candidates})
     if candidates[0] < 1:
         raise ConfigError(f"candidates must be >= 1, got {candidates}")
-    rows = []
-    best_k, best_ll, best_model = None, -math.inf, None
-    for k in candidates:
-        cfg = _train_config(resolved, k)
-        dims = DimSpec(d_s=ds_train.d_s, d_er=k)
-        model, curve = fit(ds_train, ds_val, dims, cfg)
-        val_ll = conditional_validation_ll(model, ds_train, ds_val)
-        save_model(model, _model_path(out, k))
-        curve.to_csv(out / f"curves_der{k}.csv")
-        rows.append((k, val_ll))
-        if val_ll > best_ll:
-            best_k, best_ll, best_model = k, val_ll, model
+    cfg = _train_config(resolved, candidates[0])
+    best_k, table, models, curves = select_d_er(ds_train, ds_val, candidates, cfg)
+    for k, val_ll in table:
+        save_model(models[k], _model_path(out, k))
+        curves[k].to_csv(out / f"curves_der{k}.csv")
         _say(quiet, f"d_er={k}: validation per-step ll {val_ll:.6f}")
     with open(out / "selection.csv", "w", encoding="utf-8") as fh:
         fh.write("d_er,val_per_step,selected\n")
-        for k, v in rows:
+        for k, v in table:
             fh.write(f"{k},{_fmt(v)},{1 if k == best_k else 0}\n")
-    save_model(best_model, out / "model_best.json")
+    save_model(models[best_k], out / "model_best.json")
     _say(quiet, f"selected d_er={best_k}")
 
 
@@ -347,8 +347,9 @@ def cmd_validate(resolved: dict, out: Path, quiet: bool) -> None:
     rows = []
     for p in sorted(out.glob("model_der*.json")):
         model = load_model(p)
-        train_ps = log_likelihood(model, ds_train) / n
-        val_ps = conditional_validation_ll(model, ds_train, ds_val)
+        cache = forward_pass(model, ds_train)
+        train_ps = cache.log_likelihood() / n
+        val_ps = conditional_validation_ll(model, ds_train, ds_val, cache)
         rows.append((p.name, model.dims.d_er, train_ps, val_ps))
         _say(quiet, f"{p.name}: train {train_ps:.6f}, validation {val_ps:.6f} per step")
     if not rows:
@@ -357,6 +358,13 @@ def cmd_validate(resolved: dict, out: Path, quiet: bool) -> None:
         fh.write("file,d_er,train_per_step,val_per_step\n")
         for name, k, tr, va in rows:
             fh.write(f"{name},{k},{_fmt(tr)},{_fmt(va)}\n")
+
+
+def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> list[float]:
+    """Trace-norm error of the learned reduced maps (reservoir at its
+    equilibrium state) against the exact Choi matrices, one per time."""
+    maps = dynamics_maps(gen, dims, equilibrium_er_state(gen, dims), times)
+    return [0.5 * trace_norm(c.matrix - e.matrix) for c, e in zip(maps, exact_chois)]
 
 
 def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
@@ -392,10 +400,7 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
     exact_chois = [choi_from_superop(by_k_chan[on_grid[i]], dims.d_s)
                    for i in pos_idx]
     if grid_times:
-        er = equilibrium_er_state(gen, dims)
-        learned = dynamics_maps(gen, dims, er, grid_times)
-        errors = [0.5 * trace_norm(choi.matrix - exact.matrix)
-                  for choi, exact in zip(learned, exact_chois)]
+        errors = _choi_errors(gen, dims, grid_times, exact_chois)
         with open(out / "choi_error.csv", "w", encoding="utf-8") as fh:
             fh.write("time,choi_error\n")
             for t, e in zip(grid_times, errors):
@@ -410,7 +415,7 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
                               "integer-period prediction time")
         if not isinstance(n_values, list) or not n_values:
             raise ConfigError("'n_values' must be a nonempty list")
-        ns = sorted({int(_ensure_number(x, "n_values")) for x in n_values})
+        ns = sorted({_ensure_int(x, "n_values") for x in n_values})
         ds_train = _load_data(out / "train.jsonl")
         ds_val = _load_data(out / "val.jsonl")
         rows = []
@@ -421,11 +426,8 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             fitted, _ = fit(prefix, cont, dims, _train_config(resolved, d_er))
-            g = extract_generator(fitted)
-            maps = dynamics_maps(g, dims, equilibrium_er_state(g, dims),
-                                 grid_times)
-            err = float(np.mean([0.5 * trace_norm(c.matrix - e.matrix)
-                                 for c, e in zip(maps, exact_chois)]))
+            err = float(np.mean(_choi_errors(extract_generator(fitted), dims,
+                                             grid_times, exact_chois)))
             rows.append((n, err))
             _say(quiet, f"n={n}: mean process-matrix error {err:.6f}")
         with open(out / "error_vs_n.csv", "w", encoding="utf-8") as fh:
@@ -488,29 +490,36 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
                 f"channel spread {spread:.6f}")
 
 
+def _tomography_errors(cm: CollisionModelConfig, periods: list[int], shots: int,
+                       seed: int, *stream_names) -> list[float]:
+    """Simulate tomography of the exact channel at each period with ``shots``
+    per setting, reconstruct it by MLE and return each Choi-matrix error.
+    Period ``k`` samples from ``seeds.stream(seed, *stream_names, k)``."""
+    _, chans = exact_reference_dynamics(cm, periods)
+    design = default_design(shots)
+    errors = []
+    for k, ch in zip(periods, chans):
+        counts = simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
+        est = tomography_mle(counts, design)
+        errors.append(0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix))
+    return errors
+
+
 def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
     cm = _collision_config(resolved)
     tm = resolved["tomo"]
-    periods = [int(_ensure_number(x, "times")) for x in tm["times"]]
+    periods = [_ensure_int(x, "times") for x in tm["times"]]
     if not periods or min(periods) < 1:
         raise ConfigError(f"tomo times must be periods >= 1, got {periods}")
     shots = _value(tm, "shots_per_channel", int, allow_none=True)
     if shots is None:
         shots = max(1, _value(resolved["data"], "n_train", int) // len(periods))
-    _, chans = exact_reference_dynamics(cm, periods)
-    design = default_design(shots)
-    rows = []
-    for k, ch in zip(periods, chans):
-        counts = simulate_tomography_counts(ch, design,
-                                            seeds.stream(resolved["seed"], "tomo", k))
-        est = tomography_mle(counts, design)
-        exact = choi_from_superop(ch, 2)
-        rows.append((k * cm.tau, 0.5 * trace_norm(est.matrix - exact.matrix)))
+    errors = _tomography_errors(cm, periods, shots, resolved["seed"], "tomo")
     with open(out / "tomo_error.csv", "w", encoding="utf-8") as fh:
         fh.write("time,choi_error\n")
-        for t, e in rows:
-            fh.write(f"{_fmt(t)},{_fmt(e)}\n")
-    avg = float(np.mean([e for _, e in rows]))
+        for k, e in zip(periods, errors):
+            fh.write(f"{_fmt(k * cm.tau)},{_fmt(e)}\n")
+    avg = float(np.mean(errors))
     _say(quiet, f"tomography with {shots} shots per channel: "
                 f"mean process-matrix error {avg:.6f}")
 
@@ -521,23 +530,15 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
         return
     if not isinstance(k_values, list) or not k_values:
         raise ConfigError("'k_values' must be null or a nonempty list")
-    ks = sorted({int(_ensure_number(k, "k_values")) for k in k_values})
+    ks = sorted({_ensure_int(k, "k_values") for k in k_values})
     if ks[0] < 1:
         raise ConfigError(f"k_values must be >= 1, got {ks}")
     budget = _value(resolved["data"], "n_train", int)
     scan_rows = []
     for kk in ks:
-        grid = list(range(1, kk + 1))
         per = max(1, budget // kk)
-        _, chans_k = exact_reference_dynamics(cm, grid)
-        design_k = default_design(per)
-        errs = []
-        for k, ch in zip(grid, chans_k):
-            counts = simulate_tomography_counts(
-                ch, design_k, seeds.stream(resolved["seed"], "tomo-scan", kk, k))
-            est = tomography_mle(counts, design_k)
-            exact = choi_from_superop(ch, 2)
-            errs.append(0.5 * trace_norm(est.matrix - exact.matrix))
+        errs = _tomography_errors(cm, list(range(1, kk + 1)), per,
+                                  resolved["seed"], "tomo-scan", kk)
         scan_rows.append((kk, per, float(np.mean(errs))))
         _say(quiet, f"K={kk}: {per} shots per channel, mean error {scan_rows[-1][2]:.6f}")
     with open(out / "tomo_vs_k.csv", "w", encoding="utf-8") as fh:
@@ -557,7 +558,7 @@ def cmd_compare(resolved: dict, out: Path, quiet: bool) -> None:
     gate_period = _value(c, "gate_period", int)
     if gate_period < 0:
         raise ConfigError(f"gate_period must be nonnegative, got {gate_period}")
-    periods = [int(_ensure_number(x, "times")) for x in c["times"]]
+    periods = [_ensure_int(x, "times") for x in c["times"]]
     if not periods or min(periods) < 0:
         raise ConfigError(f"compare times must be periods >= 0, got {periods}")
     if gate_period not in periods:
@@ -637,8 +638,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError, np.linalg.LinAlgError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     return 0
 

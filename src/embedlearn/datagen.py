@@ -352,30 +352,6 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
     return [out[k] for k in periods]
 
 
-def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
-    """Per-step log-likelihood of a record set under the generating model.
-
-    Diagnostic ceiling for fitted models: runs the same propagate /
-    measure / condition loop that produced the data and scores the recorded
-    outcomes.
-    """
-    mp = period_superoperator(cfg)
-    v = vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
-    total = 0.0
-    for rec in ds.records:
-        rho = hermitianize(unvec(mp @ v))
-        phi = rec.basis[:, rec.outcome]
-        rho4 = rho.reshape(2, 2, 2, 2)
-        block = np.einsum("s,setf,t->ef", phi.conj(), rho4, phi)
-        p = np.trace(block).real
-        if p <= 0:
-            raise ZeroProbabilityError(rec.step)
-        total += np.log(p)
-        proj = np.outer(phi, phi.conj())
-        v = vec(np.kron(proj, hermitianize(block) / p))
-    return total / len(ds.records)
-
-
 # ---------------------------------------------------------------------------
 # Overfit oracle: n-partite environment built from the observed projectors.
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import CollisionModelConfig, Dataset, period_superoperator
 from .embedding import MarkovianEmbedding, ancilla_vector, superoperator_matrix
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig
@@ -109,31 +109,41 @@ def _project(joint4: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return block, proj.reshape(d, d)
 
 
-def forward_pass(model: MarkovianEmbedding, data: Dataset,
-                 cache: PropagationCache | None = None) -> PropagationCache:
-    """Trace-normalized filtering sweep; raises on a zero-probability step."""
-    phis = _projector_vectors(model, data)
-    n = len(data.records)
-    d_s, d_er = model.dims.d_s, model.dims.d_er
-    d = model.dims.d
-    m = superoperator_matrix(model)
+def _sweep(m: np.ndarray, rho: np.ndarray, log0: float, phis: np.ndarray,
+           records) -> tuple[np.ndarray, np.ndarray]:
+    """The filter loop: from state ``rho`` and running log ``log0``, evolve by
+    the superoperator ``m`` and condition on each projector vector in turn.
+    Returns the start state and running log followed by one per record;
+    ``records`` give the step a zero-probability error reports."""
+    n = len(phis)
+    d = rho.shape[0]
+    d_s = phis.shape[1]
+    d_er = d // d_s
     states = np.empty((n + 1, d, d), dtype=np.complex128)
     logs = np.empty(n + 1)
-    rho = np.asarray(model.rho0_ser, dtype=np.complex128)
     states[0] = rho
-    logs[0] = 0.0
+    logs[0] = log0
     for i in range(n):
         evolved = (m @ rho.T.ravel()).reshape(d, d).T
         block, projected = _project(evolved.reshape(d_s, d_er, d_s, d_er), phis[i])
         p = np.trace(block).real
         if p <= 0.0:
-            raise ZeroProbabilityError(data.records[i].step)
+            raise ZeroProbabilityError(records[i].step)
         rho = projected / p
         rho = 0.5 * (rho + rho.conj().T)
         states[i + 1] = rho
         logs[i + 1] = logs[i] + np.log(p)
+    return states, logs
+
+
+def forward_pass(model: MarkovianEmbedding, data: Dataset,
+                 cache: PropagationCache | None = None) -> PropagationCache:
+    """Trace-normalized filtering sweep; raises on a zero-probability step."""
+    phis = _projector_vectors(model, data)
+    rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
+    states, logs = _sweep(superoperator_matrix(model), rho0, 0.0, phis, data.records)
     if cache is None:
-        cache = PropagationCache(n=n)
+        cache = PropagationCache(n=len(data.records))
     cache.forward_states = states
     cache.forward_log_scale = logs
     return cache
@@ -187,12 +197,15 @@ def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
 
 
 def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
-                              data_val: Dataset) -> float:
+                              data_val: Dataset, train_cache: PropagationCache) -> float:
     """Per-step log-likelihood of the validation records, conditioned on
     the training prefix of the same physical trajectory.
 
     The two datasets must share provenance (seed and config digest) and the
     validation steps must continue the training steps without a gap.
+    ``train_cache`` is the forward sweep of ``model`` over ``data_train``;
+    filtering continues from its final state, so the training prefix is
+    not filtered again.
     """
     if data_train.provenance != data_val.provenance:
         raise DataError("train/validation provenance differs; not the same trajectory")
@@ -202,12 +215,25 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
         raise DataError(
             f"validation must continue training: steps {data_train.records[-1].step} "
             f"-> {data_val.records[0].step}")
-    joint = Dataset(records=data_train.records + data_val.records,
-                    tau=data_train.tau, d_s=data_train.d_s,
-                    provenance=dict(data_train.provenance))
-    cache = forward_pass(model, joint)
-    n_t, n_v = len(data_train.records), len(data_val.records)
-    return float(cache.forward_log_scale[n_t + n_v] - cache.forward_log_scale[n_t]) / n_v
+    if (train_cache.n != len(data_train.records) or train_cache.forward_states is None
+            or train_cache.forward_log_scale is None):
+        raise ValueError("train_cache is not a forward sweep of data_train")
+    phis = _projector_vectors(model, data_val)
+    # Seeded with the prefix log, every addition matches one sweep over
+    # train + validation, so the result equals that sweep's suffix bitwise.
+    _, logs = _sweep(superoperator_matrix(model), train_cache.forward_states[-1],
+                     train_cache.forward_log_scale[-1], phis, data_val.records)
+    return float(logs[-1] - logs[0]) / len(data_val.records)
+
+
+def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
+    """Per-step log-likelihood of a record set under the generating model, a
+    diagnostic ceiling for fitted models.  The period map is a channel on
+    S x S1, so the sweep scores the records with S1 as the reservoir."""
+    phis = np.stack([rec.basis[:, rec.outcome] for rec in ds.records])
+    rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
+    _, logs = _sweep(period_superoperator(cfg), rho0, 0.0, phis, ds.records)
+    return float(logs[-1]) / len(ds.records)
 
 
 def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:

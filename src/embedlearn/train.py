@@ -186,32 +186,24 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         cache = build_cache(model, data_train)
         train_ps = cache.log_likelihood() / n
+        converged = (epoch > cfg.convergence_window and
+                     abs(train_ps - curve.train_per_step[-cfg.convergence_window])
+                     < cfg.convergence_tol)
+        last = converged or epoch == cfg.epochs
         val_ps = None
-        evaluate = data_val is not None and (
-            epoch % cfg.val_every == 0 or epoch == cfg.epochs)
-        if evaluate:
-            val_ps = conditional_validation_ll(model, data_train, data_val)
+        if data_val is not None and (epoch % cfg.val_every == 0 or last):
+            val_ps = conditional_validation_ll(model, data_train, data_val, cache)
             if val_ps > best_val:
                 best_val = val_ps
                 best_h = model.h.copy()
         curve.append(epoch, train_ps, val_ps, time.monotonic() - t0)
-        converged = (epoch > cfg.convergence_window and
-                     abs(curve.train_per_step[-1]
-                         - curve.train_per_step[-1 - cfg.convergence_window])
-                     < cfg.convergence_tol)
-        if converged or epoch == cfg.epochs:
+        if last:
             break
         batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
         grad = log_likelihood_gradient(model, data_train, cache, batch)
         params, adam = adam_update(adam, params, gradient_to_params(grad), cfg)
         model = model.with_h(unpack_hermitian(params, dd))
     if data_val is not None:
-        if curve.val_per_step[-1] is None:
-            val_ps = conditional_validation_ll(model, data_train, data_val)
-            curve.val_per_step[-1] = val_ps
-            if val_ps > best_val:
-                best_val = val_ps
-                best_h = model.h.copy()
         final_model = model.with_h(best_h)
         score = best_val
     else:
@@ -237,26 +229,27 @@ def fit(data_train, data_val, dims: DimSpec, cfg: TrainConfig
 
 
 def select_d_er(data_train, data_val, candidates: list[int], cfg: TrainConfig
-                ) -> tuple[int, list[tuple[int, float]], dict[int, MarkovianEmbedding]]:
+                ) -> tuple[int, list[tuple[int, float]], dict[int, MarkovianEmbedding],
+                           dict[int, LearningCurve]]:
     """Fit one model per candidate reservoir dimension and pick the best.
 
     Returns (winner, table of (d_er, validation per-step ll), fitted
-    models).  Ties break toward the smaller dimension.
+    models, their learning curves), one entry per distinct candidate in
+    ascending order.  Each score is the best validation value on the
+    returned curve, which ``fit`` computed for the checkpoint it returns.
+    Ties break toward the smaller dimension.
     """
     if not candidates:
         raise ValueError("no candidates")
     table: list[tuple[int, float]] = []
     models: dict[int, MarkovianEmbedding] = {}
-    best_k, best_ll = None, -math.inf
-    for k in sorted(candidates):
+    curves: dict[int, LearningCurve] = {}
+    for k in sorted(set(candidates)):
         dims = DimSpec(d_s=data_train.d_s, d_er=k)
-        model, _ = fit(data_train, data_val, dims, replace(cfg, d_er=k))
-        val_ll = conditional_validation_ll(model, data_train, data_val)
-        table.append((k, val_ll))
-        models[k] = model
-        if val_ll > best_ll:
-            best_k, best_ll = k, val_ll
-    return best_k, table, models
+        models[k], curves[k] = fit(data_train, data_val, dims, replace(cfg, d_er=k))
+        table.append((k, max(v for v in curves[k].val_per_step if v is not None)))
+    best_k = max(table, key=lambda row: row[1])[0]
+    return best_k, table, models, curves
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,28 @@ def flat_record_probability(u, d_s, d_er, d_a, psi0_ser, projectors):
     return float(np.sum(np.abs(psi) ** 2))
 
 
+def filtered_log_likelihood(period_map, rho0, phis):
+    """Per-step log-likelihood of rank-1 system outcomes on a qubit system
+    with a two-level memory, by the propagate / measure / condition loop of
+    the collision-model simulator.
+
+    ``period_map`` is the column-stacking 16x16 superoperator of one period
+    on S x S1, ``rho0`` the initial 4x4 joint state and ``phis`` the measured
+    system vectors, one per record.
+    """
+    v = np.asarray(rho0, dtype=np.complex128).T.ravel()
+    total = 0.0
+    for phi in phis:
+        rho = (period_map @ v).reshape(4, 4).T
+        rho = 0.5 * (rho + rho.conj().T)
+        block = np.einsum("s,setf,t->ef", phi.conj(), rho.reshape(2, 2, 2, 2), phi)
+        p = np.trace(block).real
+        total += np.log(p)
+        block = 0.5 * (block + block.conj().T) / p
+        v = np.kron(np.outer(phi, phi.conj()), block).T.ravel()
+    return total / len(phis)
+
+
 def central_difference(f, x, eps):
     """Gradient of scalar f at parameter vector x by central differences."""
     x = np.asarray(x, dtype=np.float64)

@@ -2,16 +2,18 @@
 against small datasets; the heavier train/predict flows share one fitted
 run directory per module."""
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from embedlearn import jsonio
+from embedlearn import cli, jsonio
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import load_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
 from embedlearn.errors import ConfigError
 from embedlearn.qla import SIGMA_X, SIGMA_Z, DimSpec, kron
+from embedlearn.train import TrainConfig, select_d_er
 
 MARKOV_PAIRS = jsonio.matrix_to_pairs(
     kron(0.3 * SIGMA_X, np.eye(4, dtype=np.complex128)))
@@ -103,6 +105,36 @@ class TestConfigResolution:
             load_run_config(str(p), None)
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("command,extra", [
+        ("generate", {"seed": True}),
+        ("generate", {"data": {"hamiltonian": MARKOV_PAIRS, "n_train": 120.0,
+                               "n_val": 120}}),
+        ("train", {"train": {"epochs": 2.5}}),
+        ("train", {"train": {"restarts": True}}),
+        ("train", {"train": {"batch_size": "7"}}),
+        ("train", {"train": {"candidates": [1, 1.5]}}),
+        ("predict", {"predict": {"d_er": 1.5}}),
+        ("predict", {"predict": {"d_er": 1, "times": [1.0],
+                                 "n_values": [60.5]}}),
+        ("tomo", {"tomo": {"times": [1, 2.5]}}),
+        ("tomo", {"tomo": {"times": [1], "shots_per_channel": 30,
+                           "k_values": [2.0]}}),
+        ("compare", {"compare": {"times": [0, 1.0], "gate_period": 0}}),
+    ])
+    def test_non_integers_exit_two(self, exact_model_run, tmp_path, command,
+                                   extra, capsys):
+        # Refused outright rather than truncated: resolved_config.json
+        # records the raw value, so a truncated run would misreport itself.
+        _, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        cfg = write_config(tmp_path / "c.json", extra)
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_small_run_writes_split_files(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -132,6 +164,20 @@ class TestGenerate:
                      "--quiet"]) == 0
         for name in ("train.jsonl", "val.jsonl", "resolved_config.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("exc", [MemoryError("cannot allocate"),
+                                     np.linalg.LinAlgError("no convergence")])
+    def test_resource_and_linalg_failures_exit_four(self, tmp_path, monkeypatch,
+                                                    capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate_trajectory", fail)
+        cfg = write_config(tmp_path / "c.json", {})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(exc) in err
 
     def test_invalid_sizes_exit_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -164,6 +210,17 @@ class TestTrainAndValidate:
         epochs = [int(r[0]) for r in rows]
         assert epochs == list(range(1, len(epochs) + 1))
         assert len(epochs) <= 30
+
+    def test_selection_matches_select_d_er(self, fitted_run):
+        _, out = fitted_run
+        tr = load_dataset(out / "train.jsonl")
+        va = load_dataset(out / "val.jsonl")
+        tc = TrainConfig(d_er=1, epochs=30, batch_size=120, seed=9, restarts=1,
+                         val_every=10)
+        best, table, _, _ = select_d_er(tr, va, [1], tc)
+        _, rows = read_rows(out / "selection.csv")
+        assert rows == [[str(k), repr(v), "1" if k == best else "0"]
+                        for k, v in table]
 
     def test_validate_recomputes_recorded_likelihood(self, fitted_run):
         # Serialization must be lossless: scoring the saved model reproduces

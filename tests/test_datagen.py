@@ -12,9 +12,9 @@ from embedlearn.datagen import (CollisionModelConfig, Dataset,
                                 load_dataset, overfit_oracle,
                                 period_superoperator, sample_measurement,
                                 save_dataset, split_dataset,
-                                true_model_log_likelihood,
                                 validation_continuation)
 from embedlearn.errors import DataError
+from embedlearn.likelihood import true_model_log_likelihood
 from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expm_unitary,
                             kron, ptrace, unvec, vec)
 
@@ -306,6 +306,14 @@ class TestTrueModelLikelihood:
         ll = true_model_log_likelihood(cfg, ds)
         assert np.isfinite(ll)
         assert ll < 0.0
+
+    def test_engine_matches_simulator_loop(self):
+        cfg = CollisionModelConfig()
+        ds = generate_trajectory(cfg, 2000, 25)
+        phis = [rec.basis[:, rec.outcome] for rec in ds.records]
+        want = oracles.filtered_log_likelihood(period_superoperator(cfg),
+                                               cfg.rho_ss1_0, phis)
+        assert abs(true_model_log_likelihood(cfg, ds) - want) < 1e-12
 
 
 class TestSplitting:

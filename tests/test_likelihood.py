@@ -394,8 +394,32 @@ class TestConditionalValidation:
                         provenance=dict(tr.provenance))
         cache = forward_pass(model, joint)
         want = (cache.forward_log_scale[12] - cache.forward_log_scale[7]) / 5
-        got = conditional_validation_ll(model, tr, va)
+        got = conditional_validation_ll(model, tr, va, forward_pass(model, tr))
         assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_continuation_is_bitwise_joint_suffix(self, d_er):
+        # Continuing from the training cache performs the same additions as
+        # one sweep over train + validation, so the results are equal.
+        rng = np.random.default_rng(40 + d_er)
+        model = random_model(rng, d_er=d_er)
+        tr, va = self._trajectory_datasets(rng, 30, 11)
+        joint = Dataset(records=tr.records + va.records, tau=1.0, d_s=2,
+                        provenance=dict(tr.provenance))
+        logs = forward_pass(model, joint).forward_log_scale
+        want = float(logs[41] - logs[30]) / 11
+        assert conditional_validation_ll(model, tr, va, forward_pass(model, tr)) == want
+
+    def test_mismatched_train_cache_rejected(self):
+        rng = np.random.default_rng(44)
+        model = random_model(rng)
+        tr, va = self._trajectory_datasets(rng, 6, 4)
+        shorter = Dataset(records=tr.records[:5], tau=1.0, d_s=2,
+                          provenance=dict(tr.provenance))
+        with pytest.raises(ValueError):
+            conditional_validation_ll(model, tr, va, forward_pass(model, shorter))
+        with pytest.raises(ValueError):
+            conditional_validation_ll(model, tr, va, backward_pass(model, tr))
 
     def test_split_halves_statistically_consistent(self):
         # Same model scored on both halves of one long exchangeable record
@@ -417,7 +441,7 @@ class TestConditionalValidation:
         tr, va = self._trajectory_datasets(rng, 6, 4)
         va.records = va.records[1:]
         with pytest.raises(DataError):
-            conditional_validation_ll(model, tr, va)
+            conditional_validation_ll(model, tr, va, forward_pass(model, tr))
 
     def test_provenance_mismatch_rejected(self):
         rng = np.random.default_rng(21)
@@ -425,7 +449,7 @@ class TestConditionalValidation:
         tr, va = self._trajectory_datasets(rng, 6, 4)
         va.provenance["seed"] = 999
         with pytest.raises(DataError):
-            conditional_validation_ll(model, tr, va)
+            conditional_validation_ll(model, tr, va, forward_pass(model, tr))
 
 
 class TestCacheErrors:

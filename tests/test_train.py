@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
-                                split_dataset, true_model_log_likelihood)
+                                split_dataset)
+from embedlearn.likelihood import (conditional_validation_ll, forward_pass,
+                                   true_model_log_likelihood)
 from embedlearn.qla import SIGMA_X, DimSpec, dagger, kron, ptrace
 from embedlearn.train import (AdamState, LearningCurve, TrainConfig,
                               adam_update, estimate_d_er, fit,
@@ -275,7 +277,7 @@ class TestSelectDEr:
         tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3,
                          restarts=1, convergence_window=60,
                          convergence_tol=1e-4, val_every=25)
-        best, table, models = select_d_er(tr, va, [1, 2], tc)
+        best, table, models, _ = select_d_er(tr, va, [1, 2], tc)
         assert best == 1
         assert [k for k, _ in table] == [1, 2]
         assert set(models) == {1, 2}
@@ -289,10 +291,30 @@ class TestSelectDEr:
         tc = TrainConfig(d_er=2, epochs=3, batch_size=30, seed=1, restarts=1,
                          convergence_window=2, convergence_tol=1e-12,
                          val_every=2)
-        best, table, models = select_d_er(tr, va, [2], tc)
+        best, table, models, _ = select_d_er(tr, va, [2], tc)
         assert best == 2
         assert len(table) == 1
         assert 2 in models
+
+    def test_scores_are_the_returned_models_validation(self):
+        # The table is read off the fit's curves; it must equal a fresh
+        # conditional score of each returned checkpoint.  The first config
+        # converges between validation epochs; the second, with a large
+        # step, runs to the end and peaks before its last validation.
+        cfg = markovian_collision_config()
+        ds = generate_trajectory(cfg, 80, 60)
+        tr, va = split_dataset(ds, 50)
+        for tol, val_every, lr in ((1.0, 4, 1e-3), (1e-12, 2, 0.3)):
+            tc = TrainConfig(d_er=1, epochs=6, batch_size=50, seed=2,
+                             restarts=2, convergence_window=2,
+                             convergence_tol=tol, val_every=val_every, lr=lr)
+            best, table, models, curves = select_d_er(tr, va, [2, 1, 2], tc)
+            assert [k for k, _ in table] == [1, 2]
+            assert set(curves) == {1, 2}
+            for k, val_ll in table:
+                cache = forward_pass(models[k], tr)
+                assert val_ll == conditional_validation_ll(models[k], tr, va, cache)
+            assert best == max(table, key=lambda row: row[1])[0]
 
     def test_empty_candidates_rejected(self):
         cfg = markovian_collision_config()
