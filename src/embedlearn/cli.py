@@ -170,6 +170,14 @@ def _times_list(section: dict, key: str = "times") -> list[float]:
     return times
 
 
+def _int_list(section: dict, key: str) -> list[int]:
+    """A nonempty JSON list of integers, in the order given."""
+    raw = section[key]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"'{key}' must be a nonempty list")
+    return [_ensure_int(x, key) for x in raw]
+
+
 def _ensure_number(x, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"'{key}' entries must be numbers, got {x!r}")
@@ -320,10 +328,7 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
             ds_train = dataset_prefix(ds_train, n_records)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    raw_candidates = t["candidates"]
-    if not isinstance(raw_candidates, list) or not raw_candidates:
-        raise ConfigError("'candidates' must be a nonempty list")
-    candidates = sorted({_ensure_int(k, "candidates") for k in raw_candidates})
+    candidates = sorted(set(_int_list(t, "candidates")))
     if candidates[0] < 1:
         raise ConfigError(f"candidates must be >= 1, got {candidates}")
     cfg = _train_config(resolved, candidates[0])
@@ -408,14 +413,11 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
         _say(quiet, f"mean process-matrix error over {len(errors)} times: "
                     f"{float(np.mean(errors)):.6f}")
 
-    n_values = p["n_values"]
-    if n_values is not None:
+    if p["n_values"] is not None:
         if not grid_times:
             raise ConfigError("n_values scan needs at least one positive "
                               "integer-period prediction time")
-        if not isinstance(n_values, list) or not n_values:
-            raise ConfigError("'n_values' must be a nonempty list")
-        ns = sorted({_ensure_int(x, "n_values") for x in n_values})
+        ns = sorted(set(_int_list(p, "n_values")))
         ds_train = _load_data(out / "train.jsonl")
         ds_val = _load_data(out / "val.jsonl")
         rows = []
@@ -448,7 +450,14 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
     ds_train = _load_data(out / "train.jsonl")
     n_records = _value(b, "n_records", int, allow_none=True)
     if n_records is not None:
-        ds_train = dataset_prefix(ds_train, n_records)
+        try:
+            ds_train = dataset_prefix(ds_train, n_records)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    times = _times_list(b)
+    n_draws = _value(b, "n_draws", int)
+    if n_draws < 2:
+        raise ConfigError(f"n_draws must be >= 2, got {n_draws}")
     try:
         bcfg = BayesConfig(
             iterations=_value(b, "iterations", int),
@@ -465,10 +474,6 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
         raise ConfigError(str(exc)) from exc
     posterior = fit_posterior(model, ds_train, bcfg)
     save_posterior(posterior, out / "posterior.json")
-    times = _times_list(b)
-    n_draws = _value(b, "n_draws", int)
-    if n_draws < 2:
-        raise ConfigError(f"n_draws must be >= 2, got {n_draws}")
     rho_s0 = ptrace(model.rho0_ser, [model.dims.d_s, model.dims.d_er], [0])
     dyn = sample_dynamics(posterior, rho_s0, times, n_draws,
                           seeds.stream(resolved["seed"], "bayes-dynamics"))
@@ -508,8 +513,8 @@ def _tomography_errors(cm: CollisionModelConfig, periods: list[int], shots: int,
 def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
     cm = _collision_config(resolved)
     tm = resolved["tomo"]
-    periods = [_ensure_int(x, "times") for x in tm["times"]]
-    if not periods or min(periods) < 1:
+    periods = _int_list(tm, "times")
+    if min(periods) < 1:
         raise ConfigError(f"tomo times must be periods >= 1, got {periods}")
     shots = _value(tm, "shots_per_channel", int, allow_none=True)
     if shots is None:
@@ -525,12 +530,9 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
 
     # Optional budget-split scan: same total shot count spread over the
     # first K channels, one row per K.
-    k_values = tm["k_values"]
-    if k_values is None:
+    if tm["k_values"] is None:
         return
-    if not isinstance(k_values, list) or not k_values:
-        raise ConfigError("'k_values' must be null or a nonempty list")
-    ks = sorted({_ensure_int(k, "k_values") for k in k_values})
+    ks = sorted(set(_int_list(tm, "k_values")))
     if ks[0] < 1:
         raise ConfigError(f"k_values must be >= 1, got {ks}")
     budget = _value(resolved["data"], "n_train", int)
@@ -558,8 +560,8 @@ def cmd_compare(resolved: dict, out: Path, quiet: bool) -> None:
     gate_period = _value(c, "gate_period", int)
     if gate_period < 0:
         raise ConfigError(f"gate_period must be nonnegative, got {gate_period}")
-    periods = [_ensure_int(x, "times") for x in c["times"]]
-    if not periods or min(periods) < 0:
+    periods = _int_list(c, "times")
+    if min(periods) < 0:
         raise ConfigError(f"compare times must be periods >= 0, got {periods}")
     if gate_period not in periods:
         raise ConfigError("gate_period must be on the time grid")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio, seeds
+from .embedding import _kraus_superoperator
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
     SIGMA_X,
@@ -160,19 +161,13 @@ def collision_step(rho_ss1: CMatrix, cfg: CollisionModelConfig) -> CMatrix:
 
 
 def _collision_superoperator(cfg: CollisionModelConfig) -> CMatrix:
-    """Column-stacking 16x16 matrix of one collision on S+S1."""
+    """Column-stacking 16x16 matrix of one collision on S+S1, from the Kraus
+    family sqrt(w_k) (I x <j|) U (I x |chi_k>) of rho_r = sum_k w_k |chi_k><chi_k|."""
     u = expm_unitary(cfg.hamiltonian, cfg.delta_t)
     w, chi = np.linalg.eigh(hermitianize(cfg.rho_r))
-    m = np.zeros((16, 16), dtype=np.complex128)
-    u4 = u.reshape(4, 2, 4, 2)
-    for k in range(2):
-        if w[k] <= 1e-14:
-            continue
-        # Kraus family sqrt(w_k) (I x <j|) U (I x |chi_k>)
-        kr = np.einsum("xjyk,k->jxy", u4, chi[:, k])
-        for j in range(2):
-            m += w[k] * np.kron(kr[j].conj(), kr[j])
-    return m
+    kr = np.einsum("xjyk,kl,l->ljxy", u.reshape(4, 2, 4, 2), chi,
+                   np.sqrt(np.clip(w, 0.0, None)))
+    return _kraus_superoperator(kr.reshape(4, 4, 4))
 
 
 def period_superoperator(cfg: CollisionModelConfig) -> CMatrix:

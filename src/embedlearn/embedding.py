@@ -157,15 +157,17 @@ def kraus_stack(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
     return np.einsum("xjyk,k->jxy", u4, a)
 
 
-def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
-    """Column-stacking matrix of the period channel, side (d_s*d_er)**2.
-
-    Built from the Kraus stack: sum_j conj(K_j) x K_j.
-    """
-    ks = kraus_stack(model, u)
-    d = model.dims.d
+def _kraus_superoperator(ks: CMatrix) -> CMatrix:
+    """Column-stacking matrix sum_j conj(K_j) x K_j of a Kraus stack (j, d, d)."""
+    d = ks.shape[1]
     m = np.einsum("jpr,jqs->pqrs", ks.conj(), ks, optimize=True)
     return m.reshape(d * d, d * d)
+
+
+def superoperator_matrix(model: MarkovianEmbedding) -> CMatrix:
+    """Column-stacking matrix of the period channel, side (d_s*d_er)**2,
+    built from the Kraus stack."""
+    return _kraus_superoperator(kraus_stack(model))
 
 
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:

@@ -12,7 +12,11 @@ kept as running logs:
 
 Merging the two halves at any step recovers the same total log-likelihood,
 which is the main internal consistency check, and the per-merge-point form
-is what the gradient of the log-likelihood sums over.
+is what the gradient of the log-likelihood sums over.  Each merge-point
+value is linear in the period superoperator M, so the gradient first sums
+the batch into one d^2 x d^2 matrix C = dlog p/dM, then pulls C back through
+M = sum_j conj(K_j) x K_j to the Kraus operators K_j = (I x <j|) U (I x |a>)
+and from U to H through the divided differences of exp(-i tau z).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import CollisionModelConfig, Dataset, period_superoperator
-from .embedding import MarkovianEmbedding, ancilla_vector, superoperator_matrix
+from .embedding import (MarkovianEmbedding, _kraus_superoperator, ancilla_vector,
+                        kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig
 
@@ -266,25 +271,6 @@ def unitary_derivative(h: CMatrix, mu: int, nu: int, tau: float) -> CMatrix:
     return v @ (f * inner) @ v.conj().T
 
 
-def _sandwich_operators(model: MarkovianEmbedding, cache: PropagationCache,
-                        phis: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-merge-point effect and state factors for the gradient.
-
-    Returns (A, B): A[m] is the measured effect at step m projected into
-    the joint space, E_m eff(t_m) E_m; B[m] is the normalized post-
-    measurement state at step m-1.  Both (len(batch), d, d).
-    """
-    d_s, d_er = model.dims.d_s, model.dims.d_er
-    d = model.dims.d
-    eff = cache.backward_effects[batch]  # (b, d, d)
-    phi = phis[batch - 1]  # records are 1-based in batch indexing
-    eff4 = eff.reshape(-1, d_s, d_er, d_s, d_er)
-    blocks = np.einsum("ms,msetf,mt->mef", phi.conj(), eff4, phi)
-    a = np.einsum("ms,mt,mef->msetf", phi, phi.conj(), blocks).reshape(-1, d, d)
-    b = cache.forward_states[batch - 1]
-    return a, b
-
-
 def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
                             cache: PropagationCache,
                             batch: np.ndarray | list[int] | None = None) -> GradientMatrix:
@@ -313,45 +299,38 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
         raise ValueError(f"batch entries must lie in 1..{n}")
 
     dims = model.dims
-    d, d_a, dd = dims.d, dims.d_a, dims.d_total
+    d_s, d_er, d, dd = dims.d_s, dims.d_er, dims.d, dims.d_total
     dec = herm_eig(model.h)
     lam, v = dec.eigenvalues, dec.eigenvectors
     u = (v * np.exp(-1j * model.tau * lam)) @ v.conj().T
     f = _loewner_exp(lam, model.tau)
     avec = ancilla_vector(model)
-    emb = np.kron(np.eye(d, dtype=np.complex128), avec[:, None])  # dd x d
+    ks = kraus_stack(model, u)
 
-    a_ops, b_ops = _sandwich_operators(model, cache, phis, batch)
-
-    # Per-merge-point sandwich values tr[A U (B x rho_a) U+] via the channel.
-    m_super = superoperator_matrix(model, u)
-    phi_b = np.einsum("EV,mV->mE", m_super, b_ops.transpose(0, 2, 1).reshape(-1, d * d))
-    phi_b = phi_b.reshape(-1, d, d).transpose(0, 2, 1)
-    values = np.einsum("mxy,myx->m", a_ops, phi_b).real
+    # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
+    # the measured effect A_m = E_m eff(t_m) E_m, b_m = vec(B_m) for the
+    # post-measurement state at step m-1; the sandwich value is a_m^T M b_m.
+    phi = phis[batch - 1]  # records are 1-based in batch indexing
+    eff4 = cache.backward_effects[batch].reshape(-1, d_s, d_er, d_s, d_er)
+    blocks = np.einsum("ms,msetf,mt->mef", phi.conj(), eff4, phi)
+    a = np.einsum("ms,mt,mef->msetf", phi, phi.conj(), blocks).reshape(-1, d * d)
+    b = cache.forward_states[batch - 1].transpose(0, 2, 1).reshape(-1, d * d)
+    values = np.einsum("mi,mi->m", a, b @ _kraus_superoperator(ks).T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]
         raise ZeroProbabilityError(int(bad))
-    w = 1.0 / values
 
-    ucols = u @ emb  # dd x d, the U(I x |a>) slice
-    uc3 = ucols.reshape(d, d_a, d)
-    v3 = v.reshape(d, d_a, dd)
+    # d sum_m log value_m = sum C * dM with C = sum_m a_m b_m^T / value_m.
+    # Through M = sum_j conj(K_j) x K_j and K_j = (I x <j|) U (I x |a>) this
+    # is tr[Gamma1^T dU] + tr[Gamma2^T dU+], where Gamma1 = g1 (I x a^T) and
+    # Gamma2 = (I x conj(a)) g2; only the d_total x d factors g1, g2 are formed.
+    c4 = ((a / values[:, None]).T @ b).reshape(d, d, d, d)
+    g1 = np.einsum("pqrs,jpr->qjs", c4, ks.conj()).reshape(dd, d)
+    g2 = np.einsum("pqrs,jqs->rpj", c4, ks).reshape(d, dd)
+    va = np.einsum("xkE,k->xE", v.reshape(d, -1, dd), avec.conj())  # (I x <a|) V
+    vg1v = (v.T @ g1) @ va.conj()  # V^T Gamma1 V*
+    vg2v = va.T @ (g2 @ v.conj())  # V^T Gamma2 V*
 
-    # First product-rule term, tr[A dU (B x rho_a) U+], reorganized so the
-    # only per-m objects are d x dd matrices:
-    #   sum_m P @ (B_m @ Q_m) / value_m with Q_m = Ucols+ (A_m x I) V.
-    t1 = np.einsum("mbc,ckE->mbkE", a_ops, v3)
-    q = np.einsum("bkx,mbkE->mxE", uc3.conj(), t1)
-    j = np.einsum("mxy,myE->mxE", b_ops, q)
-    s1 = np.einsum("m,mxE->xE", w, j)
-    g1 = (v.conj().T @ emb) @ s1  # (V+ (I x |a>)) then d x dd
-
-    # Second term, tr[A U (B x rho_a) dU+]: mirror with the slice on the left.
-    z = np.einsum("mbc,ckx->mbkx", a_ops, uc3)
-    zb = np.einsum("mbkx,mxy->mbky", z, b_ops)
-    y2 = np.einsum("m,mbky->bky", w, zb).reshape(dd, d)
-    g2 = (v.conj().T @ y2) @ (emb.conj().T @ v)
-
-    inner = f * g1.T + f.conj() * g2.T
+    inner = f * vg1v + f.conj() * vg2v
     grad = v.conj() @ inner @ v.T
     return (n / batch.size) * grad

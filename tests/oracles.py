@@ -157,6 +157,62 @@ def filtered_log_likelihood(period_map, rho0, phis):
     return total / len(phis)
 
 
+def merge_point_chain_gradient(h, tau, avec, d_s, d_er, forward_states,
+                               backward_effects, phis, batch, n):
+    """Gradient of the record log-likelihood with respect to H, by the
+    per-merge-point chain through the dilation: each merge point m carries
+    d x d_total factors of U (I x |a>) and of the eigenvectors of H.
+
+    ``forward_states`` and ``backward_effects`` are the normalized sweeps
+    (index 0..n), ``phis`` the measured system vectors, ``batch`` the
+    1-based merge points; the sum is rescaled by n/len(batch).  Entry
+    (mu, nu) is the derivative along the matrix unit |mu><nu|.  Memory grows
+    as len(batch) * d**2 * d_total, so keep the sizes small.
+    """
+    batch = np.asarray(batch)
+    d = d_s * d_er
+    d_a = d * d
+    dd = d * d_a
+    lam, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
+    ph = np.exp(-1j * tau * lam)
+    u = (v * ph) @ v.conj().T
+    diff = lam[:, None] - lam[None, :]
+    degenerate = np.abs(diff) <= 1e-12 * np.maximum(1.0, np.abs(lam))[:, None]
+    f = np.where(degenerate, (-1j * tau * ph)[:, None] * np.ones_like(diff),
+                 (ph[:, None] - ph[None, :]) / np.where(degenerate, 1.0, diff))
+    emb = np.kron(np.eye(d), np.asarray(avec)[:, None])  # dd x d
+
+    phi = phis[batch - 1]
+    eff4 = backward_effects[batch].reshape(-1, d_s, d_er, d_s, d_er)
+    blocks = np.einsum("ms,msetf,mt->mef", phi.conj(), eff4, phi)
+    a_ops = np.einsum("ms,mt,mef->msetf", phi, phi.conj(), blocks).reshape(-1, d, d)
+    b_ops = forward_states[batch - 1]
+
+    ucols = u @ emb
+    # Sandwich values tr[A_m Phi(B_m)] through the Kraus operators
+    # K_j = (I x <j|) U (I x |a>).
+    kraus = [np.kron(np.eye(d), np.eye(d_a)[[j], :]) @ ucols for j in range(d_a)]
+    values = np.array([sum(np.trace(am @ k @ bm @ k.conj().T) for k in kraus).real
+                       for am, bm in zip(a_ops, b_ops)])
+    w = 1.0 / values
+
+    # First product-rule term, tr[A dU (B x rho_a) U+], then its mirror
+    # tr[A U (B x rho_a) dU+], each summed over m before the eigenbasis step.
+    uc3 = ucols.reshape(d, d_a, d)
+    v3 = v.reshape(d, d_a, dd)
+    t1 = np.einsum("mbc,ckE->mbkE", a_ops, v3)
+    q = np.einsum("bkx,mbkE->mxE", uc3.conj(), t1)
+    j = np.einsum("mxy,myE->mxE", b_ops, q)
+    s1 = np.einsum("m,mxE->xE", w, j)
+    g1 = (v.conj().T @ emb) @ s1
+    z = np.einsum("mbc,ckx->mbkx", a_ops, uc3)
+    zb = np.einsum("mbkx,mxy->mbky", z, b_ops)
+    y2 = np.einsum("m,mbky->bky", w, zb).reshape(dd, d)
+    g2 = (v.conj().T @ y2) @ (emb.conj().T @ v)
+    inner = f * g1.T + f.conj() * g2.T
+    return (n / batch.size) * (v.conj() @ inner @ v.T)
+
+
 def central_difference(f, x, eps):
     """Gradient of scalar f at parameter vector x by central differences."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,8 @@
 """Record-sequence likelihood tests: both renormalized sweeps against flat
 contractions that keep every ancilla, plus the analytic gradient against
 central finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    dump_step_increments, forward_pass,
                                    log_likelihood, log_likelihood_gradient,
                                    per_step_increments, unitary_derivative)
-from embedlearn.embedding import make_embedding
+from embedlearn.embedding import ancilla_vector, make_embedding
 from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
 
 import oracles
@@ -375,6 +377,62 @@ class TestGradient:
             log_likelihood_gradient(model, ds, cache, batch=[5])
         with pytest.raises(ValueError):
             log_likelihood_gradient(model, ds, cache, batch=[])
+
+
+class TestGradientThroughSuperoperator:
+    """The gradient aggregated through the period superoperator against the
+    per-merge-point chain through the dilation (``oracles``), directional
+    finite differences, and its memory, which must not grow with n x d_total."""
+
+    @staticmethod
+    def _setup(d_er, n, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d_er=d_er)
+        ds = make_dataset(random_records(rng, n))
+        return rng, model, ds, build_cache(model, ds)
+
+    @pytest.mark.parametrize("d_er,n", [(1, 60), (2, 40), (3, 12)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_chain_oracle(self, d_er, n, full):
+        rng, model, ds, cache = self._setup(d_er, n, 30 + d_er)
+        batch = (np.arange(1, n + 1) if full
+                 else np.sort(rng.choice(np.arange(1, n + 1), n // 3, replace=False)))
+        got = log_likelihood_gradient(model, ds, cache, None if full else batch)
+        phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
+        want = oracles.merge_point_chain_gradient(
+            np.asarray(model.h), model.tau, ancilla_vector(model), 2, d_er,
+            cache.forward_states, cache.backward_effects, phis, batch, n)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_directional_central_differences(self, d_er):
+        rng, model, ds, cache = self._setup(d_er, 8, 40 + d_er)
+        g = log_likelihood_gradient(model, ds, cache)
+        h = np.asarray(model.h)
+        rho0 = np.asarray(model.rho0_ser)
+        eps = 1e-5
+
+        def ll(x):
+            return log_likelihood(make_embedding(model.dims, model.tau, x, rho0), ds)
+
+        for _ in range(3):
+            x = random_hermitian(rng, h.shape[0])
+            x /= np.linalg.norm(x)
+            fd = (ll(h + eps * x) - ll(h - eps * x)) / (2 * eps)
+            got = np.sum(g * x)
+            assert abs(got.imag) < 1e-10
+            assert abs(got.real - fd) < 1e-6 * max(1.0, abs(fd))
+
+    def test_full_batch_memory_is_bounded_at_d_er_3(self):
+        # The per-merge-point chain needs about 0.75 GB here.
+        _, model, ds, cache = self._setup(3, 1000, 50)
+        tracemalloc.start()
+        try:
+            log_likelihood_gradient(model, ds, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestConditionalValidation:
