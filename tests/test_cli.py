@@ -146,9 +146,13 @@ class TestConfigShapes:
         ("train", {"train": {"candidates": 1}}),
         ("predict", {"predict": {"d_er": 1, "times": [1.0], "n_values": 60}}),
         ("tomo", {"tomo": {"times": [1], "k_values": []}}),
+        ("bayes", {"bayes": {"d_er": 1, "times": [1.0, -1.0]}}),
+        ("bayes", {"bayes": {"d_er": 1, "times": 5}}),
+        ("bayes", {"bayes": {"d_er": 1, "n_draws": 1}}),
     ])
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):
+        # bayes settings are checked before the posterior is fitted.
         def no_fit(*args, **kwargs):
             raise AssertionError("fit_posterior must not run")
 
@@ -160,6 +164,7 @@ class TestConfigShapes:
         assert main([command, "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "posterior.json").exists()
 
 
 class TestGenerate:
@@ -354,22 +359,6 @@ class TestBayes:
         assert summary["n_records"] == 60
         assert summary["median_std"] > 0
         assert summary["channel_spread"] > 0
-
-    @pytest.mark.parametrize("bad", [{"times": [1.0, -1.0]}, {"times": 5},
-                                     {"n_draws": 1}])
-    def test_bad_settings_exit_two_before_fitting(self, exact_model_run, tmp_path,
-                                                  monkeypatch, bad):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_posterior must not run")
-
-        monkeypatch.setattr(cli, "fit_posterior", no_fit)
-        _, src = exact_model_run
-        out = tmp_path / "run"
-        shutil.copytree(src, out)
-        cfg = write_config(tmp_path / "c.json", {"bayes": {"d_er": 1, **bad}})
-        assert main(["bayes", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 2
-        assert not (out / "posterior.json").exists()
 
     def test_missing_model_exits_three(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"bayes": {"d_er": 1}})
