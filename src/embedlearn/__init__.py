@@ -14,9 +14,9 @@ from .errors import (BranchCutError, ConfigError, DataError, DivergenceError,
                      NumericalError, ZeroProbabilityError)
 from .qla import DimSpec, bloch_vector, dagger, haar_random_pure_state, hermitianize, \
     kron, logm_principal, ptrace, trace_norm, unvec, vec
-from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, apply_channel,
-                        apply_dual, equilibrium_er_state, extract_generator,
-                        load_model, make_embedding, predict_dynamics, save_model,
+from .embedding import (GeneratorSuperoperator, MarkovianEmbedding,
+                        equilibrium_er_state, extract_generator, load_model,
+                        make_embedding, predict_dynamics, save_model,
                         superoperator_matrix)
 from .datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
                       dataset_prefix, exact_controlled_dynamics,
@@ -45,8 +45,8 @@ __all__ = [
     "DimSpec", "bloch_vector", "dagger", "haar_random_pure_state",
     "hermitianize", "kron", "logm_principal", "ptrace", "trace_norm",
     "unvec", "vec",
-    "GeneratorSuperoperator", "MarkovianEmbedding", "apply_channel",
-    "apply_dual", "equilibrium_er_state", "extract_generator", "load_model",
+    "GeneratorSuperoperator", "MarkovianEmbedding",
+    "equilibrium_er_state", "extract_generator", "load_model",
     "make_embedding", "predict_dynamics", "save_model", "superoperator_matrix",
     "CollisionModelConfig", "Dataset", "MeasurementRecord", "dataset_prefix",
     "exact_controlled_dynamics", "exact_reference_dynamics",

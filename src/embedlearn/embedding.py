@@ -28,7 +28,6 @@ from .qla import (
     dagger,
     expm_unitary,
     hermitianize,
-    kron,
     logm_principal,
     ptrace,
     unvec,
@@ -122,26 +121,6 @@ def ancilla_vector(model: MarkovianEmbedding) -> CMatrix:
     pivot = np.argmax(np.abs(vec_a))
     vec_a = vec_a * np.exp(-1j * np.angle(vec_a[pivot]))
     return vec_a
-
-
-def apply_channel(model: MarkovianEmbedding, rho: CMatrix) -> CMatrix:
-    """One period of the embedded dynamics: tr_A[U (rho x rho_a) U+]."""
-    d, d_a = model.dims.d, model.dims.d_a
-    if rho.shape != (d, d):
-        raise ValueError(f"state has shape {rho.shape}, expected side {d}")
-    u = model.unitary()
-    joint = u @ kron(rho, model.rho_a) @ dagger(u)
-    return ptrace(joint, [d, d_a], [0])
-
-
-def apply_dual(model: MarkovianEmbedding, effect: CMatrix) -> CMatrix:
-    """Heisenberg-picture dual: tr_A[U+ (E x I_A) U (I x rho_a)]."""
-    d, d_a = model.dims.d, model.dims.d_a
-    if effect.shape != (d, d):
-        raise ValueError(f"effect has shape {effect.shape}, expected side {d}")
-    u = model.unitary()
-    lifted = dagger(u) @ kron(effect, np.eye(d_a)) @ u @ kron(np.eye(d), model.rho_a)
-    return ptrace(lifted, [d, d_a], [0])
 
 
 def kraus_stack(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:

@@ -1,14 +1,27 @@
 """Sequence likelihood of measurement records under an embedding model.
 
 The probability of a record sequence is a nested sandwich: project, evolve
-one period, project, ... , trace.  At usable sequence lengths that number
-underflows double precision by thousands of orders of magnitude, so both
-recurrences here are renormalized every step and the removed scales are
-kept as running logs:
+one period, project, ... , trace.  Every record is a rank-1 projective
+measurement |phi><phi| of the system, so after record i the normalized
+joint state is |phi_i><phi_i| x sigma_i and the filter only carries the
+reservoir block sigma_i (d_er x d_er):
 
-* forward: post-measurement states, trace-normalized; the running log IS
-  the prefix log-likelihood;
-* backward: Heisenberg effects, operator-norm-normalized.
+    sigma_{i+1} ~ T_i sigma_i,  T_i = <phi_{i+1}| M(|phi_i><phi_i| x .) |phi_{i+1}>,
+
+a d_er^2 x d_er^2 transfer matrix fixed by the two records and the period
+superoperator M.  The backward sweep carries beta_i = <phi_i| effect_i |phi_i>
+through the dual recursion beta_i = T_i^+ beta_{i+1} on the same matrices.
+Only the first record, conditioned on the initial joint state (which need
+not be a product), and the effect at time 0 are joint-sized.  The T_i are
+built in fixed-size record chunks, so the work outside the d_er^2-vector
+loop is batched and memory beyond the blocks does not grow with n; at
+d_er = 1 each T_i is a conditional probability and the sweeps are
+cumulative sums of log T_i.
+
+At usable sequence lengths the probability underflows double precision by
+thousands of orders of magnitude, so both recurrences are renormalized by
+the block trace every step and the removed scales are kept as running logs;
+the forward running log IS the prefix log-likelihood.
 
 Merging the two halves at any step recovers the same total log-likelihood,
 which is the main internal consistency check, and the per-merge-point form
@@ -21,6 +34,7 @@ and from U to H through the divided differences of exp(-i tau z).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,29 +48,43 @@ from .qla import CMatrix, SpectralDecomposition, herm_eig
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
 DEGENERACY_TOL = 1e-12
+# Records per batch of transfer matrices: bounds the memory of a sweep
+# beyond its output blocks, whatever n is.
+CHUNK = 256
 
 
 @dataclass
 class PropagationCache:
-    """Normalized forward/backward sweeps over one record sequence.
+    """Normalized forward/backward sweeps over one record sequence, kept as
+    reservoir blocks.
 
-    Index ``i`` runs 0..n over measurement times; ``forward_states[i]`` is
-    the trace-normalized post-measurement joint state after record ``i``
-    (``i=0``: the initial state), ``forward_log_scale[i]`` the prefix
-    log-likelihood.  ``backward_effects[i]`` is the unit-operator-norm
-    effect that, paired with the forward state at ``i``, reproduces the
-    total log-likelihood:
+    Index ``i`` runs 0..n over measurement times.  For ``i >= 1``,
+    ``forward_blocks[i]`` is the unit-trace reservoir block sigma_i of the
+    post-measurement state |phi_i><phi_i| x sigma_i, with
+    ``forward_log_scale[i]`` the prefix log-likelihood, and
+    ``backward_blocks[i]`` is the block beta_i = <phi_i| effect_i |phi_i> of
+    the Heisenberg effect of records i+1..n, with ``backward_log_scale[i]``
+    the log of the scale removed from it:
 
-        log tr(state_i @ effect_i) + forward_log_scale[i]
-                                   + backward_log_scale[i]  == log p
+        log tr(sigma_i @ beta_i) + forward_log_scale[i]
+                                 + backward_log_scale[i]  == log p
 
-    Either half may be absent if only one sweep was run.
+    Entry 0 of both block arrays is NaN: at time 0 the pair is the initial
+    joint state ``rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
+    at unit operator norm, whose log scale is ``backward_log_scale[0]``.
+    ``phis`` holds the measured system vectors and ``period_map`` the
+    superoperator M of the sweeps.  The joint-sized ``forward_states`` and
+    ``backward_effects`` are built on demand for tests and oracles.  Either
+    half may be absent if only one sweep was run.
     """
 
     n: int
-    forward_states: np.ndarray | None = field(default=None, repr=False)
+    phis: np.ndarray | None = field(default=None, repr=False)
+    period_map: np.ndarray | None = field(default=None, repr=False)
+    rho0: np.ndarray | None = field(default=None, repr=False)
+    forward_blocks: np.ndarray | None = field(default=None, repr=False)
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
-    backward_effects: np.ndarray | None = field(default=None, repr=False)
+    backward_blocks: np.ndarray | None = field(default=None, repr=False)
     backward_log_scale: np.ndarray | None = field(default=None, repr=False)
 
     def log_likelihood(self) -> float:
@@ -66,14 +94,42 @@ class PropagationCache:
 
     def merged_log_likelihood(self, m: int) -> float:
         """Total log p reconstructed at merge point ``m`` (0..n)."""
-        if self.forward_states is None or self.backward_effects is None:
+        if self.forward_blocks is None or self.backward_blocks is None:
             raise ValueError("both sweeps are needed to merge")
-        overlap = np.einsum("ij,ji->", self.forward_states[m],
-                            self.backward_effects[m]).real
+        m = operator.index(m)
+        if not 0 <= m <= self.n:
+            raise ValueError(f"merge point {m} outside 0..{self.n}")
+        if m == 0:
+            eff = np.eye(self.rho0.shape[0])
+            if self.n:
+                eff = _dense_effects(self.period_map, self.phis[:1],
+                                     self.backward_blocks[1:2])[0][0]
+            overlap = np.einsum("ij,ji->", self.rho0, eff).real
+        else:
+            overlap = np.einsum("ij,ji->", self.forward_blocks[m],
+                                self.backward_blocks[m]).real
         if overlap <= 0:
             raise ZeroProbabilityError(m)
         return float(np.log(overlap) + self.forward_log_scale[m]
                      + self.backward_log_scale[m])
+
+    @property
+    def forward_states(self) -> np.ndarray:
+        """Trace-normalized joint states after each record, (n+1, d, d)."""
+        if self.forward_blocks is None:
+            raise ValueError("forward sweep missing")
+        return np.concatenate((self.rho0[None],
+                               _product_operators(self.phis, self.forward_blocks[1:])))
+
+    @property
+    def backward_effects(self) -> np.ndarray:
+        """Joint effects at unit operator norm, (n+1, d, d); each is
+        proportional to the effect of the records after its time."""
+        if self.backward_blocks is None:
+            raise ValueError("backward sweep missing")
+        effects, _ = _dense_effects(self.period_map, self.phis, self.backward_blocks[1:])
+        d = effects.shape[1]
+        return np.concatenate((effects, np.eye(d, dtype=np.complex128)[None]))
 
 
 def per_step_increments(cache: PropagationCache) -> np.ndarray:
@@ -101,91 +157,175 @@ def _projector_vectors(model: MarkovianEmbedding, data: Dataset) -> np.ndarray:
     return np.stack([rec.basis[:, rec.outcome] for rec in data.records])
 
 
-def _project(joint4: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply |phi><phi| x I to both sides of a joint operator.
+def _product_operators(phis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """|phi><phi| x block for stacked system vectors and reservoir blocks."""
+    d = phis.shape[1] * blocks.shape[1]
+    return np.einsum("ms,mt,mef->msetf", phis, phis.conj(), blocks).reshape(-1, d, d)
 
-    ``joint4`` is the operator reshaped to (d_s, d_er, d_s, d_er).  Returns
-    (reservoir block, projected operator of the same joint shape flattened).
+
+def _dense_effects(m: np.ndarray, phis: np.ndarray,
+                   betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint effects M^+(|phi><phi| x beta) for stacked system vectors and
+    reservoir blocks, scaled to unit operator norm, and the removed norms."""
+    d = phis.shape[1] * betas.shape[1]
+    lifted = _product_operators(phis, betas).transpose(0, 2, 1).reshape(-1, d * d)
+    prev = (lifted @ m.conj()).reshape(-1, d, d).transpose(0, 2, 1)
+    prev = 0.5 * (prev + prev.conj().transpose(0, 2, 1))
+    norms = np.abs(np.linalg.eigvalsh(prev)).max(axis=1)
+    return prev / np.where(norms > 0.0, norms, 1.0)[:, None, None], norms
+
+
+def _transfer_basis(m: np.ndarray, d_s: int) -> np.ndarray:
+    """The period superoperator rearranged so that the record-pair vector
+    conj(P_{i+1}) x P_i, with P = |phi><phi| flattened, times it is T_i.
+
+    Rows run over (s', t', s, t), the entries of the two projectors; columns
+    over (e', f', g, h), T_i taking a flattened block (g, h) to (e', f').
     """
-    block = np.einsum("s,setf,t->ef", phi.conj(), joint4, phi)
-    block = 0.5 * (block + block.conj().T)
-    proj = np.einsum("s,t,ef->setf", phi, phi.conj(), block)
-    d = joint4.shape[0] * joint4.shape[1]
-    return block, proj.reshape(d, d)
-
-
-def _sweep(m: np.ndarray, rho: np.ndarray, log0: float, phis: np.ndarray,
-           records) -> tuple[np.ndarray, np.ndarray]:
-    """The filter loop: from state ``rho`` and running log ``log0``, evolve by
-    the superoperator ``m`` and condition on each projector vector in turn.
-    Returns the start state and running log followed by one per record;
-    ``records`` give the step a zero-probability error reports."""
-    n = len(phis)
-    d = rho.shape[0]
-    d_s = phis.shape[1]
+    d = int(round(np.sqrt(m.shape[0])))
     d_er = d // d_s
-    states = np.empty((n + 1, d, d), dtype=np.complex128)
-    logs = np.empty(n + 1)
-    states[0] = rho
-    logs[0] = log0
-    for i in range(n):
-        evolved = (m @ rho.T.ravel()).reshape(d, d).T
-        block, projected = _project(evolved.reshape(d_s, d_er, d_s, d_er), phis[i])
-        p = np.trace(block).real
-        if p <= 0.0:
-            raise ZeroProbabilityError(records[i].step)
-        rho = projected / p
-        rho = 0.5 * (rho + rho.conj().T)
-        states[i + 1] = rho
-        logs[i + 1] = logs[i] + np.log(p)
-    return states, logs
+    # Column stacking: m[(q, p), (s, r)] maps input entry (r, s) to output
+    # entry (p, q); split every joint index into (system, reservoir).
+    m8 = m.reshape((d_s, d_er) * 4)
+    return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(d_s ** 4, d_er ** 4)
+
+
+def _transfers(basis: np.ndarray, phis: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """T_i for i in start..stop-1, from the record pairs (phis[i], phis[i+1])."""
+    k = stop - start
+    p = phis[start:stop + 1]
+    proj = (p[:, :, None] * p[:, None, :].conj()).reshape(k + 1, -1)
+    pairs = proj[1:, :, None].conj() * proj[:-1, None, :]
+    # One (1 x d_s^4) @ (d_s^4 x d_er^4) product per record: T_i comes out
+    # bitwise the same wherever a chunk starts, so a sweep continued from a
+    # stored block repeats the one long sweep exactly.
+    t = np.matmul(pairs.reshape(k, 1, -1), basis)
+    side = int(round(np.sqrt(basis.shape[1])))
+    return t.reshape(k, side, side)
+
+
+def _filter(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
+            records, out: np.ndarray) -> np.ndarray:
+    """The forward loop.  ``x`` is the flattened reservoir block of the state
+    after the record with vector ``phis[0]`` and ``log0`` its running log;
+    condition on ``phis[1:]`` in turn.  Writes one flattened block per record
+    into ``out`` and returns the running logs, ``log0`` first; ``records``
+    give the step a zero-probability error reports."""
+    n = len(phis) - 1
+    k = x.size
+    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
+    ps = np.empty(n)
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        t = _transfers(basis, phis, start, stop)
+        if k == 1:  # T_i is the probability of record i+1 given record i
+            ps[start:stop] = t[:, 0, 0].real
+            continue
+        for i, ti in enumerate(t, start):
+            y = ti @ x
+            p = (unit @ y).real
+            if p <= 0.0:
+                raise ZeroProbabilityError(records[i].step)
+            x = y / p
+            out[i] = x
+            ps[i] = p
+    bad = np.flatnonzero(ps <= 0.0)
+    if bad.size:
+        raise ZeroProbabilityError(records[bad[0]].step)
+    if k == 1:
+        out[:] = 1.0
+    return np.cumsum(np.concatenate(([log0], np.log(ps))))
+
+
+def _smooth(basis: np.ndarray, phis: np.ndarray, records, out: np.ndarray) -> np.ndarray:
+    """The backward loop from beta_n = I.  Writes the flattened blocks
+    beta_1..beta_n into ``out`` and returns their log scales.  It carries
+    conj(beta), for which the dual recursion is a row vector times T_i."""
+    n = len(phis)
+    k = out.shape[1]
+    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
+    out[:] = unit
+    c = unit
+    scales = np.empty(n - 1)
+    for start in reversed(range(0, n - 1, CHUNK)):
+        stop = min(start + CHUNK, n - 1)
+        t = _transfers(basis, phis, start, stop)
+        if k == 1:
+            scales[start:stop] = t[:, 0, 0].real
+            continue
+        for i in range(stop - 1, start - 1, -1):
+            c = c @ t[i - start]
+            s = (c @ unit).real
+            if s <= 0.0:
+                raise ZeroProbabilityError(records[i + 1].step)
+            c = c / s
+            out[i] = c
+            scales[i] = s
+    bad = np.flatnonzero(scales <= 0.0)
+    if bad.size:
+        raise ZeroProbabilityError(records[bad[-1] + 1].step)
+    np.conjugate(out, out=out)
+    return np.concatenate((np.cumsum(np.log(scales[::-1]))[::-1], [0.0]))
+
+
+def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
+             records) -> tuple[np.ndarray, np.ndarray]:
+    """Filter from the joint state ``rho0`` under the superoperator ``m``:
+    the first record by one joint-sized step, the rest in product form.
+    Returns the blocks (NaN at time 0) and the running logs."""
+    n, d_s = phis.shape
+    d = rho0.shape[0]
+    d_er = d // d_s
+    blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
+    if n == 0:
+        return blocks, np.zeros(1)
+    evolved = (m @ rho0.T.ravel()).reshape(d, d).T
+    first = np.einsum("s,setf,t->ef", phis[0].conj(),
+                      evolved.reshape(d_s, d_er, d_s, d_er), phis[0])
+    p = np.trace(first).real
+    if p <= 0.0:
+        raise ZeroProbabilityError(records[0].step)
+    blocks[1] = first / p
+    logs = _filter(_transfer_basis(m, d_s), blocks[1].ravel(), np.log(p), phis,
+                   records[1:], blocks[2:].reshape(n - 1, d_er * d_er))
+    return blocks, np.concatenate(([0.0], logs))
 
 
 def forward_pass(model: MarkovianEmbedding, data: Dataset,
                  cache: PropagationCache | None = None) -> PropagationCache:
     """Trace-normalized filtering sweep; raises on a zero-probability step."""
     phis = _projector_vectors(model, data)
+    m = superoperator_matrix(model)
     rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
-    states, logs = _sweep(superoperator_matrix(model), rho0, 0.0, phis, data.records)
+    blocks, logs = _forward(m, rho0, phis, data.records)
     if cache is None:
         cache = PropagationCache(n=len(data.records))
-    cache.forward_states = states
+    cache.phis, cache.period_map, cache.rho0 = phis, m, rho0
+    cache.forward_blocks = blocks
     cache.forward_log_scale = logs
     return cache
 
 
 def backward_pass(model: MarkovianEmbedding, data: Dataset,
                   cache: PropagationCache | None = None) -> PropagationCache:
-    """Operator-norm-normalized smoothing sweep, run from the last record."""
+    """Trace-normalized smoothing sweep, run from the last record."""
     phis = _projector_vectors(model, data)
     n = len(data.records)
-    d_s, d_er = model.dims.d_s, model.dims.d_er
-    d = model.dims.d
-    m_dual = superoperator_matrix(model).conj().T
-    effects = np.empty((n + 1, d, d), dtype=np.complex128)
-    logs = np.empty(n + 1)
-    eff = np.eye(d, dtype=np.complex128)
-    effects[n] = eff
-    logs[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        _, projected = _project(eff.reshape(d_s, d_er, d_s, d_er), phis[i])
-        prev = (m_dual @ projected.T.ravel()).reshape(d, d).T
-        prev = 0.5 * (prev + prev.conj().T)
-        scale = np.abs(prev).max()
-        if scale <= 0.0:
-            raise ZeroProbabilityError(data.records[i].step)
-        eff = prev / scale
-        effects[i] = eff
-        logs[i] = logs[i + 1] + np.log(scale)
-    # Convert the cheap max-abs scaling to unit operator norm in one
-    # stacked eigenvalue pass; any per-step positive scale is equivalent,
-    # only the bookkeeping changes.
-    opnorms = np.abs(np.linalg.eigvalsh(effects)).max(axis=1)
-    effects /= opnorms[:, None, None]
-    logs += np.log(opnorms)
+    d_er = model.dims.d_er
+    m = superoperator_matrix(model)
+    blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
+    logs = np.zeros(n + 1)
+    if n:
+        logs[1:] = _smooth(_transfer_basis(m, model.dims.d_s), phis, data.records,
+                           blocks[1:].reshape(n, d_er * d_er))
+        _, norm = _dense_effects(m, phis[:1], blocks[1:2])
+        if norm[0] <= 0.0:
+            raise ZeroProbabilityError(data.records[0].step)
+        logs[0] = logs[1] + np.log(norm[0])
     if cache is None:
         cache = PropagationCache(n=n)
-    cache.backward_effects = effects
+    cache.phis, cache.period_map = phis, m
+    cache.backward_blocks = blocks
     cache.backward_log_scale = logs
     return cache
 
@@ -209,8 +349,8 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     The two datasets must share provenance (seed and config digest) and the
     validation steps must continue the training steps without a gap.
     ``train_cache`` is the forward sweep of ``model`` over ``data_train``;
-    filtering continues from its final state, so the training prefix is
-    not filtered again.
+    filtering continues from its last record and reservoir block, so the
+    training prefix is not filtered again.
     """
     if data_train.provenance != data_val.provenance:
         raise DataError("train/validation provenance differs; not the same trajectory")
@@ -220,14 +360,16 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
         raise DataError(
             f"validation must continue training: steps {data_train.records[-1].step} "
             f"-> {data_val.records[0].step}")
-    if (train_cache.n != len(data_train.records) or train_cache.forward_states is None
+    if (train_cache.n != len(data_train.records) or train_cache.forward_blocks is None
             or train_cache.forward_log_scale is None):
         raise ValueError("train_cache is not a forward sweep of data_train")
-    phis = _projector_vectors(model, data_val)
+    phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(model, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
-    _, logs = _sweep(superoperator_matrix(model), train_cache.forward_states[-1],
-                     train_cache.forward_log_scale[-1], phis, data_val.records)
+    x = train_cache.forward_blocks[-1].ravel()
+    logs = _filter(_transfer_basis(superoperator_matrix(model), model.dims.d_s), x,
+                   train_cache.forward_log_scale[-1], phis, data_val.records,
+                   np.empty((len(data_val.records), x.size), dtype=np.complex128))
     return float(logs[-1] - logs[0]) / len(data_val.records)
 
 
@@ -237,7 +379,7 @@ def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
     S x S1, so the sweep scores the records with S1 as the reservoir."""
     phis = np.stack([rec.basis[:, rec.outcome] for rec in ds.records])
     rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
-    _, logs = _sweep(period_superoperator(cfg), rho0, 0.0, phis, ds.records)
+    _, logs = _forward(period_superoperator(cfg), rho0, phis, ds.records)
     return float(logs[-1]) / len(ds.records)
 
 
@@ -286,7 +428,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     the per-merge-point derivative to the per-merge-point sandwich value,
     which cancels every renormalization scale.
     """
-    if cache.forward_states is None or cache.backward_effects is None:
+    if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
     phis = _projector_vectors(model, data)
     n = len(data.records)
@@ -299,7 +441,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
         raise ValueError(f"batch entries must lie in 1..{n}")
 
     dims = model.dims
-    d_s, d_er, d, dd = dims.d_s, dims.d_er, dims.d, dims.d_total
+    d, dd = dims.d, dims.d_total
     dec = herm_eig(model.h)
     lam, v = dec.eigenvalues, dec.eigenvectors
     u = (v * np.exp(-1j * model.tau * lam)) @ v.conj().T
@@ -308,13 +450,15 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     ks = kraus_stack(model, u)
 
     # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
-    # the measured effect A_m = E_m eff(t_m) E_m, b_m = vec(B_m) for the
-    # post-measurement state at step m-1; the sandwich value is a_m^T M b_m.
-    phi = phis[batch - 1]  # records are 1-based in batch indexing
-    eff4 = cache.backward_effects[batch].reshape(-1, d_s, d_er, d_s, d_er)
-    blocks = np.einsum("ms,msetf,mt->mef", phi.conj(), eff4, phi)
-    a = np.einsum("ms,mt,mef->msetf", phi, phi.conj(), blocks).reshape(-1, d * d)
-    b = cache.forward_states[batch - 1].transpose(0, 2, 1).reshape(-1, d * d)
+    # the measured effect A_m = |phi_m><phi_m| x beta_m, b_m = vec(B_m) for the
+    # state after record m-1, |phi_{m-1}><phi_{m-1}| x sigma_{m-1} (rho0 at
+    # m = 1); the sandwich value is a_m^T M b_m.
+    # B_m^T = conj(phi) conj(phi)^+ x sigma^T; its row at m = 1 is overwritten.
+    a = _product_operators(phis[batch - 1], cache.backward_blocks[batch])
+    b = _product_operators(phis[batch - 2].conj(),
+                           cache.forward_blocks[batch - 1].transpose(0, 2, 1))
+    a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
+    b[batch == 1] = cache.rho0.T.ravel()
     values = np.einsum("mi,mi->m", a, b @ _kraus_superoperator(ks).T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]

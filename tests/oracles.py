@@ -157,6 +157,107 @@ def filtered_log_likelihood(period_map, rho0, phis):
     return total / len(phis)
 
 
+def _project(joint4, phi):
+    """Apply |phi><phi| x I to both sides of a joint operator.
+
+    ``joint4`` is the operator reshaped to (d_s, d_er, d_s, d_er).  Returns
+    (reservoir block, projected operator of the same joint shape flattened).
+    """
+    block = np.einsum("s,setf,t->ef", phi.conj(), joint4, phi)
+    block = 0.5 * (block + block.conj().T)
+    proj = np.einsum("s,t,ef->setf", phi, phi.conj(), block)
+    d = joint4.shape[0] * joint4.shape[1]
+    return block, proj.reshape(d, d)
+
+
+def dense_forward_sweep(m, rho, phis):
+    """Filtering on the joint space: evolve the trace-normalized joint state
+    by the column-stacking superoperator ``m`` and condition on each system
+    vector in ``phis`` in turn.  Returns the states (n+1, d, d), the initial
+    state first, and the running log-likelihoods; a nonpositive outcome
+    probability raises ValueError naming the 1-based record."""
+    phis = np.asarray(phis)
+    n = len(phis)
+    rho = np.asarray(rho, dtype=np.complex128)
+    d = rho.shape[0]
+    d_s = phis.shape[1]
+    d_er = d // d_s
+    states = np.empty((n + 1, d, d), dtype=np.complex128)
+    logs = np.empty(n + 1)
+    states[0] = rho
+    logs[0] = 0.0
+    for i in range(n):
+        evolved = (m @ rho.T.ravel()).reshape(d, d).T
+        block, projected = _project(evolved.reshape(d_s, d_er, d_s, d_er), phis[i])
+        p = np.trace(block).real
+        if p <= 0.0:
+            raise ValueError(f"record {i + 1} has probability {p}")
+        rho = projected / p
+        rho = 0.5 * (rho + rho.conj().T)
+        states[i + 1] = rho
+        logs[i + 1] = logs[i] + np.log(p)
+    return states, logs
+
+
+def dense_backward_sweep(m, phis, d):
+    """Smoothing on the joint space: Heisenberg effects of the records after
+    each time, run back from the identity at time n through the dual of
+    ``m``.  Returns the effects (n+1, d, d) at unit operator norm and the
+    logs of the removed norms."""
+    phis = np.asarray(phis)
+    n = len(phis)
+    d_s = phis.shape[1]
+    d_er = d // d_s
+    m_dual = np.asarray(m).conj().T
+    effects = np.empty((n + 1, d, d), dtype=np.complex128)
+    logs = np.empty(n + 1)
+    eff = np.eye(d, dtype=np.complex128)
+    effects[n] = eff
+    logs[n] = 0.0
+    for i in range(n - 1, -1, -1):
+        _, projected = _project(eff.reshape(d_s, d_er, d_s, d_er), phis[i])
+        prev = (m_dual @ projected.T.ravel()).reshape(d, d).T
+        prev = 0.5 * (prev + prev.conj().T)
+        scale = np.abs(prev).max()
+        if scale <= 0.0:
+            raise ValueError(f"effect at time {i} vanishes")
+        eff = prev / scale
+        effects[i] = eff
+        logs[i] = logs[i + 1] + np.log(scale)
+    # Convert the max-abs scaling to unit operator norm in one stacked pass.
+    opnorms = np.abs(np.linalg.eigvalsh(effects)).max(axis=1)
+    effects /= opnorms[:, None, None]
+    logs += np.log(opnorms)
+    return effects, logs
+
+
+def _period_unitary(model):
+    lam, v = np.linalg.eigh(np.asarray(model.h))
+    return (v * np.exp(-1j * model.tau * lam)) @ v.conj().T
+
+
+def apply_channel(model, rho):
+    """One period of the embedded dynamics: tr_A[U (rho x rho_a) U+], with
+    the Kronecker products spelled out on the full dilation space."""
+    d, d_a = model.dims.d, model.dims.d_a
+    if rho.shape != (d, d):
+        raise ValueError(f"state has shape {rho.shape}, expected side {d}")
+    u = _period_unitary(model)
+    joint = u @ np.kron(rho, model.rho_a) @ u.conj().T
+    return np.einsum("xaya->xy", joint.reshape(d, d_a, d, d_a))
+
+
+def apply_dual(model, effect):
+    """Heisenberg-picture dual: tr_A[U+ (E x I_A) U (I x rho_a)]."""
+    d, d_a = model.dims.d, model.dims.d_a
+    if effect.shape != (d, d):
+        raise ValueError(f"effect has shape {effect.shape}, expected side {d}")
+    u = _period_unitary(model)
+    lifted = (u.conj().T @ np.kron(effect, np.eye(d_a)) @ u
+              @ np.kron(np.eye(d), model.rho_a))
+    return np.einsum("xaya->xy", lifted.reshape(d, d_a, d, d_a))
+
+
 def merge_point_chain_gradient(h, tau, avec, d_s, d_er, forward_states,
                                backward_effects, phis, batch, n):
     """Gradient of the record log-likelihood with respect to H, by the

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from embedlearn.embedding import (MarkovianEmbedding, ancilla_vector,
-                                  apply_channel, apply_dual,
                                   equilibrium_er_state, extract_generator,
                                   kraus_stack, load_model, make_embedding,
                                   model_from_dict, model_to_dict,
@@ -16,6 +15,7 @@ from embedlearn.qla import (DimSpec, dagger, expm_unitary, kron, ptrace, unvec,
                             vec)
 
 import oracles
+from oracles import apply_channel, apply_dual
 
 
 def random_hermitian(rng, d):

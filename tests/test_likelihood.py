@@ -13,7 +13,7 @@ from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    dump_step_increments, forward_pass,
                                    log_likelihood, log_likelihood_gradient,
                                    per_step_increments, unitary_derivative)
-from embedlearn.embedding import ancilla_vector, make_embedding
+from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
 from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
 
 import oracles
@@ -328,6 +328,26 @@ def hermitian_gradient_vector(g, d):
                            (1j * (g[rows, cols] - g[cols, rows])).real])
 
 
+def dense_oracle_sweeps(model, ds):
+    """Joint-space forward states and logs, backward effects and logs."""
+    m = superoperator_matrix(model)
+    phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
+    states, flogs = oracles.dense_forward_sweep(m, model.rho0_ser, phis)
+    effects, blogs = oracles.dense_backward_sweep(m, phis, model.dims.d)
+    return states, flogs, effects, blogs
+
+
+def chain_gradient_error(model, ds, got, batch):
+    """Relative distance of a gradient from the per-merge-point chain fed
+    the joint-space oracle sweeps."""
+    states, _, effects, _ = dense_oracle_sweeps(model, ds)
+    phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
+    want = oracles.merge_point_chain_gradient(
+        np.asarray(model.h), model.tau, ancilla_vector(model), model.dims.d_s,
+        model.dims.d_er, states, effects, phis, batch, len(ds.records))
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestGradient:
     def test_full_batch_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -381,8 +401,9 @@ class TestGradient:
 
 class TestGradientThroughSuperoperator:
     """The gradient aggregated through the period superoperator against the
-    per-merge-point chain through the dilation (``oracles``), directional
-    finite differences, and its memory, which must not grow with n x d_total."""
+    per-merge-point chain through the dilation, fed the joint-space oracle
+    sweeps (``oracles``), directional finite differences, and its memory,
+    which must not grow with n x d_total."""
 
     @staticmethod
     def _setup(d_er, n, seed):
@@ -398,11 +419,7 @@ class TestGradientThroughSuperoperator:
         batch = (np.arange(1, n + 1) if full
                  else np.sort(rng.choice(np.arange(1, n + 1), n // 3, replace=False)))
         got = log_likelihood_gradient(model, ds, cache, None if full else batch)
-        phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
-        want = oracles.merge_point_chain_gradient(
-            np.asarray(model.h), model.tau, ancilla_vector(model), 2, d_er,
-            cache.forward_states, cache.backward_effects, phis, batch, n)
-        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
+        assert chain_gradient_error(model, ds, got, batch) < 1e-8
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_directional_central_differences(self, d_er):
@@ -433,6 +450,58 @@ class TestGradientThroughSuperoperator:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestProductFormAgainstDenseOracle:
+    """The reservoir-sized sweeps against the joint-space loops they replaced,
+    on random models and 2000 records."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def sweeps(self, request):
+        rng = np.random.default_rng(70 + request.param)
+        model = random_model(rng, d_er=request.param)
+        ds = make_dataset(random_records(rng, 2000))
+        return model, ds, build_cache(model, ds), dense_oracle_sweeps(model, ds)
+
+    def test_log_likelihood_and_every_prefix(self, sweeps):
+        _, _, cache, (_, flogs, _, _) = sweeps
+        assert abs(cache.log_likelihood() - flogs[-1]) <= 1e-9
+        assert np.max(np.abs(cache.forward_log_scale - flogs)) <= 1e-9
+
+    def test_merge_at_every_point(self, sweeps):
+        _, _, cache, _ = sweeps
+        ref = cache.log_likelihood()
+        worst = max(abs(cache.merged_log_likelihood(m) - ref) for m in range(cache.n + 1))
+        assert worst <= 1e-9
+
+    def test_dense_views(self, sweeps):
+        _, _, cache, (states, _, effects, blogs) = sweeps
+        assert np.max(np.abs(cache.forward_states - states)) < 1e-10
+        assert np.max(np.abs(cache.backward_effects - effects)) < 1e-10
+        assert abs(cache.backward_log_scale[0] - blogs[0]) <= 1e-9
+
+    def test_batch_gradient(self, sweeps):
+        model, ds, cache, _ = sweeps
+        rng = np.random.default_rng(80)
+        batch = np.sort(rng.choice(np.arange(1, 2001), 40, replace=False))
+        got = log_likelihood_gradient(model, ds, cache, batch)
+        assert chain_gradient_error(model, ds, got, batch) < 1e-8
+
+    def test_build_cache_memory_at_d_er_3(self):
+        # At n = 20000 the joint-space sweeps of one cache peak at 24.7 MiB:
+        # (n+1) x 6 x 6 states and effects.  The product form holds two
+        # (n+1) x 3 x 3 block arrays and one chunk of transfer matrices;
+        # building all T_i at once would add 25 MiB.
+        rng = np.random.default_rng(60)
+        model = random_model(rng, d_er=3)
+        ds = make_dataset(random_records(rng, 20000))
+        tracemalloc.start()
+        try:
+            build_cache(model, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestConditionalValidation:
@@ -518,6 +587,17 @@ class TestCacheErrors:
         cache = forward_pass(model, ds)
         with pytest.raises(ValueError):
             cache.merged_log_likelihood(1)
+
+    def test_merge_point_outside_range_rejected(self):
+        rng = np.random.default_rng(24)
+        model = random_model(rng)
+        cache = build_cache(model, make_dataset(random_records(rng, 3)))
+        for m in (-1, -4, 4):
+            with pytest.raises(ValueError):
+                cache.merged_log_likelihood(m)
+        ref = cache.log_likelihood()
+        assert abs(cache.merged_log_likelihood(0) - ref) < 1e-12
+        assert abs(cache.merged_log_likelihood(3) - ref) < 1e-12
 
     def test_gradient_requires_both_sweeps(self):
         rng = np.random.default_rng(23)
