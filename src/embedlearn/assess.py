@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .embedding import GeneratorSuperoperator
 from .errors import IllConditionedError, NumericalError
-from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unvec, vec
+from .qla import (CMatrix, DimSpec, dagger, expm, hermitianize, ptrace, trace_norm, unvec,
+                  vec)
 
 POSITIVITY_TOL = 1e-8
 
@@ -95,7 +95,7 @@ def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
     for t in times:
         if t < 0:
             raise ValueError(f"times must be nonnegative, got {t}")
-        prop = scipy.linalg.expm(float(t) * gen.matrix) @ basis
+        prop = expm(float(t) * gen.matrix) @ basis
         m = np.zeros((d_s * d_s, d_s * d_s), dtype=np.complex128)
         for c in range(d_s * d_s):
             joint = unvec(prop[:, c], d)
@@ -276,14 +276,14 @@ def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
         while ev_idx < len(ev) and ev[ev_idx].time <= t:
             e = ev[ev_idx]
             if e.time > now:
-                v = scipy.linalg.expm((e.time - now) * gen.matrix) @ v
+                v = expm((e.time - now) * gen.matrix) @ v
                 now = e.time
             g = np.kron(np.asarray(e.gate, dtype=np.complex128),
                         np.eye(d_er, dtype=np.complex128))
             v = vec(g @ unvec(v) @ dagger(g))
             ev_idx += 1
         if t > now:
-            v = scipy.linalg.expm((t - now) * gen.matrix) @ v
+            v = expm((t - now) * gen.matrix) @ v
             now = t
         rho = hermitianize(unvec(v))
         results[pos] = ptrace(rho, [d_s, d_er], [0])

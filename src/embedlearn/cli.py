@@ -185,10 +185,10 @@ def _ensure_number(x, key: str) -> float:
 
 
 def _ensure_int(x, key: str) -> int:
-    """A JSON integer; floats, bools and strings are refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"'{key}' must be an integer, got {x!r}")
-    return x
+    try:
+        return jsonio.ensure_int(x, f"'{key}'")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -341,7 +341,8 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
         fh.write("d_er,val_per_step,selected\n")
         for k, v in table:
             fh.write(f"{k},{_fmt(v)},{1 if k == best_k else 0}\n")
-    save_model(models[best_k], out / "model_best.json")
+    # The winner's file, byte for byte, without encoding the model again.
+    (out / "model_best.json").write_bytes(_model_path(out, best_k).read_bytes())
     _say(quiet, f"selected d_er={best_k}")
 
 

@@ -415,19 +415,65 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.provenance.get("seed"),
         "config_hash": ds.provenance.get("config_hash"),
     }
+    bases = jsonio.matrices_to_pairs(np.array([rec.basis for rec in ds.records])) \
+        if ds.records else []
+    lines = [jsonio.canonical_dumps(header)]
+    lines += [jsonio.canonical_dumps({"step": rec.step, "basis": pairs, "outcome": rec.outcome})
+              for rec, pairs in zip(ds.records, bases)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.canonical_dumps(header) + "\n")
-        for rec in ds.records:
-            line = {
-                "step": rec.step,
-                "basis": jsonio.matrix_to_pairs(rec.basis),
-                "outcome": rec.outcome,
-            }
-            fh.write(jsonio.canonical_dumps(line) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def _parse_records(lines: list[str], d_s: int):
+    """Steps, stacked bases and outcomes of record lines, each field
+    converted in one pass; raises on any line that does not parse."""
+    objs = [json.loads(ln) for ln in lines]
+    steps = [jsonio.ensure_int(obj["step"], "step") for obj in objs]
+    bases = jsonio.pairs_to_matrices([obj["basis"] for obj in objs], d_s, d_s)
+    outcomes = [jsonio.ensure_int(obj["outcome"], "outcome") for obj in objs]
+    return steps, bases, outcomes
+
+
+def _first_unparsable(lines: list[str], d_s: int) -> tuple[int, Exception]:
+    """Index and error of the first line that does not parse on its own."""
+    for i, ln in enumerate(lines):
+        try:
+            _parse_records([ln], d_s)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return i, exc
+    raise AssertionError("every line parses")
+
+
+def _first_bad_record(steps: list[int], bases: np.ndarray, outcomes: list[int],
+                      d_s: int) -> str | None:
+    """Message of the first record that fails a check; at one record,
+    contiguity is checked before the outcome range and unitarity."""
+    found = []  # (record index, check order, message)
+    # Exact on Python ints, whatever their size.
+    if steps and steps != list(range(steps[0], steps[0] + len(steps))):
+        i = next(i for i, k in enumerate(steps) if k != steps[0] + i)
+        found.append((i, 0, f"steps must be contiguous, {steps[i - 1]} -> {steps[i]}"))
+    out = np.array(outcomes)
+    bad = np.flatnonzero((out < 0) | (out >= d_s))
+    if bad.size:
+        i = int(bad[0])
+        found.append((i, 1, f"outcome {outcomes[i]} out of range at step {steps[i]}"))
+    gram = np.einsum("nki,nkj->nij", bases.conj(), bases)
+    # Written as "not within tolerance" so that NaN entries fail too.
+    bad = np.flatnonzero(~(np.abs(gram - np.eye(d_s)).max(axis=(1, 2)) <= 1e-8))
+    if bad.size:
+        i = int(bad[0])
+        found.append((i, 2, f"basis at step {steps[i]} is not unitary"))
+    return min(found)[2] if found else None
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset; structure and basis unitarity are re-checked."""
+    """Read a JSONL dataset; structure and basis unitarity are re-checked.
+
+    The first bad record line is reported: a line that does not parse, a
+    step that breaks contiguity, an outcome out of range or a basis that is
+    not unitary, whichever comes first in the file.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -435,29 +481,29 @@ def load_dataset(path) -> Dataset:
     try:
         header = json.loads(lines[0])
         tau = float(header["tau"])
-        d_s = int(header["d_s"])
+        d_s = jsonio.ensure_int(header["d_s"], "d_s")
+        if d_s < 1:
+            raise ValueError(f"d_s must be >= 1, got {d_s}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad header line: {exc}") from exc
-    records = []
-    prev_step = None
-    for ln in lines[1:]:
-        try:
-            obj = json.loads(ln)
-            step = int(obj["step"])
-            basis = jsonio.pairs_to_matrix(obj["basis"], d_s, d_s)
-            outcome = int(obj["outcome"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad record line: {exc}") from exc
-        if prev_step is not None and step != prev_step + 1:
-            raise DataError(f"{path}: steps must be contiguous, {prev_step} -> {step}")
-        prev_step = step
-        if not 0 <= outcome < d_s:
-            raise DataError(f"{path}: outcome {outcome} out of range at step {step}")
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(d_s))) > 1e-8:
-            raise DataError(f"{path}: basis at step {step} is not unitary")
-        records.append(MeasurementRecord(step=step, basis=basis, outcome=outcome))
-    if not records:
+    lines = lines[1:]
+    if not lines:
         raise DataError(f"{path}: no records")
+    try:
+        steps, bases, outcomes = _parse_records(lines, d_s)
+        parse_error = None
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        # Error path only: the records before the first unparsable line
+        # still get their checks, so the first bad line is the one reported.
+        i, parse_error = _first_unparsable(lines, d_s)
+        steps, bases, outcomes = _parse_records(lines[:i], d_s)
+    bad = _first_bad_record(steps, bases, outcomes, d_s)
+    if bad is not None:
+        raise DataError(f"{path}: {bad}")
+    if parse_error is not None:
+        raise DataError(f"{path}: bad record line: {parse_error}") from parse_error
+    records = [MeasurementRecord(step=k, basis=b, outcome=o)
+               for k, b, o in zip(steps, bases, outcomes)]
     return Dataset(records=records, tau=tau, d_s=d_s,
                    provenance={"seed": header.get("seed"),
                                "config_hash": header.get("config_hash")})

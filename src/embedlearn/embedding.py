@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import jsonio
 from .errors import FixedPointError
@@ -26,6 +25,7 @@ from .qla import (
     CMatrix,
     DimSpec,
     dagger,
+    expm,
     expm_unitary,
     hermitianize,
     logm_principal,
@@ -143,10 +143,10 @@ def _kraus_superoperator(ks: CMatrix) -> CMatrix:
     return m.reshape(d * d, d * d)
 
 
-def superoperator_matrix(model: MarkovianEmbedding) -> CMatrix:
+def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
     """Column-stacking matrix of the period channel, side (d_s*d_er)**2,
-    built from the Kraus stack."""
-    return _kraus_superoperator(kraus_stack(model))
+    built from the Kraus stack (of the period unitary ``u`` if given)."""
+    return _kraus_superoperator(kraus_stack(model, u))
 
 
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:
@@ -183,7 +183,7 @@ def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
     """
     if dims.d_er == 1:
         return np.ones((1, 1), dtype=np.complex128)
-    channel = scipy.linalg.expm(gen.tau * gen.matrix)
+    channel = expm(gen.tau * gen.matrix)
     rho_inf = _fixed_point(channel)
     return ptrace(rho_inf, [dims.d_s, dims.d_er], [1])
 
@@ -200,7 +200,7 @@ def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatr
     for t in times:
         if t < 0:
             raise ValueError(f"times must be nonnegative, got {t}")
-        vt = scipy.linalg.expm(float(t) * gen.matrix) @ v0
+        vt = expm(float(t) * gen.matrix) @ v0
         rho = hermitianize(unvec(vt))
         out.append(ptrace(rho, [dims.d_s, dims.d_er], [0]))
     return out
@@ -221,8 +221,9 @@ def model_to_dict(model: MarkovianEmbedding) -> dict:
 
 
 def model_from_dict(obj: dict) -> MarkovianEmbedding:
-    dims = DimSpec(d_s=int(obj["dims"]["d_s"]), d_er=int(obj["dims"]["d_er"]),
-                   d_a=int(obj["dims"]["d_a"]))
+    spec = obj["dims"]
+    dims = DimSpec(**{k: jsonio.ensure_int(spec[k], f"dims.{k}")
+                      for k in ("d_s", "d_er", "d_a")})
     h = jsonio.pairs_to_matrix(obj["h"], dims.d_total, dims.d_total)
     rho0 = jsonio.pairs_to_matrix(obj["rho0_ser"], dims.d, dims.d)
     rho_a = jsonio.pairs_to_matrix(obj["rho_a"], dims.d_a, dims.d_a)
@@ -230,9 +231,10 @@ def model_from_dict(obj: dict) -> MarkovianEmbedding:
 
 
 def save_model(model: MarkovianEmbedding, path) -> None:
+    # json.dumps encodes in one C call; json.dump would stream the same
+    # bytes through the pure-Python chunked encoder.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")
 
 
 def load_model(path) -> MarkovianEmbedding:

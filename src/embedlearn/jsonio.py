@@ -1,8 +1,17 @@
-"""Bit-stable JSON helpers for complex matrices and config hashing.
+"""Bit-stable JSON helpers for complex matrices, integer fields and config
+hashing.
 
 Complex matrices are stored as flat row-major lists of ``[re, im]`` pairs.
 Floats go through Python's shortest round-trip repr, so a write/read cycle
-reproduces the array bit for bit.
+reproduces the array bit for bit.  Both directions convert whole arrays at
+once: a complex array is written through its float64 view and ``tolist()``,
+and pairs are read back with one ``np.array`` call that refuses anything
+but numbers (strings, nulls, ragged or wrongly shaped pairs).  A stack of
+matrices, such as the measurement bases of a dataset, converts in one call
+the same way.
+
+Integer fields (dimensions, steps, outcomes) must be JSON integers:
+``ensure_int`` refuses floats, bools and strings instead of truncating them.
 """
 
 from __future__ import annotations
@@ -16,18 +25,52 @@ import numpy as np
 from .qla import CMatrix
 
 
+def _float_pairs(m) -> np.ndarray:
+    """Float64 view of a complex array: its last axis doubled to (re, im)."""
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+
+
 def matrix_to_pairs(m: CMatrix) -> list[list[float]]:
     """Flatten a complex matrix to row-major ``[re, im]`` pairs."""
-    flat = np.asarray(m, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return _float_pairs(m).reshape(-1, 2).tolist()
+
+
+def matrices_to_pairs(ms: CMatrix) -> list[list[list[float]]]:
+    """One :func:`matrix_to_pairs` list per entry of a stack ``(k, rows, cols)``."""
+    k, rows, cols = np.shape(ms)
+    return _float_pairs(ms).reshape(k, rows * cols, 2).tolist()
 
 
 def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int) -> CMatrix:
     """Rebuild a complex matrix from row-major ``[re, im]`` pairs."""
-    if len(pairs) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    return pairs_to_matrices([pairs], rows, cols)[0]
+
+
+def pairs_to_matrices(stack: list, rows: int, cols: int) -> CMatrix:
+    """Rebuild a stack ``(len(stack), rows, cols)`` from one pair list per
+    matrix, in one conversion."""
+    if not stack:
+        return np.empty((0, rows, cols), dtype=np.complex128)
+    arr = np.array(stack)
+    if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
+        # Integers numpy holds as objects (beyond 64 bits, or mixed signed
+        # and unsigned 64-bit ranges) convert one by one, as complex() would.
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from exc
+    if arr.dtype.kind not in "biuf" or arr.ndim < 2 or arr.shape[-1] != 2:
+        raise ValueError("entries must be [re, im] pairs of numbers")
+    if arr.shape[1:] != (rows * cols, 2):
+        raise ValueError(f"expected {rows * cols} entries, got {arr.shape[1]}")
+    return arr.astype(np.float64).view(np.complex128).reshape(-1, rows, cols)
+
+
+def ensure_int(x: Any, name: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
 
 
 def canonical_dumps(obj: Any) -> str:

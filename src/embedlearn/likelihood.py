@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import CollisionModelConfig, Dataset, period_superoperator
-from .embedding import (MarkovianEmbedding, _kraus_superoperator, ancilla_vector,
-                        kraus_stack, superoperator_matrix)
+from .embedding import MarkovianEmbedding, ancilla_vector, kraus_stack, superoperator_matrix
 from .errors import DataError, ZeroProbabilityError
-from .qla import CMatrix, SpectralDecomposition, herm_eig
+from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary
 
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
@@ -72,20 +71,44 @@ class PropagationCache:
     Entry 0 of both block arrays is NaN: at time 0 the pair is the initial
     joint state ``rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
     at unit operator norm, whose log scale is ``backward_log_scale[0]``.
-    ``phis`` holds the measured system vectors and ``period_map`` the
-    superoperator M of the sweeps.  The joint-sized ``forward_states`` and
-    ``backward_effects`` are built on demand for tests and oracles.  Either
-    half may be absent if only one sweep was run.
+    The joint-sized ``forward_states`` and ``backward_effects`` are built
+    on demand for tests and oracles.  Either half may be absent if only one
+    sweep was run.
+
+    ``model`` and ``data`` are the pair the sweeps ran on; ``phis`` holds
+    the measured system vectors, ``spectrum`` the eigensystem of the
+    model's H and ``period_map`` the superoperator M built from it.  A
+    later sweep, validation or gradient of the same model (and data) reuses
+    these instead of decomposing H again.  A cache from :func:`build_cache`
+    runs its backward sweep the first time that half is read.
     """
 
     n: int
+    model: MarkovianEmbedding | None = field(default=None, repr=False)
+    data: Dataset | None = field(default=None, repr=False)
     phis: np.ndarray | None = field(default=None, repr=False)
+    spectrum: SpectralDecomposition | None = field(default=None, repr=False)
     period_map: np.ndarray | None = field(default=None, repr=False)
     rho0: np.ndarray | None = field(default=None, repr=False)
     forward_blocks: np.ndarray | None = field(default=None, repr=False)
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
-    backward_blocks: np.ndarray | None = field(default=None, repr=False)
-    backward_log_scale: np.ndarray | None = field(default=None, repr=False)
+    # (blocks, log scales) of the backward sweep, and whether build_cache
+    # left that sweep to the first read.
+    _backward: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _backward_deferred: bool = field(default=False, repr=False)
+
+    def _backward_half(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        if self._backward is None and self._backward_deferred:
+            backward_pass(self.model, self.data, self)
+        return self._backward or (None, None)
+
+    @property
+    def backward_blocks(self) -> np.ndarray | None:
+        return self._backward_half()[0]
+
+    @property
+    def backward_log_scale(self) -> np.ndarray | None:
+        return self._backward_half()[1]
 
     def log_likelihood(self) -> float:
         if self.forward_log_scale is None:
@@ -145,6 +168,18 @@ def dump_step_increments(cache: PropagationCache, path) -> None:
         fh.write("step,log_p_increment\n")
         for i, x in enumerate(inc, start=1):
             fh.write(f"{i},{float(x)!r}\n")
+
+
+def _period_inputs(model: MarkovianEmbedding, data: Dataset,
+                   cache: PropagationCache | None):
+    """Measured system vectors, eigensystem of H and period superoperator M
+    for one model and dataset, taken from ``cache`` when its sweeps ran on
+    that same pair."""
+    if cache is not None and cache.model is model and cache.data is data:
+        return cache.phis, cache.spectrum, cache.period_map
+    phis = _projector_vectors(model, data)
+    spectrum = herm_eig(model.h)
+    return phis, spectrum, superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
 
 
 def _projector_vectors(model: MarkovianEmbedding, data: Dataset) -> np.ndarray:
@@ -294,13 +329,13 @@ def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
 def forward_pass(model: MarkovianEmbedding, data: Dataset,
                  cache: PropagationCache | None = None) -> PropagationCache:
     """Trace-normalized filtering sweep; raises on a zero-probability step."""
-    phis = _projector_vectors(model, data)
-    m = superoperator_matrix(model)
+    phis, spectrum, m = _period_inputs(model, data, cache)
     rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
     blocks, logs = _forward(m, rho0, phis, data.records)
     if cache is None:
         cache = PropagationCache(n=len(data.records))
-    cache.phis, cache.period_map, cache.rho0 = phis, m, rho0
+    cache.model, cache.data, cache.rho0 = model, data, rho0
+    cache.phis, cache.spectrum, cache.period_map = phis, spectrum, m
     cache.forward_blocks = blocks
     cache.forward_log_scale = logs
     return cache
@@ -309,10 +344,9 @@ def forward_pass(model: MarkovianEmbedding, data: Dataset,
 def backward_pass(model: MarkovianEmbedding, data: Dataset,
                   cache: PropagationCache | None = None) -> PropagationCache:
     """Trace-normalized smoothing sweep, run from the last record."""
-    phis = _projector_vectors(model, data)
+    phis, spectrum, m = _period_inputs(model, data, cache)
     n = len(data.records)
     d_er = model.dims.d_er
-    m = superoperator_matrix(model)
     blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
     logs = np.zeros(n + 1)
     if n:
@@ -324,16 +358,20 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
         logs[0] = logs[1] + np.log(norm[0])
     if cache is None:
         cache = PropagationCache(n=n)
-    cache.phis, cache.period_map = phis, m
-    cache.backward_blocks = blocks
-    cache.backward_log_scale = logs
+    cache.model, cache.data = model, data
+    cache.phis, cache.spectrum, cache.period_map = phis, spectrum, m
+    cache._backward = (blocks, logs)
     return cache
 
 
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
-    """Both sweeps in one cache."""
+    """Both sweeps in one cache: the forward sweep now, the backward sweep
+    the first time its half is read (by the gradient, a merge or the
+    effects).  The epoch that ends a fit only scores its cache, so it never
+    runs the backward sweep."""
     cache = forward_pass(model, data)
-    return backward_pass(model, data, cache)
+    cache._backward_deferred = True
+    return cache
 
 
 def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
@@ -367,7 +405,8 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    logs = _filter(_transfer_basis(superoperator_matrix(model), model.dims.d_s), x,
+    m = train_cache.period_map if train_cache.model is model else superoperator_matrix(model)
+    logs = _filter(_transfer_basis(m, model.dims.d_s), x,
                    train_cache.forward_log_scale[-1], phis, data_val.records,
                    np.empty((len(data_val.records), x.size), dtype=np.complex128))
     return float(logs[-1] - logs[0]) / len(data_val.records)
@@ -430,11 +469,16 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     """
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
-    phis = _projector_vectors(model, data)
+    phis, spectrum, m = _period_inputs(model, data, cache)
     n = len(data.records)
     if batch is None:
         batch = np.arange(1, n + 1)
-    batch = np.unique(np.asarray(batch, dtype=np.intp))
+    # Sorted distinct merge points; np.unique would import numpy.ma on its
+    # first call (numpy 2), which no other part of a train command needs.
+    batch = np.sort(np.asarray(batch, dtype=np.intp), axis=None)
+    keep = np.ones(batch.size, dtype=bool)
+    keep[1:] = batch[1:] != batch[:-1]
+    batch = batch[keep]
     if batch.size == 0:
         raise ValueError("empty batch")
     if batch[0] < 1 or batch[-1] > n:
@@ -442,12 +486,10 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
 
     dims = model.dims
     d, dd = dims.d, dims.d_total
-    dec = herm_eig(model.h)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    u = (v * np.exp(-1j * model.tau * lam)) @ v.conj().T
+    lam, v = spectrum.eigenvalues, spectrum.eigenvectors
     f = _loewner_exp(lam, model.tau)
     avec = ancilla_vector(model)
-    ks = kraus_stack(model, u)
+    ks = kraus_stack(model, spectral_unitary(spectrum, model.tau))
 
     # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
     # the measured effect A_m = |phi_m><phi_m| x beta_m, b_m = vec(B_m) for the
@@ -459,7 +501,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
                            cache.forward_blocks[batch - 1].transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
     b[batch == 1] = cache.rho0.T.ravel()
-    values = np.einsum("mi,mi->m", a, b @ _kraus_superoperator(ks).T).real
+    values = np.einsum("mi,mi->m", a, b @ m.T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]
         raise ZeroProbabilityError(int(bad))

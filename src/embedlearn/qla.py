@@ -153,11 +153,23 @@ def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def expm_unitary(h: CMatrix, t: float) -> CMatrix:
-    """exp(-i t H) for Hermitian H, through the eigendecomposition."""
-    dec = herm_eig(h)
+def spectral_unitary(dec: SpectralDecomposition, t: float) -> CMatrix:
+    """exp(-i t H) from the eigensystem of a Hermitian H."""
     phases = np.exp(-1j * t * dec.eigenvalues)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+
+
+def expm_unitary(h: CMatrix, t: float) -> CMatrix:
+    """exp(-i t H) for Hermitian H, through the eigendecomposition."""
+    return spectral_unitary(herm_eig(h), t)
+
+
+def expm(m: CMatrix) -> CMatrix:
+    """Matrix exponential of a general square matrix (scipy's scaling and
+    squaring).  ``scipy.linalg`` is imported on the first call, so commands
+    that never exponentiate a generator do not pay for loading it."""
+    import scipy.linalg
+    return scipy.linalg.expm(m)
 
 
 def logm_principal(m: CMatrix) -> CMatrix:

@@ -333,3 +333,55 @@ def loglog_slope(xs, ys):
     ly = np.log(np.asarray(ys, dtype=np.float64))
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
+# ---------------------------------------------------------------------------
+# Per-element JSON writers: the file formats as first written, one complex()
+# or float() call per matrix entry and one dumps call per record.
+# ---------------------------------------------------------------------------
+
+def legacy_matrix_to_pairs(m):
+    """Row-major ``[re, im]`` pairs, one entry at a time."""
+    flat = np.asarray(m, dtype=np.complex128).ravel()
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def legacy_pairs_to_matrix(pairs, rows, cols):
+    """Complex matrix from row-major pairs through one complex() per entry."""
+    if len(pairs) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(pairs)}")
+    return np.array([complex(re, im) for re, im in pairs],
+                    dtype=np.complex128).reshape(rows, cols)
+
+
+def legacy_save_model(path, dims, tau, h, rho0_ser, rho_a):
+    """A model file written by streaming ``json.dump``; ``dims`` is the
+    (d_s, d_er, d_a) triple."""
+    import json
+    obj = {
+        "dims": dict(zip(("d_s", "d_er", "d_a"), dims)),
+        "tau": tau,
+        "h": legacy_matrix_to_pairs(h),
+        "rho0_ser": legacy_matrix_to_pairs(rho0_ser),
+        "rho_a": legacy_matrix_to_pairs(rho_a),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+
+
+def legacy_save_dataset(path, tau, d_s, provenance, records):
+    """A JSONL dataset written one record line at a time; ``records`` are
+    (step, basis, outcome) triples."""
+    import json
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    header = {"tau": tau, "d_s": d_s, "seed": provenance.get("seed"),
+              "config_hash": provenance.get("config_hash")}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(header) + "\n")
+        for step, basis, outcome in records:
+            line = {"step": step, "basis": legacy_matrix_to_pairs(basis), "outcome": outcome}
+            fh.write(dumps(line) + "\n")

@@ -1,6 +1,7 @@
 """Record-sequence likelihood tests: both renormalized sweeps against flat
 contractions that keep every ancilla, plus the analytic gradient against
 central finite differences."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    log_likelihood, log_likelihood_gradient,
                                    per_step_increments, unitary_derivative)
 from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
-from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
+from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 
 import oracles
 
@@ -606,3 +607,82 @@ class TestCacheErrors:
         cache = forward_pass(model, ds)
         with pytest.raises(ValueError):
             log_likelihood_gradient(model, ds, cache)
+
+
+class TestCacheReuse:
+    """One eigendecomposition of H and one period map per (model, data) pair."""
+
+    def _counted(self, monkeypatch):
+        import embedlearn.likelihood as lk
+        calls = {"herm_eig": 0, "superoperator_matrix": 0, "backward_pass": 0}
+        for name in calls:
+            fn = getattr(lk, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(lk, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_one_decomposition_for_sweeps_validation_and_gradient(self, monkeypatch, d_er):
+        rng = np.random.default_rng(60 + d_er)
+        model = random_model(rng, d_er=d_er)
+        recs = random_records(rng, 40)
+        tr, va = make_dataset(recs[:30]), make_dataset(recs[30:])
+        calls = self._counted(monkeypatch)
+        cache = build_cache(model, tr)
+        log_likelihood_gradient(model, tr, cache, [3, 7, 30])
+        conditional_validation_ll(model, tr, va, cache)
+        assert calls == {"herm_eig": 1, "superoperator_matrix": 1, "backward_pass": 1}
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_reuse_is_bitwise_equal_to_recomputing(self, d_er):
+        rng = np.random.default_rng(70 + d_er)
+        model = random_model(rng, d_er=d_er)
+        recs = random_records(rng, 25)
+        tr, va = make_dataset(recs[:20]), make_dataset(recs[20:])
+        cache = build_cache(model, tr)
+        # An equal but distinct model object shares nothing with the cache,
+        # so every input is recomputed from its own H.
+        twin = model.with_h(model.h.copy())
+        assert cache.model is model and cache.model is not twin
+        for batch in (None, [1, 5, 20]):
+            reused = log_likelihood_gradient(model, tr, cache, batch)
+            fresh = log_likelihood_gradient(twin, tr, cache, batch)
+            assert np.array_equal(reused, fresh)
+        assert (conditional_validation_ll(model, tr, va, cache)
+                == conditional_validation_ll(twin, tr, va, cache))
+        separate = backward_pass(twin, tr)
+        assert np.array_equal(cache.backward_log_scale, separate.backward_log_scale)
+        assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
+
+    def test_another_model_is_not_served_from_the_cache(self):
+        # Scoring a second model against the first one's sweeps uses the
+        # second model's own H and period map, as if the cache held them.
+        rng = np.random.default_rng(80)
+        model, other = random_model(rng), random_model(rng)
+        recs = random_records(rng, 16)
+        tr, va = make_dataset(recs[:12]), make_dataset(recs[12:])
+        cache = backward_pass(model, tr, build_cache(model, tr))
+        relabeled = dataclasses.replace(cache, model=other, spectrum=herm_eig(other.h),
+                                        period_map=superoperator_matrix(other))
+        assert (conditional_validation_ll(other, tr, va, cache)
+                == conditional_validation_ll(other, tr, va, relabeled)
+                != conditional_validation_ll(model, tr, va, cache))
+        assert np.array_equal(log_likelihood_gradient(other, tr, cache),
+                              log_likelihood_gradient(other, tr, relabeled))
+
+    def test_build_cache_defers_the_backward_sweep(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        model = random_model(rng)
+        ds = make_dataset(random_records(rng, 15))
+        calls = self._counted(monkeypatch)
+        cache = build_cache(model, ds)
+        assert calls["backward_pass"] == 0
+        eager = backward_pass(model, ds)
+        calls["backward_pass"] = 0
+        assert np.array_equal(cache.backward_log_scale, eager.backward_log_scale)
+        assert np.array_equal(cache.backward_blocks[1:], eager.backward_blocks[1:])
+        assert abs(cache.merged_log_likelihood(7) - cache.log_likelihood()) < 1e-10
+        assert calls["backward_pass"] == 1

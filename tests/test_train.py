@@ -240,6 +240,30 @@ class TestFit:
         assert c1.train_per_step == c2.train_per_step
         assert c1.val_per_step == c2.val_per_step
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e3])
+    def test_no_backward_sweep_at_the_epoch_that_ends_a_fit(self, monkeypatch, tol):
+        # tol 1e3 converges at epoch 4 (window 3); 1e-12 runs all 6 epochs.
+        import embedlearn.likelihood as lk
+        import embedlearn.train as tm
+        calls = {"build_cache": 0, "backward_pass": 0, "log_likelihood_gradient": 0}
+        for mod in (lk, tm):
+            for name in calls:
+                fn = getattr(mod, name)
+
+                def counting(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counting)
+        ds = generate_trajectory(markovian_collision_config(), 120, 57)
+        tr, va = split_dataset(ds, 80)
+        tc = TrainConfig(d_er=2, epochs=6, batch_size=20, seed=4, restarts=2,
+                         convergence_window=3, convergence_tol=tol, val_every=2)
+        _, curve = fit(tr, va, DimSpec(d_s=2, d_er=2), tc)
+        epochs = len(curve.epoch) * tc.restarts
+        assert epochs == (8 if tol > 1 else 12)
+        assert calls == {"build_cache": epochs, "backward_pass": epochs - tc.restarts,
+                         "log_likelihood_gradient": epochs - tc.restarts}
+
     def test_fit_without_validation(self):
         cfg = markovian_collision_config()
         ds = generate_trajectory(cfg, 120, 56)
