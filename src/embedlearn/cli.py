@@ -257,11 +257,21 @@ def _resolve_d_er(requested, out: Path) -> int:
     return winner
 
 
+def _load_model(path: Path):
+    """A saved model; a malformed or invalid file is a data problem."""
+    try:
+        return load_model(path)
+    except KeyError as exc:
+        raise DataError(f"bad model file {path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"bad model file {path}: {exc}") from exc
+
+
 def _load_model_for(out: Path, d_er: int):
     p = _model_path(out, d_er)
     if not p.exists():
         raise DataError(f"missing model file {p}; run 'train' first")
-    return load_model(p)
+    return _load_model(p)
 
 
 def _integer_periods(times: list[float], tau: float) -> dict[int, int]:
@@ -352,7 +362,7 @@ def cmd_validate(resolved: dict, out: Path, quiet: bool) -> None:
     n = len(ds_train.records)
     rows = []
     for p in sorted(out.glob("model_der*.json")):
-        model = load_model(p)
+        model = _load_model(p)
         cache = forward_pass(model, ds_train)
         train_ps = cache.log_likelihood() / n
         val_ps = conditional_validation_ll(model, ds_train, ds_val, cache)

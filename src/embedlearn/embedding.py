@@ -9,7 +9,9 @@ only free object and complete positivity holds by construction.
 
 The continuous-time picture comes from the principal logarithm of the
 period channel; that extraction fails loudly when the logarithm is
-ambiguous (see :func:`embedlearn.qla.logm_principal`).
+ambiguous (see :func:`embedlearn.qla.logm_principal`).  Its eigensystem is
+kept, so the equilibrium state and every propagation exp(t L) come from the
+one diagonalization of the period channel.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .qla import (
     CMatrix,
     DimSpec,
     dagger,
-    expm,
     expm_unitary,
     hermitianize,
     logm_principal,
@@ -63,14 +64,35 @@ class MarkovianEmbedding:
 
 @dataclass(frozen=True)
 class GeneratorSuperoperator:
-    """Time-independent generator L with exp(tau L) = period channel.
-
-    ``matrix`` acts on column-stacked density matrices of the joint
-    system + reservoir space.
+    """Time-independent generator L with exp(tau L) = period channel, kept
+    diagonalized as the factors of :func:`~embedlearn.qla.logm_principal`:
+    tau L = V diag(log w) V⁻¹ over the eigenvalues w of the period channel,
+    so exp(t L) = V diag(w**(t/tau)) V⁻¹.  L acts on column-stacked density
+    matrices of the joint system + reservoir space.
     """
 
-    matrix: CMatrix = field(repr=False)
+    log_eigenvalues: np.ndarray
+    eigenvectors: CMatrix = field(repr=False)
+    inverse: CMatrix = field(repr=False)
     tau: float = 1.0
+
+    @property
+    def matrix(self) -> CMatrix:
+        """Dense L, assembled from the factors."""
+        return (self.eigenvectors * self.log_eigenvalues) @ self.inverse / self.tau
+
+    def flow(self, x: CMatrix):
+        """The map t -> exp(t L) x for a vector or a block of columns x, which
+        is projected onto the eigenbasis once.  At t = 0 it returns x itself."""
+        coords = self.inverse @ x
+
+        def at(t: float) -> CMatrix:
+            if t == 0:
+                return x
+            scale = np.exp((t / self.tau) * self.log_eigenvalues)
+            return self.eigenvectors @ (scale * coords.T).T  # scales the rows
+
+        return at
 
 
 def make_embedding(dims: DimSpec, tau: float, h: CMatrix, rho0_ser: CMatrix,
@@ -87,12 +109,17 @@ def make_embedding(dims: DimSpec, tau: float, h: CMatrix, rho0_ser: CMatrix,
 
 
 def validate_model(model: MarkovianEmbedding) -> None:
-    """Check every structural invariant; raises ValueError on the first hit."""
+    """Check every structural invariant; raises ValueError on the first hit.
+
+    Non-finite entries are refused first: every tolerance test below is a
+    ``>`` comparison, which NaN would pass.
+    """
     dims = model.dims
-    if model.tau <= 0:
-        raise ValueError(f"tau must be positive, got {model.tau}")
+    if not (np.isfinite(model.tau) and model.tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {model.tau}")
     if model.h.shape != (dims.d_total, dims.d_total):
         raise ValueError(f"h has shape {model.h.shape}, expected side {dims.d_total}")
+    _check_finite(model.h, "h")
     dev = np.max(np.abs(model.h - dagger(model.h)))
     if dev > 1e-10:
         raise ValueError(f"h is not Hermitian: max deviation {dev:.3e}")
@@ -103,9 +130,15 @@ def validate_model(model: MarkovianEmbedding) -> None:
         raise ValueError(f"rho_a is not pure: ||rho^2 - rho|| = {purity:.3e}")
 
 
+def _check_finite(m: CMatrix, name: str) -> None:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def _check_state(rho: CMatrix, side: int, name: str) -> None:
     if rho.shape != (side, side):
         raise ValueError(f"{name} has shape {rho.shape}, expected side {side}")
+    _check_finite(rho, name)
     if np.max(np.abs(rho - dagger(rho))) > 1e-10:
         raise ValueError(f"{name} is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
@@ -152,40 +185,28 @@ def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) ->
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:
     """Generator L = log(channel)/tau via the principal matrix logarithm."""
     m = superoperator_matrix(model)
-    return GeneratorSuperoperator(matrix=logm_principal(m) / model.tau, tau=model.tau)
-
-
-def _fixed_point(channel_matrix: CMatrix) -> CMatrix:
-    """Unique trace-one fixed point of a channel's superoperator matrix.
-
-    Uniqueness requirement: second-largest eigenvalue modulus below
-    1 - 1e-8; otherwise the equilibrium is ill-defined and
-    :class:`FixedPointError` is raised.
-    """
-    w, v = np.linalg.eig(channel_matrix)
-    order = np.argsort(-np.abs(w))
-    moduli = np.abs(w[order])
-    if len(moduli) > 1 and moduli[1] >= 1.0 - 1e-8:
-        raise FixedPointError((float(moduli[0]), float(moduli[1])))
-    rho = unvec(v[:, order[0]])
-    rho = hermitianize(rho)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise FixedPointError((float(moduli[0]), float(moduli[1])))
-    return rho / tr
+    return GeneratorSuperoperator(*logm_principal(m), tau=model.tau)
 
 
 def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
-    """Reservoir marginal of the stationary state of exp(tau L).
+    """Reservoir marginal of the stationary state of exp(tau L): the
+    trace-one eigenvector of the period channel's largest-modulus eigenvalue.
 
-    A one-dimensional reservoir has the trivial marginal regardless of
-    whether the joint stationary state is unique.
+    Uniqueness requirement: second-largest eigenvalue modulus below
+    1 - 1e-8; otherwise the equilibrium is ill-defined and
+    :class:`FixedPointError` is raised.  A one-dimensional reservoir has the
+    trivial marginal regardless of whether the joint stationary state is
+    unique.
     """
     if dims.d_er == 1:
         return np.ones((1, 1), dtype=np.complex128)
-    channel = expm(gen.tau * gen.matrix)
-    rho_inf = _fixed_point(channel)
-    return ptrace(rho_inf, [dims.d_s, dims.d_er], [1])
+    order = np.argsort(-gen.log_eigenvalues.real)
+    moduli = np.exp(gen.log_eigenvalues.real[order])  # |w|, largest first
+    rho = hermitianize(unvec(gen.eigenvectors[:, order[0]]))
+    tr = np.trace(rho).real
+    if moduli[1] >= 1.0 - 1e-8 or abs(tr) < 1e-12:
+        raise FixedPointError((float(moduli[0]), float(moduli[1])))
+    return ptrace(rho / tr, [dims.d_s, dims.d_er], [1])
 
 
 def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatrix,
@@ -195,13 +216,12 @@ def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatr
     Output states are symmetrized against roundoff drift; trace and
     positivity are up to the quality of the generator, not enforced.
     """
-    v0 = vec(rho_ser0)
+    flow = gen.flow(vec(rho_ser0))
     out = []
     for t in times:
         if t < 0:
             raise ValueError(f"times must be nonnegative, got {t}")
-        vt = expm(float(t) * gen.matrix) @ v0
-        rho = hermitianize(unvec(vt))
+        rho = hermitianize(unvec(flow(float(t))))
         out.append(ptrace(rho, [dims.d_s, dims.d_er], [0]))
     return out
 

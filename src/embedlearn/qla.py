@@ -164,16 +164,11 @@ def expm_unitary(h: CMatrix, t: float) -> CMatrix:
     return spectral_unitary(herm_eig(h), t)
 
 
-def expm(m: CMatrix) -> CMatrix:
-    """Matrix exponential of a general square matrix (scipy's scaling and
-    squaring).  ``scipy.linalg`` is imported on the first call, so commands
-    that never exponentiate a generator do not pay for loading it."""
-    import scipy.linalg
-    return scipy.linalg.expm(m)
-
-
-def logm_principal(m: CMatrix) -> CMatrix:
-    """Principal matrix logarithm of a diagonalizable matrix.
+def logm_principal(m: CMatrix) -> tuple[npt.NDArray[np.complex128], CMatrix, CMatrix]:
+    """Principal matrix logarithm of a diagonalizable matrix, in factored
+    form ``(log_w, V, V⁻¹)`` with log(m) = V diag(log_w) V⁻¹: ``log_w`` holds
+    the principal logarithms of the eigenvalues w of ``m`` and V their
+    eigenvectors, so any function of ``m`` can reuse this one eigensystem.
 
     Fails loudly instead of silently picking a branch: an eigenvalue within
     ``1e-10`` of the closed negative real axis raises :class:`BranchCutError`,
@@ -189,8 +184,7 @@ def logm_principal(m: CMatrix) -> CMatrix:
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise IllConditionedError(float(cond))
-    logw = np.log(w)  # principal branch, Im in (-pi, pi]
-    return np.linalg.solve(v.T, (v * logw).T).T
+    return np.log(w), v, np.linalg.inv(v)  # principal branch, Im in (-pi, pi]
 
 
 def trace_norm(m: CMatrix) -> float:

@@ -323,7 +323,7 @@ class TestPredict:
         assert main(["predict", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
 
-    def test_branch_cut_model_exits_four(self, tmp_path):
+    def test_branch_cut_model_exits_four(self, tmp_path, capsys):
         # Half-period rotation puts a channel eigenvalue on the logarithm's
         # branch cut; the failure must surface as a numerical exit code.
         out = tmp_path / "run"
@@ -333,10 +333,70 @@ class TestPredict:
             kron((np.pi / 2) * SIGMA_Z, np.eye(4, dtype=np.complex128)),
             ZERO.copy())
         save_model(bad, out / "model_der1.json")
-        cfg = write_config(tmp_path / "c.json",
-                           {"predict": {"d_er": 1, "times": [1.0]}})
-        assert main(["predict", "--config", cfg, "--out", str(out),
+        cfg = write_config(tmp_path / "c.json", {
+            "predict": {"d_er": 1, "times": [1.0]},
+            "compare": {"d_er": 1, "gate_period": 1, "times": [0, 1, 2]},
+        })
+        for command in ("predict", "compare"):
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 4
+            assert "branch cut" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_unitary_channel_exits_four(self, tmp_path, command, capsys):
+        # H acts trivially on the ancilla, so the period channel is unitary:
+        # every eigenvalue has modulus one and no equilibrium reservoir
+        # state is singled out.
+        dims = DimSpec(d_s=2, d_er=2)
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((dims.d, dims.d)) + 1j * rng.standard_normal((dims.d, dims.d))
+        h = kron(0.35 * (a + a.conj().T), np.eye(dims.d_a, dtype=np.complex128))
+        out = tmp_path / "run"
+        out.mkdir()
+        save_model(make_embedding(dims, 1.0, h, np.eye(dims.d) / dims.d),
+                   out / "model_der2.json")
+        cfg = write_config(tmp_path / "c.json", {
+            "predict": {"d_er": 2, "times": [1.0]},
+            "compare": {"d_er": 2, "gate_period": 1, "times": [0, 1, 2]},
+        })
+        assert main([command, "--config", cfg, "--out", str(out),
                      "--quiet"]) == 4
+        assert "fixed point not unique" in capsys.readouterr().err
+
+
+def _break_model(obj, defect):
+    """Apply one defect to a parsed model file of the exact d_er = 1 model."""
+    if defect == "non-hermitian-h":
+        obj["h"][1] = [1.0, 0.0]  # entry (0, 1); entry (1, 0) stays zero
+    elif defect == "negative-tau":
+        obj["tau"] = -1
+    elif defect == "missing-rho_a":
+        del obj["rho_a"]
+    elif defect == "short-h":
+        obj["h"] = obj["h"][:-1]
+    elif defect == "nan-h":
+        obj["h"][0] = [float("nan"), 0.0]
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("command", ["predict", "validate"])
+    @pytest.mark.parametrize("defect", ["non-hermitian-h", "negative-tau",
+                                        "missing-rho_a", "short-h", "nan-h"])
+    def test_exit_three_naming_the_file(self, exact_model_run, tmp_path,
+                                        command, defect, capsys):
+        cfg, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        path = out / "model_der1.json"
+        obj = json.loads(path.read_text())
+        _break_model(obj, defect)
+        path.write_text(json.dumps(obj))
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad model file")
+        assert "model_der1.json" in err
+        assert not (out / "validation.csv").exists()
 
 
 class TestBayes:

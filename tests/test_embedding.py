@@ -10,9 +10,10 @@ from embedlearn.embedding import (MarkovianEmbedding, ancilla_vector,
                                   model_from_dict, model_to_dict,
                                   predict_dynamics, save_model,
                                   superoperator_matrix)
+from embedlearn.assess import ControlEvent, dynamics_maps, predict_with_control
 from embedlearn.errors import FixedPointError
-from embedlearn.qla import (DimSpec, dagger, expm_unitary, kron, ptrace, unvec,
-                            vec)
+from embedlearn.qla import (SIGMA_X, DimSpec, dagger, expm_unitary, kron, ptrace,
+                            unvec, vec)
 
 import oracles
 from oracles import apply_channel, apply_dual
@@ -64,6 +65,35 @@ class TestModelConstruction:
         h = np.zeros((dims.d_total, dims.d_total))
         with pytest.raises(ValueError):
             make_embedding(dims, 1.0, h, np.eye(2))  # trace 2
+
+    @pytest.mark.parametrize("target", ["h-diagonal", "h-off-diagonal", "rho0_ser",
+                                        "rho_a"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, target, value):
+        # Each check fails closed: a NaN deviation compares false against
+        # every tolerance, so it must not slip through as "small".
+        dims = DimSpec(d_s=2, d_er=1)
+        h = np.zeros((dims.d_total, dims.d_total), dtype=np.complex128)
+        rho = np.eye(2, dtype=np.complex128) / 2
+        rho_a = np.zeros((dims.d_a, dims.d_a), dtype=np.complex128)
+        rho_a[0, 0] = 1.0
+        if target == "h-diagonal":
+            h[0, 0] = value
+        elif target == "h-off-diagonal":
+            h[0, 1] = h[1, 0] = value
+        elif target == "rho0_ser":
+            rho[0, 0] = value
+        else:
+            rho_a[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            make_embedding(dims, 1.0, h, rho, rho_a)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, 0.0])
+    def test_period_must_be_positive_and_finite(self, tau):
+        dims = DimSpec(d_s=2, d_er=1)
+        h = np.zeros((dims.d_total, dims.d_total))
+        with pytest.raises(ValueError, match="tau"):
+            make_embedding(dims, tau, h, np.eye(2) / 2)
 
     def test_mixed_ancilla_rejected(self):
         dims = DimSpec(d_s=2, d_er=1)
@@ -222,6 +252,44 @@ class TestExtractGenerator:
             state = apply_channel(model, state)
             via_gen = unvec(scipy.linalg.expm(k * model.tau * gen.matrix) @ vec(rho))
             assert np.max(np.abs(state - via_gen)) < 1e-8
+
+
+class TestOneEigensystem:
+    def test_generator_flow_matches_dense_exponential(self):
+        rng = np.random.default_rng(27)
+        for d_er in (1, 2):
+            model = random_model(rng, d_er=d_er, tau=0.8)
+            gen = extract_generator(model)
+            x = vec(random_density(rng, model.dims.d))
+            flow = gen.flow(x)
+            assert flow(0.0) is x
+            for t in (0.3, 0.8, 2.7):
+                want = scipy.linalg.expm(t * gen.matrix) @ x
+                assert np.max(np.abs(flow(t) - want)) < 1e-10
+
+    def test_push_forward_diagonalizes_once(self, monkeypatch):
+        # Generator, equilibrium, trajectory, reduced maps and a gated
+        # trajectory all reuse the eigensystem of the one principal log.
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(np.shape(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        rng = np.random.default_rng(28)
+        model = random_model(rng)
+        dims = model.dims
+        gen = extract_generator(model)
+        er = equilibrium_er_state(gen, dims)
+        rho_ser0 = kron(random_density(rng, dims.d_s), er)
+        predict_dynamics(gen, dims, rho_ser0, [0.0, 1.0, 2.5])
+        dynamics_maps(gen, dims, er, [1.0, 2.0])
+        assert calls == [(dims.d ** 2, dims.d ** 2)]
+        predict_with_control(gen, dims, rho_ser0,
+                             [ControlEvent(1.0, SIGMA_X)], [0.5, 2.0])
+        assert len(calls) == 1
 
 
 class TestEquilibrium:

@@ -1,5 +1,5 @@
 """Model and dataset files: whole-array conversion against the per-element
-writers in ``oracles``, the loader's error paths, and which commands load
+writers in ``oracles``, the loader's error paths, and that no command loads
 scipy."""
 import json
 import os
@@ -228,30 +228,35 @@ class TestLoadErrors:
 SCIPY_PROBE = """
 import json, sys
 from embedlearn import cli
-loaded = {"import": "scipy.linalg" in sys.modules}
-for cmd in ("generate", "train"):
-    assert cli.main([cmd, "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]) == 0
-    loaded[cmd] = "scipy.linalg" in sys.modules
-loaded["predict_exit"] = cli.main(["predict", "--config", sys.argv[1], "--out", sys.argv[2],
-                                   "--quiet"])
-loaded["predict"] = "scipy.linalg" in sys.modules
+loaded = {"import": "scipy" in sys.modules}
+for cmd in sys.argv[3:]:
+    code = cli.main([cmd, "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+    loaded[cmd] = [code, "scipy" in sys.modules]
 print(json.dumps(loaded))
 """
+COMMANDS = ["generate", "train", "validate", "predict", "tomo", "bayes", "compare"]
 
 
-def test_scipy_loads_only_for_commands_that_exponentiate(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests as an
+    # independent oracle and must not leak into any command.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "seed": 3,
         "data": {"n_train": 40, "n_val": 20},
         "train": {"candidates": [1], "epochs": 2, "restarts": 1, "batch_size": 10},
         "predict": {"d_er": 1, "times": [0.0, 1.0, 2.0]},
+        "bayes": {"d_er": 1, "iterations": 2, "mc_samples": 2, "n_draws": 2,
+                  "times": [0.0, 1.0]},
+        "tomo": {"times": [1], "shots_per_channel": 20},
+        "compare": {"d_er": 1, "gate_period": 1, "times": [0, 1, 2]},
     }))
     env = dict(os.environ, PYTHONPATH=str(Path(embedlearn.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path / "run")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path / "run"),
+                           *COMMANDS], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"import": False, "generate": False, "train": False,
-                      "predict_exit": 0, "predict": True}
-    assert (tmp_path / "run" / "bloch.csv").exists()
+    assert loaded == {"import": False, **{cmd: [0, False] for cmd in COMMANDS}}
+    for name in ("validation.csv", "bloch.csv", "tomo_error.csv", "bayes_summary.json",
+                 "control.csv"):
+        assert (tmp_path / "run" / name).exists()

@@ -192,21 +192,33 @@ class TestExpmUnitary:
         assert np.max(np.abs(u1 @ u2 - expm_unitary(h, 1.4))) < 1e-10
 
 
+def dense_logm(m):
+    """The principal logarithm reassembled from its factors."""
+    log_w, v, v_inv = logm_principal(m)
+    return (v * log_w) @ v_inv
+
+
 class TestLogmPrincipal:
     def test_identity(self):
-        assert np.max(np.abs(logm_principal(np.eye(4)))) == 0.0
+        assert np.max(np.abs(dense_logm(np.eye(4)))) == 0.0
 
     def test_diagonal_case(self):
         m = np.diag([np.exp(0.3), np.exp(-0.5)])
         want = np.diag([0.3, -0.5])
-        assert np.max(np.abs(logm_principal(m) - want)) < 1e-12
+        assert np.max(np.abs(dense_logm(m) - want)) < 1e-12
+
+    def test_factors_invert_each_other(self):
+        rng = np.random.default_rng(30)
+        m = np.eye(5) + 0.1 * random_complex(rng, 5, 5)
+        _, v, v_inv = logm_principal(m)
+        assert np.max(np.abs(v_inv @ v - np.eye(5))) < 1e-12
 
     def test_round_trip_on_contraction(self):
         rng = np.random.default_rng(13)
         a = random_complex(rng, 4, 4)
         m = np.eye(4) + 0.05 * a
         import scipy.linalg
-        back = scipy.linalg.expm(logm_principal(m))
+        back = scipy.linalg.expm(dense_logm(m))
         assert np.max(np.abs(back - m)) / np.max(np.abs(m)) < 1e-8
 
     def test_negative_axis_rejected(self):
