@@ -28,13 +28,11 @@ from .train import (LearningCurve, TrainConfig, estimate_d_er, fit, init_model,
                     select_d_er)
 from .bayes import (BayesConfig, PosteriorDynamics, VariationalPosterior,
                     bayes_channel_error, fit_posterior, load_posterior,
-                    sample_dynamics, save_posterior, variational_objective)
+                    sample_dynamics, save_posterior)
 from .assess import (ChoiMatrix, ControlEvent, TomographyDesign, average_choi_error,
-                     choi_from_superop, choi_of_map, choi_to_superop,
-                     concatenation_prediction, default_design, dynamics_maps,
-                     nonmonotonicity_flag, predict_with_control,
-                     simulate_tomography_counts, tomography_mle,
-                     trace_distance_trajectory)
+                     choi_from_superop, concatenation_prediction, default_design,
+                     dynamics_maps, predict_with_control, simulate_tomography_counts,
+                     tomography_mle, trace_distance_trajectory)
 
 __version__ = "0.1.0"
 
@@ -58,12 +56,10 @@ __all__ = [
     "select_d_er",
     "BayesConfig", "PosteriorDynamics", "VariationalPosterior",
     "bayes_channel_error", "fit_posterior", "load_posterior",
-    "sample_dynamics", "save_posterior", "variational_objective",
+    "sample_dynamics", "save_posterior",
     "ChoiMatrix", "ControlEvent", "TomographyDesign", "average_choi_error",
-    "choi_from_superop", "choi_of_map", "choi_to_superop",
-    "concatenation_prediction", "default_design", "dynamics_maps",
-    "nonmonotonicity_flag", "predict_with_control",
-    "simulate_tomography_counts", "tomography_mle",
-    "trace_distance_trajectory",
+    "choi_from_superop", "concatenation_prediction", "default_design",
+    "dynamics_maps", "predict_with_control", "simulate_tomography_counts",
+    "tomography_mle", "trace_distance_trajectory",
     "__version__",
 ]

@@ -41,37 +41,11 @@ class ChoiMatrix:
         return float(np.max(np.abs(red - np.eye(self.d) / self.d)))
 
 
-def choi_of_map(apply, d: int) -> ChoiMatrix:
-    """Choi matrix of a callable channel via its action on matrix units."""
-    omega = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = 1.0
-            omega += np.kron(np.asarray(apply(e), dtype=np.complex128), e)
-    return ChoiMatrix(matrix=omega / d, d=d)
-
-
 def choi_from_superop(m: CMatrix, d: int) -> ChoiMatrix:
     """Choi matrix from a column-stacking superoperator matrix."""
     m4 = np.asarray(m, dtype=np.complex128).reshape(d, d, d, d)
     omega = m4.transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
     return ChoiMatrix(matrix=omega, d=d)
-
-
-def choi_to_superop(choi: ChoiMatrix) -> CMatrix:
-    """Inverse of :func:`choi_from_superop`."""
-    d = choi.d
-    o4 = choi.matrix.reshape(d, d, d, d)
-    return d * o4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
-def apply_choi(choi: ChoiMatrix, rho: CMatrix) -> CMatrix:
-    """Channel action d * tr_in[Omega (I x rho^T)]."""
-    d = choi.d
-    o4 = choi.matrix.reshape(d, d, d, d)
-    return d * np.einsum("aibj,ij->ab", o4,
-                         np.asarray(rho, dtype=np.complex128))
 
 
 def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
@@ -325,9 +299,3 @@ def trace_distance_trajectory(states_a: list[CMatrix],
         raise ValueError("trajectories differ in length")
     return np.array([0.5 * trace_norm(a - b) for a, b in zip(states_a, states_b)])
 
-
-def nonmonotonicity_flag(distances: np.ndarray, tol: float = 1e-6) -> bool:
-    """True when the distance sequence ever grows by more than ``tol``:
-    the information-backflow signature of non-Markovian reduced dynamics."""
-    d = np.asarray(distances, dtype=float)
-    return bool(np.any(np.diff(d) > tol))

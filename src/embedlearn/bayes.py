@@ -23,7 +23,7 @@ from .embedding import (MarkovianEmbedding, equilibrium_er_state, extract_genera
 from .assess import dynamics_maps
 from .errors import (BranchCutError, DataError, DivergenceError, FixedPointError,
                      IllConditionedError, NumericalError, ZeroProbabilityError)
-from .likelihood import backward_pass, build_cache, log_likelihood, log_likelihood_gradient
+from .likelihood import backward_pass, build_cache, log_likelihood_gradient
 from .qla import bloch_vector, kron, trace_norm
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
                     unpack_hermitian)
@@ -142,27 +142,6 @@ class VariationalPosterior:
     def sample_model(self, rng: np.random.Generator) -> MarkovianEmbedding:
         theta = self.mean + self.std * rng.standard_normal(self.mean.size)
         return self.base.with_h(unpack_hermitian(theta, self.base.dims.d_total))
-
-
-def variational_objective(posterior: VariationalPosterior, data, mc_samples: int,
-                          rng: np.random.Generator,
-                          floor: float = -1e6) -> float:
-    """One Monte-Carlo estimate of the descent objective at a fixed posterior.
-
-    Negative entropy term plus the average of ``mc_samples`` reparameterized
-    log-likelihood draws (each draw is a full likelihood evaluation);
-    zero-probability draws contribute ``floor``.
-    """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    total = 0.0
-    for _ in range(mc_samples):
-        m = posterior.sample_model(rng)
-        try:
-            total += log_likelihood(m, data)
-        except ZeroProbabilityError:
-            total += floor
-    return -float(np.sum(posterior.log_std)) - total / mc_samples
 
 
 def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig

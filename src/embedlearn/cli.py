@@ -251,7 +251,10 @@ def _resolve_d_er(requested, out: Path) -> int:
         for ln in fh:
             parts = ln.strip().split(",")
             if len(parts) == 3 and parts[2] == "1":
-                winner = int(parts[0])
+                try:
+                    winner = int(parts[0])
+                except ValueError as exc:
+                    raise DataError(f"{sel}: bad selected row {ln.strip()!r}") from exc
     if winner is None:
         raise DataError(f"{sel} has no selected row")
     return winner

@@ -10,7 +10,12 @@ ever sees.
 
 Measurement bases are eigenbases of r.sigma for r uniform on the sphere.
 The draw order per step is fixed (three normals for the direction, then one
-uniform for the outcome), so a seed pins the byte-exact dataset.
+uniform for the outcome), so a seed pins the byte-exact dataset.  The
+sampler draws the whole stream first and builds every basis in one batch.
+After a record, S is in the measured basis state and only the memory block
+sigma is random, so each later record costs one 4x4 transfer per outcome
+(the same product form the likelihood filter uses) instead of a joint-space
+step; only the first record is drawn from the joint state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio, seeds
-from .embedding import _kraus_superoperator
+from .embedding import CHUNK, _kraus_superoperator, _transfer_basis
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
     SIGMA_X,
@@ -150,16 +155,6 @@ class Dataset:
         return len(self.records)
 
 
-def collision_step(rho_ss1: CMatrix, cfg: CollisionModelConfig) -> CMatrix:
-    """One collision: couple S+S1 to a fresh reservoir qubit for delta_t.
-
-    Returns tr_R[exp(-i H dt) (rho x rho_r) exp(+i H dt)].
-    """
-    u = expm_unitary(cfg.hamiltonian, cfg.delta_t)
-    joint = u @ kron(rho_ss1, cfg.rho_r) @ dagger(u)
-    return ptrace(joint, [4, 2], [0])
-
-
 def _collision_superoperator(cfg: CollisionModelConfig) -> CMatrix:
     """Column-stacking 16x16 matrix of one collision on S+S1, from the Kraus
     family sqrt(w_k) (I x <j|) U (I x |chi_k>) of rho_r = sum_k w_k |chi_k><chi_k|."""
@@ -176,59 +171,87 @@ def period_superoperator(cfg: CollisionModelConfig) -> CMatrix:
     return np.linalg.matrix_power(mc, cfg.collisions_per_period)
 
 
-def sample_measurement(rho_s: CMatrix, rng: np.random.Generator,
-                       step: int = 1) -> tuple[MeasurementRecord, CMatrix]:
-    """Projectively measure a qubit state in a random basis.
+def _random_bases(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement bases (n, 2, 2) and outcome uniforms (n,) of ``n`` periods.
 
-    The basis is the eigenbasis of r.sigma with r uniform on the sphere
-    (normalized Gaussian 3-vector).  Returns the record and the projector
-    onto the observed outcome.
+    The stream is read in its fixed per-period order, three normals for the
+    direction r then one uniform; ziggurat normals take a variable number of
+    words, so only this loop is sequential.  Each basis is the eigenbasis of
+    r.sigma, with r normalized by its own vector norm (a row-wise norm of the
+    stack rounds differently).
     """
-    if rho_s.shape != (2, 2):
-        raise ValueError(f"expected a qubit state, got shape {rho_s.shape}")
-    g = rng.standard_normal(3)
-    r = g / np.linalg.norm(g)
-    pol = r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
-    _, basis = np.linalg.eigh(pol)
-    probs = np.real(np.einsum("ik,ij,jk->k", basis.conj(), rho_s, basis))
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
+    g = np.empty((n, 3))
+    u = np.empty(n)
+    for i in range(n):
+        g[i] = rng.standard_normal(3)
+        u[i] = rng.random()
+    r = g / np.array([np.linalg.norm(x) for x in g])[:, None]
+    r = r[:, :, None, None]
+    _, bases = np.linalg.eigh(r[:, 0] * SIGMA_X + r[:, 1] * SIGMA_Y + r[:, 2] * SIGMA_Z)
+    return bases, u
+
+
+def _outcome_transfers(basis: np.ndarray, bases: np.ndarray, start: int,
+                       stop: int) -> np.ndarray:
+    """Transfers T[i, o, k] = <b_k| M(|phi_o><phi_o| x .) |b_k> on the S1
+    block for i in start..stop-1, with phi_o the columns of ``bases[i-1]`` and
+    b_k those of ``bases[i]``; shape (stop-start, 2, 8, 4), the rows of T[i, o]
+    running over (k, flattened output block)."""
+    k = stop - start
+    proj = np.einsum("nso,nto->nost", bases[start - 1:stop],
+                     bases[start - 1:stop].conj()).reshape(k + 1, 2, 4)
+    pairs = proj[1:, None, :, :, None].conj() * proj[:-1, :, None, None, :]
+    return (pairs.reshape(k, 2, 2, 16) @ basis).reshape(k, 2, 8, 4)
+
+
+def _measure(y: list[complex], u: float, step: int) -> tuple[int, np.ndarray]:
+    """Outcome and conditioned S1 block from ``y``, the flattened
+    unnormalized blocks <b_k| rho |b_k> of outcome 0 then outcome 1: the two
+    traces are clipped at 0 and normalized, outcome 0 is taken when ``u`` <
+    p0, and the observed block is hermitianized and divided by its trace."""
+    w = ((y[0] + y[3]).real, (y[4] + y[7]).real)
+    total = max(w[0], 0.0) + max(w[1], 0.0)
     if total <= 0:
         raise ZeroProbabilityError(step)
-    probs = probs / total
-    outcome = 0 if rng.random() < probs[0] else 1
-    phi = basis[:, outcome]
-    projector = np.outer(phi, phi.conj())
-    return MeasurementRecord(step=step, basis=basis, outcome=outcome), projector
+    outcome = 0 if u < max(w[0], 0.0) / total else 1
+    tr = w[outcome]
+    if tr <= 0:
+        raise ZeroProbabilityError(step)
+    a, b, c, d = y[4 * outcome:4 * outcome + 4]  # hermitianize([[a, b], [c, d]]) / tr
+    return outcome, np.array([0.5 * (a + a.conjugate()) / tr, 0.5 * (b + c.conjugate()) / tr,
+                              0.5 * (c + b.conjugate()) / tr, 0.5 * (d + d.conjugate()) / tr])
 
 
 def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset:
     """Simulate ``n`` measured periods of the collision model.
 
-    Per period: apply the collision superoperator, measure S in a fresh
-    random basis, and condition the joint state on the outcome
-    (S collapses onto the observed projector, S1 onto the renormalized
-    post-measurement block).
+    Each record projects S onto a basis vector, so after it the S+S1 state
+    is |phi><phi| x sigma and the sampler carries only the memory block
+    sigma: the outcome weights of record i are the traces of
+    T[i, o, k] sigma, one transfer per previous outcome o and candidate
+    outcome k, and sigma is conditioned on the observed one.  The first
+    record is drawn from the joint state one period after ``rho_ss1_0``,
+    which need not be a product.  All random draws come first, in the fixed
+    per-period order of :func:`_random_bases`; the transfers are built in
+    chunks of records, so memory beyond the records does not grow with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = seeds.stream(seed, "trajectory")
+    bases, u = _random_bases(seeds.stream(seed, "trajectory"), n)
     mp = period_superoperator(cfg)
-    v = vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
-    records: list[MeasurementRecord] = []
-    for i in range(1, n + 1):
-        rho = hermitianize(unvec(mp @ v))
-        rho_s = ptrace(rho, [2, 2], [0])
-        rec, proj = sample_measurement(rho_s, rng, step=i)
-        records.append(rec)
-        phi = rec.basis[:, rec.outcome]
-        # S1 block conditioned on the outcome, (<phi| x I) rho (|phi> x I)
-        rho4 = rho.reshape(2, 2, 2, 2)
-        block = np.einsum("s,setf,t->ef", phi.conj(), rho4, phi)
-        tr = np.trace(block).real
-        if tr <= 0:
-            raise ZeroProbabilityError(i)
-        v = vec(np.kron(proj, hermitianize(block) / tr))
+    rho = hermitianize(unvec(mp @ vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))))
+    y = np.einsum("so,setf,to->oef", bases[0].conj(), rho.reshape(2, 2, 2, 2), bases[0])
+    o, sigma = _measure(y.ravel().tolist(), u[0], 1)
+    outcomes = [o]
+    basis = _transfer_basis(mp, 2)
+    for start in range(1, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        t = _outcome_transfers(basis, bases, start, stop)
+        for i in range(start, stop):
+            o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1)
+            outcomes.append(o)
+    records = [MeasurementRecord(step=i, basis=b, outcome=o)
+               for i, (b, o) in enumerate(zip(bases, outcomes), start=1)]
     return Dataset(records=records, tau=cfg.tau, d_s=2,
                    provenance={"seed": int(seed), "config_hash": cfg.digest()})
 

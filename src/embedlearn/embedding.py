@@ -36,6 +36,9 @@ from .qla import (
 )
 
 PSD_TOL = 1e-10
+# Records per batch of transfer matrices: bounds the memory of a sweep or
+# a sampler beyond its output, whatever the record count is.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,21 @@ def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) ->
     """Column-stacking matrix of the period channel, side (d_s*d_er)**2,
     built from the Kraus stack (of the period unitary ``u`` if given)."""
     return _kraus_superoperator(kraus_stack(model, u))
+
+
+def _transfer_basis(m: np.ndarray, d_s: int) -> np.ndarray:
+    """The period superoperator rearranged so that the record-pair vector
+    conj(P_{i+1}) x P_i, with P = |phi><phi| flattened, times it is T_i.
+
+    Rows run over (s', t', s, t), the entries of the two projectors; columns
+    over (e', f', g, h), T_i taking a flattened block (g, h) to (e', f').
+    """
+    d = int(round(np.sqrt(m.shape[0])))
+    d_er = d // d_s
+    # Column stacking: m[(q, p), (s, r)] maps input entry (r, s) to output
+    # entry (p, q); split every joint index into (system, reservoir).
+    m8 = m.reshape((d_s, d_er) * 4)
+    return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(d_s ** 4, d_er ** 4)
 
 
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:

@@ -40,16 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import CollisionModelConfig, Dataset, period_superoperator
-from .embedding import MarkovianEmbedding, ancilla_vector, kraus_stack, superoperator_matrix
+from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, ancilla_vector,
+                        kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary
 
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
 DEGENERACY_TOL = 1e-12
-# Records per batch of transfer matrices: bounds the memory of a sweep
-# beyond its output blocks, whatever n is.
-CHUNK = 256
 
 
 @dataclass
@@ -162,14 +160,6 @@ def per_step_increments(cache: PropagationCache) -> np.ndarray:
     return np.diff(cache.forward_log_scale)
 
 
-def dump_step_increments(cache: PropagationCache, path) -> None:
-    inc = per_step_increments(cache)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,log_p_increment\n")
-        for i, x in enumerate(inc, start=1):
-            fh.write(f"{i},{float(x)!r}\n")
-
-
 def _period_inputs(model: MarkovianEmbedding, data: Dataset,
                    cache: PropagationCache | None):
     """Measured system vectors, eigensystem of H and period superoperator M
@@ -208,21 +198,6 @@ def _dense_effects(m: np.ndarray, phis: np.ndarray,
     prev = 0.5 * (prev + prev.conj().transpose(0, 2, 1))
     norms = np.abs(np.linalg.eigvalsh(prev)).max(axis=1)
     return prev / np.where(norms > 0.0, norms, 1.0)[:, None, None], norms
-
-
-def _transfer_basis(m: np.ndarray, d_s: int) -> np.ndarray:
-    """The period superoperator rearranged so that the record-pair vector
-    conj(P_{i+1}) x P_i, with P = |phi><phi| flattened, times it is T_i.
-
-    Rows run over (s', t', s, t), the entries of the two projectors; columns
-    over (e', f', g, h), T_i taking a flattened block (g, h) to (e', f').
-    """
-    d = int(round(np.sqrt(m.shape[0])))
-    d_er = d // d_s
-    # Column stacking: m[(q, p), (s, r)] maps input entry (r, s) to output
-    # entry (p, q); split every joint index into (system, reservoir).
-    m8 = m.reshape((d_s, d_er) * 4)
-    return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(d_s ** 4, d_er ** 4)
 
 
 def _transfers(basis: np.ndarray, phis: np.ndarray, start: int, stop: int) -> np.ndarray:

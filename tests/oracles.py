@@ -2,10 +2,17 @@
 
 Everything here recomputes results by a different route than the library:
 explicit index loops, truncated series, pure-state networks, power
-iteration, finite differences.  Nothing imports from ``embedlearn`` so a
-library bug cannot cancel against itself.
+iteration, finite differences.  No result is computed through
+``embedlearn``, so a library bug cannot cancel against itself.  Two helpers
+touch it: :func:`choi_of_map` wraps its result in the library's Choi
+container, and :func:`variational_objective` draws models with the
+posterior's own ``sample_model``.  The helpers that only tests use (the
+joint-space trajectory simulator, Choi conversions, a CSV dump, a
+Monte-Carlo objective) live here too.
 """
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -385,3 +392,154 @@ def legacy_save_dataset(path, tau, d_s, provenance, records):
         for step, basis, outcome in records:
             line = {"step": step, "basis": legacy_matrix_to_pairs(basis), "outcome": outcome}
             fh.write(dumps(line) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The collision-model simulator as first written: one joint S x S1 step per
+# record, with the outcome drawn from the reduced system state.
+# ---------------------------------------------------------------------------
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+# Step, measured basis (columns) and outcome column of one record.
+SampledRecord = namedtuple("SampledRecord", "step basis outcome")
+
+
+def collision_step(rho_ss1, cfg):
+    """One collision: tr_R[exp(-i H dt) (rho x rho_r) exp(+i H dt)]."""
+    lam, v = np.linalg.eigh(np.asarray(cfg.hamiltonian))
+    u = (v * np.exp(-1j * cfg.delta_t * lam)) @ v.conj().T
+    joint = u @ np.kron(rho_ss1, cfg.rho_r) @ u.conj().T
+    return np.einsum("xryr->xy", joint.reshape(4, 2, 4, 2))
+
+
+def sample_measurement(rho_s, rng, step=1):
+    """Projectively measure a qubit state in the eigenbasis of r.sigma, r a
+    normalized Gaussian 3-vector: three normals, then one uniform for the
+    outcome.  Returns the record and the projector onto the outcome; a state
+    with no weight raises ValueError naming the step."""
+    if rho_s.shape != (2, 2):
+        raise ValueError(f"expected a qubit state, got shape {rho_s.shape}")
+    g = rng.standard_normal(3)
+    r = g / np.linalg.norm(g)
+    _, basis = np.linalg.eigh(r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
+    probs = np.real(np.einsum("ik,ij,jk->k", basis.conj(), rho_s, basis))
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError(f"zero probability at step {step}")
+    probs = probs / total
+    outcome = 0 if rng.random() < probs[0] else 1
+    phi = basis[:, outcome]
+    return SampledRecord(step, basis, outcome), np.outer(phi, phi.conj())
+
+
+def joint_trajectory(period_map, rho0, rng, n):
+    """Bases (n, 2, 2) and outcomes (n,) of ``n`` periods: evolve the joint
+    state by the column-stacking 16x16 ``period_map``, measure the reduced
+    system state, then condition S1 on the outcome.  A zero-probability
+    record raises ValueError naming its step."""
+    v = np.asarray(rho0, dtype=np.complex128).T.ravel()
+    bases = np.empty((n, 2, 2), dtype=np.complex128)
+    outcomes = np.empty(n, dtype=int)
+    for i in range(1, n + 1):
+        rho = (period_map @ v).reshape(4, 4).T
+        rho = 0.5 * (rho + rho.conj().T)
+        rho4 = rho.reshape(2, 2, 2, 2)
+        rec, proj = sample_measurement(np.einsum("sete->st", rho4), rng, step=i)
+        bases[i - 1], outcomes[i - 1] = rec.basis, rec.outcome
+        phi = rec.basis[:, rec.outcome]
+        block = np.einsum("s,setf,t->ef", phi.conj(), rho4, phi)
+        tr = np.trace(block).real
+        if tr <= 0:
+            raise ValueError(f"zero probability at step {i}")
+        v = np.kron(proj, 0.5 * (block + block.conj().T) / tr).T.ravel()
+    return bases, outcomes
+
+
+def dump_step_increments(cache, path):
+    """Per-record log-probability increments of a forward sweep as CSV."""
+    inc = np.diff(cache.forward_log_scale)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,log_p_increment\n")
+        for i, x in enumerate(inc, start=1):
+            fh.write(f"{i},{float(x)!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# Choi matrices of callable maps and the backflow flag.
+# ---------------------------------------------------------------------------
+
+def choi_of_map(apply, d):
+    """Choi matrix (output factor first, trace one) of a callable channel,
+    from its action on the matrix units."""
+    from embedlearn.assess import ChoiMatrix
+    omega = np.zeros((d * d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[i, j] = 1.0
+            omega += np.kron(np.asarray(apply(e), dtype=np.complex128), e)
+    return ChoiMatrix(matrix=omega / d, d=d)
+
+
+def choi_to_superop(choi):
+    """Column-stacking superoperator matrix of a Choi matrix."""
+    d = choi.d
+    o4 = choi.matrix.reshape(d, d, d, d)
+    return d * o4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def apply_choi(choi, rho):
+    """Channel action d * tr_in[Omega (I x rho^T)]."""
+    d = choi.d
+    o4 = choi.matrix.reshape(d, d, d, d)
+    return d * np.einsum("aibj,ij->ab", o4, np.asarray(rho, dtype=np.complex128))
+
+
+def nonmonotonicity_flag(distances, tol=1e-6):
+    """True when the distance sequence ever grows by more than ``tol``: the
+    information-backflow signature of non-Markovian reduced dynamics."""
+    return bool(np.any(np.diff(np.asarray(distances, dtype=float)) > tol))
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo variational objective on the dense filter.
+# ---------------------------------------------------------------------------
+
+def _channel_superoperator(model):
+    """Column-stacking matrix of :func:`apply_channel`, one matrix unit per
+    column."""
+    d = model.dims.d
+    cols = []
+    for b in range(d):
+        for a in range(d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[a, b] = 1.0
+            cols.append(apply_channel(model, e).T.ravel())
+    return np.stack(cols, axis=1)
+
+
+def variational_objective(posterior, data, mc_samples, rng, floor=-1e6):
+    """One Monte-Carlo estimate of the descent objective at a fixed
+    posterior: the negative entropy term plus the mean log-likelihood of
+    ``mc_samples`` draws of ``posterior.sample_model``, each by the dense
+    forward sweep; a draw that gives a record zero probability counts as
+    ``floor``."""
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    phis = np.array([rec.basis[:, rec.outcome] for rec in data.records])
+    total = 0.0
+    for _ in range(mc_samples):
+        model = posterior.sample_model(rng)
+        if not len(phis):
+            continue
+        try:
+            total += dense_forward_sweep(_channel_superoperator(model),
+                                         model.rho0_ser, phis)[1][-1]
+        except ValueError:
+            total += floor
+    return -float(np.sum(posterior.log_std)) - total / mc_samples

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from embedlearn.assess import (ChoiMatrix, ControlEvent, apply_choi,
-                               average_choi_error, choi_from_superop,
-                               choi_of_map, choi_to_superop,
-                               concatenation_prediction, default_design,
-                               dynamics_maps, nonmonotonicity_flag,
+from embedlearn.assess import (ChoiMatrix, ControlEvent, average_choi_error,
+                               choi_from_superop, concatenation_prediction,
+                               default_design, dynamics_maps,
                                outcome_probabilities, predict_with_control,
                                simulate_tomography_counts, tomography_mle,
                                trace_distance_trajectory)
@@ -17,6 +15,8 @@ from embedlearn.datagen import (CollisionModelConfig, exact_controlled_dynamics,
 from embedlearn.embedding import extract_generator, make_embedding
 from embedlearn.errors import IllConditionedError
 from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
+
+from oracles import apply_choi, choi_of_map, choi_to_superop, nonmonotonicity_flag
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 ONE = np.array([[0, 0], [0, 1]], dtype=np.complex128)

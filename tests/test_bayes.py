@@ -9,7 +9,7 @@ from embedlearn.bayes import (BayesConfig, PosteriorDynamics,
                               fit_gaussian_posterior, fit_posterior,
                               load_posterior, posterior_from_dict,
                               posterior_to_dict, sample_dynamics,
-                              save_posterior, variational_objective)
+                              save_posterior)
 from embedlearn.datagen import (CollisionModelConfig, Dataset,
                                 dataset_prefix, generate_trajectory)
 from embedlearn.embedding import make_embedding
@@ -17,6 +17,8 @@ from embedlearn.errors import DataError, DivergenceError
 from embedlearn.likelihood import log_likelihood
 from embedlearn.qla import SIGMA_X, DimSpec, kron
 from embedlearn.train import TrainConfig, fit, pack_hermitian
+
+from oracles import variational_objective
 
 
 def unitary_system_model():

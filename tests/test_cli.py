@@ -323,6 +323,17 @@ class TestPredict:
         assert main(["predict", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
 
+    def test_bad_selected_row_exits_three(self, exact_model_run, tmp_path, capsys):
+        cfg, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        (out / "selection.csv").write_text("d_er,val_per_step,selected\nx,-0.5,1\n")
+        assert main(["predict", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "selection.csv" in err
+
     def test_branch_cut_model_exits_four(self, tmp_path, capsys):
         # Half-period rotation puts a channel eigenvalue on the logarithm's
         # branch cut; the failure must surface as a numerical exit code.

@@ -1,24 +1,26 @@
 """Ground-truth simulator tests: collision steps, measurement sampling,
 trajectory generation, exact references, and the memorizing environment."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from embedlearn import seeds
-from embedlearn.datagen import (CollisionModelConfig, Dataset,
-                                collision_step, dataset_prefix,
+from embedlearn import datagen, seeds
+from embedlearn.datagen import (CollisionModelConfig, Dataset, dataset_prefix,
                                 default_collision_hamiltonian,
                                 exact_controlled_dynamics,
                                 exact_reference_dynamics, generate_trajectory,
                                 load_dataset, overfit_oracle,
-                                period_superoperator, sample_measurement,
-                                save_dataset, split_dataset,
-                                validation_continuation)
-from embedlearn.errors import DataError
+                                period_superoperator, save_dataset,
+                                split_dataset, validation_continuation)
+from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import true_model_log_likelihood
 from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expm_unitary,
                             kron, ptrace, unvec, vec)
 
 import oracles
+from oracles import collision_step, sample_measurement
 
 
 def random_density(rng, d):
@@ -229,6 +231,59 @@ class TestGenerateTrajectory:
         for rec in ds.records:
             b = rec.basis
             assert np.max(np.abs(dagger(b) @ b - np.eye(2))) < 1e-10
+
+
+class TestProductFormSampler:
+    """The memory-block sampler against the joint-space simulator it
+    replaced (``oracles.joint_trajectory``), the bytes it writes, and its
+    memory."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_joint_oracle(self, seed):
+        cfg = CollisionModelConfig()
+        ds = generate_trajectory(cfg, 3000, seed)
+        bases, outcomes = oracles.joint_trajectory(
+            period_superoperator(cfg), cfg.rho_ss1_0, seeds.stream(seed, "trajectory"), 3000)
+        assert np.array_equal(np.array([r.basis for r in ds.records]), bases)
+        assert [r.outcome for r in ds.records] == outcomes.tolist()
+
+    def test_golden_dataset_bytes(self, tmp_path):
+        # sha256 of the files the joint-space simulator wrote for seed 3
+        # with 200 training and 100 validation records.
+        want = {"train": "0ca15099f7ff0373add7aef0f84abad56331e472083e78c69acd0c3cc3809e9a",
+                "val": "73c6a1147cbd903e20528c6e2317b3d09c8bd1a0e01fe7a76c575c283d5dab46"}
+        parts = split_dataset(generate_trajectory(CollisionModelConfig(), 300, 3), 200)
+        for name, part in zip(("train", "val"), parts):
+            path = tmp_path / f"{name}.jsonl"
+            save_dataset(part, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want[name]
+
+    @pytest.mark.parametrize("kraus, step", [
+        (np.zeros((4, 4)), 1),
+        # S1 |0> -> |1>, and |1> is annihilated: the second record has no weight.
+        (np.kron(np.eye(2), [[0.0, 0.0], [1.0, 0.0]]), 2),
+    ])
+    def test_zero_probability_step_matches_oracle(self, monkeypatch, kraus, step):
+        m = np.kron(kraus.conj(), kraus).astype(np.complex128)
+        monkeypatch.setattr(datagen, "period_superoperator", lambda cfg: m)
+        cfg = CollisionModelConfig()
+        with pytest.raises(ZeroProbabilityError) as exc:
+            generate_trajectory(cfg, 10, 5)
+        assert exc.value.step == step
+        with pytest.raises(ValueError, match=f"zero probability at step {step}$"):
+            oracles.joint_trajectory(m, cfg.rho_ss1_0, seeds.stream(5, "trajectory"), 10)
+
+    def test_memory_at_20000_records(self):
+        # Mostly the records themselves (6.4 MiB for the joint-space loop);
+        # building every transfer at once would add about 40 MiB.
+        generate_trajectory(CollisionModelConfig(), 10, 0)
+        tracemalloc.start()
+        try:
+            generate_trajectory(CollisionModelConfig(), 20000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestExactReference:

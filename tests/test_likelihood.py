@@ -11,13 +11,14 @@ from embedlearn.datagen import Dataset, MeasurementRecord
 from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    build_cache, conditional_validation_ll,
-                                   dump_step_increments, forward_pass,
-                                   log_likelihood, log_likelihood_gradient,
-                                   per_step_increments, unitary_derivative)
+                                   forward_pass, log_likelihood,
+                                   log_likelihood_gradient, per_step_increments,
+                                   unitary_derivative)
 from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
 from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 
 import oracles
+from oracles import dump_step_increments
 
 
 def random_hermitian(rng, d):
