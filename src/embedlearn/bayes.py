@@ -23,7 +23,7 @@ from .embedding import (MarkovianEmbedding, equilibrium_er_state, extract_genera
 from .assess import dynamics_maps
 from .errors import (BranchCutError, DataError, DivergenceError, FixedPointError,
                      IllConditionedError, NumericalError, ZeroProbabilityError)
-from .likelihood import backward_pass, build_cache, log_likelihood_gradient
+from .likelihood import build_cache, log_likelihood_gradient
 from .qla import bloch_vector, kron, trace_norm
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
                     unpack_hermitian)
@@ -160,7 +160,6 @@ def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
         m = model.with_h(unpack_hermitian(theta, dd))
         try:
             cache = build_cache(m, data)
-            backward_pass(m, data, cache)  # deferred by build_cache; see train._fit_loop
             g = log_likelihood_gradient(m, data, cache, all_steps)
         except ZeroProbabilityError:
             return cfg.floor_log_likelihood, np.zeros(theta.size)

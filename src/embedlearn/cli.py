@@ -155,9 +155,12 @@ def _value(section: dict, key: str, cast, allow_none: bool = False):
     if cast is int:
         return _ensure_int(val, key)
     try:
-        return cast(val)
+        out = cast(val)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for '{key}': {val!r}") from exc
+    if cast is float and not math.isfinite(out):
+        raise ConfigError(f"'{key}' must be finite, got {val!r}")
+    return out
 
 
 def _times_list(section: dict, key: str = "times") -> list[float]:
@@ -179,8 +182,8 @@ def _int_list(section: dict, key: str) -> list[int]:
 
 
 def _ensure_number(x, key: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"'{key}' entries must be numbers, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ConfigError(f"'{key}' entries must be finite numbers, got {x!r}")
     return float(x)
 
 

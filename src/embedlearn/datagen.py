@@ -21,12 +21,13 @@ step; only the first record is drawn from the joint state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio, seeds
-from .embedding import CHUNK, _kraus_superoperator, _transfer_basis
+from .embedding import CHUNK, _kraus_superoperator, _transfer_basis, _transfers
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
     SIGMA_X,
@@ -78,12 +79,13 @@ class CollisionModelConfig:
     rho_ss1_0: CMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        # Written as "not within range" so that NaN fails too.
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.delta_t is None:
             object.__setattr__(self, "delta_t", 0.2 * self.tau)
-        if self.delta_t <= 0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be positive and finite, got {self.delta_t}")
         if self.collisions_per_period < 1:
             raise ValueError("collisions_per_period must be >= 1")
         if self.hamiltonian is None:
@@ -191,19 +193,6 @@ def _random_bases(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
     return bases, u
 
 
-def _outcome_transfers(basis: np.ndarray, bases: np.ndarray, start: int,
-                       stop: int) -> np.ndarray:
-    """Transfers T[i, o, k] = <b_k| M(|phi_o><phi_o| x .) |b_k> on the S1
-    block for i in start..stop-1, with phi_o the columns of ``bases[i-1]`` and
-    b_k those of ``bases[i]``; shape (stop-start, 2, 8, 4), the rows of T[i, o]
-    running over (k, flattened output block)."""
-    k = stop - start
-    proj = np.einsum("nso,nto->nost", bases[start - 1:stop],
-                     bases[start - 1:stop].conj()).reshape(k + 1, 2, 4)
-    pairs = proj[1:, None, :, :, None].conj() * proj[:-1, :, None, None, :]
-    return (pairs.reshape(k, 2, 2, 16) @ basis).reshape(k, 2, 8, 4)
-
-
 def _measure(y: list[complex], u: float, step: int) -> tuple[int, np.ndarray]:
     """Outcome and conditioned S1 block from ``y``, the flattened
     unnormalized blocks <b_k| rho |b_k> of outcome 0 then outcome 1: the two
@@ -246,7 +235,12 @@ def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset
     basis = _transfer_basis(mp, 2)
     for start in range(1, n, CHUNK):
         stop = min(start + CHUNK, n)
-        t = _outcome_transfers(basis, bases, start, stop)
+        # One pair per (record i, previous outcome o, candidate outcome k):
+        # column o of basis i-1, then column k of basis i.
+        prev = bases[start - 1:stop - 1].transpose(0, 2, 1)[:, :, None]
+        this = bases[start:stop].transpose(0, 2, 1)[:, None]
+        before, after = (a.reshape(-1, 2) for a in np.broadcast_arrays(prev, this))
+        t = _transfers(basis, before, after).reshape(stop - start, 2, 8, 4)
         for i in range(start, stop):
             o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1)
             outcomes.append(o)
@@ -504,6 +498,8 @@ def load_dataset(path) -> Dataset:
     try:
         header = json.loads(lines[0])
         tau = float(header["tau"])
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         d_s = jsonio.ensure_int(header["d_s"], "d_s")
         if d_s < 1:
             raise ValueError(f"d_s must be >= 1, got {d_s}")

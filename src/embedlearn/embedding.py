@@ -200,6 +200,23 @@ def _transfer_basis(m: np.ndarray, d_s: int) -> np.ndarray:
     return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(d_s ** 4, d_er ** 4)
 
 
+def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Transfer matrices <b| M(|a><a| x .) |b> on flattened reservoir
+    blocks, one per pair of stacked system vectors a = ``before[j]``,
+    b = ``after[j]``, under the superoperator whose :func:`_transfer_basis`
+    is ``basis``; shape (k, d_er^2, d_er^2)."""
+    k = len(before)
+    pa = (before[:, :, None] * before[:, None, :].conj()).reshape(k, -1)
+    pb = (after[:, :, None].conj() * after[:, None, :]).reshape(k, -1)  # conj(|b><b|)
+    pairs = pb[:, :, None] * pa[:, None, :]
+    # One (1 x d_s^4) @ (d_s^4 x d_er^4) product per pair: a transfer comes
+    # out bitwise the same whichever pairs share its batch, so a sweep
+    # continued from a stored block repeats the one long sweep exactly.
+    t = np.matmul(pairs.reshape(k, 1, -1), basis)
+    side = int(round(np.sqrt(basis.shape[1])))
+    return t.reshape(k, side, side)
+
+
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:
     """Generator L = log(channel)/tau via the principal matrix logarithm."""
     m = superoperator_matrix(model)

@@ -10,13 +10,15 @@ reservoir block sigma_i (d_er x d_er):
 
 a d_er^2 x d_er^2 transfer matrix fixed by the two records and the period
 superoperator M.  The backward sweep carries beta_i = <phi_i| effect_i |phi_i>
-through the dual recursion beta_i = T_i^+ beta_{i+1} on the same matrices.
-Only the first record, conditioned on the initial joint state (which need
-not be a product), and the effect at time 0 are joint-sized.  The T_i are
-built in fixed-size record chunks, so the work outside the d_er^2-vector
-loop is batched and memory beyond the blocks does not grow with n; at
-d_er = 1 each T_i is a conditional probability and the sweeps are
-cumulative sums of log T_i.
+through the dual recursion beta_i = T_i^+ beta_{i+1}.  T_i^+ is the transfer
+of the dual channel M^+ from record i+1 to record i, so the backward sweep
+is the forward loop run under M^+ over the records in reverse order: one
+loop serves both sweeps.  Only the first record, conditioned on the initial
+joint state (which need not be a product), and the effect at time 0 are
+joint-sized.  The transfers are built in fixed-size record chunks, so the
+work outside the d_er^2-vector loop is batched and memory beyond the blocks
+does not grow with n; at d_er = 1 each transfer is a conditional
+probability and the sweeps are cumulative sums of its log.
 
 At usable sequence lengths the probability underflows double precision by
 thousands of orders of magnitude, so both recurrences are renormalized by
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import CollisionModelConfig, Dataset, period_superoperator
-from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, ancilla_vector,
-                        kraus_stack, superoperator_matrix)
+from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, _transfers,
+                        ancilla_vector, kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary
 
@@ -77,8 +79,7 @@ class PropagationCache:
     the measured system vectors, ``spectrum`` the eigensystem of the
     model's H and ``period_map`` the superoperator M built from it.  A
     later sweep, validation or gradient of the same model (and data) reuses
-    these instead of decomposing H again.  A cache from :func:`build_cache`
-    runs its backward sweep the first time that half is read.
+    these instead of decomposing H again.
     """
 
     n: int
@@ -90,23 +91,8 @@ class PropagationCache:
     rho0: np.ndarray | None = field(default=None, repr=False)
     forward_blocks: np.ndarray | None = field(default=None, repr=False)
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
-    # (blocks, log scales) of the backward sweep, and whether build_cache
-    # left that sweep to the first read.
-    _backward: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _backward_deferred: bool = field(default=False, repr=False)
-
-    def _backward_half(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        if self._backward is None and self._backward_deferred:
-            backward_pass(self.model, self.data, self)
-        return self._backward or (None, None)
-
-    @property
-    def backward_blocks(self) -> np.ndarray | None:
-        return self._backward_half()[0]
-
-    @property
-    def backward_log_scale(self) -> np.ndarray | None:
-        return self._backward_half()[1]
+    backward_blocks: np.ndarray | None = field(default=None, repr=False)
+    backward_log_scale: np.ndarray | None = field(default=None, repr=False)
 
     def log_likelihood(self) -> float:
         if self.forward_log_scale is None:
@@ -175,8 +161,13 @@ def _period_inputs(model: MarkovianEmbedding, data: Dataset,
 def _projector_vectors(model: MarkovianEmbedding, data: Dataset) -> np.ndarray:
     if data.d_s != model.dims.d_s:
         raise DataError(f"data d_s={data.d_s} does not match model d_s={model.dims.d_s}")
-    if abs(data.tau - model.tau) > 1e-12:
+    if not abs(data.tau - model.tau) <= 1e-12:  # NaN fails too
         raise DataError(f"data tau={data.tau} does not match model tau={model.tau}")
+    return _record_vectors(data)
+
+
+def _record_vectors(data: Dataset) -> np.ndarray:
+    """The measured system vector of every record, stacked (n, d_s)."""
     if not data.records:
         return np.empty((0, data.d_s), dtype=np.complex128)
     return np.stack([rec.basis[:, rec.outcome] for rec in data.records])
@@ -200,34 +191,21 @@ def _dense_effects(m: np.ndarray, phis: np.ndarray,
     return prev / np.where(norms > 0.0, norms, 1.0)[:, None, None], norms
 
 
-def _transfers(basis: np.ndarray, phis: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """T_i for i in start..stop-1, from the record pairs (phis[i], phis[i+1])."""
-    k = stop - start
-    p = phis[start:stop + 1]
-    proj = (p[:, :, None] * p[:, None, :].conj()).reshape(k + 1, -1)
-    pairs = proj[1:, :, None].conj() * proj[:-1, None, :]
-    # One (1 x d_s^4) @ (d_s^4 x d_er^4) product per record: T_i comes out
-    # bitwise the same wherever a chunk starts, so a sweep continued from a
-    # stored block repeats the one long sweep exactly.
-    t = np.matmul(pairs.reshape(k, 1, -1), basis)
-    side = int(round(np.sqrt(basis.shape[1])))
-    return t.reshape(k, side, side)
-
-
 def _filter(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
             records, out: np.ndarray) -> np.ndarray:
-    """The forward loop.  ``x`` is the flattened reservoir block of the state
-    after the record with vector ``phis[0]`` and ``log0`` its running log;
-    condition on ``phis[1:]`` in turn.  Writes one flattened block per record
-    into ``out`` and returns the running logs, ``log0`` first; ``records``
-    give the step a zero-probability error reports."""
+    """The one scoring loop, run by both sweeps.  ``x`` is the flattened
+    reservoir block after the record with vector ``phis[0]`` and ``log0``
+    its running log; condition on ``phis[1:]`` in turn.  Writes one
+    flattened block per record into ``out`` and returns the running logs,
+    ``log0`` first; ``records`` give the step a zero-probability error
+    reports."""
     n = len(phis) - 1
     k = x.size
     unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
     ps = np.empty(n)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        t = _transfers(basis, phis, start, stop)
+        t = _transfers(basis, phis[start:stop], phis[start + 1:stop + 1])
         if k == 1:  # T_i is the probability of record i+1 given record i
             ps[start:stop] = t[:, 0, 0].real
             continue
@@ -245,37 +223,6 @@ def _filter(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
     if k == 1:
         out[:] = 1.0
     return np.cumsum(np.concatenate(([log0], np.log(ps))))
-
-
-def _smooth(basis: np.ndarray, phis: np.ndarray, records, out: np.ndarray) -> np.ndarray:
-    """The backward loop from beta_n = I.  Writes the flattened blocks
-    beta_1..beta_n into ``out`` and returns their log scales.  It carries
-    conj(beta), for which the dual recursion is a row vector times T_i."""
-    n = len(phis)
-    k = out.shape[1]
-    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
-    out[:] = unit
-    c = unit
-    scales = np.empty(n - 1)
-    for start in reversed(range(0, n - 1, CHUNK)):
-        stop = min(start + CHUNK, n - 1)
-        t = _transfers(basis, phis, start, stop)
-        if k == 1:
-            scales[start:stop] = t[:, 0, 0].real
-            continue
-        for i in range(stop - 1, start - 1, -1):
-            c = c @ t[i - start]
-            s = (c @ unit).real
-            if s <= 0.0:
-                raise ZeroProbabilityError(records[i + 1].step)
-            c = c / s
-            out[i] = c
-            scales[i] = s
-    bad = np.flatnonzero(scales <= 0.0)
-    if bad.size:
-        raise ZeroProbabilityError(records[bad[-1] + 1].step)
-    np.conjugate(out, out=out)
-    return np.concatenate((np.cumsum(np.log(scales[::-1]))[::-1], [0.0]))
 
 
 def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
@@ -318,15 +265,22 @@ def forward_pass(model: MarkovianEmbedding, data: Dataset,
 
 def backward_pass(model: MarkovianEmbedding, data: Dataset,
                   cache: PropagationCache | None = None) -> PropagationCache:
-    """Trace-normalized smoothing sweep, run from the last record."""
+    """Trace-normalized smoothing sweep from beta_n = I: the forward loop of
+    the dual channel M^+ over the records in reverse order, since
+    beta_i = T_i^+ beta_{i+1} and T_i^+ is the transfer of M^+ from record
+    i+1 to record i."""
     phis, spectrum, m = _period_inputs(model, data, cache)
     n = len(data.records)
     d_er = model.dims.d_er
     blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
     logs = np.zeros(n + 1)
     if n:
-        logs[1:] = _smooth(_transfer_basis(m, model.dims.d_s), phis, data.records,
-                           blocks[1:].reshape(n, d_er * d_er))
+        blocks[n] = np.eye(d_er)
+        # The dual loop writes beta_{n-1}, ..., beta_1 and returns the logs
+        # of beta_n, ..., beta_1.
+        logs[:0:-1] = _filter(_transfer_basis(m.conj().T, model.dims.d_s),
+                              blocks[n].ravel(), 0.0, phis[::-1], data.records[:0:-1],
+                              blocks[1:n].reshape(n - 1, d_er * d_er)[::-1])
         _, norm = _dense_effects(m, phis[:1], blocks[1:2])
         if norm[0] <= 0.0:
             raise ZeroProbabilityError(data.records[0].step)
@@ -335,18 +289,14 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
         cache = PropagationCache(n=n)
     cache.model, cache.data = model, data
     cache.phis, cache.spectrum, cache.period_map = phis, spectrum, m
-    cache._backward = (blocks, logs)
+    cache.backward_blocks = blocks
+    cache.backward_log_scale = logs
     return cache
 
 
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
-    """Both sweeps in one cache: the forward sweep now, the backward sweep
-    the first time its half is read (by the gradient, a merge or the
-    effects).  The epoch that ends a fit only scores its cache, so it never
-    runs the backward sweep."""
-    cache = forward_pass(model, data)
-    cache._backward_deferred = True
-    return cache
+    """Both sweeps in one cache, the forward sweep first."""
+    return backward_pass(model, data, forward_pass(model, data))
 
 
 def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
@@ -376,11 +326,11 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     if (train_cache.n != len(data_train.records) or train_cache.forward_blocks is None
             or train_cache.forward_log_scale is None):
         raise ValueError("train_cache is not a forward sweep of data_train")
-    phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(model, data_val)))
+    phis, _, m = _period_inputs(model, data_train, train_cache)
+    phis = np.concatenate((phis[-1:], _projector_vectors(model, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    m = train_cache.period_map if train_cache.model is model else superoperator_matrix(model)
     logs = _filter(_transfer_basis(m, model.dims.d_s), x,
                    train_cache.forward_log_scale[-1], phis, data_val.records,
                    np.empty((len(data_val.records), x.size), dtype=np.complex128))
@@ -391,7 +341,7 @@ def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
     """Per-step log-likelihood of a record set under the generating model, a
     diagnostic ceiling for fitted models.  The period map is a channel on
     S x S1, so the sweep scores the records with S1 as the reservoir."""
-    phis = np.stack([rec.basis[:, rec.outcome] for rec in ds.records])
+    phis = _record_vectors(ds)
     rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
     _, logs = _forward(period_superoperator(cfg), rho0, phis, ds.records)
     return float(logs[-1]) / len(ds.records)

@@ -20,7 +20,7 @@ import numpy as np
 from . import seeds
 from .embedding import MarkovianEmbedding, make_embedding
 from .errors import ZeroProbabilityError
-from .likelihood import (backward_pass, build_cache, conditional_validation_ll,
+from .likelihood import (backward_pass, conditional_validation_ll, forward_pass,
                          log_likelihood_gradient)
 from .qla import CMatrix, DimSpec, haar_random_pure_state, kron
 
@@ -186,7 +186,7 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
     best_h = model.h.copy()
     t0 = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
-        cache = build_cache(model, data_train)
+        cache = forward_pass(model, data_train)
         train_ps = cache.log_likelihood() / n
         converged = (epoch > cfg.convergence_window and
                      abs(train_ps - curve.train_per_step[-cfg.convergence_window])
@@ -201,9 +201,6 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
         curve.append(epoch, train_ps, val_ps, time.monotonic() - t0)
         if last:
             break
-        # build_cache leaves the backward sweep to its first read; run it
-        # before the gradient, so time and memory measured around the
-        # gradient call are the gradient's own.
         backward_pass(model, data_train, cache)
         batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
         grad = log_likelihood_gradient(model, data_train, cache, batch)

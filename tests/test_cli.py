@@ -2,6 +2,7 @@
 against small datasets; the heavier train/predict flows share one fitted
 run directory per module."""
 import json
+import math
 import shutil
 
 import numpy as np
@@ -149,6 +150,11 @@ class TestConfigShapes:
         ("bayes", {"bayes": {"d_er": 1, "times": [1.0, -1.0]}}),
         ("bayes", {"bayes": {"d_er": 1, "times": 5}}),
         ("bayes", {"bayes": {"d_er": 1, "n_draws": 1}}),
+        ("generate", {"data": {"tau": math.nan}}),
+        ("generate", {"data": {"delta_t": math.nan}}),
+        ("predict", {"predict": {"d_er": 1, "times": [math.nan]}}),
+        ("train", {"train": {"lr": math.nan}}),
+        ("train", {"train": {"lr": math.inf}}),
     ])
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):

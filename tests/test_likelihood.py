@@ -159,6 +159,25 @@ class TestBackwardPass:
             assert vals.min() > -1e-10
             assert abs(np.abs(vals).max() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_zero_probability_names_step(self, d_er):
+        # Identity channel, computational basis: the forward sweep fails at
+        # the first switch, 0 -> 1 at step 13; the backward sweep at the
+        # last, 1 -> 0 between steps 15 and 16, named by its later record.
+        dims = DimSpec(d_s=2, d_er=d_er)
+        h = np.zeros((dims.d_total, dims.d_total), dtype=np.complex128)
+        rho0 = np.zeros((dims.d, dims.d), dtype=np.complex128)
+        rho0[0, 0] = 1.0
+        model = make_embedding(dims, 1.0, h, rho0)
+        eye = np.eye(2, dtype=np.complex128)
+        ds = make_dataset([MeasurementRecord(step=k, basis=eye, outcome=o)
+                           for k, o in enumerate([0, 0, 0, 1, 1, 1, 0, 0], start=10)])
+        with pytest.raises(ZeroProbabilityError) as fwd:
+            forward_pass(model, ds)
+        with pytest.raises(ZeroProbabilityError) as bwd:
+            backward_pass(model, ds)
+        assert (fwd.value.step, bwd.value.step) == (13, 16)
+
     def test_merge_points_agree_n3(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
@@ -674,16 +693,12 @@ class TestCacheReuse:
         assert np.array_equal(log_likelihood_gradient(other, tr, cache),
                               log_likelihood_gradient(other, tr, relabeled))
 
-    def test_build_cache_defers_the_backward_sweep(self, monkeypatch):
+    def test_build_cache_runs_the_backward_sweep(self):
         rng = np.random.default_rng(81)
         model = random_model(rng)
         ds = make_dataset(random_records(rng, 15))
-        calls = self._counted(monkeypatch)
         cache = build_cache(model, ds)
-        assert calls["backward_pass"] == 0
-        eager = backward_pass(model, ds)
-        calls["backward_pass"] = 0
-        assert np.array_equal(cache.backward_log_scale, eager.backward_log_scale)
-        assert np.array_equal(cache.backward_blocks[1:], eager.backward_blocks[1:])
+        separate = backward_pass(model, ds)
+        assert np.array_equal(cache.backward_log_scale, separate.backward_log_scale)
+        assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
         assert abs(cache.merged_log_likelihood(7) - cache.log_likelihood()) < 1e-10
-        assert calls["backward_pass"] == 1

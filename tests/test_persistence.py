@@ -208,6 +208,12 @@ class TestLoadErrors:
         header = {"tau": 1.0, "d_s": d_s, "seed": 0, "config_hash": "x"}
         assert "bad header line" in self.load_error(tmp_path, [good(1)], header)
 
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0])
+    def test_bad_header_tau(self, tmp_path, tau):
+        header = {"tau": tau, "d_s": 2, "seed": 0, "config_hash": "x"}
+        msg = self.load_error(tmp_path, [good(1)], header)
+        assert "bad header line: tau must be positive and finite" in msg
+
     def test_earliest_problem_wins(self, tmp_path):
         # A gap at step 3 comes before the unparsable line, and a bad outcome
         # at the same record as a gap loses to the gap.

@@ -245,7 +245,7 @@ class TestFit:
         # tol 1e3 converges at epoch 4 (window 3); 1e-12 runs all 6 epochs.
         import embedlearn.likelihood as lk
         import embedlearn.train as tm
-        calls = {"build_cache": 0, "backward_pass": 0, "log_likelihood_gradient": 0}
+        calls = {"forward_pass": 0, "backward_pass": 0, "log_likelihood_gradient": 0}
         for mod in (lk, tm):
             for name in calls:
                 fn = getattr(mod, name)
@@ -261,7 +261,7 @@ class TestFit:
         _, curve = fit(tr, va, DimSpec(d_s=2, d_er=2), tc)
         epochs = len(curve.epoch) * tc.restarts
         assert epochs == (8 if tol > 1 else 12)
-        assert calls == {"build_cache": epochs, "backward_pass": epochs - tc.restarts,
+        assert calls == {"forward_pass": epochs, "backward_pass": epochs - tc.restarts,
                          "log_likelihood_gradient": epochs - tc.restarts}
 
     def test_fit_without_validation(self):
