@@ -10,6 +10,7 @@ maps lacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,60 +147,123 @@ def simulate_tomography_counts(channel_superop: CMatrix, design: TomographyDesig
     return counts
 
 
-def tomography_mle(counts: np.ndarray, design: TomographyDesign,
-                   tol: float = 1e-10, max_iter: int = 200_000) -> ChoiMatrix:
-    """Maximum-likelihood channel estimate under the CPTP constraint.
+def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e-10,
+                   max_iter: int = 200_000) -> ChoiMatrix | list[ChoiMatrix]:
+    """Maximum-likelihood channel estimates under the CPTP constraint.
 
     Fixed-point iteration on the Choi matrix: Omega <- N[(I x L^-1/2) R
     Omega R (I x L^-1/2)] with R the likelihood-weighted effect sum and L
     the constraint multiplier; the step is diluted toward the identity
     whenever the log-likelihood would decrease.  Starts from the maximally
     mixed Choi and stops when the per-iteration gain drops below ``tol``.
+
+    ``counts`` of shape (inputs, effects) gives one estimate; a stack of
+    shape (C, inputs, effects) gives a list of C, fitted in lockstep.  Each
+    channel keeps its own iterate, likelihood, step and iteration count:
+    an accepted step starts its next iteration, a rejected one halves its
+    step, a converged channel drops out.  Every channel's iterates are
+    bitwise those of fitting it alone: stacked ``@`` and ``eigh`` compute
+    each matrix as the 2-D calls do, the partial trace and I x L^-1/2
+    repeat the additions and products of ``ptrace`` and ``np.kron``, and
+    the probabilities and R are per-channel ``einsum`` calls.
+
+    Counts must be finite and nonnegative with a positive total per
+    channel (``ValueError``).  ``NumericalError`` names the first channel
+    whose multiplier turns singular, whose likelihood turns non-finite or
+    that has not converged in ``max_iter`` iterations.
     """
     d = design.input_states[0].shape[0]
     side = d * d
-    s_ops = []
-    for j, rho in enumerate(design.input_states):
-        for k, eff in enumerate(design.povm):
-            s_ops.append(np.kron(eff, rho.T))
-    s_ops = np.stack(s_ops)  # (J*K, side, side)
-    flat_counts = np.asarray(counts, dtype=np.float64).ravel()
+    shape = (len(design.input_states), len(design.povm))
+    arr = np.asarray(counts, dtype=np.float64)
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != shape:
+        raise ValueError(f"counts must have shape {shape} or (C, *{shape}), got {arr.shape}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    flat = arr.reshape(-1, shape[0] * shape[1])
+    if not np.isfinite(flat).all():
+        raise ValueError("counts must be finite")
+    if (flat < 0).any():
+        raise ValueError("counts must be nonnegative")
+    totals = np.array([row.sum() for row in flat])
+    if (totals == 0).any():
+        raise ValueError(f"channel {int(np.argmax(totals == 0))} has no counts")
+    s_ops = np.stack([np.kron(eff, rho.T) for rho in design.input_states
+                      for eff in design.povm])  # (J*K, side, side)
 
-    def probs(omega: CMatrix) -> np.ndarray:
-        raw = d * np.einsum("nab,ba->n", s_ops, omega).real
-        return np.clip(raw, 1e-300, None)
+    def probs(omegas: CMatrix) -> np.ndarray:
+        raw = np.empty((len(omegas), len(s_ops)), dtype=np.complex128)
+        for i, om in enumerate(omegas):
+            np.einsum("nab,ba->n", s_ops, om, out=raw[i])
+        return np.clip(d * raw.real, 1e-300, None)
 
-    def loglik(omega: CMatrix) -> float:
-        return float(flat_counts @ np.log(probs(omega)))
+    def loglik(c: int, logp: np.ndarray) -> float:
+        value = float(flat[c] @ logp)
+        if not math.isfinite(value):
+            raise NumericalError(f"tomography log-likelihood of channel {c} is not finite")
+        return value
 
-    omega = np.eye(side, dtype=np.complex128) / side
-    current = loglik(omega)
+    def weighted_effects(lanes: list[int], p: np.ndarray) -> CMatrix:
+        return hermitianize(np.stack([np.einsum("n,nab->ab", flat[c] / pc, s_ops)
+                                      for c, pc in zip(lanes, p)]))
+
+    n_ch = len(flat)
+    if not n_ch:
+        return []
     identity = np.eye(side, dtype=np.complex128)
-    for _ in range(max_iter):
-        p = probs(omega)
-        r = np.einsum("n,nab->ab", flat_counts / p, s_ops)
-        r = hermitianize(r)
-        step = 1.0
-        while True:
-            r_mix = step * r / flat_counts.sum() + (1.0 - step) * identity
-            k = r_mix @ omega @ r_mix
-            lam = ptrace(k, [d, d], [1])
-            w, v = np.linalg.eigh(hermitianize(lam))
-            if w.min() <= 1e-15:
-                raise NumericalError("tomography constraint multiplier is singular")
-            lam_isqrt = (v / np.sqrt(w)) @ v.conj().T
-            proj = np.kron(np.eye(d, dtype=np.complex128), lam_isqrt)
-            cand = proj @ k @ proj / d
-            cand = hermitianize(cand)
-            new = loglik(cand)
-            if new >= current - 1e-12 or step < 1e-6:
-                break
-            step *= 0.5
-        gain = new - current
-        omega, current = cand, new
-        if abs(gain) < tol:
-            return ChoiMatrix(matrix=omega, d=d)
-    raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
+    eye_d = np.eye(d, dtype=np.complex128)
+    omega = np.repeat((identity / side)[None], n_ch, axis=0)
+    p = probs(omega)
+    logp = np.log(p)
+    current = [loglik(c, logp[c]) for c in range(n_ch)]
+    r = weighted_effects(list(range(n_ch)), p)
+    step = [1.0] * n_ch
+    iters = [0] * n_ch
+    active = list(range(n_ch))
+    while active:
+        m = len(active)
+        st = np.array([step[c] for c in active])[:, None, None]
+        r_mix = st * r[active] / totals[active][:, None, None] + (1.0 - st) * identity
+        k = r_mix @ omega[active] @ r_mix
+        # Partial trace over the output factor, summed from zero like ptrace.
+        lam = 0.0
+        for i in range(d):
+            lam = lam + k[:, i * d:(i + 1) * d, i * d:(i + 1) * d]
+        w, v = np.linalg.eigh(hermitianize(lam))
+        singular = w.min(axis=1) <= 1e-15
+        if singular.any():
+            raise NumericalError("tomography constraint multiplier is singular in "
+                                 f"channel {active[int(np.argmax(singular))]}")
+        lam_isqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        # I x L^-1/2 by the product np.kron forms.
+        proj = (eye_d[:, None, :, None] * lam_isqrt[:, None, :, None, :]).reshape(m, side, side)
+        cand = hermitianize(proj @ k @ proj / d)
+        p = probs(cand)
+        logp = np.log(p)
+        still, moved = [], []
+        for i, c in enumerate(active):
+            new = loglik(c, logp[i])
+            if new < current[c] - 1e-12 and step[c] >= 1e-6:
+                step[c] *= 0.5
+                still.append(c)
+                continue
+            gain = new - current[c]
+            omega[c], current[c] = cand[i], new
+            if abs(gain) < tol:
+                continue
+            iters[c] += 1
+            if iters[c] == max_iter:
+                raise NumericalError(f"tomography MLE of channel {c} did not converge "
+                                     f"in {max_iter} iterations")
+            step[c] = 1.0
+            still.append(c)
+            moved.append(i)
+        if moved:
+            lanes = [active[i] for i in moved]
+            r[lanes] = weighted_effects(lanes, p[moved])
+        active = still
+    out = [ChoiMatrix(matrix=om, d=d) for om in omega]
+    return out[0] if arr.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------

@@ -515,16 +515,16 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
 def _tomography_errors(cm: CollisionModelConfig, periods: list[int], shots: int,
                        seed: int, *stream_names) -> list[float]:
     """Simulate tomography of the exact channel at each period with ``shots``
-    per setting, reconstruct it by MLE and return each Choi-matrix error.
-    Period ``k`` samples from ``seeds.stream(seed, *stream_names, k)``."""
+    per setting, reconstruct all of them in one lockstep MLE and return each
+    Choi-matrix error.  Period ``k`` samples from
+    ``seeds.stream(seed, *stream_names, k)``."""
     _, chans = exact_reference_dynamics(cm, periods)
     design = default_design(shots)
-    errors = []
-    for k, ch in zip(periods, chans):
-        counts = simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
-        est = tomography_mle(counts, design)
-        errors.append(0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix))
-    return errors
+    counts = np.stack([simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
+                       for k, ch in zip(periods, chans)])
+    ests = tomography_mle(counts, design)
+    return [0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix)
+            for est, ch in zip(ests, chans)]
 
 
 def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
@@ -536,6 +536,8 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
     shots = _value(tm, "shots_per_channel", int, allow_none=True)
     if shots is None:
         shots = max(1, _value(resolved["data"], "n_train", int) // len(periods))
+    elif shots < 1:
+        raise ConfigError(f"shots_per_channel must be >= 1, got {shots}")
     errors = _tomography_errors(cm, periods, shots, resolved["seed"], "tomo")
     with open(out / "tomo_error.csv", "w", encoding="utf-8") as fh:
         fh.write("time,choi_error\n")

@@ -79,8 +79,9 @@ def dagger(m: CMatrix) -> CMatrix:
 
 
 def hermitianize(m: CMatrix) -> CMatrix:
-    """Nearest Hermitian matrix, (M + M†)/2."""
-    return 0.5 * (m + m.conj().T)
+    """Nearest Hermitian matrix, (M + M†)/2, of a matrix or of each matrix
+    in a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def vec(m: CMatrix) -> CMatrix:

@@ -3,10 +3,12 @@
 Everything here recomputes results by a different route than the library:
 explicit index loops, truncated series, pure-state networks, power
 iteration, finite differences.  No result is computed through
-``embedlearn``, so a library bug cannot cancel against itself.  Two helpers
+``embedlearn``, so a library bug cannot cancel against itself.  Three helpers
 touch it: :func:`choi_of_map` wraps its result in the library's Choi
-container, and :func:`variational_objective` draws models with the
-posterior's own ``sample_model``.  The helpers that only tests use (the
+container, :func:`variational_objective` draws models with the
+posterior's own ``sample_model``, and :func:`tomography_mle_serial`, the
+bitwise reference of the batched tomography MLE, runs on the library's
+``hermitianize`` and ``ptrace``.  The helpers that only tests use (the
 joint-space trajectory simulator, Choi conversions, a CSV dump, a
 Monte-Carlo objective) live here too.
 """
@@ -504,6 +506,67 @@ def nonmonotonicity_flag(distances, tol=1e-6):
     """True when the distance sequence ever grows by more than ``tol``: the
     information-backflow signature of non-Markovian reduced dynamics."""
     return bool(np.any(np.diff(np.asarray(distances, dtype=float)) > tol))
+
+
+# ---------------------------------------------------------------------------
+# Serial tomography MLE.
+# ---------------------------------------------------------------------------
+
+def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=None):
+    """The one-channel diluted RrhoR loop the lockstep ``tomography_mle``
+    replaced, kept as its bitwise reference.  It runs on the library's
+    ``hermitianize`` and ``ptrace``.  ``steps``, if a list, receives the
+    step size of every fixed-point evaluation (a value below one is a
+    halving)."""
+    from embedlearn.assess import ChoiMatrix
+    from embedlearn.errors import NumericalError
+    from embedlearn.qla import hermitianize, ptrace
+    d = design.input_states[0].shape[0]
+    side = d * d
+    s_ops = []
+    for j, rho in enumerate(design.input_states):
+        for k, eff in enumerate(design.povm):
+            s_ops.append(np.kron(eff, rho.T))
+    s_ops = np.stack(s_ops)  # (J*K, side, side)
+    flat_counts = np.asarray(counts, dtype=np.float64).ravel()
+
+    def probs(omega):
+        raw = d * np.einsum("nab,ba->n", s_ops, omega).real
+        return np.clip(raw, 1e-300, None)
+
+    def loglik(omega):
+        return float(flat_counts @ np.log(probs(omega)))
+
+    omega = np.eye(side, dtype=np.complex128) / side
+    current = loglik(omega)
+    identity = np.eye(side, dtype=np.complex128)
+    for _ in range(max_iter):
+        p = probs(omega)
+        r = np.einsum("n,nab->ab", flat_counts / p, s_ops)
+        r = hermitianize(r)
+        step = 1.0
+        while True:
+            if steps is not None:
+                steps.append(step)
+            r_mix = step * r / flat_counts.sum() + (1.0 - step) * identity
+            k = r_mix @ omega @ r_mix
+            lam = ptrace(k, [d, d], [1])
+            w, v = np.linalg.eigh(hermitianize(lam))
+            if w.min() <= 1e-15:
+                raise NumericalError("tomography constraint multiplier is singular")
+            lam_isqrt = (v / np.sqrt(w)) @ v.conj().T
+            proj = np.kron(np.eye(d, dtype=np.complex128), lam_isqrt)
+            cand = proj @ k @ proj / d
+            cand = hermitianize(cand)
+            new = loglik(cand)
+            if new >= current - 1e-12 or step < 1e-6:
+                break
+            step *= 0.5
+        gain = new - current
+        omega, current = cand, new
+        if abs(gain) < tol:
+            return ChoiMatrix(matrix=omega, d=d)
+    raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from embedlearn import seeds
 from embedlearn.assess import (ChoiMatrix, ControlEvent, average_choi_error,
                                choi_from_superop, concatenation_prediction,
                                default_design, dynamics_maps,
@@ -13,10 +14,11 @@ from embedlearn.assess import (ChoiMatrix, ControlEvent, average_choi_error,
 from embedlearn.datagen import (CollisionModelConfig, exact_controlled_dynamics,
                                 exact_reference_dynamics)
 from embedlearn.embedding import extract_generator, make_embedding
-from embedlearn.errors import IllConditionedError
+from embedlearn.errors import IllConditionedError, NumericalError
 from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
 
-from oracles import apply_choi, choi_of_map, choi_to_superop, nonmonotonicity_flag
+from oracles import (apply_choi, choi_of_map, choi_to_superop, nonmonotonicity_flag,
+                     tomography_mle_serial)
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 ONE = np.array([[0, 0], [0, 1]], dtype=np.complex128)
@@ -319,15 +321,120 @@ class TestTomographyMle:
         avg_err = {}
         for ki, k in enumerate([4, 16]):
             design = default_design(total // k)
-            errs = []
-            for rep in range(k):
-                counts = simulate_tomography_counts(
-                    sup, design, np.random.default_rng(100 * ki + rep))
-                est = tomography_mle(counts, design)
-                errs.append(average_choi_error([est], [true_choi]))
-            avg_err[k] = np.mean(errs)
+            counts = np.stack([simulate_tomography_counts(
+                sup, design, np.random.default_rng(100 * ki + rep)) for rep in range(k)])
+            ests = tomography_mle(counts, design)
+            avg_err[k] = np.mean([average_choi_error([est], [true_choi]) for est in ests])
         slope = np.log(avg_err[16] / avg_err[4]) / np.log(16 / 4)
         assert abs(slope - 0.5) < 0.2
+
+
+# Counts whose fits reject steps: HALVING_COUNTS[0] halves four times, down
+# to step 1/16, and HALVING_COUNTS[1] halves down to the 1e-6 floor, where
+# a step is accepted whatever its likelihood.
+HALVING_COUNTS = np.array([
+    [[2375, 0, 0, 0, 12, 130278, 0, 0], [37973, 0, 0, 0, 6, 130, 340, 0],
+     [930040, 0, 2265, 836991, 0, 1, 1939, 0], [0, 401, 0, 263132, 0, 0, 0, 5]],
+    [[0, 4, 40636, 1188, 0, 0, 225, 1], [0, 0, 0, 414, 0, 1281, 14617, 0],
+     [0, 3466, 7473, 11, 0, 651961, 0, 15], [174573, 0, 199, 25878, 0, 8887, 0, 0]],
+])
+
+
+def tomo_scan_groups(seed):
+    """The four channel groups the ``tomo-scan`` bench workload fits at
+    ``seed`` (n_train = 5000, the 20 default periods, k_values 5, 10, 20),
+    each as (design, counts), counts drawn from the CLI's seed streams."""
+    _, chans = exact_reference_dynamics(CollisionModelConfig(), list(range(1, 21)))
+    groups = [(250, [seeds.stream(seed, "tomo", k) for k in range(1, 21)])]
+    for kk in (5, 10, 20):
+        groups.append((5000 // kk, [seeds.stream(seed, "tomo-scan", kk, k)
+                                    for k in range(1, kk + 1)]))
+    out = []
+    for shots, rngs in groups:
+        design = default_design(shots)
+        out.append((design, np.stack([simulate_tomography_counts(ch, design, rng)
+                                      for ch, rng in zip(chans, rngs)])))
+    return out
+
+
+class TestLockstepTomography:
+    """The lockstep fit of a stack equals the serial loop it replaced,
+    bitwise, channel by channel."""
+
+    @staticmethod
+    def assert_lanes_match_serial(counts, design, steps_per_lane=None):
+        ests = tomography_mle(counts, design)
+        assert len(ests) == len(counts)
+        for c, est in zip(counts, ests):
+            steps = []
+            ref = tomography_mle_serial(c, design, steps=steps)
+            assert np.array_equal(est.matrix, ref.matrix)
+            if steps_per_lane is not None:
+                steps_per_lane.append(steps)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tomo_scan_groups_match_serial_loop(self, seed):
+        # The seed-0 lanes converge after 68 to 878 evaluations, so most
+        # lanes drop out long before the last one.
+        for design, counts in tomo_scan_groups(seed):
+            steps = []
+            self.assert_lanes_match_serial(counts, design, steps)
+            lengths = [len(s) for s in steps]
+            assert max(lengths) > 5 * min(lengths)
+
+    def test_lanes_that_halve_their_step_match_serial_loop(self):
+        # Lanes at different steps in the same round: a halving lane, a
+        # plain channel and a lane bound for the step floor.
+        design = default_design(100)
+        plain = simulate_tomography_counts(mixed_test_superop(), design,
+                                           np.random.default_rng(5))
+        counts = np.stack([HALVING_COUNTS[0], plain * 1000, HALVING_COUNTS[1]])
+        steps = []
+        self.assert_lanes_match_serial(counts, design, steps)
+        assert min(steps[0]) == 1 / 16
+        assert min(steps[1]) == 1.0
+        assert min(steps[2]) < 1e-6
+
+    def test_two_dimensional_counts_are_a_batch_of_one(self):
+        design = default_design(2000)
+        counts = simulate_tomography_counts(mixed_test_superop(), design,
+                                            np.random.default_rng(7))
+        single = tomography_mle(counts, design)
+        batch = tomography_mle(counts[None], design)
+        assert len(batch) == 1
+        assert np.array_equal(single.matrix, batch[0].matrix)
+        assert tomography_mle(np.zeros((0, 4, 8)), design) == []
+
+
+class TestTomographyMleRefusals:
+    @pytest.mark.parametrize("counts,match", [
+        (np.ones((2, 8)), "shape"),
+        (np.ones(32), "shape"),
+        (np.ones((1, 1, 4, 8)), "shape"),
+        (np.full((4, 8), np.nan), "finite"),
+        (np.where(np.eye(4, 8) > 0, np.inf, 1.0), "finite"),
+        (np.where(np.eye(4, 8) > 0, -1.0, 5.0), "nonnegative"),
+        (np.zeros((4, 8)), "channel 0 has no counts"),
+        (np.stack([np.ones((4, 8)), np.zeros((4, 8))]), "channel 1 has no counts"),
+    ])
+    def test_unfittable_counts_rejected(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            tomography_mle(counts, default_design(32))
+
+    def test_non_finite_likelihood_raises_at_once(self):
+        # Finite counts whose log-likelihood overflows to -inf.
+        counts = np.stack([np.ones((4, 8)), np.full((4, 8), 1e308)])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="channel 1 is not finite"):
+            tomography_mle(counts, default_design(32))
+
+    def test_unconverged_lane_is_named(self):
+        design = default_design(2000)
+        counts = simulate_tomography_counts(mixed_test_superop(), design,
+                                            np.random.default_rng(7))
+        # Lane 0 converges in 16 iterations, lane 1 needs 603.
+        with pytest.raises(NumericalError, match="channel 1 did not converge in 100 "):
+            tomography_mle(np.stack([HALVING_COUNTS[0], counts]), design, max_iter=100)
 
 
 class TestPredictWithControl:

@@ -155,6 +155,8 @@ class TestConfigShapes:
         ("predict", {"predict": {"d_er": 1, "times": [math.nan]}}),
         ("train", {"train": {"lr": math.nan}}),
         ("train", {"train": {"lr": math.inf}}),
+        ("tomo", {"tomo": {"shots_per_channel": 0}}),
+        ("tomo", {"tomo": {"shots_per_channel": -3}}),
     ])
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):
