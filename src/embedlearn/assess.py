@@ -99,6 +99,10 @@ class TomographyDesign:
     povm: list[CMatrix] = field(repr=False)
     shots: int = 1000
 
+    def __post_init__(self):
+        if not self.shots >= 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+
 
 def default_design(shots: int) -> TomographyDesign:
     """Four-state informationally complete design.

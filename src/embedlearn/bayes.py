@@ -202,13 +202,16 @@ def _usable_draws(posterior: VariationalPosterior, n_draws: int,
 
 @dataclass(frozen=True)
 class PosteriorDynamics:
-    """Reduced-system trajectories over posterior draws.
+    """Reduced-system trajectories and maps over posterior draws.
 
-    ``states`` has shape (draws, times, d_s, d_s).
+    ``states`` has shape (draws, times, d_s, d_s) and ``maps``, the Choi
+    matrices of each draw's reduced dynamical maps, has shape
+    (draws, times, d_s**2, d_s**2).
     """
 
     times: np.ndarray
     states: np.ndarray = field(repr=False)
+    maps: np.ndarray = field(repr=False)
 
     def entry_mean(self) -> np.ndarray:
         return self.states.mean(axis=0)
@@ -240,8 +243,9 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
                     n_draws: int, rng: np.random.Generator) -> PosteriorDynamics:
     """Push posterior draws through their embeddings.
 
-    Each draw evolves ``rho_s0`` from a product with that draw's own
-    equilibrium reservoir state.
+    Each draw is diagonalized once.  It evolves ``rho_s0`` from a product
+    with that draw's own equilibrium reservoir state, and its reduced maps
+    start from the same reservoir state.
     """
     if n_draws < 2:
         raise ValueError("need at least two draws")
@@ -250,35 +254,33 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
     if rho_s0.shape != (dims.d_s, dims.d_s):
         raise ValueError(f"rho_s0 must be {dims.d_s}x{dims.d_s}, got {rho_s0.shape}")
     times = np.asarray(times, dtype=np.float64)
+    side = dims.d_s * dims.d_s
     states = np.empty((n_draws, times.size, dims.d_s, dims.d_s), dtype=np.complex128)
+    maps = np.empty((n_draws, times.size, side, side), dtype=np.complex128)
+    grid = list(times)
     for i, (_, gen, er) in enumerate(_usable_draws(posterior, n_draws, rng)):
-        traj = predict_dynamics(gen, dims, kron(rho_s0, er), list(times))
-        states[i] = np.stack(traj)
-    return PosteriorDynamics(times=times, states=states)
+        states[i] = np.stack(predict_dynamics(gen, dims, kron(rho_s0, er), grid))
+        maps[i] = np.stack([c.matrix for c in dynamics_maps(gen, dims, er, grid)])
+    return PosteriorDynamics(times=times, states=states, maps=maps)
 
 
-def bayes_channel_error(posterior: VariationalPosterior, times, n_draws: int,
-                        rng: np.random.Generator) -> float:
+def bayes_channel_error(dyn: PosteriorDynamics) -> float:
     """Posterior spread of the reduced maps in half-trace-norm.
 
     Choi matrices of each draw's dynamical maps are compared with their
-    across-draw mean and the distances averaged over draws and times.
+    across-draw mean and the distances averaged over draws and over the
+    positive times, or over all times if none is positive (every map is the
+    identity at t = 0).
     """
-    if n_draws < 2:
-        raise ValueError("need at least two draws")
-    times = list(times)
-    dims = posterior.base.dims
-    side = dims.d_s * dims.d_s
-    chois = np.empty((n_draws, len(times), side, side), dtype=np.complex128)
-    for i, (_, gen, er) in enumerate(_usable_draws(posterior, n_draws, rng)):
-        maps = dynamics_maps(gen, dims, er, times)
-        chois[i] = np.stack([c.matrix for c in maps])
+    keep = dyn.times > 0
+    chois = dyn.maps[:, keep] if keep.any() else dyn.maps
+    n_draws, n_times = chois.shape[:2]
     center = chois.mean(axis=0)
     total = 0.0
     for i in range(n_draws):
-        for t in range(len(times)):
+        for t in range(n_times):
             total += trace_norm(chois[i, t] - center[t])
-    return total / (2.0 * n_draws * len(times))
+    return total / (2.0 * n_draws * n_times)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +290,8 @@ def bayes_channel_error(posterior: VariationalPosterior, times, n_draws: int,
 def posterior_to_dict(posterior: VariationalPosterior) -> dict:
     return {
         "model": model_to_dict(posterior.base),
-        "mean": [float(x) for x in posterior.mean],
-        "log_std": [float(x) for x in posterior.log_std],
+        "mean": posterior.mean.tolist(),
+        "log_std": posterior.log_std.tolist(),
     }
 
 
@@ -305,9 +307,10 @@ def posterior_from_dict(obj: dict) -> VariationalPosterior:
 
 
 def save_posterior(posterior: VariationalPosterior, path) -> None:
+    # json.dumps encodes in one C call; json.dump would stream the same
+    # bytes through the pure-Python chunked encoder.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(posterior_to_dict(posterior), fh)
-        fh.write("\n")
+        fh.write(json.dumps(posterior_to_dict(posterior)) + "\n")
 
 
 def load_posterior(path) -> VariationalPosterior:

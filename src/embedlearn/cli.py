@@ -154,13 +154,7 @@ def _value(section: dict, key: str, cast, allow_none: bool = False):
         raise ConfigError(f"'{key}' must not be null")
     if cast is int:
         return _ensure_int(val, key)
-    try:
-        out = cast(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for '{key}': {val!r}") from exc
-    if cast is float and not math.isfinite(out):
-        raise ConfigError(f"'{key}' must be finite, got {val!r}")
-    return out
+    return _ensure_number(val, key)
 
 
 def _times_list(section: dict, key: str = "times") -> list[float]:
@@ -182,8 +176,11 @@ def _int_list(section: dict, key: str) -> list[int]:
 
 
 def _ensure_number(x, key: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise ConfigError(f"'{key}' entries must be finite numbers, got {x!r}")
+    # Compared, not converted: an integer beyond the float range is refused
+    # here instead of overflowing in float().
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not abs(x) <= sys.float_info.max):
+        raise ConfigError(f"'{key}' takes finite numbers, got {x!r}")
     return float(x)
 
 
@@ -493,11 +490,9 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
     save_posterior(posterior, out / "posterior.json")
     rho_s0 = ptrace(model.rho0_ser, [model.dims.d_s, model.dims.d_er], [0])
     dyn = sample_dynamics(posterior, rho_s0, times, n_draws,
-                          seeds.stream(resolved["seed"], "bayes-dynamics"))
+                          seeds.stream(resolved["seed"], "bayes-choi"))
     dyn.bands_to_csv(out / "posterior_bands.csv")
-    spread_times = [t for t in times if t > 0] or times
-    spread = bayes_channel_error(posterior, spread_times, n_draws,
-                                 seeds.stream(resolved["seed"], "bayes-choi"))
+    spread = bayes_channel_error(dyn)
     summary = {
         "d_er": d_er,
         "n_records": len(ds_train.records),

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio, seeds
-from .embedding import CHUNK, _kraus_superoperator, _transfer_basis, _transfers
+from .embedding import CHUNK, _check_finite, _kraus_superoperator, _transfer_basis, _transfers
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
     SIGMA_X,
@@ -91,8 +91,8 @@ class CollisionModelConfig:
         if self.hamiltonian is None:
             object.__setattr__(self, "hamiltonian", default_collision_hamiltonian())
         h = np.asarray(self.hamiltonian, dtype=np.complex128)
-        if h.shape != (8, 8) or np.max(np.abs(h - dagger(h))) > 1e-10:
-            raise ValueError("hamiltonian must be Hermitian 8x8 on S x S1 x R")
+        if h.shape != (8, 8) or not np.max(np.abs(h - dagger(h))) <= 1e-10:
+            raise ValueError("hamiltonian must be finite, Hermitian and 8x8 on S x S1 x R")
         object.__setattr__(self, "hamiltonian", h)
         if self.rho_r is None:
             object.__setattr__(self, "rho_r", 0.5 * (np.eye(2, dtype=np.complex128) + SIGMA_Z))
@@ -120,6 +120,7 @@ class CollisionModelConfig:
 def _check_density(rho: CMatrix, side: int, name: str) -> None:
     if rho.shape != (side, side):
         raise ValueError(f"{name} must be {side}x{side}, got {rho.shape}")
+    _check_finite(rho, name)
     if np.max(np.abs(rho - dagger(rho))) > 1e-10:
         raise ValueError(f"{name} is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-8:

@@ -143,12 +143,12 @@ def ptrace(rho: CMatrix, dims: list[int], keep: list[int]) -> CMatrix:
 def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     """Eigensystem of a Hermitian matrix via LAPACK ``eigh``.
 
-    Hermiticity is checked to ``tol`` in max-abs deviation; the symmetrized
-    matrix is what gets decomposed.
+    Hermiticity is checked to ``tol`` in max-abs deviation, so a non-finite
+    entry fails too; the symmetrized matrix is what gets decomposed.
     """
     m = np.asarray(m, dtype=np.complex128)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
     w, v = np.linalg.eigh(hermitianize(m))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

@@ -8,7 +8,10 @@ touch it: :func:`choi_of_map` wraps its result in the library's Choi
 container, :func:`variational_objective` draws models with the
 posterior's own ``sample_model``, and :func:`tomography_mle_serial`, the
 bitwise reference of the batched tomography MLE, runs on the library's
-``hermitianize`` and ``ptrace``.  The helpers that only tests use (the
+``hermitianize`` and ``ptrace``; :func:`bayes_channel_error_two_loop`, the
+bitwise reference of the posterior channel spread, draws and propagates
+through the library's ``_usable_draws`` and ``dynamics_maps``.  The helpers
+that only tests use (the
 joint-space trajectory simulator, Choi conversions, a CSV dump, a
 Monte-Carlo objective) live here too.
 """
@@ -379,6 +382,27 @@ def legacy_save_model(path, dims, tau, h, rho0_ser, rho_a):
         fh.write("\n")
 
 
+def legacy_save_posterior(path, posterior):
+    """A posterior file written by streaming ``json.dump`` over per-entry
+    ``float`` lists."""
+    import json
+    base = posterior.base
+    obj = {
+        "model": {
+            "dims": {"d_s": base.dims.d_s, "d_er": base.dims.d_er, "d_a": base.dims.d_a},
+            "tau": base.tau,
+            "h": legacy_matrix_to_pairs(base.h),
+            "rho0_ser": legacy_matrix_to_pairs(base.rho0_ser),
+            "rho_a": legacy_matrix_to_pairs(base.rho_a),
+        },
+        "mean": [float(x) for x in posterior.mean],
+        "log_std": [float(x) for x in posterior.log_std],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+
+
 def legacy_save_dataset(path, tau, d_s, provenance, records):
     """A JSONL dataset written one record line at a time; ``records`` are
     (step, basis, outcome) triples."""
@@ -567,6 +591,33 @@ def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=Non
         if abs(gain) < tol:
             return ChoiMatrix(matrix=omega, d=d)
     raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
+
+
+# ---------------------------------------------------------------------------
+# Two-loop posterior channel spread.
+# ---------------------------------------------------------------------------
+
+def bayes_channel_error_two_loop(posterior, times, n_draws, rng):
+    """The spread that drew its own posterior samples, apart from the band
+    draws, kept as the bitwise reference of ``bayes_channel_error``."""
+    from embedlearn.assess import dynamics_maps
+    from embedlearn.bayes import _usable_draws
+    from embedlearn.qla import trace_norm
+    if n_draws < 2:
+        raise ValueError("need at least two draws")
+    times = list(times)
+    dims = posterior.base.dims
+    side = dims.d_s * dims.d_s
+    chois = np.empty((n_draws, len(times), side, side), dtype=np.complex128)
+    for i, (_, gen, er) in enumerate(_usable_draws(posterior, n_draws, rng)):
+        maps = dynamics_maps(gen, dims, er, times)
+        chois[i] = np.stack([c.matrix for c in maps])
+    center = chois.mean(axis=0)
+    total = 0.0
+    for i in range(n_draws):
+        for t in range(len(times)):
+            total += trace_norm(chois[i, t] - center[t])
+    return total / (2.0 * n_draws * len(times))
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,11 @@ class TestTomographyDesign:
             # all four inputs are pure
             assert np.max(np.abs(rho @ rho - rho)) < 1e-14
 
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_budget_below_one_rejected(self, shots):
+        with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
+            default_design(shots)
+
 
 class TestOutcomeProbabilities:
     def test_identity_channel_first_row(self):

@@ -4,20 +4,22 @@ and serialization."""
 import numpy as np
 import pytest
 
+from embedlearn.assess import dynamics_maps
 from embedlearn.bayes import (BayesConfig, PosteriorDynamics,
-                              VariationalPosterior, bayes_channel_error,
+                              VariationalPosterior, _usable_draws, bayes_channel_error,
                               fit_gaussian_posterior, fit_posterior,
                               load_posterior, posterior_from_dict,
                               posterior_to_dict, sample_dynamics,
                               save_posterior)
 from embedlearn.datagen import (CollisionModelConfig, Dataset,
                                 dataset_prefix, generate_trajectory)
-from embedlearn.embedding import make_embedding
+from embedlearn.embedding import make_embedding, predict_dynamics
 from embedlearn.errors import DataError, DivergenceError
 from embedlearn.likelihood import log_likelihood
 from embedlearn.qla import SIGMA_X, DimSpec, kron
-from embedlearn.train import TrainConfig, fit, pack_hermitian
+from embedlearn.train import TrainConfig, fit, init_model, pack_hermitian
 
+import oracles
 from oracles import variational_objective
 
 
@@ -27,6 +29,17 @@ def unitary_system_model():
     h = kron(0.3 * SIGMA_X, np.eye(4, dtype=np.complex128))
     rho0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
     return make_embedding(dims, 1.0, h, rho0)
+
+
+MIXED = np.eye(2, dtype=np.complex128) / 2
+
+
+def spread_posterior(d_er):
+    """A posterior of width 0.02 around a random starting model."""
+    model = init_model(DimSpec(d_s=2, d_er=d_er), 1.0, np.random.default_rng(30 + d_er))
+    mean = pack_hermitian(np.asarray(model.h))
+    return VariationalPosterior(base=model, mean=mean,
+                                log_std=np.full(mean.size, np.log(0.02)))
 
 
 def degenerate_posterior(model, log_std=-40.0):
@@ -256,6 +269,21 @@ class TestSampleDynamics:
         assert lines[0] == "time,x_mean,x_std,y_mean,y_std,z_mean,z_std"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_states_and_maps_follow_each_draw(self, d_er):
+        post = spread_posterior(d_er)
+        dims = post.base.dims
+        rho_s0 = np.array([[0.6, 0.2j], [-0.2j, 0.4]], dtype=np.complex128)
+        times = [0.0, 0.5, 2.0]
+        dyn = sample_dynamics(post, rho_s0, times, 4, np.random.default_rng(17))
+        assert dyn.maps.shape == (4, 3, 4, 4)
+        draws = _usable_draws(post, 4, np.random.default_rng(17))
+        for i, (_, gen, er) in enumerate(draws):
+            want = predict_dynamics(gen, dims, kron(rho_s0, er), times)
+            assert np.array_equal(dyn.states[i], np.stack(want))
+            maps = dynamics_maps(gen, dims, er, times)
+            assert np.array_equal(dyn.maps[i], np.stack([c.matrix for c in maps]))
+
     def test_too_few_draws_rejected(self):
         post = degenerate_posterior(unitary_system_model())
         rho = np.eye(2, dtype=np.complex128) / 2
@@ -272,7 +300,8 @@ class TestSampleDynamics:
 class TestBayesChannelError:
     def test_degenerate_posterior_gives_zero(self):
         post = degenerate_posterior(unitary_system_model())
-        err = bayes_channel_error(post, [1, 2, 3], 4, np.random.default_rng(5))
+        err = bayes_channel_error(sample_dynamics(post, MIXED, [1, 2, 3], 4,
+                                                  np.random.default_rng(5)))
         assert err < 1e-10
 
     def test_stable_under_doubling_draws(self):
@@ -280,10 +309,10 @@ class TestBayesChannelError:
         post = VariationalPosterior(base=model,
                                     mean=pack_hermitian(np.asarray(model.h)),
                                     log_std=np.full(64, np.log(0.02)))
-        e60 = bayes_channel_error(post, [1, 2, 3, 4], 60,
-                                  np.random.default_rng(7))
-        e120 = bayes_channel_error(post, [1, 2, 3, 4], 120,
-                                   np.random.default_rng(8))
+        e60 = bayes_channel_error(sample_dynamics(post, MIXED, [1, 2, 3, 4], 60,
+                                                  np.random.default_rng(7)))
+        e120 = bayes_channel_error(sample_dynamics(post, MIXED, [1, 2, 3, 4], 120,
+                                                   np.random.default_rng(8)))
         assert abs(e60 - e120) / e60 < 0.10
 
     def test_wider_posterior_gives_larger_error(self):
@@ -294,9 +323,24 @@ class TestBayesChannelError:
         wide = VariationalPosterior(base=model, mean=mean,
                                     log_std=np.full(64, np.log(0.04)))
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        e_narrow = bayes_channel_error(narrow, [1, 2, 3], 40, rng_a)
-        e_wide = bayes_channel_error(wide, [1, 2, 3], 40, rng_b)
+        e_narrow = bayes_channel_error(sample_dynamics(narrow, MIXED, [1, 2, 3], 40,
+                                                       rng_a))
+        e_wide = bayes_channel_error(sample_dynamics(wide, MIXED, [1, 2, 3], 40,
+                                                     rng_b))
         assert e_wide > 3.0 * e_narrow
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 2.5], [1.0, 2.0, 3.0], [0.0, 0.0]])
+    def test_matches_two_loop_oracle(self, d_er, times):
+        # The spread of the band draws equals the spread the separate draw
+        # loop gave on the same stream, over the positive times (all times
+        # when none is positive).
+        post = spread_posterior(d_er)
+        dyn = sample_dynamics(post, MIXED, times, 5, np.random.default_rng(21))
+        spread_times = [t for t in times if t > 0] or times
+        want = oracles.bayes_channel_error_two_loop(post, spread_times, 5,
+                                                    np.random.default_rng(21))
+        assert bayes_channel_error(dyn) == want
 
 
 class TestSerialization:

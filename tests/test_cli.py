@@ -18,6 +18,7 @@ from embedlearn.train import TrainConfig, select_d_er
 
 MARKOV_PAIRS = jsonio.matrix_to_pairs(
     kron(0.3 * SIGMA_X, np.eye(4, dtype=np.complex128)))
+NAN_HAMILTONIAN = [[math.nan, 0.0]] + MARKOV_PAIRS[1:]
 ZERO = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
 
@@ -157,6 +158,12 @@ class TestConfigShapes:
         ("train", {"train": {"lr": math.inf}}),
         ("tomo", {"tomo": {"shots_per_channel": 0}}),
         ("tomo", {"tomo": {"shots_per_channel": -3}}),
+        ("generate", {"data": {"tau": "1.0"}}),
+        ("train", {"train": {"lr": True}}),
+        ("bayes", {"bayes": {"d_er": 1, "lr": "0.01"}}),
+        ("generate", {"data": {"hamiltonian": NAN_HAMILTONIAN}}),
+        ("generate", {"data": {"tau": 10 ** 400}}),
+        ("predict", {"predict": {"d_er": 1, "times": [1.0, 10 ** 400]}}),
     ])
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):

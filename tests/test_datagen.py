@@ -84,6 +84,14 @@ class TestCollisionConfig:
         with pytest.raises(ValueError):
             CollisionModelConfig(hamiltonian=np.eye(4))
 
+    @pytest.mark.parametrize("name,side", [("hamiltonian", 8), ("rho_r", 2),
+                                           ("rho_ss1_0", 4)])
+    def test_non_finite_matrices_rejected(self, name, side):
+        m = np.eye(side, dtype=np.complex128) / side
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError, match=name):
+            CollisionModelConfig(**{name: m})
+
     def test_digest_tracks_content(self):
         a = CollisionModelConfig()
         b = CollisionModelConfig(collisions_per_period=4)

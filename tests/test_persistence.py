@@ -12,12 +12,14 @@ import pytest
 
 import embedlearn
 from embedlearn import jsonio
+from embedlearn.bayes import VariationalPosterior, load_posterior, save_posterior
 from embedlearn.datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
                                 generate_trajectory, load_dataset, save_dataset)
 from embedlearn.embedding import (load_model, make_embedding, model_from_dict, model_to_dict,
                                   save_model)
 from embedlearn.errors import DataError
 from embedlearn.qla import DimSpec
+from embedlearn.train import pack_hermitian
 
 import oracles
 
@@ -113,6 +115,23 @@ class TestModelFiles:
         obj["dims"]["d_s"] = value
         with pytest.raises(ValueError, match="dims.d_s must be an integer"):
             model_from_dict(obj)
+
+
+class TestPosteriorFiles:
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_bytes_match_streaming_writer(self, tmp_path, d_er):
+        model = random_model(np.random.default_rng(20 + d_er), d_er)
+        rng = np.random.default_rng(30 + d_er)
+        mean = pack_hermitian(model.h) + 1e-3 * rng.standard_normal(model.dims.d_total ** 2)
+        mean[1] = -0.0
+        log_std = np.log(rng.uniform(1e-9, 1.0, mean.size))
+        post = VariationalPosterior(base=model, mean=mean, log_std=log_std)
+        save_posterior(post, tmp_path / "new.json")
+        oracles.legacy_save_posterior(tmp_path / "old.json", post)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        back = load_posterior(tmp_path / "new.json")
+        assert back.mean.tobytes() == mean.tobytes()
+        assert back.log_std.tobytes() == log_std.tobytes()
 
 
 def records_with_signed_zeros(n):

@@ -165,6 +165,14 @@ class TestHermEig:
         with pytest.raises(ValueError):
             herm_eig(m)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(4, dtype=np.complex128)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm_eig(m)
+
 
 class TestExpmUnitary:
     def test_zero_hamiltonian(self):
