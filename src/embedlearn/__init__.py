@@ -11,7 +11,7 @@ simulation and standard process tomography.
 
 from .errors import (BranchCutError, ConfigError, DataError, DivergenceError,
                      EmbedlearnError, FixedPointError, IllConditionedError,
-                     NumericalError, ZeroProbabilityError)
+                     NumericalError, TomographyError, ZeroProbabilityError)
 from .qla import DimSpec, bloch_vector, dagger, haar_random_pure_state, hermitianize, \
     kron, logm_principal, ptrace, trace_norm, unvec, vec
 from .embedding import (GeneratorSuperoperator, MarkovianEmbedding,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchCutError", "ConfigError", "DataError", "DivergenceError",
     "EmbedlearnError", "FixedPointError", "IllConditionedError",
-    "NumericalError", "ZeroProbabilityError",
+    "NumericalError", "TomographyError", "ZeroProbabilityError",
     "DimSpec", "bloch_vector", "dagger", "haar_random_pure_state",
     "hermitianize", "kron", "logm_principal", "ptrace", "trace_norm",
     "unvec", "vec",

@@ -10,13 +10,12 @@ maps lacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embedding import GeneratorSuperoperator
-from .errors import IllConditionedError, NumericalError
+from .errors import IllConditionedError, TomographyError
 from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unvec, vec
 
 POSITIVITY_TOL = 1e-8
@@ -33,13 +32,6 @@ class ChoiMatrix:
 
     matrix: CMatrix = field(repr=False)
     d: int
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitianize(self.matrix)).min())
-
-    def output_partial_trace_deviation(self) -> float:
-        red = ptrace(self.matrix, [self.d, self.d], [1])
-        return float(np.max(np.abs(red - np.eye(self.d) / self.d)))
 
 
 def choi_from_superop(m: CMatrix, d: int) -> ChoiMatrix:
@@ -168,13 +160,18 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
     step, a converged channel drops out.  Every channel's iterates are
     bitwise those of fitting it alone: stacked ``@`` and ``eigh`` compute
     each matrix as the 2-D calls do, the partial trace and I x L^-1/2
-    repeat the additions and products of ``ptrace`` and ``np.kron``, and
-    the probabilities and R are per-channel ``einsum`` calls.
+    repeat the additions and products of ``ptrace`` and ``np.kron``, the
+    log-likelihoods are one stacked row-times-column ``@`` and R one
+    stacked ``einsum``, and the probabilities are per-channel ``einsum``
+    calls (no stacked form of them was found to round the same way).
 
-    Counts must be finite and nonnegative with a positive total per
-    channel (``ValueError``).  ``NumericalError`` names the first channel
-    whose multiplier turns singular, whose likelihood turns non-finite or
-    that has not converged in ``max_iter`` iterations.
+    Only ``design.input_states`` and ``design.povm`` are read, so channels
+    simulated with different ``shots`` can share one stack.  Counts must
+    be finite and nonnegative with a positive total per channel
+    (``ValueError``).  ``TomographyError`` names the first channel whose
+    multiplier turns singular, whose likelihood turns non-finite or that
+    has not converged in ``max_iter`` iterations, and carries its index in
+    ``channel``.
     """
     d = design.input_states[0].shape[0]
     side = d * d
@@ -201,15 +198,16 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
             np.einsum("nab,ba->n", s_ops, om, out=raw[i])
         return np.clip(d * raw.real, 1e-300, None)
 
-    def loglik(c: int, logp: np.ndarray) -> float:
-        value = float(flat[c] @ logp)
-        if not math.isfinite(value):
-            raise NumericalError(f"tomography log-likelihood of channel {c} is not finite")
-        return value
+    def loglik(lanes: list[int], p: np.ndarray) -> list[float]:
+        values = (flat[lanes][:, None, :] @ np.log(p)[:, :, None])[:, 0, 0]
+        bad = ~np.isfinite(values)
+        if bad.any():
+            c = lanes[int(np.argmax(bad))]
+            raise TomographyError(f"tomography log-likelihood of channel {c} is not finite", c)
+        return values.tolist()
 
     def weighted_effects(lanes: list[int], p: np.ndarray) -> CMatrix:
-        return hermitianize(np.stack([np.einsum("n,nab->ab", flat[c] / pc, s_ops)
-                                      for c, pc in zip(lanes, p)]))
+        return hermitianize(np.einsum("cn,nab->cab", flat[lanes] / p, s_ops))
 
     n_ch = len(flat)
     if not n_ch:
@@ -218,8 +216,7 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
     eye_d = np.eye(d, dtype=np.complex128)
     omega = np.repeat((identity / side)[None], n_ch, axis=0)
     p = probs(omega)
-    logp = np.log(p)
-    current = [loglik(c, logp[c]) for c in range(n_ch)]
+    current = loglik(list(range(n_ch)), p)
     r = weighted_effects(list(range(n_ch)), p)
     step = [1.0] * n_ch
     iters = [0] * n_ch
@@ -236,17 +233,16 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
         w, v = np.linalg.eigh(hermitianize(lam))
         singular = w.min(axis=1) <= 1e-15
         if singular.any():
-            raise NumericalError("tomography constraint multiplier is singular in "
-                                 f"channel {active[int(np.argmax(singular))]}")
+            c = active[int(np.argmax(singular))]
+            raise TomographyError("tomography constraint multiplier is singular in "
+                                  f"channel {c}", c)
         lam_isqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
         # I x L^-1/2 by the product np.kron forms.
         proj = (eye_d[:, None, :, None] * lam_isqrt[:, None, :, None, :]).reshape(m, side, side)
         cand = hermitianize(proj @ k @ proj / d)
         p = probs(cand)
-        logp = np.log(p)
         still, moved = [], []
-        for i, c in enumerate(active):
-            new = loglik(c, logp[i])
+        for i, (c, new) in enumerate(zip(active, loglik(active, p))):
             if new < current[c] - 1e-12 and step[c] >= 1e-6:
                 step[c] *= 0.5
                 still.append(c)
@@ -257,8 +253,8 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
                 continue
             iters[c] += 1
             if iters[c] == max_iter:
-                raise NumericalError(f"tomography MLE of channel {c} did not converge "
-                                     f"in {max_iter} iterations")
+                raise TomographyError(f"tomography MLE of channel {c} did not converge "
+                                      f"in {max_iter} iterations", c)
             step[c] = 1.0
             still.append(c)
             moved.append(i)

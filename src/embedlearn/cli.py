@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .datagen import (CollisionModelConfig, dataset_prefix,
                       split_dataset, validation_continuation)
 from .embedding import (equilibrium_er_state, extract_generator, load_model,
                         predict_dynamics, save_model)
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, TomographyError
 from .likelihood import conditional_validation_ll, forward_pass
 from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector, kron,
                   ptrace, trace_norm)
@@ -507,19 +508,36 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
                 f"channel spread {spread:.6f}")
 
 
-def _tomography_errors(cm: CollisionModelConfig, periods: list[int], shots: int,
-                       seed: int, *stream_names) -> list[float]:
-    """Simulate tomography of the exact channel at each period with ``shots``
-    per setting, reconstruct all of them in one lockstep MLE and return each
-    Choi-matrix error.  Period ``k`` samples from
-    ``seeds.stream(seed, *stream_names, k)``."""
-    _, chans = exact_reference_dynamics(cm, periods)
-    design = default_design(shots)
-    counts = np.stack([simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
-                       for k, ch in zip(periods, chans)])
-    ests = tomography_mle(counts, design)
-    return [0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix)
-            for est, ch in zip(ests, chans)]
+def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[int], int, tuple]],
+                       seed: int) -> list[list[float]]:
+    """Choi-matrix errors of simulated tomography of the exact channels,
+    one list per group.
+
+    A group is (label, periods, shots per setting, stream names); period
+    ``k`` of a group samples its counts from ``seeds.stream(seed, *names,
+    k)``.  The channels of all groups are reconstructed in one lockstep
+    MLE, which reads only the inputs and effects the groups share.  A
+    channel whose fit fails is reported by period and group (exit 4).
+    """
+    union = sorted({k for _, periods, _, _ in groups for k in periods})
+    by_k = dict(zip(union, exact_reference_dynamics(cm, union)[1]))
+    base = default_design(1)
+    lanes, counts = [], []
+    for label, periods, shots, names in groups:
+        design = replace(base, shots=shots)
+        for k in periods:
+            lanes.append((label, k))
+            counts.append(simulate_tomography_counts(by_k[k], design,
+                                                     seeds.stream(seed, *names, k)))
+    try:
+        ests = tomography_mle(np.stack(counts), base)
+    except TomographyError as exc:
+        label, k = lanes[exc.channel]
+        raise NumericalError(f"tomography of period {k} in the {label} group failed: "
+                             f"{exc}") from exc
+    errors = iter([0.5 * trace_norm(est.matrix - choi_from_superop(by_k[k], 2).matrix)
+                   for est, (_, k) in zip(ests, lanes)])
+    return [[next(errors) for _ in periods] for _, periods, _, _ in groups]
 
 
 def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
@@ -533,7 +551,18 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
         shots = max(1, _value(resolved["data"], "n_train", int) // len(periods))
     elif shots < 1:
         raise ConfigError(f"shots_per_channel must be >= 1, got {shots}")
-    errors = _tomography_errors(cm, periods, shots, resolved["seed"], "tomo")
+    groups = [("main", periods, shots, ("tomo",))]
+    # Optional budget-split scan: same total shot count spread over the
+    # first K channels, one row per K.
+    if tm["k_values"] is not None:
+        ks = sorted(set(_int_list(tm, "k_values")))
+        if ks[0] < 1:
+            raise ConfigError(f"k_values must be >= 1, got {ks}")
+        budget = _value(resolved["data"], "n_train", int)
+        groups += [(f"K = {kk}", list(range(1, kk + 1)), max(1, budget // kk),
+                    ("tomo-scan", kk)) for kk in ks]
+
+    errors, *scan = _tomography_errors(cm, groups, resolved["seed"])
     with open(out / "tomo_error.csv", "w", encoding="utf-8") as fh:
         fh.write("time,choi_error\n")
         for k, e in zip(periods, errors):
@@ -541,20 +570,10 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
     avg = float(np.mean(errors))
     _say(quiet, f"tomography with {shots} shots per channel: "
                 f"mean process-matrix error {avg:.6f}")
-
-    # Optional budget-split scan: same total shot count spread over the
-    # first K channels, one row per K.
     if tm["k_values"] is None:
         return
-    ks = sorted(set(_int_list(tm, "k_values")))
-    if ks[0] < 1:
-        raise ConfigError(f"k_values must be >= 1, got {ks}")
-    budget = _value(resolved["data"], "n_train", int)
     scan_rows = []
-    for kk in ks:
-        per = max(1, budget // kk)
-        errs = _tomography_errors(cm, list(range(1, kk + 1)), per,
-                                  resolved["seed"], "tomo-scan", kk)
+    for kk, (_, _, per, _), errs in zip(ks, groups[1:], scan):
         scan_rows.append((kk, per, float(np.mean(errs))))
         _say(quiet, f"K={kk}: {per} shots per channel, mean error {scan_rows[-1][2]:.6f}")
     with open(out / "tomo_vs_k.csv", "w", encoding="utf-8") as fh:

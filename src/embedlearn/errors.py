@@ -54,6 +54,17 @@ class ZeroProbabilityError(NumericalError):
         super().__init__(f"outcome probability is exactly zero at step {step}")
 
 
+class TomographyError(NumericalError):
+    """The tomography MLE of one channel of a stack failed.
+
+    The channel's index in the stack is carried in ``channel``.
+    """
+
+    def __init__(self, message: str, channel: int):
+        self.channel = channel
+        super().__init__(message)
+
+
 class FixedPointError(NumericalError):
     """Channel fixed point not unique enough to define an equilibrium state."""
 

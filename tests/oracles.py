@@ -8,7 +8,9 @@ touch it: :func:`choi_of_map` wraps its result in the library's Choi
 container, :func:`variational_objective` draws models with the
 posterior's own ``sample_model``, and :func:`tomography_mle_serial`, the
 bitwise reference of the batched tomography MLE, runs on the library's
-``hermitianize`` and ``ptrace``; :func:`bayes_channel_error_two_loop`, the
+``hermitianize`` and ``ptrace``; :func:`tomography_errors_per_group`, the
+reference of the CLI's one MLE per ``tomo`` command, simulates and fits
+each group through the library; :func:`bayes_channel_error_two_loop`, the
 bitwise reference of the posterior channel spread, draws and propagates
 through the library's ``_usable_draws`` and ``dynamics_maps``.  The helpers
 that only tests use (the
@@ -512,6 +514,19 @@ def choi_of_map(apply, d):
     return ChoiMatrix(matrix=omega / d, d=d)
 
 
+def choi_min_eigenvalue(choi):
+    """Smallest eigenvalue of the Hermitian part of a Choi matrix."""
+    m = np.asarray(choi.matrix)
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+
+
+def choi_output_partial_trace_deviation(choi):
+    """Largest entry of |tr_out(Omega) - I/d|: zero for a trace-preserving
+    map."""
+    red = ptrace_loops(choi.matrix, [choi.d, choi.d], [1])
+    return float(np.max(np.abs(red - np.eye(choi.d) / choi.d)))
+
+
 def choi_to_superop(choi):
     """Column-stacking superoperator matrix of a Choi matrix."""
     d = choi.d
@@ -533,7 +548,7 @@ def nonmonotonicity_flag(distances, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Serial tomography MLE.
+# Serial tomography MLE and the per-group tomography of the CLI.
 # ---------------------------------------------------------------------------
 
 def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=None):
@@ -591,6 +606,27 @@ def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=Non
         if abs(gain) < tol:
             return ChoiMatrix(matrix=omega, d=d)
     raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
+
+
+def tomography_errors_per_group(cm, periods, shots, seed, *stream_names):
+    """The CLI's tomography of one group before all groups of a ``tomo``
+    command shared one MLE, kept as the reference of the shared fit: the
+    exact channels of this group's periods, counts of period ``k`` drawn
+    from ``seeds.stream(seed, *stream_names, k)``, one lockstep MLE per
+    group and the Choi-matrix error of each estimate.  It runs on the
+    library's simulation, MLE and trace norm."""
+    from embedlearn import seeds
+    from embedlearn.assess import (choi_from_superop, default_design,
+                                   simulate_tomography_counts, tomography_mle)
+    from embedlearn.datagen import exact_reference_dynamics
+    from embedlearn.qla import trace_norm
+    _, chans = exact_reference_dynamics(cm, periods)
+    design = default_design(shots)
+    counts = np.stack([simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
+                       for k, ch in zip(periods, chans)])
+    ests = tomography_mle(counts, design)
+    return [0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix)
+            for est, ch in zip(ests, chans)]
 
 
 # ---------------------------------------------------------------------------

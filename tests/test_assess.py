@@ -17,8 +17,9 @@ from embedlearn.embedding import extract_generator, make_embedding
 from embedlearn.errors import IllConditionedError, NumericalError
 from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
 
-from oracles import (apply_choi, choi_of_map, choi_to_superop, nonmonotonicity_flag,
-                     tomography_mle_serial)
+from oracles import (apply_choi, choi_min_eigenvalue, choi_of_map,
+                     choi_output_partial_trace_deviation, choi_to_superop,
+                     nonmonotonicity_flag, tomography_mle_serial)
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 ONE = np.array([[0, 0], [0, 1]], dtype=np.complex128)
@@ -101,8 +102,8 @@ class TestChoiOfMap:
             choi = choi_of_map(chan, 2)
             assert abs(np.trace(choi.matrix) - 1.0) < 1e-12
             assert np.max(np.abs(choi.matrix - choi.matrix.conj().T)) < 1e-12
-            assert choi.min_eigenvalue() >= -1e-10
-            assert choi.output_partial_trace_deviation() <= 1e-8
+            assert choi_min_eigenvalue(choi) >= -1e-10
+            assert choi_output_partial_trace_deviation(choi) <= 1e-8
 
 
 class TestSuperopConversions:
@@ -161,8 +162,8 @@ class TestDynamicsMaps:
             model = make_embedding(dims, 1.0, h, np.kron(ZERO, ZERO))
             gen = extract_generator(model)
             for choi in dynamics_maps(gen, dims, rho_er0, [0.5, 1.0, 3.0]):
-                assert choi.min_eigenvalue() >= -1e-10
-                assert choi.output_partial_trace_deviation() <= 1e-8
+                assert choi_min_eigenvalue(choi) >= -1e-10
+                assert choi_output_partial_trace_deviation(choi) <= 1e-8
                 assert abs(np.trace(choi.matrix) - 1.0) < 1e-10
 
     def test_negative_time_rejected(self):
@@ -313,8 +314,8 @@ class TestTomographyMle:
         counts = simulate_tomography_counts(sup, design,
                                             np.random.default_rng(8))
         est = tomography_mle(counts, design)
-        assert est.min_eigenvalue() >= -1e-10
-        assert est.output_partial_trace_deviation() <= 1e-8
+        assert choi_min_eigenvalue(est) >= -1e-10
+        assert choi_output_partial_trace_deviation(est) <= 1e-8
         assert abs(np.trace(est.matrix) - 1.0) < 1e-10
 
     def test_error_grows_as_sqrt_channels_at_fixed_budget(self):
@@ -438,8 +439,9 @@ class TestTomographyMleRefusals:
         counts = simulate_tomography_counts(mixed_test_superop(), design,
                                             np.random.default_rng(7))
         # Lane 0 converges in 16 iterations, lane 1 needs 603.
-        with pytest.raises(NumericalError, match="channel 1 did not converge in 100 "):
+        with pytest.raises(NumericalError, match="channel 1 did not converge in 100 ") as info:
             tomography_mle(np.stack([HALVING_COUNTS[0], counts]), design, max_iter=100)
+        assert info.value.channel == 1
 
 
 class TestPredictWithControl:

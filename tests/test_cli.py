@@ -12,9 +12,11 @@ from embedlearn import cli, jsonio
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import load_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
-from embedlearn.errors import ConfigError
+from embedlearn.errors import ConfigError, TomographyError
 from embedlearn.qla import SIGMA_X, SIGMA_Z, DimSpec, kron
 from embedlearn.train import TrainConfig, select_d_er
+
+import oracles
 
 MARKOV_PAIRS = jsonio.matrix_to_pairs(
     kron(0.3 * SIGMA_X, np.eye(4, dtype=np.complex128)))
@@ -478,6 +480,85 @@ class TestTomo:
                            {"tomo": {"times": [0, 1]}})
         assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--quiet"]) == 2
+
+    def test_bad_k_values_write_no_table(self, tmp_path, monkeypatch):
+        # The scan settings are checked before any channel is simulated.
+        def no_mle(*args, **kwargs):
+            raise AssertionError("tomography_mle must not run")
+
+        monkeypatch.setattr(cli, "tomography_mle", no_mle)
+        cfg = write_config(tmp_path / "c.json",
+                           {"tomo": {"times": [1, 2], "k_values": [0, 2]}})
+        out = tmp_path / "run"
+        assert main(["tomo", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert not (out / "tomo_error.csv").exists()
+
+    @pytest.mark.parametrize("channel,where", [
+        (1, "period 3 in the main group"),
+        (3, "period 1 in the K = 1 group"),
+        (5, "period 2 in the K = 3 group"),
+    ])
+    def test_failed_channel_named_by_period_and_group(self, tmp_path, monkeypatch,
+                                                      capsys, channel, where):
+        def failing_mle(counts, design):
+            assert len(counts) == 7  # lanes: main 2, 3, 5; K = 1: 1; K = 3: 1, 2, 3
+            raise TomographyError(f"tomography MLE of channel {channel} did not "
+                                  "converge in 7 iterations", channel)
+
+        monkeypatch.setattr(cli, "tomography_mle", failing_mle)
+        cfg = write_config(tmp_path / "c.json", {
+            "data": {"n_train": 300, "n_val": 4},
+            "tomo": {"times": [2, 3, 5], "k_values": [3, 1, 3]},
+        })
+        out = tmp_path / "run"
+        assert main(["tomo", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert where in err
+        assert "did not converge in 7 iterations" in err
+        assert not (out / "tomo_error.csv").exists()
+
+    @pytest.mark.parametrize("tomo", [
+        {"times": [1, 2], "shots_per_channel": 400, "k_values": [1, 2]},
+        {"times": [6, 2, 9, 2], "k_values": [4, 1, 3]},
+    ])
+    def test_tables_match_per_group_oracle(self, tmp_path, monkeypatch, tomo):
+        cfg = write_config(tmp_path / "c.json",
+                           {"data": {"n_train": 900, "n_val": 4}, "tomo": tomo})
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "one"),
+                     "--quiet"]) == 0
+
+        def per_group(cm, groups, seed):
+            return [oracles.tomography_errors_per_group(cm, periods, shots, seed, *names)
+                    for _, periods, shots, names in groups]
+
+        monkeypatch.setattr(cli, "_tomography_errors", per_group)
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "groups"),
+                     "--quiet"]) == 0
+        for name in ("tomo_error.csv", "tomo_vs_k.csv"):
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "groups" / name).read_bytes())
+
+    def test_one_mle_and_one_reference_per_command(self, tmp_path, monkeypatch):
+        calls = {"tomography_mle": 0, "exact_reference_dynamics": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        cfg = write_config(tmp_path / "c.json", {
+            "data": {"n_train": 600, "n_val": 4},
+            "tomo": {"times": [1, 4], "k_values": [2, 3]},
+        })
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--quiet"]) == 0
+        assert calls == {"tomography_mle": 1, "exact_reference_dynamics": 1}
 
 
 class TestCompare:
