@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import GeneratorSuperoperator
+from .embedding import GeneratorSuperoperator, _nonnegative_times
 from .errors import IllConditionedError, TomographyError
 from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unvec, vec
 
@@ -36,9 +36,15 @@ class ChoiMatrix:
 
 def choi_from_superop(m: CMatrix, d: int) -> ChoiMatrix:
     """Choi matrix from a column-stacking superoperator matrix."""
-    m4 = np.asarray(m, dtype=np.complex128).reshape(d, d, d, d)
-    omega = m4.transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-    return ChoiMatrix(matrix=omega, d=d)
+    return ChoiMatrix(matrix=_choi_matrices(np.asarray(m, dtype=np.complex128), d), d=d)
+
+
+def _choi_matrices(m: CMatrix, d: int) -> CMatrix:
+    """Choi matrices of a stack of column-stacking superoperator matrices."""
+    lead = m.shape[:-2]
+    k = len(lead)
+    m4 = m.reshape(lead + (d, d, d, d)).transpose(*range(k), k + 1, k + 3, k, k + 2)
+    return m4.reshape(lead + (d * d, d * d)) / d
 
 
 def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
@@ -48,20 +54,26 @@ def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
     Each map sends an S input through x -> tr_ER[exp(t L)(x tensor
     rho_er0)]; maps are returned as Choi matrices on S.
     """
+    return [ChoiMatrix(matrix=c, d=dims.d_s) for c in reduced_chois(gen, dims, rho_er0, times)]
+
+
+def reduced_chois(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
+                  times: list[float]) -> CMatrix:
+    """The Choi matrices of :func:`dynamics_maps` stacked, (times, d_s**2,
+    d_s**2); a stacked generator with a matching stack of reservoir states
+    gives (..., times, d_s**2, d_s**2)."""
     d_s, d_er = dims.d_s, dims.d_er
+    times = _nonnegative_times(times)
     # Column j*d_s + i holds vec(|i><j| x rho_er0); a column-stacked joint
     # state has axes (j_s, j_er, i_s, i_er).
     eye = np.eye(d_s, dtype=np.complex128)
-    basis = np.einsum("aj,bi,ef->afbeji", eye, eye, np.asarray(rho_er0, dtype=np.complex128))
-    flow = gen.flow(basis.reshape(dims.d ** 2, d_s * d_s))
-    out = []
-    for t in times:
-        if t < 0:
-            raise ValueError(f"times must be nonnegative, got {t}")
-        joint = flow(float(t)).reshape(d_s, d_er, d_s, d_er, d_s * d_s)
-        m = np.einsum("jeiec->jic", joint).reshape(d_s * d_s, d_s * d_s)  # tr_ER
-        out.append(choi_from_superop(m, d_s))
-    return out
+    rho_er0 = np.asarray(rho_er0, dtype=np.complex128)
+    basis = np.einsum("aj,bi,...ef->...afbeji", eye, eye, rho_er0)
+    cols = basis.reshape(rho_er0.shape[:-2] + (dims.d ** 2, d_s * d_s))
+    joint = gen.propagate(cols, times)
+    joint = joint.reshape(joint.shape[:-2] + (d_s, d_er, d_s, d_er, d_s * d_s))
+    m = np.einsum("...jeiec->...jic", joint)  # tr_ER
+    return _choi_matrices(m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s)), d_s)
 
 
 def average_choi_error(chois_a: list[ChoiMatrix], chois_b: list[ChoiMatrix]) -> float:

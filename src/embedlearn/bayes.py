@@ -18,15 +18,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .embedding import (MarkovianEmbedding, equilibrium_er_state, extract_generator,
-                        model_from_dict, model_to_dict, predict_dynamics)
-from .assess import dynamics_maps
-from .errors import (BranchCutError, DataError, DivergenceError, FixedPointError,
-                     IllConditionedError, NumericalError, ZeroProbabilityError)
-from .likelihood import build_cache, log_likelihood_gradient
-from .qla import bloch_vector, kron, trace_norm
+from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, equilibrium_er_state,
+                        model_from_dict, model_to_dict, predict_dynamics,
+                        superoperator_matrix)
+from .assess import reduced_chois
+from .errors import (DataError, DivergenceError, FixedPointError, NumericalError,
+                     ZeroProbabilityError)
+from .likelihood import _projector_vectors, build_caches, log_likelihood_gradient
+from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, herm_eig, kron, logm_principal_stack,
+                  spectral_unitary)
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
                     unpack_hermitian)
+
+# Posterior draws decomposed and pushed forward together: bounds the memory
+# of the stacked decompositions, whatever the number of draws is.
+DRAW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -65,9 +71,10 @@ def fit_gaussian_posterior(value_and_grad, mean0: np.ndarray, log_std0: np.ndarr
                            ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Adam descent on the variational objective of a factorized Gaussian.
 
-    ``value_and_grad(theta) -> (float, grad)`` evaluates the target
-    log-density at one draw.  Each iteration uses ``cfg.mc_samples`` fresh
-    reparameterized draws theta = mean + exp(log_std) * eps and descends
+    Each iteration draws ``cfg.mc_samples`` fresh reparameterized draws
+    theta = mean + exp(log_std) * eps as the rows of one stack, and
+    ``value_and_grad(thetas) -> [(float, grad), ...]`` evaluates the target
+    log-density at every row, in row order.  It descends
 
         objective = -sum(log_std) - average log-density.
 
@@ -93,12 +100,12 @@ def fit_gaussian_posterior(value_and_grad, mean0: np.ndarray, log_std0: np.ndarr
         value_sum = 0.0
         g_mean = np.zeros(n)
         g_log_std = np.zeros(n)
-        for _ in range(cfg.mc_samples):
-            eps = rng.standard_normal(n)
-            value, grad = value_and_grad(mean + sigma * eps)
+        # One (samples, n) block is the same numbers as one draw per sample.
+        eps = rng.standard_normal((cfg.mc_samples, n))
+        for e, (value, grad) in zip(eps, value_and_grad(mean + sigma * eps), strict=True):
             value_sum += value
             g_mean += grad
-            g_log_std += grad * eps * sigma
+            g_log_std += grad * e * sigma
         k = cfg.mc_samples
         objective = -float(np.sum(log_std)) - value_sum / k
         trace.append(objective)
@@ -150,20 +157,13 @@ def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
 
     The mean starts at the model's own parameters and every standard
     deviation at ``cfg.init_sigma``.  Gradients use all merge points, so
-    each draw costs one full forward/backward sweep.
+    each draw costs one full forward/backward sweep; the sweeps of an
+    iteration's draws run in lockstep (:func:`score_draws`).
     """
-    dd = model.dims.d_total
-    n = len(data.records)
-    all_steps = np.arange(1, n + 1)
+    phis = _projector_vectors(model, data)
 
-    def value_and_grad(theta: np.ndarray):
-        m = model.with_h(unpack_hermitian(theta, dd))
-        try:
-            cache = build_cache(m, data)
-            g = log_likelihood_gradient(m, data, cache, all_steps)
-        except ZeroProbabilityError:
-            return cfg.floor_log_likelihood, np.zeros(theta.size)
-        return cache.log_likelihood(), gradient_to_params(g)
+    def value_and_grad(thetas: np.ndarray):
+        return score_draws(model, data, phis, thetas, cfg.floor_log_likelihood)
 
     rng = seeds.stream(cfg.seed, "bayes")
     mean0 = pack_hermitian(model.h)
@@ -174,30 +174,67 @@ def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
                                 objective_trace=trace)
 
 
+def score_draws(model: MarkovianEmbedding, data, phis: np.ndarray, thetas: np.ndarray,
+                floor: float) -> list[tuple[float, np.ndarray]]:
+    """(log-likelihood, packed gradient) of ``model`` with each row of
+    ``thetas`` as its packed Hamiltonian, over ``data`` with measured system
+    vectors ``phis``.  The sweeps of all rows run as the lanes of one loop
+    (:func:`~embedlearn.likelihood.build_caches`).  A row under which some
+    record has zero probability scores ``floor`` with a zero gradient."""
+    dd = model.dims.d_total
+    models = [model.with_h(unpack_hermitian(theta, dd)) for theta in thetas]
+    all_steps = np.arange(1, len(data.records) + 1)
+    scores = []
+    for m, cache in zip(models, build_caches(models, data, phis)):
+        score = (floor, np.zeros(thetas.shape[1]))
+        if cache is not None:
+            try:
+                g = log_likelihood_gradient(m, data, cache, all_steps)
+                score = (cache.log_likelihood(), gradient_to_params(g))
+            except ZeroProbabilityError:
+                pass
+        scores.append(score)
+    return scores
+
+
 def _usable_draws(posterior: VariationalPosterior, n_draws: int,
                   rng: np.random.Generator):
-    """Yield (model, generator, equilibrium reservoir state) for usable draws.
+    """Yield the usable draws in blocks, in attempt order, each block as a
+    stacked generator and its equilibrium reservoir states.
 
     Draws whose channel has no principal logarithm or no unique stationary
     state are skipped and resampled; total attempts are capped at ten per
-    requested draw.
+    requested draw.  Up to ``DRAW_BLOCK`` attempts are drawn and decomposed
+    together, but never more than the draws still missing, so the stream,
+    the draws and the attempt count are those of one attempt at a time.
     """
-    dims = posterior.base.dims
+    base = posterior.base
+    dims = base.dims
     tries = 0
     got = 0
     while got < n_draws:
         if tries >= 10 * n_draws:
             raise NumericalError(
                 f"only {got} of {n_draws} posterior draws usable in {tries} attempts")
-        tries += 1
-        m = posterior.sample_model(rng)
-        try:
-            gen = extract_generator(m)
-            er = equilibrium_er_state(gen, dims)
-        except (BranchCutError, IllConditionedError, FixedPointError):
-            continue
-        got += 1
-        yield m, gen, er
+        size = min(DRAW_BLOCK, n_draws - got, 10 * n_draws - tries)
+        tries += size
+        thetas = posterior.mean + posterior.std * rng.standard_normal((size, posterior.mean.size))
+        models = [base.with_h(unpack_hermitian(theta, dims.d_total)) for theta in thetas]
+        units = spectral_unitary(herm_eig(np.stack([m.h for m in models])), base.tau)
+        ok, log_w, v, v_inv = logm_principal_stack(
+            np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)]))
+        keep, ers = [], []
+        for j in range(len(log_w)):
+            try:
+                ers.append(equilibrium_er_state(
+                    GeneratorSuperoperator(log_w[j], v[j], v_inv[j], tau=base.tau), dims))
+            except FixedPointError:
+                continue
+            keep.append(j)
+        got += len(keep)
+        if keep:
+            yield (GeneratorSuperoperator(log_w[keep], v[keep], v_inv[keep], tau=base.tau),
+                   np.stack(ers))
 
 
 @dataclass(frozen=True)
@@ -213,18 +250,12 @@ class PosteriorDynamics:
     states: np.ndarray = field(repr=False)
     maps: np.ndarray = field(repr=False)
 
-    def entry_mean(self) -> np.ndarray:
-        return self.states.mean(axis=0)
-
-    def entry_std(self) -> np.ndarray:
-        dev = self.states - self.states.mean(axis=0)
-        return np.sqrt((np.abs(dev) ** 2).mean(axis=0))
-
     def bloch_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean, std) of the Bloch components, each of shape (times, 3)."""
         if self.states.shape[-1] != 2:
             raise ValueError("Bloch components need a two-level system")
-        vecs = np.stack([[bloch_vector(s) for s in draw] for draw in self.states])
+        vecs = np.stack([np.trace(self.states @ p, axis1=-2, axis2=-1).real
+                         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=-1)
         return vecs.mean(axis=0), vecs.std(axis=0)
 
     def bands_to_csv(self, path) -> None:
@@ -245,7 +276,8 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
 
     Each draw is diagonalized once.  It evolves ``rho_s0`` from a product
     with that draw's own equilibrium reservoir state, and its reduced maps
-    start from the same reservoir state.
+    start from the same reservoir state.  Each block of usable draws is
+    propagated to all times at once.
     """
     if n_draws < 2:
         raise ValueError("need at least two draws")
@@ -257,10 +289,13 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
     side = dims.d_s * dims.d_s
     states = np.empty((n_draws, times.size, dims.d_s, dims.d_s), dtype=np.complex128)
     maps = np.empty((n_draws, times.size, side, side), dtype=np.complex128)
-    grid = list(times)
-    for i, (_, gen, er) in enumerate(_usable_draws(posterior, n_draws, rng)):
-        states[i] = np.stack(predict_dynamics(gen, dims, kron(rho_s0, er), grid))
-        maps[i] = np.stack([c.matrix for c in dynamics_maps(gen, dims, er, grid)])
+    i = 0
+    for gen, ers in _usable_draws(posterior, n_draws, rng):
+        j = i + len(ers)
+        rho0 = np.stack([kron(rho_s0, er) for er in ers])
+        states[i:j] = predict_dynamics(gen, dims, rho0, times)
+        maps[i:j] = reduced_chois(gen, dims, ers, times)
+        i = j
     return PosteriorDynamics(times=times, states=states, maps=maps)
 
 
@@ -276,10 +311,10 @@ def bayes_channel_error(dyn: PosteriorDynamics) -> float:
     chois = dyn.maps[:, keep] if keep.any() else dyn.maps
     n_draws, n_times = chois.shape[:2]
     center = chois.mean(axis=0)
+    norms = np.linalg.svd(chois - center, compute_uv=False).sum(axis=-1)
     total = 0.0
-    for i in range(n_draws):
-        for t in range(n_times):
-            total += trace_norm(chois[i, t] - center[t])
+    for norm in norms.ravel():  # in draw-then-time order
+        total += float(norm)
     return total / (2.0 * n_draws * n_times)
 
 

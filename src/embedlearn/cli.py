@@ -546,6 +546,10 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
     periods = _int_list(tm, "times")
     if min(periods) < 1:
         raise ConfigError(f"tomo times must be periods >= 1, got {periods}")
+    repeated = next((k for i, k in enumerate(periods) if k in periods[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"tomo times must be distinct periods; {repeated} is repeated "
+                          f"in {periods}")
     shots = _value(tm, "shots_per_channel", int, allow_none=True)
     if shots is None:
         shots = max(1, _value(resolved["data"], "n_train", int) // len(periods))

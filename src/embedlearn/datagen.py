@@ -20,6 +20,7 @@ step; only the first record is drawn from the joint state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -490,33 +491,45 @@ def load_dataset(path) -> Dataset:
 
     The first bad record line is reported: a line that does not parse, a
     step that breaks contiguity, an outcome out of range or a basis that is
-    not unitary, whichever comes first in the file.
+    not unitary, whichever comes first in the file.  Lines are split as
+    ``str.splitlines`` splits the whole text and parsed ``CHUNK`` at a time
+    as they are read, so neither the text nor its parsed lines are held
+    whole.
     """
+    steps, bases, outcomes = [], [], []
+    parse_error = None
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-        tau = float(header["tau"])
-        if not 0 < tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {tau}")
-        d_s = jsonio.ensure_int(header["d_s"], "d_s")
-        if d_s < 1:
-            raise ValueError(f"d_s must be >= 1, got {d_s}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad header line: {exc}") from exc
-    lines = lines[1:]
-    if not lines:
+        lines = (ln for raw in fh for ln in raw.splitlines() if ln.strip())
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: empty dataset file")
+        try:
+            header = json.loads(first)
+            tau = float(header["tau"])
+            if not 0 < tau < math.inf:
+                raise ValueError(f"tau must be positive and finite, got {tau}")
+            d_s = jsonio.ensure_int(header["d_s"], "d_s")
+            if d_s < 1:
+                raise ValueError(f"d_s must be >= 1, got {d_s}")
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad header line: {exc}") from exc
+        while block := list(itertools.islice(lines, CHUNK)):
+            try:
+                parsed = _parse_records(block, d_s)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                # Error path only: the records before the first unparsable
+                # line still get their checks, so the first bad line is the
+                # one reported.
+                i, parse_error = _first_unparsable(block, d_s)
+                parsed = _parse_records(block[:i], d_s)
+            steps += parsed[0]
+            bases.append(parsed[1])
+            outcomes += parsed[2]
+            if parse_error is not None:
+                break
+    if not bases:
         raise DataError(f"{path}: no records")
-    try:
-        steps, bases, outcomes = _parse_records(lines, d_s)
-        parse_error = None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        # Error path only: the records before the first unparsable line
-        # still get their checks, so the first bad line is the one reported.
-        i, parse_error = _first_unparsable(lines, d_s)
-        steps, bases, outcomes = _parse_records(lines[:i], d_s)
+    bases = np.concatenate(bases)
     bad = _first_bad_record(steps, bases, outcomes, d_s)
     if bad is not None:
         raise DataError(f"{path}: {bad}")

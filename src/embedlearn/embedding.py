@@ -32,7 +32,6 @@ from .qla import (
     logm_principal,
     ptrace,
     unvec,
-    vec,
 )
 
 PSD_TOL = 1e-10
@@ -71,7 +70,8 @@ class GeneratorSuperoperator:
     diagonalized as the factors of :func:`~embedlearn.qla.logm_principal`:
     tau L = V diag(log w) V⁻¹ over the eigenvalues w of the period channel,
     so exp(t L) = V diag(w**(t/tau)) V⁻¹.  L acts on column-stacked density
-    matrices of the joint system + reservoir space.
+    matrices of the joint system + reservoir space.  The factors may carry
+    leading stack axes, one generator per entry, for :meth:`propagate`.
     """
 
     log_eigenvalues: np.ndarray
@@ -96,6 +96,18 @@ class GeneratorSuperoperator:
             return self.eigenvectors @ (scale * coords.T).T  # scales the rows
 
         return at
+
+    def propagate(self, x: CMatrix, times: np.ndarray) -> CMatrix:
+        """exp(t L) x at every time of ``times`` for a block of columns x,
+        (..., D, c) -> (..., times, D, c); rows at t = 0 are x itself.  A
+        stacked generator evolves each block of a matching stack of x.
+        Every time is the same products as :meth:`flow` at that time."""
+        coords = self.inverse @ x
+        scale = np.exp((times / self.tau)[:, None] * self.log_eigenvalues[..., None, :])
+        z = scale[..., None, :] * coords.swapaxes(-1, -2)[..., None, :, :]
+        out = self.eigenvectors[..., None, :, :] @ z.swapaxes(-1, -2)
+        out[..., times == 0, :, :] = x[..., None, :, :]
+        return out
 
 
 def make_embedding(dims: DimSpec, tau: float, h: CMatrix, rho0_ser: CMatrix,
@@ -245,20 +257,27 @@ def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
 
 
 def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatrix,
-                     times: list[float]) -> list[CMatrix]:
-    """System states tr_ER[exp(t L) rho_ser0] at the requested times.
+                     times: list[float]) -> CMatrix:
+    """System states tr_ER[exp(t L) rho_ser0] at the requested times,
+    stacked (times, d_s, d_s); a stacked generator with a matching stack of
+    initial states gives (..., times, d_s, d_s).
 
     Output states are symmetrized against roundoff drift; trace and
     positivity are up to the quality of the generator, not enforced.
     """
-    flow = gen.flow(vec(rho_ser0))
-    out = []
+    times = _nonnegative_times(times)
+    rho_ser0 = np.asarray(rho_ser0)
+    cols = rho_ser0.swapaxes(-1, -2).reshape(rho_ser0.shape[:-2] + (-1, 1))  # vec
+    joint = gen.propagate(cols, times)[..., 0]
+    rho = hermitianize(joint.reshape(joint.shape[:-1] + (dims.d, dims.d)).swapaxes(-1, -2))
+    return ptrace(rho, [dims.d_s, dims.d_er], [0])
+
+
+def _nonnegative_times(times) -> np.ndarray:
     for t in times:
         if t < 0:
             raise ValueError(f"times must be nonnegative, got {t}")
-        rho = hermitianize(unvec(flow(float(t))))
-        out.append(ptrace(rho, [dims.d_s, dims.d_er], [0]))
-    return out
+    return np.array([float(t) for t in times], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ and from U to H through the divided differences of exp(-i tau z).
 from __future__ import annotations
 
 import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,38 +192,90 @@ def _dense_effects(m: np.ndarray, phis: np.ndarray,
     return prev / np.where(norms > 0.0, norms, 1.0)[:, None, None], norms
 
 
-def _filter(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
-            records, out: np.ndarray) -> np.ndarray:
-    """The one scoring loop, run by both sweeps.  ``x`` is the flattened
-    reservoir block after the record with vector ``phis[0]`` and ``log0``
-    its running log; condition on ``phis[1:]`` in turn.  Writes one
-    flattened block per record into ``out`` and returns the running logs,
-    ``log0`` first; ``records`` give the step a zero-probability error
-    reports."""
-    n = len(phis) - 1
-    k = x.size
+def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The one scoring loop, run by both sweeps, over a leading axis of
+    independent lanes.  Lane s runs under the transfer basis ``basis[s]``:
+    ``x[s]`` is the flattened reservoir block after the record with vector
+    ``phis[s][0]`` and ``log0[s]`` its running log; the lane conditions on
+    ``phis[s][1:]`` in turn and writes one flattened block per record into
+    ``out[s]``.
+
+    Returns the running logs, (lanes, n + 1) with ``log0`` first, and per
+    lane the index of its first record of zero probability, or -1.  A lane
+    that meets such a record holds no meaningful blocks or logs from there
+    on, and the other lanes run on.  One lane runs the plain matrix-vector
+    loop; several run in lockstep as one stack, every lane bitwise equal to
+    its own one-lane loop.
+    """
+    lanes, k = x.shape
+    n = len(phis[0]) - 1
     unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
-    ps = np.empty(n)
+    ps = np.empty((lanes, n))
+    bad = np.full(lanes, -1)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        t = _transfers(basis, phis[start:stop], phis[start + 1:stop + 1])
+        t = [_transfers(b, ph[start:stop], ph[start + 1:stop + 1])
+             for b, ph in zip(basis, phis)]
         if k == 1:  # T_i is the probability of record i+1 given record i
-            ps[start:stop] = t[:, 0, 0].real
-            continue
-        for i, ti in enumerate(t, start):
-            y = ti @ x
-            p = (unit @ y).real
-            if p <= 0.0:
-                raise ZeroProbabilityError(records[i].step)
-            x = y / p
-            out[i] = x
-            ps[i] = p
-    bad = np.flatnonzero(ps <= 0.0)
-    if bad.size:
-        raise ZeroProbabilityError(records[bad[0]].step)
+            for s, ts in enumerate(t):
+                ps[s, start:stop] = ts[:, 0, 0].real
+        elif lanes == 1:
+            x1, out1, ps1 = x[0], out[0], ps[0]
+            for i, ti in enumerate(t[0], start):
+                y = ti @ x1
+                p = (unit @ y).real
+                if p <= 0.0:
+                    bad[0] = i
+                    return np.full((1, n + 1), np.nan), bad
+                x1 = y / p
+                out1[i] = x1
+                ps1[i] = p
+            x = x1[None]
+        else:
+            # A dead lane runs on with meaningless numbers, which may divide
+            # by zero or overflow; its first nonpositive probability is found
+            # afterwards.  (np.errstate would slow every step by a fifth.)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for i, ti in enumerate(np.stack(t, axis=1), start):
+                    y = np.matmul(ti, x[:, :, None])[:, :, 0]
+                    p = (y @ unit).real
+                    x = y / p[:, None]
+                    out[:, i] = x
+                    ps[:, i] = p
+    dead = ps <= 0.0
+    logs = np.full((lanes, n + 1), np.nan)
+    for s in range(lanes):
+        if dead[s].any():
+            bad[s] = dead[s].argmax()
+        else:
+            logs[s] = np.cumsum(np.concatenate(([log0[s]], np.log(ps[s]))))
     if k == 1:
-        out[:] = 1.0
-    return np.cumsum(np.concatenate(([log0], np.log(ps))))
+        out[...] = 1.0
+    return logs, bad
+
+
+def _filter_one(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
+                records, out: np.ndarray) -> np.ndarray:
+    """:func:`_filter` with one lane; ``records`` give the step a
+    zero-probability error reports."""
+    logs, bad = _filter([basis], x[None], np.array([log0]), [phis], out[None])
+    if bad[0] >= 0:
+        raise ZeroProbabilityError(records[bad[0]].step)
+    return logs[0]
+
+
+def _first_block(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, float]:
+    """The reservoir block after the first record, conditioned on the joint
+    state ``rho0`` by one joint-sized step under ``m``, and its probability."""
+    d_s = phis.shape[1]
+    d = rho0.shape[0]
+    d_er = d // d_s
+    evolved = (m @ rho0.T.ravel()).reshape(d, d).T
+    first = np.einsum("s,setf,t->ef", phis[0].conj(),
+                      evolved.reshape(d_s, d_er, d_s, d_er), phis[0])
+    return first, np.trace(first).real
 
 
 def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
@@ -231,20 +284,16 @@ def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
     the first record by one joint-sized step, the rest in product form.
     Returns the blocks (NaN at time 0) and the running logs."""
     n, d_s = phis.shape
-    d = rho0.shape[0]
-    d_er = d // d_s
+    d_er = rho0.shape[0] // d_s
     blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
     if n == 0:
         return blocks, np.zeros(1)
-    evolved = (m @ rho0.T.ravel()).reshape(d, d).T
-    first = np.einsum("s,setf,t->ef", phis[0].conj(),
-                      evolved.reshape(d_s, d_er, d_s, d_er), phis[0])
-    p = np.trace(first).real
+    first, p = _first_block(m, rho0, phis)
     if p <= 0.0:
         raise ZeroProbabilityError(records[0].step)
     blocks[1] = first / p
-    logs = _filter(_transfer_basis(m, d_s), blocks[1].ravel(), np.log(p), phis,
-                   records[1:], blocks[2:].reshape(n - 1, d_er * d_er))
+    logs = _filter_one(_transfer_basis(m, d_s), blocks[1].ravel(), np.log(p), phis,
+                       records[1:], blocks[2:].reshape(n - 1, d_er * d_er))
     return blocks, np.concatenate(([0.0], logs))
 
 
@@ -278,9 +327,9 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
         blocks[n] = np.eye(d_er)
         # The dual loop writes beta_{n-1}, ..., beta_1 and returns the logs
         # of beta_n, ..., beta_1.
-        logs[:0:-1] = _filter(_transfer_basis(m.conj().T, model.dims.d_s),
-                              blocks[n].ravel(), 0.0, phis[::-1], data.records[:0:-1],
-                              blocks[1:n].reshape(n - 1, d_er * d_er)[::-1])
+        logs[:0:-1] = _filter_one(_transfer_basis(m.conj().T, model.dims.d_s),
+                                  blocks[n].ravel(), 0.0, phis[::-1], data.records[:0:-1],
+                                  blocks[1:n].reshape(n - 1, d_er * d_er)[::-1])
         _, norm = _dense_effects(m, phis[:1], blocks[1:2])
         if norm[0] <= 0.0:
             raise ZeroProbabilityError(data.records[0].step)
@@ -297,6 +346,66 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     """Both sweeps in one cache, the forward sweep first."""
     return backward_pass(model, data, forward_pass(model, data))
+
+
+def build_caches(models: list[MarkovianEmbedding], data: Dataset,
+                 phis: np.ndarray) -> list[PropagationCache | None]:
+    """:func:`build_cache` of several models with the same dimensions over
+    one dataset, whose measured system vectors are ``phis``.  The forward
+    sweeps and the dual-channel backward sweeps of all models run as the
+    lanes of one :func:`_filter` loop, so each cache is bitwise the one
+    :func:`build_cache` gives.  A model under which some record has zero
+    probability gets None in place of a cache; the others are unaffected."""
+    n = len(data.records)
+    caches, log0 = [], []
+    for model in models:
+        d_er = model.dims.d_er
+        spectrum = herm_eig(model.h)
+        m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
+        rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
+        cache = PropagationCache(
+            n=n, model=model, data=data, phis=phis, spectrum=spectrum, period_map=m,
+            rho0=rho0, forward_log_scale=np.zeros(n + 1), backward_log_scale=np.zeros(n + 1),
+            forward_blocks=np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128),
+            backward_blocks=np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128))
+        if n:
+            first, p = _first_block(m, rho0, phis)
+            if p <= 0.0:
+                cache = None
+            else:
+                cache.forward_blocks[1] = first / p
+                cache.backward_blocks[n] = np.eye(d_er)
+                log0.append(np.log(p))
+        caches.append(cache)
+    live = [i for i, c in enumerate(caches) if c is not None]
+    if n == 0 or not live:
+        return caches
+    # The forward lane of every live model, then its backward lane.
+    lanes = [caches[i] for i in live]
+    d_s, d_er = data.d_s, lanes[0].model.dims.d_er
+    k = d_er * d_er
+    basis = ([_transfer_basis(c.period_map, d_s) for c in lanes]
+             + [_transfer_basis(c.period_map.conj().T, d_s) for c in lanes])
+    x = np.stack([c.forward_blocks[1].ravel() for c in lanes]
+                 + [c.backward_blocks[n].ravel() for c in lanes])
+    out = np.empty((2 * len(live), n - 1, k), dtype=np.complex128)
+    logs, bad = _filter(basis, x, np.array(log0 + [0.0] * len(live)),
+                        [phis] * len(live) + [phis[::-1]] * len(live), out)
+    for s, (i, cache) in enumerate(zip(live, lanes)):
+        b = len(live) + s
+        if bad[s] >= 0 or bad[b] >= 0:
+            caches[i] = None
+            continue
+        cache.forward_blocks[2:] = out[s].reshape(n - 1, d_er, d_er)
+        cache.forward_log_scale[1:] = logs[s]
+        cache.backward_blocks[1:n] = out[b, ::-1].reshape(n - 1, d_er, d_er)
+        cache.backward_log_scale[:0:-1] = logs[b]
+        _, norm = _dense_effects(cache.period_map, phis[:1], cache.backward_blocks[1:2])
+        if norm[0] <= 0.0:
+            caches[i] = None
+            continue
+        cache.backward_log_scale[0] = cache.backward_log_scale[1] + np.log(norm[0])
+    return caches
 
 
 def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
@@ -331,9 +440,9 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    logs = _filter(_transfer_basis(m, model.dims.d_s), x,
-                   train_cache.forward_log_scale[-1], phis, data_val.records,
-                   np.empty((len(data_val.records), x.size), dtype=np.complex128))
+    logs = _filter_one(_transfer_basis(m, model.dims.d_s), x,
+                       train_cache.forward_log_scale[-1], phis, data_val.records,
+                       np.empty((len(data_val.records), x.size), dtype=np.complex128))
     return float(logs[-1] - logs[0]) / len(data_val.records)
 
 

@@ -112,22 +112,24 @@ def kron(*ms: CMatrix) -> CMatrix:
 def ptrace(rho: CMatrix, dims: list[int], keep: list[int]) -> CMatrix:
     """Partial trace over the subsystems not listed in ``keep``.
 
-    :param rho: square matrix on the tensor product of ``dims``.
+    :param rho: square matrix on the tensor product of ``dims``, or a stack
+        of them along leading axes.
     :param dims: subsystem dimensions, row-major order.
     :param keep: indices (into ``dims``) of the subsystems to retain,
         strictly increasing.  Their relative order is preserved in the output.
-    :return: reduced matrix on the kept subsystems.
+    :return: reduced matrix (or stack) on the kept subsystems.
     """
     rho = np.asarray(rho)
     dims = list(dims)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"shape {rho.shape} does not match dims {dims}")
     keep = list(keep)
     if keep != sorted(set(keep)) or any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep {keep} must be strictly increasing indices into dims")
     k = len(dims)
-    t = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + tuple(dims + dims))
     # Trace each dropped subsystem against its primed copy.
     row = list(range(k))
     col = list(range(k, 2 * k))
@@ -135,19 +137,20 @@ def ptrace(rho: CMatrix, dims: list[int], keep: list[int]) -> CMatrix:
         if i not in keep:
             col[i] = row[i]
     out_axes = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum(t, row + col, out_axes)
+    reduced = np.einsum(t, [...] + row + col, [...] + out_axes)
     side = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(side, side)
+    return reduced.reshape(lead + (side, side))
 
 
 def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix via LAPACK ``eigh``.
+    """Eigensystem of a Hermitian matrix, or of each matrix in a stack, via
+    LAPACK ``eigh``, which decomposes a stack one matrix at a time.
 
     Hermiticity is checked to ``tol`` in max-abs deviation, so a non-finite
     entry fails too; the symmetrized matrix is what gets decomposed.
     """
     m = np.asarray(m, dtype=np.complex128)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2))) if m.size else 0.0
     if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
     w, v = np.linalg.eigh(hermitianize(m))
@@ -155,9 +158,10 @@ def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
 
 
 def spectral_unitary(dec: SpectralDecomposition, t: float) -> CMatrix:
-    """exp(-i t H) from the eigensystem of a Hermitian H."""
+    """exp(-i t H) from the eigensystem of a Hermitian H (or of a stack)."""
     phases = np.exp(-1j * t * dec.eigenvalues)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    v = dec.eigenvectors
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm_unitary(h: CMatrix, t: float) -> CMatrix:
@@ -178,14 +182,31 @@ def logm_principal(m: CMatrix) -> tuple[npt.NDArray[np.complex128], CMatrix, CMa
     """
     m = np.asarray(m, dtype=np.complex128)
     w, v = np.linalg.eig(m)
-    for lam in w:
-        dist = abs(lam.imag) if lam.real <= 0.0 else abs(lam)
-        if dist < BRANCH_TOL:
-            raise BranchCutError(complex(lam))
+    near = _branch_distance(w) < BRANCH_TOL
+    if near.any():
+        raise BranchCutError(complex(w[np.argmax(near)]))
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise IllConditionedError(float(cond))
     return np.log(w), v, np.linalg.inv(v)  # principal branch, Im in (-pi, pi]
+
+
+def logm_principal_stack(m: CMatrix) -> tuple[np.ndarray, npt.NDArray[np.complex128],
+                                              CMatrix, CMatrix]:
+    """:func:`logm_principal` of each matrix of a stack (n, D, D), without
+    raising: the mask of the matrices it accepts and their factors, stacked.
+    LAPACK decomposes a stack one matrix at a time, so each accepted entry
+    is bitwise what :func:`logm_principal` returns for that matrix."""
+    w, v = np.linalg.eig(np.asarray(m, dtype=np.complex128))
+    cond = np.linalg.cond(v)
+    ok = (~(_branch_distance(w) < BRANCH_TOL).any(axis=-1)
+          & np.isfinite(cond) & (cond <= COND_CAP))
+    return ok, np.log(w[ok]), v[ok], np.linalg.inv(v[ok])
+
+
+def _branch_distance(w: np.ndarray) -> np.ndarray:
+    """Distance of each eigenvalue to the closed negative real axis."""
+    return np.where(w.real <= 0.0, np.abs(w.imag), np.abs(w))
 
 
 def trace_norm(m: CMatrix) -> float:

@@ -10,12 +10,15 @@ posterior's own ``sample_model``, and :func:`tomography_mle_serial`, the
 bitwise reference of the batched tomography MLE, runs on the library's
 ``hermitianize`` and ``ptrace``; :func:`tomography_errors_per_group`, the
 reference of the CLI's one MLE per ``tomo`` command, simulates and fits
-each group through the library; :func:`bayes_channel_error_two_loop`, the
-bitwise reference of the posterior channel spread, draws and propagates
-through the library's ``_usable_draws`` and ``dynamics_maps``.  The helpers
-that only tests use (the
-joint-space trajectory simulator, Choi conversions, a CSV dump, a
-Monte-Carlo objective) live here too.
+each group through the library; the serial posterior draws
+(:func:`fit_posterior_serial`, :func:`usable_draws_serial`,
+:func:`sample_dynamics_serial`), the bitwise references of the lockstep
+fit and the blocked push-forward, and :func:`bayes_channel_error_two_loop`,
+the reference of the posterior channel spread, sweep, decompose and
+propagate through the library's ``build_cache``, ``extract_generator``,
+``equilibrium_er_state`` and generator flow.  The helpers that only tests
+use (the joint-space trajectory simulator, Choi conversions, a CSV dump, a
+Monte-Carlo objective, posterior entry statistics) live here too.
 """
 from __future__ import annotations
 
@@ -636,8 +639,6 @@ def tomography_errors_per_group(cm, periods, shots, seed, *stream_names):
 def bayes_channel_error_two_loop(posterior, times, n_draws, rng):
     """The spread that drew its own posterior samples, apart from the band
     draws, kept as the bitwise reference of ``bayes_channel_error``."""
-    from embedlearn.assess import dynamics_maps
-    from embedlearn.bayes import _usable_draws
     from embedlearn.qla import trace_norm
     if n_draws < 2:
         raise ValueError("need at least two draws")
@@ -645,9 +646,8 @@ def bayes_channel_error_two_loop(posterior, times, n_draws, rng):
     dims = posterior.base.dims
     side = dims.d_s * dims.d_s
     chois = np.empty((n_draws, len(times), side, side), dtype=np.complex128)
-    for i, (_, gen, er) in enumerate(_usable_draws(posterior, n_draws, rng)):
-        maps = dynamics_maps(gen, dims, er, times)
-        chois[i] = np.stack([c.matrix for c in maps])
+    for i, (_, gen, er) in enumerate(usable_draws_serial(posterior, n_draws, rng)):
+        chois[i] = np.stack(dynamics_maps_per_time(gen, dims, er, times))
     center = chois.mean(axis=0)
     total = 0.0
     for i in range(n_draws):
@@ -693,3 +693,149 @@ def variational_objective(posterior, data, mc_samples, rng, floor=-1e6):
         except ValueError:
             total += floor
     return -float(np.sum(posterior.log_std)) - total / mc_samples
+
+
+# ---------------------------------------------------------------------------
+# Serial posterior draws: one sweep pair per fit draw, one push-forward per
+# attempt and per time.
+# ---------------------------------------------------------------------------
+
+def entry_mean(dyn):
+    """Across-draw mean of the states of a ``PosteriorDynamics``."""
+    return dyn.states.mean(axis=0)
+
+
+def entry_std(dyn):
+    """Across-draw standard deviation of each complex state entry."""
+    dev = dyn.states - dyn.states.mean(axis=0)
+    return np.sqrt((np.abs(dev) ** 2).mean(axis=0))
+
+
+def fit_gaussian_posterior_serial(value_and_grad, mean0, log_std0, cfg, rng):
+    """The variational descent that drew and scored one sample at a time,
+    kept as the bitwise reference of the batched ``fit_gaussian_posterior``;
+    ``value_and_grad(theta)`` scores one draw.  It runs on the library's
+    Adam step and stops on a non-finite objective only."""
+    from embedlearn.errors import DivergenceError
+    from embedlearn.train import AdamState, adam_update
+    mean = np.asarray(mean0, dtype=np.float64)
+    n = mean.size
+    params = np.concatenate([mean, np.asarray(log_std0, dtype=np.float64)])
+    adam = AdamState.fresh(2 * n)
+    trace = []
+    for _ in range(cfg.iterations):
+        mean, log_std = params[:n], params[n:]
+        sigma = np.exp(log_std)
+        value_sum = 0.0
+        g_mean = np.zeros(n)
+        g_log_std = np.zeros(n)
+        for _ in range(cfg.mc_samples):
+            eps = rng.standard_normal(n)
+            value, grad = value_and_grad(mean + sigma * eps)
+            value_sum += value
+            g_mean += grad
+            g_log_std += grad * eps * sigma
+        k = cfg.mc_samples
+        objective = -float(np.sum(log_std)) - value_sum / k
+        trace.append(objective)
+        if not np.isfinite(objective):
+            raise DivergenceError("variational objective is not finite", trace)
+        grad_obj = np.concatenate([-g_mean / k, -1.0 - g_log_std / k])
+        params, adam = adam_update(adam, params, -grad_obj, cfg)
+    return params[:n], params[n:], trace
+
+
+def score_draw_serial(model, data, theta, floor):
+    """One draw's (log-likelihood, packed gradient) by its own forward and
+    backward sweep (``build_cache``), ``floor`` and a zero gradient on a
+    zero-probability record: the per-draw target of ``fit_posterior``
+    before its draws ran as lanes."""
+    from embedlearn.errors import ZeroProbabilityError
+    from embedlearn.likelihood import build_cache, log_likelihood_gradient
+    from embedlearn.train import gradient_to_params, unpack_hermitian
+    m = model.with_h(unpack_hermitian(theta, model.dims.d_total))
+    try:
+        cache = build_cache(m, data)
+        g = log_likelihood_gradient(m, data, cache, np.arange(1, len(data.records) + 1))
+    except ZeroProbabilityError:
+        return floor, np.zeros(theta.size)
+    return cache.log_likelihood(), gradient_to_params(g)
+
+
+def fit_posterior_serial(model, data, cfg):
+    """``fit_posterior`` with one sweep pair per draw, one draw at a time:
+    (mean, log_std, objective trace)."""
+    import math
+
+    from embedlearn import seeds
+    from embedlearn.train import pack_hermitian
+    mean0 = pack_hermitian(model.h)
+    return fit_gaussian_posterior_serial(
+        lambda theta: score_draw_serial(model, data, theta, cfg.floor_log_likelihood),
+        mean0, np.full(mean0.size, math.log(cfg.init_sigma)), cfg,
+        seeds.stream(cfg.seed, "bayes"))
+
+
+def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
+    """Yield (model, generator, equilibrium reservoir state) for usable
+    draws, one attempt at a time through ``sample_model``,
+    ``extract_generator`` and ``equilibrium_er_state``; rejected attempts
+    are resampled, at most ten attempts per requested draw.  ``outcomes``,
+    if a list, receives True or False per attempt."""
+    from embedlearn.embedding import equilibrium_er_state, extract_generator
+    from embedlearn.errors import (BranchCutError, FixedPointError, IllConditionedError,
+                                   NumericalError)
+    dims = posterior.base.dims
+    tries = 0
+    got = 0
+    while got < n_draws:
+        if tries >= 10 * n_draws:
+            raise NumericalError(
+                f"only {got} of {n_draws} posterior draws usable in {tries} attempts")
+        tries += 1
+        m = posterior.sample_model(rng)
+        try:
+            gen = extract_generator(m)
+            er = equilibrium_er_state(gen, dims)
+        except (BranchCutError, IllConditionedError, FixedPointError):
+            if outcomes is not None:
+                outcomes.append(False)
+            continue
+        if outcomes is not None:
+            outcomes.append(True)
+        got += 1
+        yield m, gen, er
+
+
+def predict_dynamics_per_time(gen, dims, rho_ser0, times):
+    """Reduced states of the generator's flow, one time at a time."""
+    from embedlearn.qla import hermitianize, ptrace, unvec, vec
+    flow = gen.flow(vec(rho_ser0))
+    return [ptrace(hermitianize(unvec(flow(float(t)))), [dims.d_s, dims.d_er], [0])
+            for t in times]
+
+
+def dynamics_maps_per_time(gen, dims, rho_er0, times):
+    """Choi matrices of the reduced maps, one time at a time."""
+    d_s, d_er = dims.d_s, dims.d_er
+    eye = np.eye(d_s, dtype=np.complex128)
+    basis = np.einsum("aj,bi,ef->afbeji", eye, eye, np.asarray(rho_er0, dtype=np.complex128))
+    flow = gen.flow(basis.reshape(dims.d ** 2, d_s * d_s))
+    out = []
+    for t in times:
+        joint = flow(float(t)).reshape(d_s, d_er, d_s, d_er, d_s * d_s)
+        m4 = np.einsum("jeiec->jic", joint).reshape(d_s, d_s, d_s, d_s)
+        out.append(m4.transpose(1, 3, 0, 2).reshape(d_s * d_s, d_s * d_s) / d_s)
+    return out
+
+
+def sample_dynamics_serial(posterior, rho_s0, times, n_draws, rng, outcomes=None):
+    """(states, maps) of ``sample_dynamics`` by the serial draws and the
+    per-time push-forward of each draw."""
+    from embedlearn.qla import kron
+    dims = posterior.base.dims
+    states, maps = [], []
+    for _, gen, er in usable_draws_serial(posterior, n_draws, rng, outcomes):
+        states.append(predict_dynamics_per_time(gen, dims, kron(rho_s0, er), times))
+        maps.append(dynamics_maps_per_time(gen, dims, er, times))
+    return np.array(states), np.array(maps)

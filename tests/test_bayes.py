@@ -5,22 +5,29 @@ import numpy as np
 import pytest
 
 from embedlearn.assess import dynamics_maps
-from embedlearn.bayes import (BayesConfig, PosteriorDynamics,
-                              VariationalPosterior, _usable_draws, bayes_channel_error,
+from embedlearn.bayes import (DRAW_BLOCK, BayesConfig, PosteriorDynamics,
+                              VariationalPosterior, bayes_channel_error,
                               fit_gaussian_posterior, fit_posterior,
                               load_posterior, posterior_from_dict,
                               posterior_to_dict, sample_dynamics,
-                              save_posterior)
-from embedlearn.datagen import (CollisionModelConfig, Dataset,
+                              save_posterior, score_draws)
+from embedlearn.datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
                                 dataset_prefix, generate_trajectory)
 from embedlearn.embedding import make_embedding, predict_dynamics
-from embedlearn.errors import DataError, DivergenceError
-from embedlearn.likelihood import log_likelihood
+from embedlearn.errors import DataError, DivergenceError, NumericalError, ZeroProbabilityError
+from embedlearn.likelihood import (_record_vectors, build_cache, build_caches,
+                                   log_likelihood, log_likelihood_gradient)
 from embedlearn.qla import SIGMA_X, DimSpec, kron
 from embedlearn.train import TrainConfig, fit, init_model, pack_hermitian
 
 import oracles
 from oracles import variational_objective
+
+
+def batched(vg):
+    """A one-draw target as the batched callback fit_gaussian_posterior
+    takes: each row of the stack scored in turn."""
+    return lambda thetas: [vg(theta) for theta in thetas]
 
 
 def unitary_system_model():
@@ -91,7 +98,7 @@ class TestGaussianFitter:
         theta_star, v = 1.7, 0.09
         cfg = BayesConfig(iterations=1500, mc_samples=8, seed=4)
         mean, log_std, trace = fit_gaussian_posterior(
-            self.quadratic_target(theta_star, v), np.array([0.2]),
+            batched(self.quadratic_target(theta_star, v)), np.array([0.2]),
             np.array([np.log(0.01)]), cfg, np.random.default_rng(4))
         assert abs(mean[0] - theta_star) < 0.1
         assert abs(np.exp(log_std[0]) - np.sqrt(v)) / np.sqrt(v) < 0.2
@@ -105,10 +112,10 @@ class TestGaussianFitter:
         start = np.array([0.1])
         width = np.array([np.log(0.01)])
         _, ls1, _ = fit_gaussian_posterior(
-            self.quadratic_target(theta_star, v, 1.0), start, width, cfg,
+            batched(self.quadratic_target(theta_star, v, 1.0)), start, width, cfg,
             np.random.default_rng(4))
         _, ls2, _ = fit_gaussian_posterior(
-            self.quadratic_target(theta_star, v, 2.0), start, width, cfg,
+            batched(self.quadratic_target(theta_star, v, 2.0)), start, width, cfg,
             np.random.default_rng(5))
         ratio = np.exp(ls2[0]) / np.exp(ls1[0])
         assert ratio < 1.0
@@ -125,7 +132,7 @@ class TestGaussianFitter:
         cfg = BayesConfig(iterations=5000, mc_samples=1, seed=0,
                           divergence_window=20, divergence_margin=50.0)
         with pytest.raises(DivergenceError) as err:
-            fit_gaussian_posterior(vg, np.zeros(1), np.zeros(1), cfg,
+            fit_gaussian_posterior(batched(vg), np.zeros(1), np.zeros(1), cfg,
                                    np.random.default_rng(0))
         assert len(err.value.trace) >= 40
 
@@ -135,13 +142,13 @@ class TestGaussianFitter:
 
         cfg = BayesConfig(iterations=10, mc_samples=1, seed=0)
         with pytest.raises(DivergenceError):
-            fit_gaussian_posterior(vg, np.zeros(1), np.zeros(1), cfg,
+            fit_gaussian_posterior(batched(vg), np.zeros(1), np.zeros(1), cfg,
                                    np.random.default_rng(0))
 
     def test_shape_mismatch_rejected(self):
         cfg = BayesConfig(iterations=5, mc_samples=1, seed=0)
         with pytest.raises(ValueError):
-            fit_gaussian_posterior(lambda t: (0.0, np.zeros(2)), np.zeros(2),
+            fit_gaussian_posterior(batched(lambda t: (0.0, np.zeros(2))), np.zeros(2),
                                    np.zeros(3), cfg, np.random.default_rng(0))
 
 
@@ -221,12 +228,12 @@ class TestSampleDynamics:
         dyn = sample_dynamics(post, rho_s0, [0.0, 1.0, 2.0, 3.0], 4,
                               np.random.default_rng(1))
         assert dyn.states.shape == (4, 4, 2, 2)
-        assert np.max(dyn.entry_std()) < 1e-10
+        assert np.max(oracles.entry_std(dyn)) < 1e-10
         # Exact single-qubit rotation by 0.3*sigma_x per period.
         for k, t in enumerate([0.0, 1.0, 2.0, 3.0]):
             u = np.cos(0.3 * t) * np.eye(2) - 1j * np.sin(0.3 * t) * SIGMA_X
             want = u @ rho_s0 @ u.conj().T
-            assert np.max(np.abs(dyn.entry_mean()[k] - want)) < 1e-8
+            assert np.max(np.abs(oracles.entry_mean(dyn)[k] - want)) < 1e-8
 
     def test_time_zero_echoes_initial_state(self):
         model = unitary_system_model()
@@ -235,8 +242,8 @@ class TestSampleDynamics:
                                     log_std=np.full(64, np.log(0.02)))
         rho_s0 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=np.complex128)
         dyn = sample_dynamics(post, rho_s0, [0.0], 5, np.random.default_rng(2))
-        assert np.max(np.abs(dyn.entry_mean()[0] - rho_s0)) < 1e-12
-        assert np.max(dyn.entry_std()[0]) < 1e-12
+        assert np.max(np.abs(oracles.entry_mean(dyn)[0] - rho_s0)) < 1e-12
+        assert np.max(oracles.entry_std(dyn)[0]) < 1e-12
 
     def test_draws_are_valid_states(self):
         model = unitary_system_model()
@@ -277,7 +284,7 @@ class TestSampleDynamics:
         times = [0.0, 0.5, 2.0]
         dyn = sample_dynamics(post, rho_s0, times, 4, np.random.default_rng(17))
         assert dyn.maps.shape == (4, 3, 4, 4)
-        draws = _usable_draws(post, 4, np.random.default_rng(17))
+        draws = oracles.usable_draws_serial(post, 4, np.random.default_rng(17))
         for i, (_, gen, er) in enumerate(draws):
             want = predict_dynamics(gen, dims, kron(rho_s0, er), times)
             assert np.array_equal(dyn.states[i], np.stack(want))
@@ -341,6 +348,140 @@ class TestBayesChannelError:
         want = oracles.bayes_channel_error_two_loop(post, spread_times, 5,
                                                     np.random.default_rng(21))
         assert bayes_channel_error(dyn) == want
+
+
+def generic_model(d_er, seed):
+    """A random starting model with its reservoir symmetry broken, so its
+    channel has a unique stationary state."""
+    model = init_model(DimSpec(d_s=2, d_er=d_er), 1.0, np.random.default_rng(seed))
+    dd = model.dims.d_total
+    g = np.random.default_rng(seed + 50).standard_normal((2, dd, dd))
+    g = g[0] + 1j * g[1]
+    return model.with_h(model.h + 0.3 / dd * (g + g.conj().T))
+
+
+def z_records(outcomes):
+    """Records measured in the computational basis with the given outcomes."""
+    eye = np.eye(2, dtype=np.complex128)
+    return Dataset(records=[MeasurementRecord(step=k + 1, basis=eye, outcome=o)
+                            for k, o in enumerate(outcomes)],
+                   tau=1.0, d_s=2, provenance={})
+
+
+def idle_model(d_er):
+    """H = 0: every period is the identity channel, so a record that differs
+    from the one before it has zero probability."""
+    dims = DimSpec(d_s=2, d_er=d_er)
+    rho0 = kron(np.diag([1.0, 0.0]).astype(np.complex128),
+                np.eye(d_er, dtype=np.complex128) / d_er)
+    return make_embedding(dims, 1.0, np.zeros((dims.d_total, dims.d_total)), rho0)
+
+
+def caches_equal(got, want):
+    for name in ("forward_blocks", "forward_log_scale", "backward_blocks",
+                 "backward_log_scale", "period_map", "rho0", "phis"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert np.array_equal(got.spectrum.eigenvectors, want.spectrum.eigenvectors)
+
+
+class TestLockstepSweeps:
+    """The sweeps of several draws as lanes of one loop, against one
+    build_cache per draw."""
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_each_lane_is_its_own_sweep(self, d_er):
+        data = generate_trajectory(CollisionModelConfig(), 600, 41)
+        base = generic_model(d_er, 3)
+        models = [base.with_h(base.h + 0.01 * s * np.diag(np.arange(base.dims.d_total)))
+                  for s in range(3)]
+        caches = build_caches(models, data, _record_vectors(data))
+        for model, cache in zip(models, caches):
+            want = build_cache(model, data)
+            caches_equal(cache, want)
+            assert np.array_equal(log_likelihood_gradient(model, data, cache),
+                                  log_likelihood_gradient(model, data, want))
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    @pytest.mark.parametrize("outcomes", [[0, 0, 1, 1, 0, 1], [1, 0, 0, 1]])
+    def test_floor_lane_beside_normal_lane(self, d_er, outcomes):
+        # The idle model gives the first record (outcome 1) or a later one
+        # zero probability; only its own draw is floored.
+        data = z_records(outcomes * 50)
+        idle, normal = idle_model(d_er), generic_model(d_er, 5)
+        with pytest.raises(ZeroProbabilityError):
+            build_cache(idle, data)
+        phis = _record_vectors(data)
+        caches = build_caches([idle, normal, idle], data, phis)
+        assert caches[0] is None and caches[2] is None
+        caches_equal(caches[1], build_cache(normal, data))
+        thetas = np.stack([pack_hermitian(np.asarray(m.h)) for m in (idle, normal)])
+        scores = score_draws(normal, data, phis, thetas, -1e6)
+        for theta, (value, grad) in zip(thetas, scores):
+            want_value, want_grad = oracles.score_draw_serial(normal, data, theta, -1e6)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+        assert scores[0][0] == -1e6
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_fit_matches_serial_draw_loop(self, d_er):
+        data = generate_trajectory(CollisionModelConfig(), 300, 43)
+        model = generic_model(d_er, 7)
+        cfg = BayesConfig(iterations=3, mc_samples=3, seed=2)
+        post = fit_posterior(model, data, cfg)
+        mean, log_std, trace = oracles.fit_posterior_serial(model, data, cfg)
+        assert np.array_equal(post.mean, mean)
+        assert np.array_equal(post.log_std, log_std)
+        assert post.objective_trace == trace
+
+
+def branch_cut_posterior(std):
+    """A posterior around a half-turn of the system: its channel has the
+    eigenvalue -1, so a draw is rejected unless its perturbation moves that
+    eigenvalue more than 1e-10 off the branch cut."""
+    h = kron(np.pi / 2 * SIGMA_X, np.eye(4, dtype=np.complex128))
+    model = make_embedding(DimSpec(d_s=2, d_er=1), 1.0, h,
+                           np.diag([1.0, 0.0]).astype(np.complex128))
+    return degenerate_posterior(model, log_std=np.log(std))
+
+
+class TestBlockedPushForward:
+    """Draws decomposed and propagated in blocks, against one attempt and one
+    time at a time."""
+
+    TIMES = [0.0, 0.5, 1.0, 2.0, 0.0, 3.5]
+
+    def check(self, post, n_draws, seed, rho_s0=MIXED):
+        outcomes = []
+        states, maps = oracles.sample_dynamics_serial(
+            post, rho_s0, self.TIMES, n_draws, np.random.default_rng(seed), outcomes)
+        dyn = sample_dynamics(post, rho_s0, self.TIMES, n_draws, np.random.default_rng(seed))
+        assert np.array_equal(dyn.states, states)
+        assert np.array_equal(dyn.maps, maps)
+        return outcomes
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_draw_count_off_the_block_grid(self, d_er):
+        n_draws = 2 * DRAW_BLOCK + 3
+        outcomes = self.check(spread_posterior(d_er), n_draws, 23)
+        assert outcomes == [True] * n_draws
+
+    def test_rejected_draw_refilled_from_next_block(self):
+        outcomes = self.check(branch_cut_posterior(3e-10), DRAW_BLOCK, 0)
+        assert not all(outcomes[:DRAW_BLOCK])
+        assert len(outcomes) > DRAW_BLOCK
+
+    # In the second case the last block is cut short by the cap.
+    @pytest.mark.parametrize("std, n_draws, seed, usable", [(1e-11, 3, 1, 0), (3e-11, 6, 6, 4)])
+    def test_attempt_cap(self, std, n_draws, seed, usable):
+        post = branch_cut_posterior(std)
+        outcomes = []
+        with pytest.raises(NumericalError) as want:
+            list(oracles.usable_draws_serial(post, n_draws, np.random.default_rng(seed),
+                                             outcomes))
+        with pytest.raises(NumericalError) as got:
+            sample_dynamics(post, MIXED, self.TIMES, n_draws, np.random.default_rng(seed))
+        assert str(got.value) == str(want.value)
+        assert (len(outcomes), sum(outcomes)) == (10 * n_draws, usable)
 
 
 class TestSerialization:

@@ -166,6 +166,7 @@ class TestConfigShapes:
         ("generate", {"data": {"hamiltonian": NAN_HAMILTONIAN}}),
         ("generate", {"data": {"tau": 10 ** 400}}),
         ("predict", {"predict": {"d_er": 1, "times": [1.0, 10 ** 400]}}),
+        ("tomo", {"tomo": {"times": [7, 2, 4, 2]}}),
     ])
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):
@@ -520,7 +521,7 @@ class TestTomo:
 
     @pytest.mark.parametrize("tomo", [
         {"times": [1, 2], "shots_per_channel": 400, "k_values": [1, 2]},
-        {"times": [6, 2, 9, 2], "k_values": [4, 1, 3]},
+        {"times": [6, 2, 9, 4], "k_values": [4, 1, 3]},
     ])
     def test_tables_match_per_group_oracle(self, tmp_path, monkeypatch, tomo):
         cfg = write_config(tmp_path / "c.json",
@@ -598,3 +599,4 @@ class TestCompare:
                                         "gate_period": 1, "times": [0, 1]}})
         assert main(["compare", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
+

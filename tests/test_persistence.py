@@ -213,6 +213,10 @@ class TestLoadErrors:
     def test_bad_json_line(self, tmp_path):
         msg = self.load_error(tmp_path, [good(1), '{"step": 2, "basis": [', good(3)])
         assert "bad record line: Expecting value" in msg
+        # After line 256: in the second block of parsed lines.
+        lines = [good(k) for k in range(1, 301)]
+        msg = self.load_error(tmp_path, lines + ['{"step": 301, "basis": [', good(302)])
+        assert "bad record line: Expecting value" in msg
 
     @pytest.mark.parametrize("field,value", [
         ("outcome", 0.9), ("outcome", "1"), ("outcome", True), ("step", 1.5),
@@ -242,6 +246,15 @@ class TestLoadErrors:
         assert msg.endswith("steps must be contiguous, 2 -> 4")
         msg = self.load_error(tmp_path, [good(1), good(2, 7), "not json"])
         assert msg.endswith("outcome 7 out of range at step 2")
+        # The same across blocks of parsed lines: a gap in the first block
+        # wins over an unparsable line after line 256, and that line wins
+        # over a gap in a later block.
+        lines = [good(k) for k in range(1, 11)] + [good(k) for k in range(12, 300)]
+        msg = self.load_error(tmp_path, lines + ["not json"])
+        assert msg.endswith("steps must be contiguous, 10 -> 12")
+        lines = [good(k) for k in range(1, 281)]
+        msg = self.load_error(tmp_path, lines + ["not json"] + [good(k) for k in range(300, 600)])
+        assert "bad record line: Expecting value" in msg
 
     def test_header_only_and_empty_files(self, tmp_path):
         assert self.load_error(tmp_path, []).endswith("no records")
