@@ -26,7 +26,7 @@ for K in [4, 8, 16]:
                                                   np.random.default_rng(10 * K + k))
                        for k in range(1, K + 1)])
     ests = tomography_mle(counts, design)  # all K maps in one lockstep fit
-    errs = [0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix)
+    errs = [0.5 * trace_norm(est - choi_from_superop(ch, 2))
             for est, ch in zip(ests, chans)]
     rows.append((K, shots, float(np.mean(errs))))
 

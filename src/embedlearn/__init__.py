@@ -29,7 +29,7 @@ from .train import (LearningCurve, TrainConfig, estimate_d_er, fit, init_model,
 from .bayes import (BayesConfig, PosteriorDynamics, VariationalPosterior,
                     bayes_channel_error, fit_posterior, load_posterior,
                     sample_dynamics, save_posterior)
-from .assess import (ChoiMatrix, ControlEvent, TomographyDesign, average_choi_error,
+from .assess import (ControlEvent, TomographyDesign, average_choi_error,
                      choi_from_superop, concatenation_prediction, default_design,
                      dynamics_maps, predict_with_control, simulate_tomography_counts,
                      tomography_mle, trace_distance_trajectory)
@@ -57,7 +57,7 @@ __all__ = [
     "BayesConfig", "PosteriorDynamics", "VariationalPosterior",
     "bayes_channel_error", "fit_posterior", "load_posterior",
     "sample_dynamics", "save_posterior",
-    "ChoiMatrix", "ControlEvent", "TomographyDesign", "average_choi_error",
+    "ControlEvent", "TomographyDesign", "average_choi_error",
     "choi_from_superop", "concatenation_prediction", "default_design",
     "dynamics_maps", "predict_with_control", "simulate_tomography_counts",
     "tomography_mle", "trace_distance_trajectory",

@@ -21,26 +21,16 @@ from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unv
 POSITIVITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi state of a map on a d-dimensional system, output factor first.
+def choi_from_superop(m: CMatrix, d: int) -> CMatrix:
+    """Choi matrix of a column-stacking superoperator matrix on a
+    d-dimensional system, output factor first; a stack of them gives the
+    stack of their Choi matrices, (..., d*d, d*d).
 
     Normalized as the image of the maximally entangled state: trace one,
     and the partial trace over the output factor is I/d for a trace-
     preserving map.
     """
-
-    matrix: CMatrix = field(repr=False)
-    d: int
-
-
-def choi_from_superop(m: CMatrix, d: int) -> ChoiMatrix:
-    """Choi matrix from a column-stacking superoperator matrix."""
-    return ChoiMatrix(matrix=_choi_matrices(np.asarray(m, dtype=np.complex128), d), d=d)
-
-
-def _choi_matrices(m: CMatrix, d: int) -> CMatrix:
-    """Choi matrices of a stack of column-stacking superoperator matrices."""
+    m = np.asarray(m, dtype=np.complex128)
     lead = m.shape[:-2]
     k = len(lead)
     m4 = m.reshape(lead + (d, d, d, d)).transpose(*range(k), k + 1, k + 3, k, k + 2)
@@ -48,20 +38,14 @@ def _choi_matrices(m: CMatrix, d: int) -> CMatrix:
 
 
 def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
-                  times: list[float]) -> list[ChoiMatrix]:
+                  times: list[float]) -> CMatrix:
     """Reduced dynamical maps of an embedding at the given times.
 
     Each map sends an S input through x -> tr_ER[exp(t L)(x tensor
-    rho_er0)]; maps are returned as Choi matrices on S.
+    rho_er0)]; the maps are returned as stacked Choi matrices on S,
+    (times, d_s**2, d_s**2).  A stacked generator with a matching stack of
+    reservoir states gives (..., times, d_s**2, d_s**2).
     """
-    return [ChoiMatrix(matrix=c, d=dims.d_s) for c in reduced_chois(gen, dims, rho_er0, times)]
-
-
-def reduced_chois(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
-                  times: list[float]) -> CMatrix:
-    """The Choi matrices of :func:`dynamics_maps` stacked, (times, d_s**2,
-    d_s**2); a stacked generator with a matching stack of reservoir states
-    gives (..., times, d_s**2, d_s**2)."""
     d_s, d_er = dims.d_s, dims.d_er
     times = _nonnegative_times(times)
     # Column j*d_s + i holds vec(|i><j| x rho_er0); a column-stacked joint
@@ -73,20 +57,22 @@ def reduced_chois(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
     joint = gen.propagate(cols, times)
     joint = joint.reshape(joint.shape[:-2] + (d_s, d_er, d_s, d_er, d_s * d_s))
     m = np.einsum("...jeiec->...jic", joint)  # tr_ER
-    return _choi_matrices(m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s)), d_s)
+    return choi_from_superop(m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s)), d_s)
 
 
-def average_choi_error(chois_a: list[ChoiMatrix], chois_b: list[ChoiMatrix]) -> float:
-    """Mean half-trace-norm distance over paired times, (1/2K) sum |a - b|_1."""
+def average_choi_error(chois_a: CMatrix, chois_b: CMatrix) -> float:
+    """Mean half-trace-norm distance over paired times, (1/2K) sum |a - b|_1,
+    of two stacks of K Choi matrices."""
+    chois_a, chois_b = np.asarray(chois_a), np.asarray(chois_b)
     if len(chois_a) != len(chois_b):
         raise ValueError(f"time grids differ: {len(chois_a)} vs {len(chois_b)}")
-    if not chois_a:
+    if not len(chois_a):
         raise ValueError("empty time grid")
+    if chois_a.shape != chois_b.shape:
+        raise ValueError("Choi dimensions differ")
     total = 0.0
     for ca, cb in zip(chois_a, chois_b):
-        if ca.d != cb.d:
-            raise ValueError("Choi dimensions differ")
-        total += trace_norm(ca.matrix - cb.matrix)
+        total += trace_norm(ca - cb)
     return total / (2.0 * len(chois_a))
 
 
@@ -156,7 +142,7 @@ def simulate_tomography_counts(channel_superop: CMatrix, design: TomographyDesig
 
 
 def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e-10,
-                   max_iter: int = 200_000) -> ChoiMatrix | list[ChoiMatrix]:
+                   max_iter: int = 200_000) -> CMatrix:
     """Maximum-likelihood channel estimates under the CPTP constraint.
 
     Fixed-point iteration on the Choi matrix: Omega <- N[(I x L^-1/2) R
@@ -165,8 +151,9 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
     whenever the log-likelihood would decrease.  Starts from the maximally
     mixed Choi and stops when the per-iteration gain drops below ``tol``.
 
-    ``counts`` of shape (inputs, effects) gives one estimate; a stack of
-    shape (C, inputs, effects) gives a list of C, fitted in lockstep.  Each
+    ``counts`` of shape (inputs, effects) gives one Choi matrix, as
+    :func:`choi_from_superop` normalizes it; a stack of shape (C, inputs,
+    effects) gives a stack of C, fitted in lockstep.  Each
     channel keeps its own iterate, likelihood, step and iteration count:
     an accepted step starts its next iteration, a rejected one halves its
     step, a converged channel drops out.  Every channel's iterates are
@@ -222,8 +209,6 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
         return hermitianize(np.einsum("cn,nab->cab", flat[lanes] / p, s_ops))
 
     n_ch = len(flat)
-    if not n_ch:
-        return []
     identity = np.eye(side, dtype=np.complex128)
     eye_d = np.eye(d, dtype=np.complex128)
     omega = np.repeat((identity / side)[None], n_ch, axis=0)
@@ -274,8 +259,7 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
             lanes = [active[i] for i in moved]
             r[lanes] = weighted_effects(lanes, p[moved])
         active = still
-    out = [ChoiMatrix(matrix=om, d=d) for om in omega]
-    return out[0] if arr.ndim == 2 else out
+    return omega[0] if arr.ndim == 2 else omega
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +291,26 @@ def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
             raise ValueError(f"gate at t={e.time} is not a {d_s}x{d_s} unitary")
         if e.time < 0:
             raise ValueError("event times must be nonnegative")
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
+    times = _nonnegative_times(times)
     order = np.argsort(times)
-    flow = gen.flow(vec(np.asarray(rho_ser0, dtype=np.complex128)))
-    start = 0.0
-    ev_idx = 0
-    results: dict[int, CMatrix] = {}
-    for pos in order:
-        t = float(times[pos])
-        while ev_idx < len(ev) and ev[ev_idx].time <= t:
-            e = ev[ev_idx]
-            g = np.kron(np.asarray(e.gate, dtype=np.complex128),
-                        np.eye(d_er, dtype=np.complex128))
-            v = flow(e.time - start)
-            flow = gen.flow(vec(g @ unvec(v) @ dagger(g)))
-            start = e.time
-            ev_idx += 1
-        rho = hermitianize(unvec(flow(t - start)))
-        results[pos] = ptrace(rho, [d_s, d_er], [0])
-    return [results[i] for i in range(len(times))]
+    sorted_times = times[order]
+    x = vec(np.asarray(rho_ser0, dtype=np.complex128))[:, None]
+    start, joint = 0.0, []
+    for e in ev:
+        hi = int(np.searchsorted(sorted_times, e.time))
+        if hi == len(times):
+            break  # no requested time at or after this gate
+        # The requested times before the gate, then the gate time itself.
+        seg = gen.propagate(x, np.append(sorted_times[len(joint):hi], e.time) - start)
+        joint.extend(seg[:-1])
+        g = np.kron(np.asarray(e.gate, dtype=np.complex128), np.eye(d_er, dtype=np.complex128))
+        x = vec(g @ unvec(seg[-1]) @ dagger(g))[:, None]
+        start = e.time
+    joint.extend(gen.propagate(x, sorted_times[len(joint):] - start))
+    results: list[CMatrix] = [None] * len(times)
+    for pos, v in zip(order, joint):
+        results[pos] = ptrace(hermitianize(unvec(v)), [d_s, d_er], [0])
+    return results
 
 
 def concatenation_prediction(times: list[float], superops: list[CMatrix],

@@ -21,7 +21,7 @@ from . import seeds
 from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, equilibrium_er_state,
                         model_from_dict, model_to_dict, predict_dynamics,
                         superoperator_matrix)
-from .assess import reduced_chois
+from .assess import dynamics_maps
 from .errors import (DataError, DivergenceError, FixedPointError, NumericalError,
                      ZeroProbabilityError)
 from .likelihood import _projector_vectors, build_caches, log_likelihood_gradient
@@ -145,10 +145,6 @@ class VariationalPosterior:
 
     def mean_model(self) -> MarkovianEmbedding:
         return self.base.with_h(unpack_hermitian(self.mean, self.base.dims.d_total))
-
-    def sample_model(self, rng: np.random.Generator) -> MarkovianEmbedding:
-        theta = self.mean + self.std * rng.standard_normal(self.mean.size)
-        return self.base.with_h(unpack_hermitian(theta, self.base.dims.d_total))
 
 
 def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
@@ -294,7 +290,7 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
         j = i + len(ers)
         rho0 = np.stack([kron(rho_s0, er) for er in ers])
         states[i:j] = predict_dynamics(gen, dims, rho0, times)
-        maps[i:j] = reduced_chois(gen, dims, ers, times)
+        maps[i:j] = dynamics_maps(gen, dims, ers, times)
         i = j
     return PosteriorDynamics(times=times, states=states, maps=maps)
 

@@ -384,7 +384,7 @@ def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> list[fl
     """Trace-norm error of the learned reduced maps (reservoir at its
     equilibrium state) against the exact Choi matrices, one per time."""
     maps = dynamics_maps(gen, dims, equilibrium_er_state(gen, dims), times)
-    return [0.5 * trace_norm(c.matrix - e.matrix) for c, e in zip(maps, exact_chois)]
+    return [0.5 * trace_norm(c - e) for c, e in zip(maps, exact_chois)]
 
 
 def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
@@ -494,10 +494,15 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
                           seeds.stream(resolved["seed"], "bayes-choi"))
     dyn.bands_to_csv(out / "posterior_bands.csv")
     spread = bayes_channel_error(dyn)
+    std = np.sort(posterior.std)
+    n = std.size
     summary = {
         "d_er": d_er,
         "n_records": len(ds_train.records),
-        "median_std": float(np.median(posterior.std)),
+        # The mean of the two middle entries, as np.median takes it; the
+        # first np.median call would import numpy.ma (numpy 2), which no
+        # other part of a command needs.
+        "median_std": float(std[[(n - 1) // 2, n // 2]].mean()),
         "channel_spread": spread,
         "final_objective": posterior.objective_trace[-1],
     }
@@ -535,7 +540,7 @@ def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[in
         label, k = lanes[exc.channel]
         raise NumericalError(f"tomography of period {k} in the {label} group failed: "
                              f"{exc}") from exc
-    errors = iter([0.5 * trace_norm(est.matrix - choi_from_superop(by_k[k], 2).matrix)
+    errors = iter([0.5 * trace_norm(est - choi_from_superop(by_k[k], 2))
                    for est, (_, k) in zip(ests, lanes)])
     return [[next(errors) for _ in periods] for _, periods, _, _ in groups]
 

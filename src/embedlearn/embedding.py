@@ -84,24 +84,12 @@ class GeneratorSuperoperator:
         """Dense L, assembled from the factors."""
         return (self.eigenvectors * self.log_eigenvalues) @ self.inverse / self.tau
 
-    def flow(self, x: CMatrix):
-        """The map t -> exp(t L) x for a vector or a block of columns x, which
-        is projected onto the eigenbasis once.  At t = 0 it returns x itself."""
-        coords = self.inverse @ x
-
-        def at(t: float) -> CMatrix:
-            if t == 0:
-                return x
-            scale = np.exp((t / self.tau) * self.log_eigenvalues)
-            return self.eigenvectors @ (scale * coords.T).T  # scales the rows
-
-        return at
-
     def propagate(self, x: CMatrix, times: np.ndarray) -> CMatrix:
         """exp(t L) x at every time of ``times`` for a block of columns x,
         (..., D, c) -> (..., times, D, c); rows at t = 0 are x itself.  A
         stacked generator evolves each block of a matching stack of x.
-        Every time is the same products as :meth:`flow` at that time."""
+        The columns at one time do not depend on which other times are
+        requested."""
         coords = self.inverse @ x
         scale = np.exp((times / self.tau)[:, None] * self.log_eigenvalues[..., None, :])
         z = scale[..., None, :] * coords.swapaxes(-1, -2)[..., None, :, :]

@@ -72,11 +72,11 @@ class PropagationCache:
     Entry 0 of both block arrays is NaN: at time 0 the pair is the initial
     joint state ``rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
     at unit operator norm, whose log scale is ``backward_log_scale[0]``.
-    The joint-sized ``forward_states`` and ``backward_effects`` are built
-    on demand for tests and oracles.  Either half may be absent if only one
-    sweep was run.
+    Either half may be absent if only one sweep was run.
 
-    ``model`` and ``data`` are the pair the sweeps ran on; ``phis`` holds
+    ``model`` and ``data`` are the pair the sweeps ran on (``model`` is
+    None for the generating model of :func:`true_model_log_likelihood`,
+    whose ``period_map`` and ``rho0`` act on S x S1); ``phis`` holds
     the measured system vectors, ``spectrum`` the eigensystem of the
     model's H and ``period_map`` the superoperator M built from it.  A
     later sweep, validation or gradient of the same model (and data) reuses
@@ -120,31 +120,6 @@ class PropagationCache:
             raise ZeroProbabilityError(m)
         return float(np.log(overlap) + self.forward_log_scale[m]
                      + self.backward_log_scale[m])
-
-    @property
-    def forward_states(self) -> np.ndarray:
-        """Trace-normalized joint states after each record, (n+1, d, d)."""
-        if self.forward_blocks is None:
-            raise ValueError("forward sweep missing")
-        return np.concatenate((self.rho0[None],
-                               _product_operators(self.phis, self.forward_blocks[1:])))
-
-    @property
-    def backward_effects(self) -> np.ndarray:
-        """Joint effects at unit operator norm, (n+1, d, d); each is
-        proportional to the effect of the records after its time."""
-        if self.backward_blocks is None:
-            raise ValueError("backward sweep missing")
-        effects, _ = _dense_effects(self.period_map, self.phis, self.backward_blocks[1:])
-        d = effects.shape[1]
-        return np.concatenate((effects, np.eye(d, dtype=np.complex128)[None]))
-
-
-def per_step_increments(cache: PropagationCache) -> np.ndarray:
-    """Conditional log-probability of each record given its prefix."""
-    if cache.forward_log_scale is None:
-        raise ValueError("forward sweep missing")
-    return np.diff(cache.forward_log_scale)
 
 
 def _period_inputs(model: MarkovianEmbedding, data: Dataset,
@@ -256,60 +231,105 @@ def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
     return logs, bad
 
 
-def _filter_one(basis: np.ndarray, x: np.ndarray, log0: float, phis: np.ndarray,
-                records, out: np.ndarray) -> np.ndarray:
-    """:func:`_filter` with one lane; ``records`` give the step a
-    zero-probability error reports."""
-    logs, bad = _filter([basis], x[None], np.array([log0]), [phis], out[None])
-    if bad[0] >= 0:
-        raise ZeroProbabilityError(records[bad[0]].step)
-    return logs[0]
+def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> list[int]:
+    """The forward and/or backward sweeps of caches of one shape over one
+    record sequence, as the lanes of one :func:`_filter` call.  Each cache
+    holds ``phis``, ``period_map`` and ``rho0``.
 
-
-def _first_block(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, float]:
-    """The reservoir block after the first record, conditioned on the joint
-    state ``rho0`` by one joint-sized step under ``m``, and its probability."""
-    d_s = phis.shape[1]
-    d = rho0.shape[0]
-    d_er = d // d_s
-    evolved = (m @ rho0.T.ravel()).reshape(d, d).T
-    first = np.einsum("s,setf,t->ef", phis[0].conj(),
-                      evolved.reshape(d_s, d_er, d_s, d_er), phis[0])
-    return first, np.trace(first).real
-
-
-def _forward(m: np.ndarray, rho0: np.ndarray, phis: np.ndarray,
-             records) -> tuple[np.ndarray, np.ndarray]:
-    """Filter from the joint state ``rho0`` under the superoperator ``m``:
-    the first record by one joint-sized step, the rest in product form.
-    Returns the blocks (NaN at time 0) and the running logs."""
-    n, d_s = phis.shape
-    d_er = rho0.shape[0] // d_s
-    blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
+    A forward lane starts from the block after the first record, which one
+    joint-sized step conditions on ``rho0``.  A backward lane starts from
+    beta_n = I under the dual channel M^+ over the records in reverse
+    order, and the norm of the joint effect at time 0 closes it.  All
+    forward lanes run first, then all backward lanes; a cache whose first
+    record has zero probability gets no lanes.  Blocks and running logs are
+    written into the caches, straight into the block arrays when there is
+    one lane.  Returns per cache the index of its first record of zero
+    probability, or -1; such a cache holds no meaningful sweep.
+    """
+    n, d_s = caches[0].phis.shape
+    d_er = caches[0].rho0.shape[0] // d_s
+    for cache in caches:
+        if forward:
+            cache.forward_blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
+            cache.forward_log_scale = np.zeros(n + 1)
+        if backward:
+            cache.backward_blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
+            cache.backward_log_scale = np.zeros(n + 1)
+    bad = [-1] * len(caches)
     if n == 0:
-        return blocks, np.zeros(1)
-    first, p = _first_block(m, rho0, phis)
-    if p <= 0.0:
-        raise ZeroProbabilityError(records[0].step)
-    blocks[1] = first / p
-    logs = _filter_one(_transfer_basis(m, d_s), blocks[1].ravel(), np.log(p), phis,
-                       records[1:], blocks[2:].reshape(n - 1, d_er * d_er))
-    return blocks, np.concatenate(([0.0], logs))
+        return bad
+    # Per lane: cache index, transfer basis, record vectors, start log, the
+    # start block followed by the blocks the lane writes, and the running
+    # logs of those blocks; a backward lane's views run from time n to 1.
+    lanes = []
+    for c, cache in enumerate(caches if forward else []):
+        d = cache.rho0.shape[0]
+        evolved = (cache.period_map @ cache.rho0.T.ravel()).reshape(d, d).T
+        first = np.einsum("s,setf,t->ef", cache.phis[0].conj(),
+                          evolved.reshape(d_s, d_er, d_s, d_er), cache.phis[0])
+        p = np.trace(first).real
+        if p <= 0.0:
+            bad[c] = 0
+            continue
+        cache.forward_blocks[1] = first / p
+        lanes.append((c, _transfer_basis(cache.period_map, d_s), cache.phis, np.log(p),
+                      cache.forward_blocks[1:], cache.forward_log_scale[1:]))
+    n_forward = len(lanes)
+    for c, cache in enumerate(caches if backward else []):
+        if bad[c] < 0:
+            cache.backward_blocks[n] = np.eye(d_er)
+            lanes.append((c, _transfer_basis(cache.period_map.conj().T, d_s), cache.phis[::-1],
+                          0.0, cache.backward_blocks[:0:-1], cache.backward_log_scale[:0:-1]))
+    if not lanes:
+        return bad
+    owner, basis, phis, log0, blocks, scales = zip(*lanes)
+    blocks = [b.reshape(n, d_er * d_er) for b in blocks]
+    if len(lanes) == 1:
+        out = blocks[0][None, 1:]
+    else:
+        out = np.empty((len(lanes), n - 1, d_er * d_er), dtype=np.complex128)
+    logs, dead = _filter(basis, np.stack([b[0] for b in blocks]), np.array(log0), phis, out)
+    for s, c in enumerate(owner):
+        if dead[s] >= 0:
+            if bad[c] < 0:
+                bad[c] = dead[s] + 1 if s < n_forward else n - 1 - dead[s]
+            continue
+        if len(lanes) > 1:
+            blocks[s][1:] = out[s]
+        scales[s][...] = logs[s]
+        if s >= n_forward:
+            cache = caches[c]
+            _, norm = _dense_effects(cache.period_map, cache.phis[:1], cache.backward_blocks[1:2])
+            if norm[0] <= 0.0:
+                bad[c] = 0
+            else:
+                cache.backward_log_scale[0] = cache.backward_log_scale[1] + np.log(norm[0])
+    return bad
+
+
+def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache | None,
+               forward: bool) -> PropagationCache:
+    """One sweep of ``model`` over ``data`` into ``cache`` (a new one if
+    None); raises on a zero-probability record."""
+    phis, spectrum, m = _period_inputs(model, data, cache)
+    if cache is None:
+        cache = PropagationCache(n=len(data.records))
+    cache.model, cache.data, cache.phis = model, data, phis
+    cache.spectrum, cache.period_map = spectrum, m
+    cache.rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
+    _raise_zero_probability(_sweep([cache], forward, not forward), data)
+    return cache
+
+
+def _raise_zero_probability(bad: list[int], data: Dataset) -> None:
+    if bad[0] >= 0:
+        raise ZeroProbabilityError(data.records[bad[0]].step)
 
 
 def forward_pass(model: MarkovianEmbedding, data: Dataset,
                  cache: PropagationCache | None = None) -> PropagationCache:
     """Trace-normalized filtering sweep; raises on a zero-probability step."""
-    phis, spectrum, m = _period_inputs(model, data, cache)
-    rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
-    blocks, logs = _forward(m, rho0, phis, data.records)
-    if cache is None:
-        cache = PropagationCache(n=len(data.records))
-    cache.model, cache.data, cache.rho0 = model, data, rho0
-    cache.phis, cache.spectrum, cache.period_map = phis, spectrum, m
-    cache.forward_blocks = blocks
-    cache.forward_log_scale = logs
-    return cache
+    return _one_sweep(model, data, cache, forward=True)
 
 
 def backward_pass(model: MarkovianEmbedding, data: Dataset,
@@ -318,29 +338,7 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
     the dual channel M^+ over the records in reverse order, since
     beta_i = T_i^+ beta_{i+1} and T_i^+ is the transfer of M^+ from record
     i+1 to record i."""
-    phis, spectrum, m = _period_inputs(model, data, cache)
-    n = len(data.records)
-    d_er = model.dims.d_er
-    blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
-    logs = np.zeros(n + 1)
-    if n:
-        blocks[n] = np.eye(d_er)
-        # The dual loop writes beta_{n-1}, ..., beta_1 and returns the logs
-        # of beta_n, ..., beta_1.
-        logs[:0:-1] = _filter_one(_transfer_basis(m.conj().T, model.dims.d_s),
-                                  blocks[n].ravel(), 0.0, phis[::-1], data.records[:0:-1],
-                                  blocks[1:n].reshape(n - 1, d_er * d_er)[::-1])
-        _, norm = _dense_effects(m, phis[:1], blocks[1:2])
-        if norm[0] <= 0.0:
-            raise ZeroProbabilityError(data.records[0].step)
-        logs[0] = logs[1] + np.log(norm[0])
-    if cache is None:
-        cache = PropagationCache(n=n)
-    cache.model, cache.data = model, data
-    cache.phis, cache.spectrum, cache.period_map = phis, spectrum, m
-    cache.backward_blocks = blocks
-    cache.backward_log_scale = logs
-    return cache
+    return _one_sweep(model, data, cache, forward=False)
 
 
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
@@ -356,56 +354,15 @@ def build_caches(models: list[MarkovianEmbedding], data: Dataset,
     lanes of one :func:`_filter` loop, so each cache is bitwise the one
     :func:`build_cache` gives.  A model under which some record has zero
     probability gets None in place of a cache; the others are unaffected."""
-    n = len(data.records)
-    caches, log0 = [], []
+    caches = []
     for model in models:
-        d_er = model.dims.d_er
         spectrum = herm_eig(model.h)
         m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
-        rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
-        cache = PropagationCache(
-            n=n, model=model, data=data, phis=phis, spectrum=spectrum, period_map=m,
-            rho0=rho0, forward_log_scale=np.zeros(n + 1), backward_log_scale=np.zeros(n + 1),
-            forward_blocks=np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128),
-            backward_blocks=np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128))
-        if n:
-            first, p = _first_block(m, rho0, phis)
-            if p <= 0.0:
-                cache = None
-            else:
-                cache.forward_blocks[1] = first / p
-                cache.backward_blocks[n] = np.eye(d_er)
-                log0.append(np.log(p))
-        caches.append(cache)
-    live = [i for i, c in enumerate(caches) if c is not None]
-    if n == 0 or not live:
-        return caches
-    # The forward lane of every live model, then its backward lane.
-    lanes = [caches[i] for i in live]
-    d_s, d_er = data.d_s, lanes[0].model.dims.d_er
-    k = d_er * d_er
-    basis = ([_transfer_basis(c.period_map, d_s) for c in lanes]
-             + [_transfer_basis(c.period_map.conj().T, d_s) for c in lanes])
-    x = np.stack([c.forward_blocks[1].ravel() for c in lanes]
-                 + [c.backward_blocks[n].ravel() for c in lanes])
-    out = np.empty((2 * len(live), n - 1, k), dtype=np.complex128)
-    logs, bad = _filter(basis, x, np.array(log0 + [0.0] * len(live)),
-                        [phis] * len(live) + [phis[::-1]] * len(live), out)
-    for s, (i, cache) in enumerate(zip(live, lanes)):
-        b = len(live) + s
-        if bad[s] >= 0 or bad[b] >= 0:
-            caches[i] = None
-            continue
-        cache.forward_blocks[2:] = out[s].reshape(n - 1, d_er, d_er)
-        cache.forward_log_scale[1:] = logs[s]
-        cache.backward_blocks[1:n] = out[b, ::-1].reshape(n - 1, d_er, d_er)
-        cache.backward_log_scale[:0:-1] = logs[b]
-        _, norm = _dense_effects(cache.period_map, phis[:1], cache.backward_blocks[1:2])
-        if norm[0] <= 0.0:
-            caches[i] = None
-            continue
-        cache.backward_log_scale[0] = cache.backward_log_scale[1] + np.log(norm[0])
-    return caches
+        caches.append(PropagationCache(
+            n=len(data.records), model=model, data=data, phis=phis, spectrum=spectrum,
+            period_map=m, rho0=np.asarray(model.rho0_ser, dtype=np.complex128)))
+    bad = _sweep(caches, forward=True, backward=True)
+    return [None if b >= 0 else cache for cache, b in zip(caches, bad)]
 
 
 def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
@@ -432,28 +389,29 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
         raise DataError(
             f"validation must continue training: steps {data_train.records[-1].step} "
             f"-> {data_val.records[0].step}")
-    if (train_cache.n != len(data_train.records) or train_cache.forward_blocks is None
-            or train_cache.forward_log_scale is None):
-        raise ValueError("train_cache is not a forward sweep of data_train")
-    phis, _, m = _period_inputs(model, data_train, train_cache)
-    phis = np.concatenate((phis[-1:], _projector_vectors(model, data_val)))
+    if (train_cache.model is not model or train_cache.data is not data_train
+            or train_cache.forward_blocks is None):
+        raise ValueError("train_cache is not a forward sweep of model over data_train")
+    phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(model, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    logs = _filter_one(_transfer_basis(m, model.dims.d_s), x,
-                       train_cache.forward_log_scale[-1], phis, data_val.records,
-                       np.empty((len(data_val.records), x.size), dtype=np.complex128))
-    return float(logs[-1] - logs[0]) / len(data_val.records)
+    logs, bad = _filter([_transfer_basis(train_cache.period_map, model.dims.d_s)], x[None],
+                        train_cache.forward_log_scale[-1:], [phis],
+                        np.empty((1, len(data_val.records), x.size), dtype=np.complex128))
+    _raise_zero_probability(bad, data_val)
+    return float(logs[0, -1] - logs[0, 0]) / len(data_val.records)
 
 
 def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
     """Per-step log-likelihood of a record set under the generating model, a
     diagnostic ceiling for fitted models.  The period map is a channel on
     S x S1, so the sweep scores the records with S1 as the reservoir."""
-    phis = _record_vectors(ds)
-    rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
-    _, logs = _forward(period_superoperator(cfg), rho0, phis, ds.records)
-    return float(logs[-1]) / len(ds.records)
+    cache = PropagationCache(n=len(ds.records), data=ds, phis=_record_vectors(ds),
+                             period_map=period_superoperator(cfg),
+                             rho0=np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
+    _raise_zero_probability(_sweep([cache], forward=True, backward=False), ds)
+    return cache.log_likelihood() / len(ds.records)
 
 
 def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
@@ -471,19 +429,6 @@ def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
     f = (ph[:, None] - ph[None, :]) / safe
     limit = (-1j * tau * ph)[:, None] * np.ones_like(f)
     return np.where(degenerate, limit, f)
-
-
-def unitary_derivative(h: CMatrix, mu: int, nu: int, tau: float) -> CMatrix:
-    """Entrywise derivative of exp(-i tau H) with respect to H[mu, nu].
-
-    The perturbation direction is the bare matrix unit |mu><nu|; Hermitian
-    parametrizations combine (mu, nu) and (nu, mu) entries on top of this.
-    """
-    dec = herm_eig(h)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    f = _loewner_exp(lam, tau)
-    inner = np.outer(v[mu, :].conj(), v[nu, :])
-    return v @ (f * inner) @ v.conj().T
 
 
 def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,

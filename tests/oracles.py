@@ -3,11 +3,11 @@
 Everything here recomputes results by a different route than the library:
 explicit index loops, truncated series, pure-state networks, power
 iteration, finite differences.  No result is computed through
-``embedlearn``, so a library bug cannot cancel against itself.  Three helpers
-touch it: :func:`choi_of_map` wraps its result in the library's Choi
-container, :func:`variational_objective` draws models with the
-posterior's own ``sample_model``, and :func:`tomography_mle_serial`, the
-bitwise reference of the batched tomography MLE, runs on the library's
+``embedlearn``, so a library bug cannot cancel against itself.  Some
+helpers touch it: :func:`variational_objective` draws models through
+:func:`sample_model`, which unpacks them with the library's
+``unpack_hermitian``, and :func:`tomography_mle_serial`, the bitwise
+reference of the batched tomography MLE, runs on the library's
 ``hermitianize`` and ``ptrace``; :func:`tomography_errors_per_group`, the
 reference of the CLI's one MLE per ``tomo`` command, simulates and fits
 each group through the library; the serial posterior draws
@@ -16,8 +16,11 @@ each group through the library; the serial posterior draws
 fit and the blocked push-forward, and :func:`bayes_channel_error_two_loop`,
 the reference of the posterior channel spread, sweep, decompose and
 propagate through the library's ``build_cache``, ``extract_generator``,
-``equilibrium_er_state`` and generator flow.  The helpers that only tests
-use (the joint-space trajectory simulator, Choi conversions, a CSV dump, a
+``equilibrium_er_state`` and the generator's eigensystem
+(:func:`generator_flow`), as does :func:`predict_with_control_per_time`,
+the bitwise reference of the gated prediction.  The helpers that only
+tests use (the joint-space trajectory simulator, joint-sized views of the
+sweeps, the bare-entry unitary derivative, Choi conversions, a CSV dump, a
 Monte-Carlo objective, posterior entry statistics) live here too.
 """
 from __future__ import annotations
@@ -501,46 +504,105 @@ def dump_step_increments(cache, path):
 
 
 # ---------------------------------------------------------------------------
+# Joint-sized views of the library's sweeps, the bare-entry derivative of
+# the period unitary and single posterior draws, which only tests read.
+# ---------------------------------------------------------------------------
+
+def per_step_increments(cache):
+    """Conditional log-probability of each record given its prefix."""
+    if cache.forward_log_scale is None:
+        raise ValueError("forward sweep missing")
+    return np.diff(cache.forward_log_scale)
+
+
+def forward_states(cache):
+    """Trace-normalized joint states after each record, (n+1, d, d)."""
+    from embedlearn.likelihood import _product_operators
+    if cache.forward_blocks is None:
+        raise ValueError("forward sweep missing")
+    return np.concatenate((cache.rho0[None],
+                           _product_operators(cache.phis, cache.forward_blocks[1:])))
+
+
+def backward_effects(cache):
+    """Joint effects at unit operator norm, (n+1, d, d); each is
+    proportional to the effect of the records after its time."""
+    from embedlearn.likelihood import _dense_effects
+    if cache.backward_blocks is None:
+        raise ValueError("backward sweep missing")
+    effects, _ = _dense_effects(cache.period_map, cache.phis, cache.backward_blocks[1:])
+    d = effects.shape[1]
+    return np.concatenate((effects, np.eye(d, dtype=np.complex128)[None]))
+
+
+def unitary_derivative(h, mu, nu, tau):
+    """Entrywise derivative of exp(-i tau H) with respect to H[mu, nu].
+
+    The perturbation direction is the bare matrix unit |mu><nu|; Hermitian
+    parametrizations combine (mu, nu) and (nu, mu) entries on top of this.
+    """
+    from embedlearn.likelihood import _loewner_exp
+    from embedlearn.qla import herm_eig
+    dec = herm_eig(h)
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    f = _loewner_exp(lam, tau)
+    inner = np.outer(v[mu, :].conj(), v[nu, :])
+    return v @ (f * inner) @ v.conj().T
+
+
+def sample_model(posterior, rng):
+    """One model drawn from a variational posterior."""
+    from embedlearn.train import unpack_hermitian
+    theta = posterior.mean + posterior.std * rng.standard_normal(posterior.mean.size)
+    return posterior.base.with_h(unpack_hermitian(theta, posterior.base.dims.d_total))
+
+
+# ---------------------------------------------------------------------------
 # Choi matrices of callable maps and the backflow flag.
 # ---------------------------------------------------------------------------
 
 def choi_of_map(apply, d):
     """Choi matrix (output factor first, trace one) of a callable channel,
     from its action on the matrix units."""
-    from embedlearn.assess import ChoiMatrix
     omega = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
             e = np.zeros((d, d), dtype=np.complex128)
             e[i, j] = 1.0
             omega += np.kron(np.asarray(apply(e), dtype=np.complex128), e)
-    return ChoiMatrix(matrix=omega / d, d=d)
+    return omega / d
+
+
+def _choi_side(choi):
+    """System dimension d of a (d*d, d*d) Choi matrix."""
+    return int(round(np.sqrt(choi.shape[0])))
 
 
 def choi_min_eigenvalue(choi):
     """Smallest eigenvalue of the Hermitian part of a Choi matrix."""
-    m = np.asarray(choi.matrix)
+    m = np.asarray(choi)
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
 def choi_output_partial_trace_deviation(choi):
     """Largest entry of |tr_out(Omega) - I/d|: zero for a trace-preserving
     map."""
-    red = ptrace_loops(choi.matrix, [choi.d, choi.d], [1])
-    return float(np.max(np.abs(red - np.eye(choi.d) / choi.d)))
+    d = _choi_side(choi)
+    red = ptrace_loops(choi, [d, d], [1])
+    return float(np.max(np.abs(red - np.eye(d) / d)))
 
 
 def choi_to_superop(choi):
     """Column-stacking superoperator matrix of a Choi matrix."""
-    d = choi.d
-    o4 = choi.matrix.reshape(d, d, d, d)
+    d = _choi_side(choi)
+    o4 = choi.reshape(d, d, d, d)
     return d * o4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def apply_choi(choi, rho):
     """Channel action d * tr_in[Omega (I x rho^T)]."""
-    d = choi.d
-    o4 = choi.matrix.reshape(d, d, d, d)
+    d = _choi_side(choi)
+    o4 = choi.reshape(d, d, d, d)
     return d * np.einsum("aibj,ij->ab", o4, np.asarray(rho, dtype=np.complex128))
 
 
@@ -560,7 +622,6 @@ def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=Non
     ``hermitianize`` and ``ptrace``.  ``steps``, if a list, receives the
     step size of every fixed-point evaluation (a value below one is a
     halving)."""
-    from embedlearn.assess import ChoiMatrix
     from embedlearn.errors import NumericalError
     from embedlearn.qla import hermitianize, ptrace
     d = design.input_states[0].shape[0]
@@ -607,7 +668,7 @@ def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=Non
         gain = new - current
         omega, current = cand, new
         if abs(gain) < tol:
-            return ChoiMatrix(matrix=omega, d=d)
+            return omega
     raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
 
 
@@ -628,7 +689,7 @@ def tomography_errors_per_group(cm, periods, shots, seed, *stream_names):
     counts = np.stack([simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
                        for k, ch in zip(periods, chans)])
     ests = tomography_mle(counts, design)
-    return [0.5 * trace_norm(est.matrix - choi_from_superop(ch, 2).matrix)
+    return [0.5 * trace_norm(est - choi_from_superop(ch, 2))
             for est, ch in zip(ests, chans)]
 
 
@@ -676,7 +737,7 @@ def _channel_superoperator(model):
 def variational_objective(posterior, data, mc_samples, rng, floor=-1e6):
     """One Monte-Carlo estimate of the descent objective at a fixed
     posterior: the negative entropy term plus the mean log-likelihood of
-    ``mc_samples`` draws of ``posterior.sample_model``, each by the dense
+    ``mc_samples`` draws of :func:`sample_model`, each by the dense
     forward sweep; a draw that gives a record zero probability counts as
     ``floor``."""
     if mc_samples < 1:
@@ -684,7 +745,7 @@ def variational_objective(posterior, data, mc_samples, rng, floor=-1e6):
     phis = np.array([rec.basis[:, rec.outcome] for rec in data.records])
     total = 0.0
     for _ in range(mc_samples):
-        model = posterior.sample_model(rng)
+        model = sample_model(posterior, rng)
         if not len(phis):
             continue
         try:
@@ -778,7 +839,7 @@ def fit_posterior_serial(model, data, cfg):
 
 def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
     """Yield (model, generator, equilibrium reservoir state) for usable
-    draws, one attempt at a time through ``sample_model``,
+    draws, one attempt at a time through :func:`sample_model`,
     ``extract_generator`` and ``equilibrium_er_state``; rejected attempts
     are resampled, at most ten attempts per requested draw.  ``outcomes``,
     if a list, receives True or False per attempt."""
@@ -793,7 +854,7 @@ def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
             raise NumericalError(
                 f"only {got} of {n_draws} posterior draws usable in {tries} attempts")
         tries += 1
-        m = posterior.sample_model(rng)
+        m = sample_model(posterior, rng)
         try:
             gen = extract_generator(m)
             er = equilibrium_er_state(gen, dims)
@@ -807,10 +868,25 @@ def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
         yield m, gen, er
 
 
+def generator_flow(gen, x):
+    """The map t -> exp(t L) x of an unstacked generator for a vector or a
+    block of columns x, which is projected onto the eigenbasis once; one
+    time per call, and x itself at t = 0."""
+    coords = gen.inverse @ x
+
+    def at(t):
+        if t == 0:
+            return x
+        scale = np.exp((t / gen.tau) * gen.log_eigenvalues)
+        return gen.eigenvectors @ (scale * coords.T).T  # scales the rows
+
+    return at
+
+
 def predict_dynamics_per_time(gen, dims, rho_ser0, times):
     """Reduced states of the generator's flow, one time at a time."""
     from embedlearn.qla import hermitianize, ptrace, unvec, vec
-    flow = gen.flow(vec(rho_ser0))
+    flow = generator_flow(gen, vec(rho_ser0))
     return [ptrace(hermitianize(unvec(flow(float(t)))), [dims.d_s, dims.d_er], [0])
             for t in times]
 
@@ -820,13 +896,40 @@ def dynamics_maps_per_time(gen, dims, rho_er0, times):
     d_s, d_er = dims.d_s, dims.d_er
     eye = np.eye(d_s, dtype=np.complex128)
     basis = np.einsum("aj,bi,ef->afbeji", eye, eye, np.asarray(rho_er0, dtype=np.complex128))
-    flow = gen.flow(basis.reshape(dims.d ** 2, d_s * d_s))
+    flow = generator_flow(gen, basis.reshape(dims.d ** 2, d_s * d_s))
     out = []
     for t in times:
         joint = flow(float(t)).reshape(d_s, d_er, d_s, d_er, d_s * d_s)
         m4 = np.einsum("jeiec->jic", joint).reshape(d_s, d_s, d_s, d_s)
         out.append(m4.transpose(1, 3, 0, 2).reshape(d_s * d_s, d_s * d_s) / d_s)
     return out
+
+
+def predict_with_control_per_time(gen, dims, rho_ser0, events, times):
+    """``predict_with_control`` by one flow per time, kept as its bitwise
+    reference: in increasing time order, every gate at or before a
+    requested time is applied to the state at the gate time, and the state
+    at the requested time flows from the last gate."""
+    from embedlearn.qla import dagger, hermitianize, ptrace, unvec, vec
+    d_s, d_er = dims.d_s, dims.d_er
+    ev = sorted(events, key=lambda e: e.time)
+    flow = generator_flow(gen, vec(np.asarray(rho_ser0, dtype=np.complex128)))
+    start = 0.0
+    ev_idx = 0
+    results = {}
+    for pos in np.argsort(times):
+        t = float(times[pos])
+        while ev_idx < len(ev) and ev[ev_idx].time <= t:
+            e = ev[ev_idx]
+            g = np.kron(np.asarray(e.gate, dtype=np.complex128),
+                        np.eye(d_er, dtype=np.complex128))
+            v = flow(e.time - start)
+            flow = generator_flow(gen, vec(g @ unvec(v) @ dagger(g)))
+            start = e.time
+            ev_idx += 1
+        rho = hermitianize(unvec(flow(t - start)))
+        results[pos] = ptrace(rho, [d_s, d_er], [0])
+    return [results[i] for i in range(len(times))]
 
 
 def sample_dynamics_serial(posterior, rho_s0, times, n_draws, rng, outcomes=None):

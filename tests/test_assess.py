@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from embedlearn import seeds
-from embedlearn.assess import (ChoiMatrix, ControlEvent, average_choi_error,
+from embedlearn.assess import (ControlEvent, average_choi_error,
                                choi_from_superop, concatenation_prediction,
                                default_design, dynamics_maps,
                                outcome_probabilities, predict_with_control,
@@ -19,7 +19,8 @@ from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
 
 from oracles import (apply_choi, choi_min_eigenvalue, choi_of_map,
                      choi_output_partial_trace_deviation, choi_to_superop,
-                     nonmonotonicity_flag, tomography_mle_serial)
+                     nonmonotonicity_flag, predict_with_control_per_time,
+                     tomography_mle_serial)
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 ONE = np.array([[0, 0], [0, 1]], dtype=np.complex128)
@@ -79,12 +80,12 @@ def dissipative_semigroup_generator(seed=11):
 class TestChoiOfMap:
     def test_identity_channel_is_maximally_entangled_state(self):
         choi = choi_of_map(lambda r: r, 2)
-        assert np.max(np.abs(choi.matrix - MAX_ENTANGLED)) < 1e-14
-        assert choi.d == 2
+        assert np.max(np.abs(choi - MAX_ENTANGLED)) < 1e-14
+        assert choi.shape == (4, 4)
 
     def test_depolarizing_channel_is_maximally_mixed(self):
         choi = choi_of_map(lambda r: np.trace(r) * np.eye(2) / 2, 2)
-        assert np.max(np.abs(choi.matrix - np.eye(4) / 4)) < 1e-14
+        assert np.max(np.abs(choi - np.eye(4) / 4)) < 1e-14
 
     def test_map_round_trip_on_random_states(self):
         rng = np.random.default_rng(3)
@@ -100,8 +101,8 @@ class TestChoiOfMap:
         for _ in range(5):
             chan, _ = random_kraus_channel(rng)
             choi = choi_of_map(chan, 2)
-            assert abs(np.trace(choi.matrix) - 1.0) < 1e-12
-            assert np.max(np.abs(choi.matrix - choi.matrix.conj().T)) < 1e-12
+            assert abs(np.trace(choi) - 1.0) < 1e-12
+            assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
             assert choi_min_eigenvalue(choi) >= -1e-10
             assert choi_output_partial_trace_deviation(choi) <= 1e-8
 
@@ -112,7 +113,7 @@ class TestSuperopConversions:
         chan, sup = random_kraus_channel(rng)
         a = choi_of_map(chan, 2)
         b = choi_from_superop(sup, 2)
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
@@ -134,7 +135,7 @@ class TestDynamicsMaps:
         gen, dims = dissipative_semigroup_generator()
         (choi,) = dynamics_maps(gen, dims, np.eye(1, dtype=np.complex128),
                                 [0.0])
-        assert np.max(np.abs(choi.matrix - MAX_ENTANGLED)) < 1e-12
+        assert np.max(np.abs(choi - MAX_ENTANGLED)) < 1e-12
 
     def test_decoupled_model_gives_rank_one_rotation_choi(self):
         dims = DimSpec(d_s=2, d_er=1)
@@ -146,8 +147,8 @@ class TestDynamicsMaps:
                                     [t])
             u = x_rotation(t)
             want = choi_of_map(lambda r: u @ r @ u.conj().T, 2)
-            assert np.max(np.abs(choi.matrix - want.matrix)) < 1e-9
-            evals = np.sort(np.linalg.eigvalsh(choi.matrix))
+            assert np.max(np.abs(choi - want)) < 1e-9
+            evals = np.sort(np.linalg.eigvalsh(choi))
             assert evals[-1] > 1.0 - 1e-9
             assert np.max(np.abs(evals[:-1])) < 1e-9
 
@@ -164,7 +165,7 @@ class TestDynamicsMaps:
             for choi in dynamics_maps(gen, dims, rho_er0, [0.5, 1.0, 3.0]):
                 assert choi_min_eigenvalue(choi) >= -1e-10
                 assert choi_output_partial_trace_deviation(choi) <= 1e-8
-                assert abs(np.trace(choi.matrix) - 1.0) < 1e-10
+                assert abs(np.trace(choi) - 1.0) < 1e-10
 
     def test_negative_time_rejected(self):
         gen, dims = dissipative_semigroup_generator()
@@ -187,7 +188,7 @@ class TestAverageChoiError:
         rng = np.random.default_rng(11)
         a = [choi_of_map(random_kraus_channel(rng)[0], 2) for _ in range(4)]
         b = [choi_of_map(random_kraus_channel(rng)[0], 2) for _ in range(4)]
-        want = sum(np.linalg.svd(ca.matrix - cb.matrix, compute_uv=False).sum()
+        want = sum(np.linalg.svd(ca - cb, compute_uv=False).sum()
                    for ca, cb in zip(a, b)) / (2 * 4)
         assert abs(average_choi_error(a, b) - want) < 1e-12
 
@@ -209,7 +210,7 @@ class TestAverageChoiError:
             average_choi_error([ident], [ident, ident])
         with pytest.raises(ValueError, match="empty"):
             average_choi_error([], [])
-        big = ChoiMatrix(matrix=np.eye(9, dtype=np.complex128) / 9, d=3)
+        big = np.eye(9, dtype=np.complex128) / 9
         with pytest.raises(ValueError, match="dimension"):
             average_choi_error([ident], [big])
 
@@ -286,7 +287,7 @@ class TestTomographyMle:
         counts = np.round(p * 2_000_000).astype(np.int64)
         assert counts.sum() == 8_000_000
         est = tomography_mle(counts, design)
-        dist = 0.5 * np.abs(np.linalg.eigvalsh(est.matrix - MAX_ENTANGLED)).sum()
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(est - MAX_ENTANGLED)).sum()
         assert dist < 1e-6
 
     def test_likelihood_beats_true_channel(self):
@@ -316,7 +317,7 @@ class TestTomographyMle:
         est = tomography_mle(counts, design)
         assert choi_min_eigenvalue(est) >= -1e-10
         assert choi_output_partial_trace_deviation(est) <= 1e-8
-        assert abs(np.trace(est.matrix) - 1.0) < 1e-10
+        assert abs(np.trace(est) - 1.0) < 1e-10
 
     def test_error_grows_as_sqrt_channels_at_fixed_budget(self):
         # Splitting one shot budget across K fits: per-fit error scales as
@@ -374,7 +375,7 @@ class TestLockstepTomography:
         for c, est in zip(counts, ests):
             steps = []
             ref = tomography_mle_serial(c, design, steps=steps)
-            assert np.array_equal(est.matrix, ref.matrix)
+            assert np.array_equal(est, ref)
             if steps_per_lane is not None:
                 steps_per_lane.append(steps)
 
@@ -408,8 +409,8 @@ class TestLockstepTomography:
         single = tomography_mle(counts, design)
         batch = tomography_mle(counts[None], design)
         assert len(batch) == 1
-        assert np.array_equal(single.matrix, batch[0].matrix)
-        assert tomography_mle(np.zeros((0, 4, 8)), design) == []
+        assert np.array_equal(single, batch[0])
+        assert tomography_mle(np.zeros((0, 4, 8)), design).shape == (0, 4, 4)
 
 
 class TestTomographyMleRefusals:
@@ -470,6 +471,28 @@ class TestPredictWithControl:
         prop = x_rotation(1.5) @ SIGMA_X @ x_rotation(2.0)
         post = prop @ ZERO @ prop.conj().T
         assert np.max(np.abs(traj[2] - post)) < 1e-10
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_segments_match_per_time_gate_loop(self, d_er):
+        dims = DimSpec(d_s=2, d_er=d_er)
+        rng = np.random.default_rng(40 + d_er)
+        d_tot = dims.d * dims.d_a
+        x = rng.normal(size=(d_tot, d_tot)) + 1j * rng.normal(size=(d_tot, d_tot))
+        h = (x + x.conj().T) / (2 * np.sqrt(d_tot))
+        rho0 = kron(ZERO, np.eye(d_er, dtype=np.complex128) / d_er)
+        gen = extract_generator(make_embedding(dims, 1.0, h, rho0))
+        hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+        times = [2.5, 0.5, 1.0, 4.0, 1.0, 3.25]
+        for events in ([ControlEvent(0.25, SIGMA_X)],  # before the first time
+                       [ControlEvent(1.0, hadamard)],  # at a requested time
+                       [ControlEvent(1.75, SIGMA_X)],  # between requested times
+                       [ControlEvent(3.0, hadamard), ControlEvent(1.0, SIGMA_X)],
+                       [ControlEvent(5.0, SIGMA_X)]):  # after the last time
+            got = predict_with_control(gen, dims, rho0, events, times)
+            want = predict_with_control_per_time(gen, dims, rho0, events, times)
+            assert len(got) == len(times)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_unsorted_times_keep_requested_order(self):
         gen, dims = dissipative_semigroup_generator()

@@ -12,13 +12,13 @@ from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    build_cache, conditional_validation_ll,
                                    forward_pass, log_likelihood,
-                                   log_likelihood_gradient, per_step_increments,
-                                   unitary_derivative)
+                                   log_likelihood_gradient)
 from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
 from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 
 import oracles
-from oracles import dump_step_increments
+from oracles import (backward_effects, dump_step_increments, forward_states,
+                     per_step_increments, unitary_derivative)
 
 
 def random_hermitian(rng, d):
@@ -89,7 +89,7 @@ class TestForwardPass:
         cache = forward_pass(model, make_dataset([]))
         assert cache.n == 0
         assert cache.log_likelihood() == 0.0
-        assert np.max(np.abs(cache.forward_states[0] - model.rho0_ser)) == 0.0
+        assert np.max(np.abs(forward_states(cache)[0] - model.rho0_ser)) == 0.0
 
     def test_deterministic_outcomes_accumulate_zero(self):
         # Frozen dynamics measured repeatedly in the preparation basis.
@@ -117,7 +117,7 @@ class TestForwardPass:
         rng = np.random.default_rng(2)
         model = random_model(rng)
         cache = forward_pass(model, make_dataset(random_records(rng, 8)))
-        for rho in cache.forward_states:
+        for rho in forward_states(cache):
             assert abs(np.trace(rho) - 1.0) < 1e-10
             assert np.max(np.abs(rho - dagger(rho))) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -147,14 +147,14 @@ class TestBackwardPass:
         model = random_model(rng)
         cache = backward_pass(model, make_dataset(random_records(rng, 5)))
         d = model.dims.d
-        assert np.max(np.abs(cache.backward_effects[-1] - np.eye(d))) < 1e-12
+        assert np.max(np.abs(backward_effects(cache)[-1] - np.eye(d))) < 1e-12
         assert cache.backward_log_scale[-1] == 0.0
 
     def test_effects_psd_unit_norm(self):
         rng = np.random.default_rng(5)
         model = random_model(rng)
         cache = backward_pass(model, make_dataset(random_records(rng, 10)))
-        for eff in cache.backward_effects:
+        for eff in backward_effects(cache):
             vals = np.linalg.eigvalsh(eff)
             assert vals.min() > -1e-10
             assert abs(np.abs(vals).max() - 1.0) < 1e-10
@@ -497,8 +497,8 @@ class TestProductFormAgainstDenseOracle:
 
     def test_dense_views(self, sweeps):
         _, _, cache, (states, _, effects, blogs) = sweeps
-        assert np.max(np.abs(cache.forward_states - states)) < 1e-10
-        assert np.max(np.abs(cache.backward_effects - effects)) < 1e-10
+        assert np.max(np.abs(forward_states(cache) - states)) < 1e-10
+        assert np.max(np.abs(backward_effects(cache) - effects)) < 1e-10
         assert abs(cache.backward_log_scale[0] - blogs[0]) <= 1e-9
 
     def test_batch_gradient(self, sweeps):
@@ -568,6 +568,14 @@ class TestConditionalValidation:
             conditional_validation_ll(model, tr, va, forward_pass(model, shorter))
         with pytest.raises(ValueError):
             conditional_validation_ll(model, tr, va, backward_pass(model, tr))
+        # A forward sweep of another model, or over another dataset of the
+        # same length.
+        other = random_model(rng)
+        with pytest.raises(ValueError):
+            conditional_validation_ll(model, tr, va, forward_pass(other, tr))
+        other_tr, _ = self._trajectory_datasets(rng, 6, 4)
+        with pytest.raises(ValueError):
+            conditional_validation_ll(model, tr, va, forward_pass(model, other_tr))
 
     def test_split_halves_statistically_consistent(self):
         # Same model scored on both halves of one long exchangeable record
@@ -671,15 +679,17 @@ class TestCacheReuse:
             reused = log_likelihood_gradient(model, tr, cache, batch)
             fresh = log_likelihood_gradient(twin, tr, cache, batch)
             assert np.array_equal(reused, fresh)
+        # Validation takes only a forward sweep of its own model and data.
         assert (conditional_validation_ll(model, tr, va, cache)
-                == conditional_validation_ll(twin, tr, va, cache))
+                == conditional_validation_ll(twin, tr, va, forward_pass(twin, tr)))
         separate = backward_pass(twin, tr)
         assert np.array_equal(cache.backward_log_scale, separate.backward_log_scale)
         assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
 
     def test_another_model_is_not_served_from_the_cache(self):
-        # Scoring a second model against the first one's sweeps uses the
-        # second model's own H and period map, as if the cache held them.
+        # The gradient of a second model against the first one's sweeps uses
+        # the second model's own H and period map, as if the cache held them;
+        # validation refuses the first model's sweep.
         rng = np.random.default_rng(80)
         model, other = random_model(rng), random_model(rng)
         recs = random_records(rng, 16)
@@ -687,9 +697,8 @@ class TestCacheReuse:
         cache = backward_pass(model, tr, build_cache(model, tr))
         relabeled = dataclasses.replace(cache, model=other, spectrum=herm_eig(other.h),
                                         period_map=superoperator_matrix(other))
-        assert (conditional_validation_ll(other, tr, va, cache)
-                == conditional_validation_ll(other, tr, va, relabeled)
-                != conditional_validation_ll(model, tr, va, cache))
+        with pytest.raises(ValueError):
+            conditional_validation_ll(other, tr, va, cache)
         assert np.array_equal(log_likelihood_gradient(other, tr, cache),
                               log_likelihood_gradient(other, tr, relabeled))
 

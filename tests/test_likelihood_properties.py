@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from embedlearn.likelihood import build_cache
 
+from oracles import backward_effects, forward_states
 from test_likelihood import (dense_oracle_sweeps, make_dataset, random_model,
                              random_records)
 
@@ -33,8 +34,8 @@ def test_sweeps_match_dense_oracles(d_er, seed, n, scale):
     states, flogs, effects, blogs = dense_oracle_sweeps(model, ds)
     assert np.max(np.abs(cache.forward_log_scale - flogs)) <= 1e-9
     assert abs(cache.backward_log_scale[0] - blogs[0]) <= 1e-9
-    assert np.max(np.abs(cache.forward_states - states)) <= 1e-9
-    assert np.max(np.abs(cache.backward_effects - effects)) <= 1e-9
+    assert np.max(np.abs(forward_states(cache) - states)) <= 1e-9
+    assert np.max(np.abs(backward_effects(cache) - effects)) <= 1e-9
 
 
 @PROPERTY
