@@ -71,8 +71,8 @@ def average_choi_error(chois_a: CMatrix, chois_b: CMatrix) -> float:
     if chois_a.shape != chois_b.shape:
         raise ValueError("Choi dimensions differ")
     total = 0.0
-    for ca, cb in zip(chois_a, chois_b):
-        total += trace_norm(ca - cb)
+    for norm in trace_norm(chois_a - chois_b).tolist():
+        total += norm
     return total / (2.0 * len(chois_a))
 
 
@@ -113,15 +113,10 @@ def default_design(shots: int) -> TomographyDesign:
 
 
 def outcome_probabilities(channel_superop: CMatrix, design: TomographyDesign) -> np.ndarray:
-    """p[j, k] = tr[channel(rho_j) F_k]; rows sum to one."""
-    n_in, n_out = len(design.input_states), len(design.povm)
-    p = np.zeros((n_in, n_out))
-    for j, rho in enumerate(design.input_states):
-        out = unvec(channel_superop @ vec(rho))
-        for k, eff in enumerate(design.povm):
-            p[j, k] = max(np.einsum("ab,ba->", eff, out).real, 0.0)
-        p[j] /= p[j].sum()
-    return p
+    """p[j, k] = tr[channel(rho_j) F_k], clipped at zero; rows sum to one."""
+    outs = unvec((channel_superop @ vec(np.stack(design.input_states))[..., None])[..., 0])
+    p = np.maximum(np.einsum("kab,jba->jk", np.stack(design.povm), outs).real, 0.0)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def simulate_tomography_counts(channel_superop: CMatrix, design: TomographyDesign,
@@ -276,8 +271,9 @@ class ControlEvent:
 
 def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
                          rho_ser0: CMatrix, events: list[ControlEvent],
-                         times: list[float]) -> list[CMatrix]:
-    """Embedding prediction with gates applied to the joint state.
+                         times: list[float]) -> CMatrix:
+    """Embedding prediction with gates applied to the joint state: system
+    states at the requested times, stacked (times, d_s, d_s).
 
     Between breakpoints the state follows exp(dt L) from the last gate; at
     an event time the gate acts as V x I on system x reservoir.  A requested
@@ -295,34 +291,34 @@ def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
     order = np.argsort(times)
     sorted_times = times[order]
     x = vec(np.asarray(rho_ser0, dtype=np.complex128))[:, None]
-    start, joint = 0.0, []
+    start, done, joint = 0.0, 0, []
     for e in ev:
         hi = int(np.searchsorted(sorted_times, e.time))
         if hi == len(times):
             break  # no requested time at or after this gate
         # The requested times before the gate, then the gate time itself.
-        seg = gen.propagate(x, np.append(sorted_times[len(joint):hi], e.time) - start)
-        joint.extend(seg[:-1])
+        seg = gen.propagate(x, np.append(sorted_times[done:hi], e.time) - start)[..., 0]
+        joint.append(seg[:-1])
         g = np.kron(np.asarray(e.gate, dtype=np.complex128), np.eye(d_er, dtype=np.complex128))
         x = vec(g @ unvec(seg[-1]) @ dagger(g))[:, None]
-        start = e.time
-    joint.extend(gen.propagate(x, sorted_times[len(joint):] - start))
-    results: list[CMatrix] = [None] * len(times)
-    for pos, v in zip(order, joint):
-        results[pos] = ptrace(hermitianize(unvec(v)), [d_s, d_er], [0])
-    return results
+        start, done = e.time, hi
+    joint.append(gen.propagate(x, sorted_times[done:] - start)[..., 0])
+    states = np.empty((len(times), d_s, d_s), dtype=np.complex128)
+    states[order] = ptrace(hermitianize(unvec(np.concatenate(joint))), [d_s, d_er], [0])
+    return states
 
 
-def concatenation_prediction(times: list[float], superops: list[CMatrix],
+def concatenation_prediction(times: list[float], superops: CMatrix,
                              event: ControlEvent, rho_s0: CMatrix
-                             ) -> tuple[list[CMatrix], list[bool]]:
+                             ) -> tuple[CMatrix, np.ndarray]:
     """Memoryless baseline: stitch exact reduced maps across the gate.
 
     Before the gate the exact map applies directly; from the gate time on,
     the prediction is map(t) o map(t')^{-1} applied to the gated state.
     Without access to system-reservoir correlations this composition can
-    leave the state space; outputs are returned as-is together with a
-    per-time positivity-violation flag (min eigenvalue < -1e-8).
+    leave the state space; outputs are returned as-is, stacked (times, d,
+    d), together with a per-time boolean positivity-violation flag (min
+    eigenvalue < -1e-8).
 
     ``event.time`` must be one of ``times``; the inverse map must have
     condition number at most 1e8.
@@ -332,6 +328,7 @@ def concatenation_prediction(times: list[float], superops: list[CMatrix],
     matches = [i for i, t in enumerate(times) if abs(t - event.time) < 1e-12]
     if not matches:
         raise ValueError(f"event time {event.time} is not on the time grid")
+    superops = np.asarray(superops)
     m_at = superops[matches[0]]
     cond = np.linalg.cond(m_at)
     if not np.isfinite(cond) or cond > 1e8:
@@ -339,23 +336,16 @@ def concatenation_prediction(times: list[float], superops: list[CMatrix],
     gate = np.asarray(event.gate, dtype=np.complex128)
     gated = gate @ unvec(m_at @ vec(rho_s0)) @ dagger(gate)
     seed_vec = np.linalg.solve(m_at, vec(gated))
-    states: list[CMatrix] = []
-    flags: list[bool] = []
-    for t, m in zip(times, superops):
-        if t < event.time:
-            rho = unvec(m @ vec(rho_s0))
-        else:
-            rho = unvec(m @ seed_vec)
-        rho = hermitianize(rho)
-        states.append(rho)
-        flags.append(bool(np.linalg.eigvalsh(rho).min() < -POSITIVITY_TOL))
-    return states, flags
+    x = np.where((np.asarray(times) < event.time)[:, None], vec(rho_s0), seed_vec)
+    states = hermitianize(unvec((superops @ x[..., None])[..., 0]))
+    return states, np.linalg.eigvalsh(states).min(axis=-1) < -POSITIVITY_TOL
 
 
-def trace_distance_trajectory(states_a: list[CMatrix],
-                              states_b: list[CMatrix]) -> np.ndarray:
-    """Half trace-norm distance per paired time."""
+def trace_distance_trajectory(states_a: CMatrix, states_b: CMatrix) -> np.ndarray:
+    """Half trace-norm distance per paired time of two stacks of states."""
     if len(states_a) != len(states_b):
         raise ValueError("trajectories differ in length")
-    return np.array([0.5 * trace_norm(a - b) for a, b in zip(states_a, states_b)])
+    if not len(states_a):
+        return np.zeros(0)
+    return 0.5 * trace_norm(np.asarray(states_a) - np.asarray(states_b))
 

@@ -25,8 +25,8 @@ from .assess import dynamics_maps
 from .errors import (DataError, DivergenceError, FixedPointError, NumericalError,
                      ZeroProbabilityError)
 from .likelihood import _projector_vectors, build_caches, log_likelihood_gradient
-from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, herm_eig, kron, logm_principal_stack,
-                  spectral_unitary)
+from .qla import (bloch_vector, herm_eig, kron, logm_principal_stack, spectral_unitary,
+                  trace_norm)
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
                     unpack_hermitian)
 
@@ -247,11 +247,9 @@ class PosteriorDynamics:
     maps: np.ndarray = field(repr=False)
 
     def bloch_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, std) of the Bloch components, each of shape (times, 3)."""
-        if self.states.shape[-1] != 2:
-            raise ValueError("Bloch components need a two-level system")
-        vecs = np.stack([np.trace(self.states @ p, axis1=-2, axis2=-1).real
-                         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=-1)
+        """(mean, std) of the Bloch components, each of shape (times, 3);
+        ``ValueError`` unless the system is a qubit."""
+        vecs = bloch_vector(self.states)
         return vecs.mean(axis=0), vecs.std(axis=0)
 
     def bands_to_csv(self, path) -> None:
@@ -307,9 +305,8 @@ def bayes_channel_error(dyn: PosteriorDynamics) -> float:
     chois = dyn.maps[:, keep] if keep.any() else dyn.maps
     n_draws, n_times = chois.shape[:2]
     center = chois.mean(axis=0)
-    norms = np.linalg.svd(chois - center, compute_uv=False).sum(axis=-1)
     total = 0.0
-    for norm in norms.ravel():  # in draw-then-time order
+    for norm in trace_norm(chois - center).ravel():  # in draw-then-time order
         total += float(norm)
     return total / (2.0 * n_draws * n_times)
 

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,14 @@ _GATES = {
 }
 
 
+# Config fields a run does not read from its config file.
+_FIXED_FIELDS = ("d_er", "seed", "divergence_window", "divergence_margin")
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in _FIXED_FIELDS}
+
+
 def _default_config() -> dict:
     return {
         "seed": 0,
@@ -61,21 +69,7 @@ def _default_config() -> dict:
             "n_train": 20000,
             "n_val": 4000,
         },
-        "train": {
-            "candidates": [1, 2],
-            "n_records": None,
-            "epochs": 3000,
-            "batch_size": 1000,
-            "init_scale": 0.1,
-            "convergence_window": 100,
-            "convergence_tol": 1e-4,
-            "lr": 1e-3,
-            "beta1": 0.9,
-            "beta2": 0.95,
-            "eps_adam": 1e-4,
-            "restarts": 3,
-            "val_every": 20,
-        },
+        "train": {"candidates": [1, 2], "n_records": None, **_field_defaults(TrainConfig)},
         "predict": {
             "d_er": None,
             "times": [float(t) for t in range(21)],
@@ -83,14 +77,7 @@ def _default_config() -> dict:
         },
         "bayes": {
             "d_er": None,
-            "iterations": 1000,
-            "mc_samples": 8,
-            "lr": 0.01,
-            "beta1": 0.9,
-            "beta2": 0.95,
-            "eps_adam": 1e-8,
-            "init_sigma": 0.01,
-            "floor_log_likelihood": -1e6,
+            **_field_defaults(BayesConfig),
             "n_draws": 50,
             "n_records": None,
             "times": [float(t) for t in range(21)],
@@ -309,24 +296,16 @@ def cmd_generate(resolved: dict, out: Path, quiet: bool) -> None:
     _say(quiet, f"training outcome frequencies: 0 -> {freq0:.4f}, 1 -> {1.0 - freq0:.4f}")
 
 
-def _train_config(resolved: dict, d_er: int) -> TrainConfig:
-    t = resolved["train"]
+def _dataclass_config(cls, section: dict, **fixed):
+    """``cls`` built from ``fixed`` and, in field order, the values of the
+    section keys named after its other fields, each cast to the type of the
+    field's default; fields the section does not name keep their defaults."""
+    values = dict(fixed)
+    for f in fields(cls):
+        if f.name not in fixed and f.name in section:
+            values[f.name] = _value(section, f.name, type(f.default))
     try:
-        return TrainConfig(
-            d_er=d_er,
-            epochs=_value(t, "epochs", int),
-            batch_size=_value(t, "batch_size", int),
-            seed=resolved["seed"],
-            init_scale=_value(t, "init_scale", float),
-            convergence_window=_value(t, "convergence_window", int),
-            convergence_tol=_value(t, "convergence_tol", float),
-            lr=_value(t, "lr", float),
-            beta1=_value(t, "beta1", float),
-            beta2=_value(t, "beta2", float),
-            eps_adam=_value(t, "eps_adam", float),
-            restarts=_value(t, "restarts", int),
-            val_every=_value(t, "val_every", int),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -345,7 +324,7 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
     candidates = sorted(set(_int_list(t, "candidates")))
     if candidates[0] < 1:
         raise ConfigError(f"candidates must be >= 1, got {candidates}")
-    cfg = _train_config(resolved, candidates[0])
+    cfg = _dataclass_config(TrainConfig, t, d_er=candidates[0], seed=resolved["seed"])
     best_k, table, models, curves = select_d_er(ds_train, ds_val, candidates, cfg)
     for k, val_ll in table:
         save_model(models[k], _model_path(out, k))
@@ -380,11 +359,11 @@ def cmd_validate(resolved: dict, out: Path, quiet: bool) -> None:
             fh.write(f"{name},{k},{_fmt(tr)},{_fmt(va)}\n")
 
 
-def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> list[float]:
+def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> np.ndarray:
     """Trace-norm error of the learned reduced maps (reservoir at its
     equilibrium state) against the exact Choi matrices, one per time."""
     maps = dynamics_maps(gen, dims, equilibrium_er_state(gen, dims), times)
-    return [0.5 * trace_norm(c - e) for c, e in zip(maps, exact_chois)]
+    return 0.5 * trace_norm(maps - exact_chois)
 
 
 def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
@@ -400,25 +379,19 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
     rho_ser0 = kron(rho_s0, equilibrium_er_state(gen, dims))
     states = predict_dynamics(gen, dims, rho_ser0, times)
     on_grid = _integer_periods(times, cm.tau)
-    ks = sorted(set(on_grid.values()))
-    exact_states, exact_chans = exact_reference_dynamics(cm, ks)
-    by_k_state = dict(zip(ks, exact_states))
-    by_k_chan = dict(zip(ks, exact_chans))
+    periods = np.array(list(on_grid.values()), dtype=int)
+    exact_states, exact_chans = exact_reference_dynamics(cm, periods)
+    exact_bloch = dict(zip(on_grid, bloch_vector(exact_states)))
 
     with open(out / "bloch.csv", "w", encoding="utf-8") as fh:
         fh.write("time,x_model,y_model,z_model,x_exact,y_exact,z_exact\n")
-        for i, (t, rho) in enumerate(zip(times, states)):
-            cells = [_fmt(t)] + [_fmt(c) for c in bloch_vector(rho)]
-            if i in on_grid:
-                cells += [_fmt(c) for c in bloch_vector(by_k_state[on_grid[i]])]
-            else:
-                cells += ["", "", ""]
+        for i, (t, model_bloch) in enumerate(zip(times, bloch_vector(states))):
+            cells = [_fmt(t)] + [_fmt(c) for c in model_bloch]
+            cells += [_fmt(c) for c in exact_bloch[i]] if i in on_grid else ["", "", ""]
             fh.write(",".join(cells) + "\n")
 
-    pos_idx = [i for i in sorted(on_grid) if on_grid[i] >= 1]
-    grid_times = [times[i] for i in pos_idx]
-    exact_chois = [choi_from_superop(by_k_chan[on_grid[i]], dims.d_s)
-                   for i in pos_idx]
+    grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
+    exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
     if grid_times:
         errors = _choi_errors(gen, dims, grid_times, exact_chois)
         with open(out / "choi_error.csv", "w", encoding="utf-8") as fh:
@@ -442,7 +415,8 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
                 cont = validation_continuation(ds_train, ds_val, n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            fitted, _ = fit(prefix, cont, dims, _train_config(resolved, d_er))
+            fitted, _ = fit(prefix, cont, dims, _dataclass_config(
+                TrainConfig, resolved["train"], d_er=d_er, seed=resolved["seed"]))
             err = float(np.mean(_choi_errors(extract_generator(fitted), dims,
                                              grid_times, exact_chois)))
             rows.append((n, err))
@@ -473,21 +447,8 @@ def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
     n_draws = _value(b, "n_draws", int)
     if n_draws < 2:
         raise ConfigError(f"n_draws must be >= 2, got {n_draws}")
-    try:
-        bcfg = BayesConfig(
-            iterations=_value(b, "iterations", int),
-            mc_samples=_value(b, "mc_samples", int),
-            lr=_value(b, "lr", float),
-            beta1=_value(b, "beta1", float),
-            beta2=_value(b, "beta2", float),
-            eps_adam=_value(b, "eps_adam", float),
-            init_sigma=_value(b, "init_sigma", float),
-            seed=resolved["seed"],
-            floor_log_likelihood=_value(b, "floor_log_likelihood", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    posterior = fit_posterior(model, ds_train, bcfg)
+    posterior = fit_posterior(model, ds_train,
+                              _dataclass_config(BayesConfig, b, seed=resolved["seed"]))
     save_posterior(posterior, out / "posterior.json")
     rho_s0 = ptrace(model.rho0_ser, [model.dims.d_s, model.dims.d_er], [0])
     dyn = sample_dynamics(posterior, rho_s0, times, n_draws,
@@ -524,24 +485,20 @@ def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[in
     MLE, which reads only the inputs and effects the groups share.  A
     channel whose fit fails is reported by period and group (exit 4).
     """
-    union = sorted({k for _, periods, _, _ in groups for k in periods})
-    by_k = dict(zip(union, exact_reference_dynamics(cm, union)[1]))
+    lanes = [(label, k, shots, names) for label, periods, shots, names in groups
+             for k in periods]
+    _, chans = exact_reference_dynamics(cm, [k for _, k, _, _ in lanes])
     base = default_design(1)
-    lanes, counts = [], []
-    for label, periods, shots, names in groups:
-        design = replace(base, shots=shots)
-        for k in periods:
-            lanes.append((label, k))
-            counts.append(simulate_tomography_counts(by_k[k], design,
-                                                     seeds.stream(seed, *names, k)))
+    counts = [simulate_tomography_counts(ch, replace(base, shots=shots),
+                                         seeds.stream(seed, *names, k))
+              for ch, (_, k, shots, names) in zip(chans, lanes)]
     try:
         ests = tomography_mle(np.stack(counts), base)
     except TomographyError as exc:
-        label, k = lanes[exc.channel]
+        label, k, _, _ = lanes[exc.channel]
         raise NumericalError(f"tomography of period {k} in the {label} group failed: "
                              f"{exc}") from exc
-    errors = iter([0.5 * trace_norm(est - choi_from_superop(by_k[k], 2))
-                   for est, (_, k) in zip(ests, lanes)])
+    errors = iter((0.5 * trace_norm(ests - choi_from_superop(chans, 2))).tolist())
     return [[next(errors) for _ in periods] for _, periods, _, _ in groups]
 
 
@@ -626,11 +583,10 @@ def cmd_compare(resolved: dict, out: Path, quiet: bool) -> None:
         fh.write("time,x_exact,y_exact,z_exact,x_embed,y_embed,z_embed,"
                  "x_concat,y_concat,z_concat,dist_embed,dist_concat,"
                  "concat_positivity_violation\n")
-        for i, t in enumerate(times):
-            cells = [_fmt(t)]
-            for rho in (exact[i], embed[i], concat[i]):
-                cells += [_fmt(x) for x in bloch_vector(rho)]
-            cells += [_fmt(d_embed[i]), _fmt(d_concat[i]), str(int(flags[i]))]
+        blochs = np.concatenate([bloch_vector(s) for s in (exact, embed, concat)], axis=1)
+        for t, row, de, dc, flag in zip(times, blochs, d_embed, d_concat, flags):
+            cells = [_fmt(t)] + [_fmt(x) for x in row]
+            cells += [_fmt(de), _fmt(dc), str(int(flag))]
             fh.write(",".join(cells) + "\n")
     _say(quiet, f"time-averaged trace distance to ground truth: "
                 f"embedding {float(d_embed.mean()):.6f}, "

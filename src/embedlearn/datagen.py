@@ -289,57 +289,49 @@ def validation_continuation(ds_train: Dataset, ds_val: Dataset, n: int) -> Datas
                    provenance=dict(ds_train.provenance))
 
 
+def _period_powers(mp: CMatrix, x: CMatrix, periods) -> CMatrix:
+    """M^k x for each period count k of ``periods``, stacked in their
+    order; one product per period up to the largest, keeping only the
+    requested powers."""
+    ks = np.asarray(periods, dtype=np.intp)
+    if (ks < 0).any():
+        raise ValueError("period counts must be nonnegative")
+    out = np.empty(ks.shape + x.shape, dtype=np.complex128)
+    k, power = 0, x
+    for i in np.argsort(ks, kind="stable"):
+        for _ in range(ks[i] - k):
+            power = mp @ power
+        k = ks[i]
+        out[i] = power
+    return out
+
+
 def exact_reference_dynamics(cfg: CollisionModelConfig,
-                             periods: list[int]) -> tuple[list[CMatrix], list[CMatrix]]:
+                             periods: list[int]) -> tuple[CMatrix, CMatrix]:
     """Unmeasured ground-truth states and dynamical maps at period counts.
 
     States propagate ``cfg.rho_ss1_0`` directly.  The maps take an S input
     through ``X -> tr_S1[period^k (X x rho_S1(0))]`` with the S1 marginal of
-    the initial state held fixed; they are returned as 4x4 column-stacking
-    superoperator matrices, one per entry of ``periods``.
+    the initial state held fixed.  Returns the S states, (P, 2, 2), and
+    the maps as 4x4 column-stacking superoperator matrices, (P, 4, 4), one
+    per entry of ``periods``.
     """
-    if any(k < 0 for k in periods):
-        raise ValueError("period counts must be nonnegative")
     mp = period_superoperator(cfg)
-    rho_s1_0 = ptrace(np.asarray(cfg.rho_ss1_0, dtype=np.complex128), [2, 2], [1])
-
-    # Propagate the state and a full operator basis of S inputs in lockstep.
-    units = []
-    for b in range(2):
-        for a in range(2):
-            e = np.zeros((2, 2), dtype=np.complex128)
-            e[a, b] = 1.0
-            units.append(vec(np.kron(e, rho_s1_0)))
-    basis_vecs = np.stack(units, axis=1)  # 16 x 4, column b*2+a
-    state_vec = vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
-
-    states: list[CMatrix] = []
-    channels: list[CMatrix] = []
-    top = max(periods) if periods else 0
-    cache_states: dict[int, CMatrix] = {}
-    cache_maps: dict[int, CMatrix] = {}
-    cur_state = state_vec.copy()
-    cur_basis = basis_vecs.copy()
-    cache_states[0] = cur_state.copy()
-    cache_maps[0] = cur_basis.copy()
-    for k in range(1, top + 1):
-        cur_state = mp @ cur_state
-        cur_basis = mp @ cur_basis
-        cache_states[k] = cur_state.copy()
-        cache_maps[k] = cur_basis.copy()
-    for k in periods:
-        states.append(hermitianize(ptrace(unvec(cache_states[k]), [2, 2], [0])))
-        cols = cache_maps[k]
-        m = np.zeros((4, 4), dtype=np.complex128)
-        for c in range(4):
-            m[:, c] = vec(ptrace(unvec(cols[:, c]), [2, 2], [0]))
-        channels.append(m)
-    return states, channels
+    rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
+    # Column b*2 + a holds vec(|a><b| x rho_S1(0)).  The columns and the
+    # maps are copied to row-major order, the layout products see them in
+    # when they are built one column at a time.
+    units = np.kron(unvec(np.eye(4, dtype=np.complex128)), ptrace(rho0, [2, 2], [1]))
+    states = _period_powers(mp, vec(rho0), periods)
+    cols = _period_powers(mp, vec(units).T.copy(), periods)
+    channels = vec(ptrace(unvec(cols.swapaxes(-1, -2)), [2, 2], [0])).swapaxes(-1, -2)
+    return hermitianize(ptrace(unvec(states), [2, 2], [0])), channels.copy()
 
 
 def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
-                              event_period: int, periods: list[int]) -> list[CMatrix]:
-    """Ground-truth S states with an instantaneous gate on S at one period.
+                              event_period: int, periods: list[int]) -> CMatrix:
+    """Ground-truth S states with an instantaneous gate on S at one period,
+    (P, 2, 2), one per entry of ``periods``.
 
     The gate (a 2x2 unitary) hits the joint state right at the boundary of
     ``event_period``; requested times at that period already see the
@@ -351,19 +343,16 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
     if gate.shape != (2, 2) or np.max(np.abs(gate @ dagger(gate) - np.eye(2))) > 1e-10:
         raise ValueError("gate must be a 2x2 unitary")
     mp = period_superoperator(cfg)
-    out: dict[int, CMatrix] = {}
-    v = vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
-    top = max(periods) if periods else 0
-    for k in range(0, max(top, event_period) + 1):
-        if k > 0:
-            v = mp @ v
-        if k == event_period:
-            rho = unvec(v)
-            g2 = np.kron(gate, np.eye(2, dtype=np.complex128))
-            v = vec(g2 @ rho @ dagger(g2))
-        if k in periods:
-            out[k] = hermitianize(ptrace(unvec(v), [2, 2], [0]))
-    return [out[k] for k in periods]
+    ks = np.asarray(periods, dtype=np.intp)
+    before = ks < event_period
+    head = _period_powers(mp, vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128)),
+                          np.append(ks[before], event_period))
+    g2 = np.kron(gate, np.eye(2, dtype=np.complex128))
+    v = np.empty((ks.size, 16), dtype=np.complex128)
+    v[before] = head[:-1]
+    v[~before] = _period_powers(mp, vec(g2 @ unvec(head[-1]) @ dagger(g2)),
+                                ks[~before] - event_period)
+    return hermitianize(ptrace(unvec(v), [2, 2], [0]))
 
 
 # ---------------------------------------------------------------------------

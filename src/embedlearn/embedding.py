@@ -32,6 +32,7 @@ from .qla import (
     logm_principal,
     ptrace,
     unvec,
+    vec,
 )
 
 PSD_TOL = 1e-10
@@ -254,10 +255,8 @@ def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatr
     positivity are up to the quality of the generator, not enforced.
     """
     times = _nonnegative_times(times)
-    rho_ser0 = np.asarray(rho_ser0)
-    cols = rho_ser0.swapaxes(-1, -2).reshape(rho_ser0.shape[:-2] + (-1, 1))  # vec
-    joint = gen.propagate(cols, times)[..., 0]
-    rho = hermitianize(joint.reshape(joint.shape[:-1] + (dims.d, dims.d)).swapaxes(-1, -2))
+    joint = gen.propagate(vec(rho_ser0)[..., None], times)[..., 0]
+    rho = hermitianize(unvec(joint))
     return ptrace(rho, [dims.d_s, dims.d_er], [0])
 
 

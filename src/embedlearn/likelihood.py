@@ -46,7 +46,7 @@ from .datagen import CollisionModelConfig, Dataset, period_superoperator
 from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, _transfers,
                         ancilla_vector, kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
-from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary
+from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary, unvec, vec
 
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
@@ -263,8 +263,7 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     # logs of those blocks; a backward lane's views run from time n to 1.
     lanes = []
     for c, cache in enumerate(caches if forward else []):
-        d = cache.rho0.shape[0]
-        evolved = (cache.period_map @ cache.rho0.T.ravel()).reshape(d, d).T
+        evolved = unvec(cache.period_map @ vec(cache.rho0))
         first = np.einsum("s,setf,t->ef", cache.phis[0].conj(),
                           evolved.reshape(d_s, d_er, d_s, d_er), cache.phis[0])
         p = np.trace(first).real
@@ -445,10 +444,16 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     gradient and a subset is an unbiased estimate.  Each term is a ratio of
     the per-merge-point derivative to the per-merge-point sandwich value,
     which cancels every renormalization scale.
+
+    ``cache`` must hold both sweeps of this ``model`` over this ``data``,
+    the same objects (``ValueError`` otherwise): another model's sweeps
+    would be combined with this model's channel without notice.
     """
+    if cache.model is not model or cache.data is not data:
+        raise ValueError("cache is not a sweep of model over data")
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
-    phis, spectrum, m = _period_inputs(model, data, cache)
+    phis, spectrum, m = cache.phis, cache.spectrum, cache.period_map
     n = len(data.records)
     if batch is None:
         batch = np.arange(1, n + 1)
@@ -479,7 +484,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     b = _product_operators(phis[batch - 2].conj(),
                            cache.forward_blocks[batch - 1].transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
-    b[batch == 1] = cache.rho0.T.ravel()
+    b[batch == 1] = vec(cache.rho0)
     values = np.einsum("mi,mi->m", a, b @ m.T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]

@@ -85,18 +85,19 @@ def hermitianize(m: CMatrix) -> CMatrix:
 
 
 def vec(m: CMatrix) -> CMatrix:
-    """Column-stacking vectorization."""
-    return np.asarray(m).T.ravel()
+    """Column-stacking vectorization of a matrix, or of each matrix in a
+    stack: (..., n, n) -> (..., n*n)."""
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
 
 
-def unvec(v: CMatrix, side: int | None = None) -> CMatrix:
-    """Inverse of :func:`vec` for a square matrix."""
-    v = np.asarray(v).ravel()
-    if side is None:
-        side = int(round(np.sqrt(v.size)))
-    if side * side != v.size:
-        raise ValueError(f"cannot reshape length-{v.size} vector to a square matrix")
-    return v.reshape(side, side).T
+def unvec(v: CMatrix) -> CMatrix:
+    """Inverse of :func:`vec` for square matrices: (..., n*n) -> (..., n, n)."""
+    v = np.asarray(v)
+    side = int(round(np.sqrt(v.shape[-1])))
+    if side * side != v.shape[-1]:
+        raise ValueError(f"cannot reshape length-{v.shape[-1]} vector to a square matrix")
+    return v.reshape(v.shape[:-1] + (side, side)).swapaxes(-1, -2)
 
 
 def kron(*ms: CMatrix) -> CMatrix:
@@ -209,9 +210,11 @@ def _branch_distance(w: np.ndarray) -> np.ndarray:
     return np.where(w.real <= 0.0, np.abs(w.imag), np.abs(w))
 
 
-def trace_norm(m: CMatrix) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
+def trace_norm(m: CMatrix) -> float | np.ndarray:
+    """Sum of singular values of a matrix (a float), or of each matrix in a
+    stack (an array of the leading shape)."""
+    norms = np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def haar_random_pure_state(dim: int, rng: np.random.Generator) -> CMatrix:
@@ -228,9 +231,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def bloch_vector(rho: CMatrix) -> npt.NDArray[np.float64]:
-    """(x, y, z) expectation triple of a qubit state."""
-    if rho.shape != (2, 2):
+    """(x, y, z) expectation triple of a qubit state, or (..., 3) for a
+    stack of them."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    return np.array([np.trace(rho @ SIGMA_X).real,
-                     np.trace(rho @ SIGMA_Y).real,
-                     np.trace(rho @ SIGMA_Z).real])
+    return np.stack([np.trace(rho @ p, axis1=-2, axis2=-1).real
+                     for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=-1)

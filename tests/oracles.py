@@ -18,7 +18,14 @@ the reference of the posterior channel spread, sweep, decompose and
 propagate through the library's ``build_cache``, ``extract_generator``,
 ``equilibrium_er_state`` and the generator's eigensystem
 (:func:`generator_flow`), as does :func:`predict_with_control_per_time`,
-the bitwise reference of the gated prediction.  The helpers that only
+the bitwise reference of the gated prediction.  The per-item ground truth
+and assessment (:func:`exact_reference_dynamics_serial`,
+:func:`exact_controlled_dynamics_serial`,
+:func:`concatenation_prediction_serial`,
+:func:`outcome_probabilities_serial`, :func:`predict_with_control_serial`),
+the bitwise references of their stacked library versions, run on the
+library's ``period_superoperator``, ``ptrace``, ``hermitianize`` and
+generator ``propagate``.  The helpers that only
 tests use (the joint-space trajectory simulator, joint-sized views of the
 sweeps, the bare-entry unitary derivative, Choi conversions, a CSV dump, a
 Monte-Carlo objective, posterior entry statistics) live here too.
@@ -942,3 +949,124 @@ def sample_dynamics_serial(posterior, rho_s0, times, n_draws, rng, outcomes=None
         states.append(predict_dynamics_per_time(gen, dims, kron(rho_s0, er), times))
         maps.append(dynamics_maps_per_time(gen, dims, er, times))
     return np.array(states), np.array(maps)
+
+
+# ---------------------------------------------------------------------------
+# Per-item ground truth and assessment, the bitwise references of the
+# stacked library functions.  They vectorize one matrix at a time.
+# ---------------------------------------------------------------------------
+
+def _vec(m):
+    return np.asarray(m).T.ravel()
+
+
+def _unvec(v):
+    v = np.asarray(v).ravel()
+    side = int(round(np.sqrt(v.size)))
+    return v.reshape(side, side).T
+
+
+def exact_reference_dynamics_serial(cfg, periods):
+    """``exact_reference_dynamics`` as lists, stepping the state and the
+    four operator-basis columns by hand up to the largest period."""
+    from embedlearn.datagen import period_superoperator
+    from embedlearn.qla import hermitianize, ptrace
+    if any(k < 0 for k in periods):
+        raise ValueError("period counts must be nonnegative")
+    mp = period_superoperator(cfg)
+    rho_s1_0 = ptrace(np.asarray(cfg.rho_ss1_0, dtype=np.complex128), [2, 2], [1])
+    units = []
+    for b in range(2):
+        for a in range(2):
+            e = np.zeros((2, 2), dtype=np.complex128)
+            e[a, b] = 1.0
+            units.append(_vec(np.kron(e, rho_s1_0)))
+    cur_state = _vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
+    cur_basis = np.stack(units, axis=1)  # 16 x 4, column b*2+a
+    cache = {0: (cur_state, cur_basis)}
+    for k in range(1, (max(periods) if periods else 0) + 1):
+        cur_state = mp @ cur_state
+        cur_basis = mp @ cur_basis
+        cache[k] = (cur_state, cur_basis)
+    states, channels = [], []
+    for k in periods:
+        state, cols = cache[k]
+        states.append(hermitianize(ptrace(_unvec(state), [2, 2], [0])))
+        m = np.zeros((4, 4), dtype=np.complex128)
+        for c in range(4):
+            m[:, c] = _vec(ptrace(_unvec(cols[:, c]), [2, 2], [0]))
+        channels.append(m)
+    return states, channels
+
+
+def exact_controlled_dynamics_serial(cfg, gate, event_period, periods):
+    """``exact_controlled_dynamics`` as a list, stepping the joint state one
+    period at a time and gating it at ``event_period``."""
+    from embedlearn.datagen import period_superoperator
+    from embedlearn.qla import dagger, hermitianize, ptrace
+    mp = period_superoperator(cfg)
+    gate = np.asarray(gate, dtype=np.complex128)
+    out = {}
+    v = _vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
+    for k in range(0, max(max(periods, default=0), event_period) + 1):
+        if k > 0:
+            v = mp @ v
+        if k == event_period:
+            g2 = np.kron(gate, np.eye(2, dtype=np.complex128))
+            v = _vec(g2 @ _unvec(v) @ dagger(g2))
+        if k in periods:
+            out[k] = hermitianize(ptrace(_unvec(v), [2, 2], [0]))
+    return [out[k] for k in periods]
+
+
+def concatenation_prediction_serial(times, superops, event, rho_s0):
+    """``concatenation_prediction`` one time at a time: (states, flags)."""
+    from embedlearn.qla import dagger, hermitianize
+    m_at = superops[[i for i, t in enumerate(times) if abs(t - event.time) < 1e-12][0]]
+    gate = np.asarray(event.gate, dtype=np.complex128)
+    gated = gate @ _unvec(m_at @ _vec(rho_s0)) @ dagger(gate)
+    seed_vec = np.linalg.solve(m_at, _vec(gated))
+    states, flags = [], []
+    for t, m in zip(times, superops):
+        rho = hermitianize(_unvec(m @ (_vec(rho_s0) if t < event.time else seed_vec)))
+        states.append(rho)
+        flags.append(bool(np.linalg.eigvalsh(rho).min() < -1e-8))
+    return states, flags
+
+
+def outcome_probabilities_serial(channel_superop, design):
+    """``outcome_probabilities`` by one trace per input and effect."""
+    p = np.zeros((len(design.input_states), len(design.povm)))
+    for j, rho in enumerate(design.input_states):
+        out = _unvec(channel_superop @ _vec(rho))
+        for k, eff in enumerate(design.povm):
+            p[j, k] = max(np.einsum("ab,ba->", eff, out).real, 0.0)
+        p[j] /= p[j].sum()
+    return p
+
+
+def predict_with_control_serial(gen, dims, rho_ser0, events, times):
+    """``predict_with_control`` by one propagation per segment between
+    gates and one reduced state per requested time, as a list."""
+    from embedlearn.qla import dagger, hermitianize, ptrace
+    d_s, d_er = dims.d_s, dims.d_er
+    ev = sorted(events, key=lambda e: e.time)
+    times = np.array([float(t) for t in times])
+    order = np.argsort(times)
+    sorted_times = times[order]
+    x = _vec(np.asarray(rho_ser0, dtype=np.complex128))[:, None]
+    start, joint = 0.0, []
+    for e in ev:
+        hi = int(np.searchsorted(sorted_times, e.time))
+        if hi == len(times):
+            break
+        seg = gen.propagate(x, np.append(sorted_times[len(joint):hi], e.time) - start)
+        joint.extend(seg[:-1])
+        g = np.kron(np.asarray(e.gate, dtype=np.complex128), np.eye(d_er, dtype=np.complex128))
+        x = _vec(g @ _unvec(seg[-1]) @ dagger(g))[:, None]
+        start = e.time
+    joint.extend(gen.propagate(x, sorted_times[len(joint):] - start))
+    results = [None] * len(times)
+    for pos, v in zip(order, joint):
+        results[pos] = ptrace(hermitianize(_unvec(v)), [d_s, d_er], [0])
+    return results

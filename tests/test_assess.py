@@ -17,6 +17,7 @@ from embedlearn.embedding import extract_generator, make_embedding
 from embedlearn.errors import IllConditionedError, NumericalError
 from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
 
+import oracles
 from oracles import (apply_choi, choi_min_eigenvalue, choi_of_map,
                      choi_output_partial_trace_deviation, choi_to_superop,
                      nonmonotonicity_flag, predict_with_control_per_time,
@@ -239,7 +240,29 @@ class TestTomographyDesign:
             default_design(shots)
 
 
+def random_collision_config(seed):
+    """A random 8x8 interaction and a random correlated S x S1 start."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return CollisionModelConfig(hamiltonian=(a + a.conj().T) / 4,
+                                rho_ss1_0=random_density(rng, 4))
+
+
+def random_unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
 class TestOutcomeProbabilities:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_the_per_entry_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        _, chans = exact_reference_dynamics(random_collision_config(seed), list(range(8)))
+        design = default_design(1)
+        for sup in [*chans, random_kraus_channel(rng)[1], np.eye(4, dtype=np.complex128)]:
+            assert np.array_equal(outcome_probabilities(sup, design),
+                                  oracles.outcome_probabilities_serial(sup, design))
+
     def test_identity_channel_first_row(self):
         p = outcome_probabilities(np.eye(4, dtype=np.complex128),
                                   default_design(1))
@@ -494,6 +517,25 @@ class TestPredictWithControl:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_stack_is_bitwise_the_per_time_result_loop(self, d_er):
+        dims = DimSpec(d_s=2, d_er=d_er)
+        rng = np.random.default_rng(50 + d_er)
+        d_tot = dims.d * dims.d_a
+        x = rng.normal(size=(d_tot, d_tot)) + 1j * rng.normal(size=(d_tot, d_tot))
+        h = (x + x.conj().T) / (2 * np.sqrt(d_tot))
+        rho0 = kron(random_density(rng), np.eye(d_er, dtype=np.complex128) / d_er)
+        gen = extract_generator(make_embedding(dims, 1.0, h, rho0))
+        gate = random_unitary(rng)
+        for times in ([2.5, 0.5, 1.0, 4.0, 1.0, 3.25], [3.0], []):
+            for events in ([], [ControlEvent(0.25, gate)], [ControlEvent(1.0, gate)],
+                           [ControlEvent(1.75, gate), ControlEvent(3.0, SIGMA_X)],
+                           [ControlEvent(5.0, gate)]):
+                got = predict_with_control(gen, dims, rho0, events, times)
+                want = oracles.predict_with_control_serial(gen, dims, rho0, events, times)
+                assert got.shape == (len(times), 2, 2)
+                assert np.array_equal(got, np.reshape(want, (-1, 2, 2)))
+
     def test_unsorted_times_keep_requested_order(self):
         gen, dims = dissipative_semigroup_generator()
         fwd = predict_with_control(gen, dims, ZERO.copy(), [], [1.0, 3.0])
@@ -571,6 +613,23 @@ class TestConcatenationPrediction:
             fired = fired or flag
         assert fired
 
+    @pytest.mark.parametrize("seed", range(3))
+    # At the first, a middle and the last requested period, which come
+    # unsorted and with a repeat.
+    @pytest.mark.parametrize("event_period", [1, 3, 6])
+    def test_stack_is_bitwise_the_per_time_loop(self, seed, event_period):
+        rng = np.random.default_rng(seed)
+        periods = [4, 1, 6, 3, 3, 2]
+        _, chans = exact_reference_dynamics(random_collision_config(seed), periods)
+        times = [float(k) for k in periods]
+        event = ControlEvent(float(event_period), random_unitary(rng))
+        rho_s0 = random_density(rng)
+        states, flags = concatenation_prediction(times, chans, event, rho_s0)
+        want_states, want_flags = oracles.concatenation_prediction_serial(
+            times, list(chans), event, rho_s0)
+        assert np.array_equal(states, np.array(want_states))
+        assert flags.tolist() == want_flags
+
     def test_event_off_grid_rejected(self):
         gen, _ = dissipative_semigroup_generator()
         sups = [scipy.linalg.expm(t * gen.matrix) for t in [1.0, 2.0]]
@@ -600,6 +659,16 @@ class TestTraceDistanceTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             trace_distance_trajectory([ZERO], [ZERO, ONE])
+
+    def test_stacks_and_empty_trajectories(self):
+        rng = np.random.default_rng(5)
+        a = np.stack([random_density(rng) for _ in range(4)])
+        b = np.stack([random_density(rng) for _ in range(4)])
+        d = trace_distance_trajectory(a, b)
+        assert d.shape == (4,)
+        assert np.max(np.abs(d - [0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum()
+                                  for x, y in zip(a, b)])) < 1e-12
+        assert trace_distance_trajectory([], []).shape == (0,)
 
 
 class TestNonmonotonicityFlag:

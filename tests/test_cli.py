@@ -1,6 +1,7 @@
 """End-to-end command-line tests. Each run works in a temporary directory
 against small datasets; the heavier train/predict flows share one fitted
 run directory per module."""
+import hashlib
 import json
 import math
 import shutil
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from embedlearn import cli, jsonio
+from embedlearn.bayes import BayesConfig
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import load_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
@@ -77,6 +79,43 @@ class TestConfigResolution:
         resolved = load_run_config(None, None)
         assert resolved["seed"] == 0
         assert resolved["train"]["candidates"] == [1, 2]
+
+    def test_default_values_are_pinned(self, tmp_path):
+        times = [float(t) for t in range(21)]
+        assert load_run_config(None, None) == {
+            "seed": 0,
+            "data": {"tau": 1.0, "delta_t": None, "collisions_per_period": 5,
+                     "hamiltonian": None, "n_train": 20000, "n_val": 4000},
+            "train": {"candidates": [1, 2], "n_records": None, "epochs": 3000,
+                      "batch_size": 1000, "init_scale": 0.1, "convergence_window": 100,
+                      "convergence_tol": 1e-4, "lr": 1e-3, "beta1": 0.9, "beta2": 0.95,
+                      "eps_adam": 1e-4, "restarts": 3, "val_every": 20},
+            "predict": {"d_er": None, "times": times, "n_values": None},
+            "bayes": {"d_er": None, "iterations": 1000, "mc_samples": 8, "lr": 0.01,
+                      "beta1": 0.9, "beta2": 0.95, "eps_adam": 1e-8, "init_sigma": 0.01,
+                      "floor_log_likelihood": -1e6, "n_draws": 50, "n_records": None,
+                      "times": times},
+            "tomo": {"times": list(range(1, 21)), "shots_per_channel": None,
+                     "k_values": None},
+            "compare": {"d_er": None, "gate": "x", "gate_period": 20,
+                        "times": list(range(41))},
+        }
+        # A run without a model still records its configuration first.
+        assert main(["predict", "--out", str(tmp_path), "--quiet"]) == 2
+        digest = hashlib.sha256((tmp_path / "resolved_config.json").read_bytes()).hexdigest()
+        assert digest == "39cf3d39a50ce1c03100a6b6f9ad1a8a9ef84b83f81bdb2dec23f7be1af1b292"
+
+    @pytest.mark.parametrize("section,raw,match", [
+        ("train", {"lr": "fast", "epochs": 2.5}, "'epochs'"),
+        ("train", {"val_every": None, "restarts": True}, "'restarts'"),
+        ("bayes", {"floor_log_likelihood": "low", "mc_samples": 1.5}, "'mc_samples'"),
+        ("bayes", {"floor_log_likelihood": 2}, "floor_log_likelihood must be negative"),
+    ])
+    def test_first_bad_field_in_dataclass_order_is_reported(self, section, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            cli._dataclass_config({"train": TrainConfig, "bayes": BayesConfig}[section],
+                                  {**load_run_config(None, None)[section], **raw},
+                                  seed=0, **({"d_er": 1} if section == "train" else {}))
 
     def test_seed_override_wins(self, tmp_path):
         p = tmp_path / "c.json"

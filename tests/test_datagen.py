@@ -37,6 +37,24 @@ def local_collision_hamiltonian():
             + kron(SIGMA_Z, SIGMA_Z, i2))
 
 
+def random_collision_config(seed):
+    """A random 8x8 interaction and a random correlated S x S1 start."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return CollisionModelConfig(hamiltonian=(a + a.conj().T) / 4,
+                                rho_ss1_0=random_density(rng, 4))
+
+
+def random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+# Sorted, unsorted with repeats, all repeats, one late period, none.
+PERIOD_LISTS = [[0, 1, 2, 3], [5, 0, 3, 3, 1], [2, 2, 2], [9], []]
+
+
 class TestDefaultHamiltonian:
     def test_hermitian_and_traceless(self):
         h = default_collision_hamiltonian()
@@ -323,6 +341,33 @@ class TestExactReference:
         for m in chans:
             assert np.max(np.abs(ident @ m - ident)) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("periods", PERIOD_LISTS)
+    def test_stacks_are_bitwise_the_serial_steps(self, seed, periods):
+        cfg = random_collision_config(seed)
+        states, chans = exact_reference_dynamics(cfg, periods)
+        want_states, want_chans = oracles.exact_reference_dynamics_serial(cfg, periods)
+        assert states.shape == (len(periods), 2, 2)
+        assert chans.shape == (len(periods), 4, 4)
+        assert np.array_equal(states, np.reshape(want_states, (-1, 2, 2)))
+        assert np.array_equal(chans, np.reshape(want_chans, (-1, 4, 4)))
+
+    def test_negative_period_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_reference_dynamics(CollisionModelConfig(), [2, -1])
+
+    def test_memory_does_not_grow_with_the_period(self):
+        # Keeping every power up to period 20000 takes about 30 MB.
+        cfg = CollisionModelConfig()
+        tracemalloc.start()
+        try:
+            exact_reference_dynamics(cfg, [20000, 3])
+            exact_controlled_dynamics(cfg, SIGMA_X, 10000, [20000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
 
 class TestExactControlled:
     def test_identity_gate_matches_reference(self):
@@ -351,6 +396,22 @@ class TestExactControlled:
         with pytest.raises(ValueError):
             exact_controlled_dynamics(CollisionModelConfig(), np.eye(2) * 2, 1,
                                       [0, 1])
+
+    def test_negative_period_rejected(self):
+        with pytest.raises(ValueError, match="period counts must be nonnegative"):
+            exact_controlled_dynamics(CollisionModelConfig(), SIGMA_X, 2, [-1, 3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("periods", PERIOD_LISTS)
+    # Before, at, between and after the requested periods, for most lists.
+    @pytest.mark.parametrize("event_period", [0, 1, 2, 4, 12])
+    def test_stack_is_bitwise_the_serial_steps(self, seed, periods, event_period):
+        cfg = random_collision_config(seed)
+        gate = random_unitary(seed + 10)
+        got = exact_controlled_dynamics(cfg, gate, event_period, periods)
+        want = oracles.exact_controlled_dynamics_serial(cfg, gate, event_period, periods)
+        assert got.shape == (len(periods), 2, 2)
+        assert np.array_equal(got, np.reshape(want, (-1, 2, 2)))
 
 
 class TestTrueModelLikelihood:

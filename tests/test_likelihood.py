@@ -1,7 +1,6 @@
 """Record-sequence likelihood tests: both renormalized sweeps against flat
 contractions that keep every ancilla, plus the analytic gradient against
 central finite differences."""
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,7 @@ from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
 from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
-from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
+from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
 
 import oracles
 from oracles import (backward_effects, dump_step_increments, forward_states,
@@ -672,12 +671,13 @@ class TestCacheReuse:
         tr, va = make_dataset(recs[:20]), make_dataset(recs[20:])
         cache = build_cache(model, tr)
         # An equal but distinct model object shares nothing with the cache,
-        # so every input is recomputed from its own H.
+        # so its own cache recomputes every input from its own H.
         twin = model.with_h(model.h.copy())
         assert cache.model is model and cache.model is not twin
+        twin_cache = build_cache(twin, tr)
         for batch in (None, [1, 5, 20]):
             reused = log_likelihood_gradient(model, tr, cache, batch)
-            fresh = log_likelihood_gradient(twin, tr, cache, batch)
+            fresh = log_likelihood_gradient(twin, tr, twin_cache, batch)
             assert np.array_equal(reused, fresh)
         # Validation takes only a forward sweep of its own model and data.
         assert (conditional_validation_ll(model, tr, va, cache)
@@ -687,20 +687,33 @@ class TestCacheReuse:
         assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
 
     def test_another_model_is_not_served_from_the_cache(self):
-        # The gradient of a second model against the first one's sweeps uses
-        # the second model's own H and period map, as if the cache held them;
-        # validation refuses the first model's sweep.
+        # Neither validation nor the gradient combines the first model's
+        # sweeps with a second model's channel.
         rng = np.random.default_rng(80)
         model, other = random_model(rng), random_model(rng)
         recs = random_records(rng, 16)
         tr, va = make_dataset(recs[:12]), make_dataset(recs[12:])
         cache = backward_pass(model, tr, build_cache(model, tr))
-        relabeled = dataclasses.replace(cache, model=other, spectrum=herm_eig(other.h),
-                                        period_map=superoperator_matrix(other))
         with pytest.raises(ValueError):
             conditional_validation_ll(other, tr, va, cache)
-        assert np.array_equal(log_likelihood_gradient(other, tr, cache),
-                              log_likelihood_gradient(other, tr, relabeled))
+        with pytest.raises(ValueError):
+            log_likelihood_gradient(other, tr, cache)
+
+    @pytest.mark.parametrize("foreign", ["model", "equal_model", "equal_dataset"])
+    def test_gradient_refuses_a_foreign_cache(self, foreign):
+        # With another model's sweeps the gradient was off by up to half the
+        # size of its entries here.  Equal but distinct objects are refused
+        # too: the cache is matched by identity, as validation matches it.
+        rng = np.random.default_rng(80)
+        model, other = random_model(rng), random_model(rng)
+        recs = random_records(rng, 16)
+        tr = make_dataset(recs[:12])
+        cache = build_cache(model, tr)
+        args = {"model": (other, tr),
+                "equal_model": (model.with_h(model.h.copy()), tr),
+                "equal_dataset": (model, make_dataset(recs[:12]))}[foreign]
+        with pytest.raises(ValueError, match="not a sweep of model over data"):
+            log_likelihood_gradient(*args, cache)
 
     def test_build_cache_runs_the_backward_sweep(self):
         rng = np.random.default_rng(81)

@@ -56,6 +56,18 @@ class TestVec:
         with pytest.raises(ValueError):
             unvec(np.arange(3.0))
 
+    def test_stacks_map_each_matrix(self):
+        rng = np.random.default_rng(1)
+        ms = random_complex(rng, 6, 9).reshape(2, 3, 3, 3)
+        vs = vec(ms)
+        assert vs.shape == (2, 3, 9)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(vs[i, j], vec(ms[i, j]))
+        assert np.array_equal(unvec(vs), ms)
+        assert vec(np.zeros((0, 2, 2))).shape == (0, 4)
+        assert unvec(np.zeros((0, 4))).shape == (0, 2, 2)
+
 
 class TestKron:
     def test_identity_case(self):
@@ -266,6 +278,12 @@ class TestTraceNorm:
             b = random_complex(rng, 3, 3)
             assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-12
 
+    def test_stack_gives_one_norm_per_matrix(self):
+        rng = np.random.default_rng(17)
+        a = random_complex(rng, 12, 4).reshape(3, 4, 4)
+        assert isinstance(trace_norm(a[0]), float)
+        assert np.array_equal(trace_norm(a), [trace_norm(m) for m in a])
+
 
 class TestHaarRandomPureState:
     def test_one_dimensional(self):
@@ -303,6 +321,17 @@ class TestBlochVector:
         b = bloch_vector(rho)
         for i, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)):
             assert abs(b[i] - np.trace(rho @ s).real) < 1e-13
+
+    def test_stack_gives_one_triple_per_state(self):
+        rng = np.random.default_rng(22)
+        rhos = np.stack([random_density(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        got = bloch_vector(rhos)
+        assert got.shape == (2, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], bloch_vector(rhos[i, j]))
+        with pytest.raises(ValueError, match="qubit"):
+            bloch_vector(np.eye(3))
 
 
 class TestHermitianize:
