@@ -18,15 +18,15 @@ print(f"period tau = {cfg.tau}, {cfg.collisions_per_period} collisions of "
 ds = generate_trajectory(cfg, 12, seed=42)
 print(f"\n{len(ds.records)} records; provenance {ds.provenance}")
 print("\nstep  outcome  measured basis column (outcome eigenvector)")
-for rec in ds.records[:6]:
-    phi = rec.basis[:, rec.outcome]
-    print(f"{rec.step:4d}  {rec.outcome:7d}  "
+for rec in ds.records[:6]:  # one row of the records array: step, basis, outcome
+    phi = rec["basis"][:, rec["outcome"]]
+    print(f"{rec['step']:4d}  {rec['outcome']:7d}  "
           f"[{phi[0].real:+.3f}{phi[0].imag:+.3f}j, "
           f"{phi[1].real:+.3f}{phi[1].imag:+.3f}j]")
 
 n = 4000
 big = generate_trajectory(cfg, n, seed=7)
-freq0 = sum(1 for r in big.records if r.outcome == 0) / n
+freq0 = np.count_nonzero(big.records["outcome"] == 0) / n
 print(f"\noutcome frequencies over {n} steps: 0 -> {freq0:.4f}, "
       f"1 -> {1 - freq0:.4f}")
 print("(random bases average the Born probabilities toward 1/2)")

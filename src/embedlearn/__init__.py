@@ -18,10 +18,10 @@ from .embedding import (GeneratorSuperoperator, MarkovianEmbedding,
                         equilibrium_er_state, extract_generator, load_model,
                         make_embedding, predict_dynamics, save_model,
                         superoperator_matrix)
-from .datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
-                      dataset_prefix, exact_controlled_dynamics,
-                      exact_reference_dynamics, generate_trajectory, load_dataset,
-                      save_dataset, split_dataset, validation_continuation)
+from .datagen import (CollisionModelConfig, Dataset, dataset_prefix,
+                      exact_controlled_dynamics, exact_reference_dynamics,
+                      generate_trajectory, load_dataset, make_records, save_dataset,
+                      split_dataset, validation_continuation)
 from .likelihood import (build_cache, conditional_validation_ll, log_likelihood,
                          log_likelihood_gradient)
 from .train import (LearningCurve, TrainConfig, estimate_d_er, fit, init_model,
@@ -46,10 +46,10 @@ __all__ = [
     "GeneratorSuperoperator", "MarkovianEmbedding",
     "equilibrium_er_state", "extract_generator", "load_model",
     "make_embedding", "predict_dynamics", "save_model", "superoperator_matrix",
-    "CollisionModelConfig", "Dataset", "MeasurementRecord", "dataset_prefix",
+    "CollisionModelConfig", "Dataset", "dataset_prefix",
     "exact_controlled_dynamics", "exact_reference_dynamics",
-    "generate_trajectory", "load_dataset", "save_dataset", "split_dataset",
-    "validation_continuation",
+    "generate_trajectory", "load_dataset", "make_records", "save_dataset",
+    "split_dataset", "validation_continuation",
     "build_cache", "conditional_validation_ll", "log_likelihood",
     "log_likelihood_gradient",
     "LearningCurve", "TrainConfig", "estimate_d_er", "fit", "init_model",

@@ -24,7 +24,7 @@ from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, equilibrium_
 from .assess import dynamics_maps
 from .errors import (DataError, DivergenceError, FixedPointError, NumericalError,
                      ZeroProbabilityError)
-from .likelihood import _projector_vectors, build_caches, log_likelihood_gradient
+from .likelihood import build_caches, log_likelihood_gradient
 from .qla import (bloch_vector, herm_eig, kron, logm_principal_stack, spectral_unitary,
                   trace_norm)
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
@@ -156,10 +156,8 @@ def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
     each draw costs one full forward/backward sweep; the sweeps of an
     iteration's draws run in lockstep (:func:`score_draws`).
     """
-    phis = _projector_vectors(model, data)
-
     def value_and_grad(thetas: np.ndarray):
-        return score_draws(model, data, phis, thetas, cfg.floor_log_likelihood)
+        return score_draws(model, data, thetas, cfg.floor_log_likelihood)
 
     rng = seeds.stream(cfg.seed, "bayes")
     mean0 = pack_hermitian(model.h)
@@ -170,18 +168,18 @@ def fit_posterior(model: MarkovianEmbedding, data, cfg: BayesConfig
                                 objective_trace=trace)
 
 
-def score_draws(model: MarkovianEmbedding, data, phis: np.ndarray, thetas: np.ndarray,
+def score_draws(model: MarkovianEmbedding, data, thetas: np.ndarray,
                 floor: float) -> list[tuple[float, np.ndarray]]:
     """(log-likelihood, packed gradient) of ``model`` with each row of
-    ``thetas`` as its packed Hamiltonian, over ``data`` with measured system
-    vectors ``phis``.  The sweeps of all rows run as the lanes of one loop
+    ``thetas`` as its packed Hamiltonian, over ``data``.  The sweeps of all
+    rows run as the lanes of one loop
     (:func:`~embedlearn.likelihood.build_caches`).  A row under which some
     record has zero probability scores ``floor`` with a zero gradient."""
     dd = model.dims.d_total
     models = [model.with_h(unpack_hermitian(theta, dd)) for theta in thetas]
-    all_steps = np.arange(1, len(data.records) + 1)
+    all_steps = np.arange(1, len(data) + 1)
     scores = []
-    for m, cache in zip(models, build_caches(models, data, phis)):
+    for m, cache in zip(models, build_caches(models, data)):
         score = (floor, np.zeros(thetas.shape[1]))
         if cache is not None:
             try:

@@ -291,7 +291,7 @@ def cmd_generate(resolved: dict, out: Path, quiet: bool) -> None:
     ds_train, ds_val = split_dataset(ds, n_train)
     save_dataset(ds_train, out / "train.jsonl")
     save_dataset(ds_val, out / "val.jsonl")
-    freq0 = sum(1 for r in ds_train.records if r.outcome == 0) / n_train
+    freq0 = np.count_nonzero(ds_train.records["outcome"] == 0) / n_train
     _say(quiet, f"wrote {n_train} training and {n_val} validation records to {out}")
     _say(quiet, f"training outcome frequencies: 0 -> {freq0:.4f}, 1 -> {1.0 - freq0:.4f}")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,33 +130,43 @@ def _check_density(rho: CMatrix, side: int, name: str) -> None:
         raise ValueError(f"{name} is not positive semidefinite")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One projective measurement of S: step index (1-based), the 2x2
-    unitary whose columns are the measured basis states, and the outcome
-    column index."""
-
-    step: int
-    basis: CMatrix = field(repr=False)
-    outcome: int
+def make_records(steps, bases, outcomes) -> np.ndarray:
+    """The records of a dataset as one (n,) structured array: per
+    projective measurement of S the ``step`` index (int64, 1-based), the
+    ``basis`` (complex128, (d_s, d_s)) whose columns are the measured basis
+    states, and the ``outcome`` column index (int64)."""
+    recs = np.empty(len(bases), dtype=[("step", np.int64),
+                                       ("basis", np.complex128, np.shape(bases)[1:]),
+                                       ("outcome", np.int64)])
+    recs["step"], recs["basis"], recs["outcome"] = steps, bases, outcomes
+    return recs
 
 
 @dataclass
 class Dataset:
     """A contiguous run of measurement records plus provenance.
 
-    ``provenance`` carries the generating seed and config digest; datasets
-    that should continue one another (train then validation) must agree on
-    both.
+    ``records`` is the structured array of :func:`make_records`, and the
+    system dimension ``d_s`` is read from its basis field.  ``provenance``
+    carries the generating seed and config digest; datasets that should
+    continue one another (train then validation) must agree on both.
     """
 
-    records: list[MeasurementRecord]
+    records: np.ndarray
     tau: float
-    d_s: int
     provenance: dict
+
+    @property
+    def d_s(self) -> int:
+        return self.records.dtype["basis"].shape[0]
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def _record_vectors(data: Dataset) -> np.ndarray:
+    """The measured system vector of every record, stacked (n, d_s)."""
+    return data.records["basis"][np.arange(len(data)), :, data.records["outcome"]]
 
 
 def _collision_superoperator(cfg: CollisionModelConfig) -> CMatrix:
@@ -246,9 +256,7 @@ def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset
         for i in range(start, stop):
             o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1)
             outcomes.append(o)
-    records = [MeasurementRecord(step=i, basis=b, outcome=o)
-               for i, (b, o) in enumerate(zip(bases, outcomes), start=1)]
-    return Dataset(records=records, tau=cfg.tau, d_s=2,
+    return Dataset(records=make_records(np.arange(1, n + 1), bases, outcomes), tau=cfg.tau,
                    provenance={"seed": int(seed), "config_hash": cfg.digest()})
 
 
@@ -260,33 +268,42 @@ def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
     """
     if not 0 < n_train < len(ds):
         raise ValueError(f"n_train must be in (0, {len(ds)}), got {n_train}")
-    head = Dataset(records=ds.records[:n_train], tau=ds.tau, d_s=ds.d_s,
-                   provenance=dict(ds.provenance))
-    tail = Dataset(records=ds.records[n_train:], tau=ds.tau, d_s=ds.d_s,
-                   provenance=dict(ds.provenance))
-    return head, tail
+    return (replace(ds, records=ds.records[:n_train], provenance=dict(ds.provenance)),
+            replace(ds, records=ds.records[n_train:], provenance=dict(ds.provenance)))
 
 
 def dataset_prefix(ds: Dataset, n: int) -> Dataset:
     """First ``n`` records as a standalone dataset (shared provenance)."""
     if not 0 < n <= len(ds):
         raise ValueError(f"n must be in (0, {len(ds)}], got {n}")
-    return Dataset(records=ds.records[:n], tau=ds.tau, d_s=ds.d_s,
-                   provenance=dict(ds.provenance))
+    return replace(ds, records=ds.records[:n], provenance=dict(ds.provenance))
+
+
+def _check_continues(ds_train: Dataset, ds_val: Dataset) -> None:
+    """Raise :class:`DataError` unless ``ds_val`` continues ``ds_train`` on
+    one trajectory: the same provenance, and the first validation step
+    right after the last training step."""
+    if ds_train.provenance != ds_val.provenance:
+        raise DataError("train/validation provenance differs; not the same trajectory")
+    if not len(ds_train) or not len(ds_val):
+        raise DataError("empty dataset")
+    last, first = int(ds_train.records["step"][-1]), int(ds_val.records["step"][0])
+    if first != last + 1:
+        raise DataError(f"validation must continue training: steps {last} -> {first}")
 
 
 def validation_continuation(ds_train: Dataset, ds_val: Dataset, n: int) -> Dataset:
     """Held-out records that directly continue the first ``n`` training
     records: the training remainder first, then the validation split,
     capped at ``len(ds_val)`` records.  Lets scaling studies score a
-    prefix fit without breaking the single-trajectory conditioning.
+    prefix fit without breaking the single-trajectory conditioning; raises
+    :class:`DataError` unless ``ds_val`` continues ``ds_train``.
     """
     if not 0 < n <= len(ds_train):
         raise ValueError(f"n must be in (0, {len(ds_train)}], got {n}")
-    total = list(ds_train.records) + list(ds_val.records)
-    recs = total[n:min(n + len(ds_val), len(total))]
-    return Dataset(records=recs, tau=ds_train.tau, d_s=ds_train.d_s,
-                   provenance=dict(ds_train.provenance))
+    _check_continues(ds_train, ds_val)
+    recs = np.concatenate((ds_train.records[n:], ds_val.records))[:len(ds_val)]
+    return replace(ds_train, records=recs, provenance=dict(ds_train.provenance))
 
 
 def _period_powers(mp: CMatrix, x: CMatrix, periods) -> CMatrix:
@@ -372,14 +389,11 @@ def overfit_oracle(records: Dataset, rho_s0: CMatrix) -> tuple[float, float]:
 
     Returns (training log-likelihood, validation per-step log-likelihood).
     """
-    recs = records.records
-    if len(recs) % 2 != 0 or not recs:
-        raise DataError(f"need an even record count to split in half, got {len(recs)}")
-    n = len(recs) // 2
-    projs = []
-    for rec in recs:
-        phi = rec.basis[:, rec.outcome]
-        projs.append(np.outer(phi, phi.conj()))
+    n = len(records) // 2
+    if len(records) % 2 != 0 or not n:
+        raise DataError(f"need an even record count to split in half, got {len(records)}")
+    phis = _record_vectors(records)
+    projs = phis[:, :, None] * phis[:, None, :].conj()
 
     # Product-state bookkeeping: a factor is either ("rec", i), meaning the
     # projector of record i, or ("mat", rho).  SWAP then SHIFT amounts to:
@@ -389,20 +403,16 @@ def overfit_oracle(records: Dataset, rho_s0: CMatrix) -> tuple[float, float]:
     env: list[tuple] = [("rec", i) for i in range(n)]
     train_ll = 0.0
     val_sum = 0.0
-    for i, rec in enumerate(recs):
+    for i, phi in enumerate(phis):
         new_system = env.pop(0)
         env.append(system)
         if new_system[0] == "rec" and new_system[1] == i:
             p = 1.0  # same projector on both sides, exact by construction
         else:
-            phi = rec.basis[:, rec.outcome]
-            if new_system[0] == "rec":
-                rho = projs[new_system[1]]
-            else:
-                rho = new_system[1]
+            rho = projs[new_system[1]] if new_system[0] == "rec" else new_system[1]
             p = float(np.real(phi.conj() @ rho @ phi))
             if p <= 0.0:
-                raise ZeroProbabilityError(rec.step)
+                raise ZeroProbabilityError(int(records.records["step"][i]))
         if i < n:
             train_ll += 0.0 if p == 1.0 else np.log(p)
         else:
@@ -423,11 +433,12 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.provenance.get("seed"),
         "config_hash": ds.provenance.get("config_hash"),
     }
-    bases = jsonio.matrices_to_pairs(np.array([rec.basis for rec in ds.records])) \
-        if ds.records else []
+    recs = ds.records
     lines = [jsonio.canonical_dumps(header)]
-    lines += [jsonio.canonical_dumps({"step": rec.step, "basis": pairs, "outcome": rec.outcome})
-              for rec, pairs in zip(ds.records, bases)]
+    lines += [jsonio.canonical_dumps({"step": k, "basis": pairs, "outcome": o})
+              for k, pairs, o in zip(recs["step"].tolist(),
+                                     jsonio.matrices_to_pairs(recs["basis"]),
+                                     recs["outcome"].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -437,6 +448,8 @@ def _parse_records(lines: list[str], d_s: int):
     converted in one pass; raises on any line that does not parse."""
     objs = [json.loads(ln) for ln in lines]
     steps = [jsonio.ensure_int(obj["step"], "step") for obj in objs]
+    if wide := [k for k in steps if not -2**63 <= k < 2**63]:
+        raise ValueError(f"step {wide[0]} is outside the int64 range")
     bases = jsonio.pairs_to_matrices([obj["basis"] for obj in objs], d_s, d_s)
     outcomes = [jsonio.ensure_int(obj["outcome"], "outcome") for obj in objs]
     return steps, bases, outcomes
@@ -478,9 +491,10 @@ def _first_bad_record(steps: list[int], bases: np.ndarray, outcomes: list[int],
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset; structure and basis unitarity are re-checked.
 
-    The first bad record line is reported: a line that does not parse, a
-    step that breaks contiguity, an outcome out of range or a basis that is
-    not unitary, whichever comes first in the file.  Lines are split as
+    The first bad record line is reported: a line that does not parse (a
+    step outside the int64 range among them), a step that breaks
+    contiguity, an outcome out of range or a basis that is not unitary,
+    whichever comes first in the file.  Lines are split as
     ``str.splitlines`` splits the whole text and parsed ``CHUNK`` at a time
     as they are read, so neither the text nor its parsed lines are held
     whole.
@@ -524,8 +538,6 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: {bad}")
     if parse_error is not None:
         raise DataError(f"{path}: bad record line: {parse_error}") from parse_error
-    records = [MeasurementRecord(step=k, basis=b, outcome=o)
-               for k, b, o in zip(steps, bases, outcomes)]
-    return Dataset(records=records, tau=tau, d_s=d_s,
+    return Dataset(records=make_records(steps, bases, outcomes), tau=tau,
                    provenance={"seed": header.get("seed"),
                                "config_hash": header.get("config_hash")})

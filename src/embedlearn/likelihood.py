@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import CollisionModelConfig, Dataset, period_superoperator
+from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
+                      period_superoperator)
 from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, _transfers,
                         ancilla_vector, kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
@@ -140,13 +141,6 @@ def _projector_vectors(model: MarkovianEmbedding, data: Dataset) -> np.ndarray:
     if not abs(data.tau - model.tau) <= 1e-12:  # NaN fails too
         raise DataError(f"data tau={data.tau} does not match model tau={model.tau}")
     return _record_vectors(data)
-
-
-def _record_vectors(data: Dataset) -> np.ndarray:
-    """The measured system vector of every record, stacked (n, d_s)."""
-    if not data.records:
-        return np.empty((0, data.d_s), dtype=np.complex128)
-    return np.stack([rec.basis[:, rec.outcome] for rec in data.records])
 
 
 def _product_operators(phis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -312,7 +306,7 @@ def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache
     None); raises on a zero-probability record."""
     phis, spectrum, m = _period_inputs(model, data, cache)
     if cache is None:
-        cache = PropagationCache(n=len(data.records))
+        cache = PropagationCache(n=len(data))
     cache.model, cache.data, cache.phis = model, data, phis
     cache.spectrum, cache.period_map = spectrum, m
     cache.rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
@@ -322,7 +316,7 @@ def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache
 
 def _raise_zero_probability(bad: list[int], data: Dataset) -> None:
     if bad[0] >= 0:
-        raise ZeroProbabilityError(data.records[bad[0]].step)
+        raise ZeroProbabilityError(int(data.records["step"][bad[0]]))
 
 
 def forward_pass(model: MarkovianEmbedding, data: Dataset,
@@ -345,20 +339,21 @@ def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     return backward_pass(model, data, forward_pass(model, data))
 
 
-def build_caches(models: list[MarkovianEmbedding], data: Dataset,
-                 phis: np.ndarray) -> list[PropagationCache | None]:
+def build_caches(models: list[MarkovianEmbedding], data: Dataset
+                 ) -> list[PropagationCache | None]:
     """:func:`build_cache` of several models with the same dimensions over
-    one dataset, whose measured system vectors are ``phis``.  The forward
-    sweeps and the dual-channel backward sweeps of all models run as the
-    lanes of one :func:`_filter` loop, so each cache is bitwise the one
-    :func:`build_cache` gives.  A model under which some record has zero
-    probability gets None in place of a cache; the others are unaffected."""
+    one dataset.  The forward sweeps and the dual-channel backward sweeps
+    of all models run as the lanes of one :func:`_filter` loop, so each
+    cache is bitwise the one :func:`build_cache` gives.  A model under
+    which some record has zero probability gets None in place of a cache;
+    the others are unaffected."""
+    phis = _projector_vectors(models[0], data)
     caches = []
     for model in models:
         spectrum = herm_eig(model.h)
         m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
         caches.append(PropagationCache(
-            n=len(data.records), model=model, data=data, phis=phis, spectrum=spectrum,
+            n=len(data), model=model, data=data, phis=phis, spectrum=spectrum,
             period_map=m, rho0=np.asarray(model.rho0_ser, dtype=np.complex128)))
     bad = _sweep(caches, forward=True, backward=True)
     return [None if b >= 0 else cache for cache, b in zip(caches, bad)]
@@ -380,14 +375,7 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     filtering continues from its last record and reservoir block, so the
     training prefix is not filtered again.
     """
-    if data_train.provenance != data_val.provenance:
-        raise DataError("train/validation provenance differs; not the same trajectory")
-    if not data_train.records or not data_val.records:
-        raise DataError("empty dataset")
-    if data_val.records[0].step != data_train.records[-1].step + 1:
-        raise DataError(
-            f"validation must continue training: steps {data_train.records[-1].step} "
-            f"-> {data_val.records[0].step}")
+    _check_continues(data_train, data_val)
     if (train_cache.model is not model or train_cache.data is not data_train
             or train_cache.forward_blocks is None):
         raise ValueError("train_cache is not a forward sweep of model over data_train")
@@ -397,20 +385,20 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     x = train_cache.forward_blocks[-1].ravel()
     logs, bad = _filter([_transfer_basis(train_cache.period_map, model.dims.d_s)], x[None],
                         train_cache.forward_log_scale[-1:], [phis],
-                        np.empty((1, len(data_val.records), x.size), dtype=np.complex128))
+                        np.empty((1, len(data_val), x.size), dtype=np.complex128))
     _raise_zero_probability(bad, data_val)
-    return float(logs[0, -1] - logs[0, 0]) / len(data_val.records)
+    return float(logs[0, -1] - logs[0, 0]) / len(data_val)
 
 
 def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
     """Per-step log-likelihood of a record set under the generating model, a
     diagnostic ceiling for fitted models.  The period map is a channel on
     S x S1, so the sweep scores the records with S1 as the reservoir."""
-    cache = PropagationCache(n=len(ds.records), data=ds, phis=_record_vectors(ds),
+    cache = PropagationCache(n=len(ds), data=ds, phis=_record_vectors(ds),
                              period_map=period_superoperator(cfg),
                              rho0=np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
     _raise_zero_probability(_sweep([cache], forward=True, backward=False), ds)
-    return cache.log_likelihood() / len(ds.records)
+    return cache.log_likelihood() / len(ds)
 
 
 def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
@@ -454,7 +442,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
     phis, spectrum, m = cache.phis, cache.spectrum, cache.period_map
-    n = len(data.records)
+    n = len(data)
     if batch is None:
         batch = np.arange(1, n + 1)
     # Sorted distinct merge points; np.unique would import numpy.ma on its

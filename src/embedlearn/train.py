@@ -244,6 +244,8 @@ def select_d_er(data_train, data_val, candidates: list[int], cfg: TrainConfig
     """
     if not candidates:
         raise ValueError("no candidates")
+    if data_val is None:
+        raise ValueError("select_d_er needs validation data to score the candidates")
     table: list[tuple[int, float]] = []
     models: dict[int, MarkovianEmbedding] = {}
     curves: dict[int, LearningCurve] = {}

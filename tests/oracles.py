@@ -478,6 +478,15 @@ def sample_measurement(rho_s, rng, step=1):
     return SampledRecord(step, basis, outcome), np.outer(phi, phi.conj())
 
 
+def record_vectors_serial(records):
+    """The measured system vector of every record, one record at a time:
+    column ``outcome`` of ``basis``, stacked (n, d_s).  The reference of the
+    library's one fancy index over the records array."""
+    if not len(records):
+        return np.empty((0, records.dtype["basis"].shape[0]), dtype=np.complex128)
+    return np.stack([rec["basis"][:, rec["outcome"]] for rec in records])
+
+
 def joint_trajectory(period_map, rho0, rng, n):
     """Bases (n, 2, 2) and outcomes (n,) of ``n`` periods: evolve the joint
     state by the column-stacking 16x16 ``period_map``, measure the reduced
@@ -749,7 +758,7 @@ def variational_objective(posterior, data, mc_samples, rng, floor=-1e6):
     ``floor``."""
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    phis = np.array([rec.basis[:, rec.outcome] for rec in data.records])
+    phis = record_vectors_serial(data.records)
     total = 0.0
     for _ in range(mc_samples):
         model = sample_model(posterior, rng)

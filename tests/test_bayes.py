@@ -11,17 +11,18 @@ from embedlearn.bayes import (DRAW_BLOCK, BayesConfig, PosteriorDynamics,
                               load_posterior, posterior_from_dict,
                               posterior_to_dict, sample_dynamics,
                               save_posterior, score_draws)
-from embedlearn.datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
-                                dataset_prefix, generate_trajectory)
+from embedlearn.datagen import (CollisionModelConfig, Dataset, dataset_prefix,
+                                generate_trajectory)
 from embedlearn.embedding import make_embedding, predict_dynamics
 from embedlearn.errors import DataError, DivergenceError, NumericalError, ZeroProbabilityError
-from embedlearn.likelihood import (_record_vectors, build_cache, build_caches,
-                                   log_likelihood, log_likelihood_gradient)
+from embedlearn.likelihood import (build_cache, build_caches, log_likelihood,
+                                   log_likelihood_gradient)
 from embedlearn.qla import SIGMA_X, DimSpec, kron
 from embedlearn.train import TrainConfig, fit, init_model, pack_hermitian
 
 import oracles
 from oracles import sample_model, variational_objective
+from test_likelihood import basis_records
 
 
 def batched(vg):
@@ -159,7 +160,7 @@ class TestVariationalObjective:
         post = VariationalPosterior(base=model,
                                     mean=pack_hermitian(np.asarray(model.h)),
                                     log_std=log_std)
-        empty = Dataset(records=[], tau=1.0, d_s=2, provenance={})
+        empty = z_records([])
         f = variational_objective(post, empty, 3, np.random.default_rng(0))
         assert abs(f - (-np.sum(log_std))) < 1e-12
 
@@ -182,7 +183,7 @@ class TestVariationalObjective:
     def test_mc_samples_validated(self):
         model = unitary_system_model()
         post = degenerate_posterior(model)
-        empty = Dataset(records=[], tau=1.0, d_s=2, provenance={})
+        empty = z_records([])
         with pytest.raises(ValueError):
             variational_objective(post, empty, 0, np.random.default_rng(0))
 
@@ -362,10 +363,7 @@ def generic_model(d_er, seed):
 
 def z_records(outcomes):
     """Records measured in the computational basis with the given outcomes."""
-    eye = np.eye(2, dtype=np.complex128)
-    return Dataset(records=[MeasurementRecord(step=k + 1, basis=eye, outcome=o)
-                            for k, o in enumerate(outcomes)],
-                   tau=1.0, d_s=2, provenance={})
+    return Dataset(records=basis_records(np.eye(2), outcomes), tau=1.0, provenance={})
 
 
 def idle_model(d_er):
@@ -394,7 +392,7 @@ class TestLockstepSweeps:
         base = generic_model(d_er, 3)
         models = [base.with_h(base.h + 0.01 * s * np.diag(np.arange(base.dims.d_total)))
                   for s in range(3)]
-        caches = build_caches(models, data, _record_vectors(data))
+        caches = build_caches(models, data)
         for model, cache in zip(models, caches):
             want = build_cache(model, data)
             caches_equal(cache, want)
@@ -410,12 +408,11 @@ class TestLockstepSweeps:
         idle, normal = idle_model(d_er), generic_model(d_er, 5)
         with pytest.raises(ZeroProbabilityError):
             build_cache(idle, data)
-        phis = _record_vectors(data)
-        caches = build_caches([idle, normal, idle], data, phis)
+        caches = build_caches([idle, normal, idle], data)
         assert caches[0] is None and caches[2] is None
         caches_equal(caches[1], build_cache(normal, data))
         thetas = np.stack([pack_hermitian(np.asarray(m.h)) for m in (idle, normal)])
-        scores = score_draws(normal, data, phis, thetas, -1e6)
+        scores = score_draws(normal, data, thetas, -1e6)
         for theta, (value, grad) in zip(thetas, scores):
             want_value, want_grad = oracles.score_draw_serial(normal, data, theta, -1e6)
             assert value == want_value

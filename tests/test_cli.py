@@ -327,6 +327,26 @@ class TestTrainAndValidate:
         assert main(["train", "--config", cfg, "--out",
                      str(tmp_path / "nodata"), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("n_records", [150, 200])
+    def test_validation_of_another_trajectory_exits_three(self, tmp_path, capsys, n_records):
+        # Both runs hold steps 1..200 and 201..300; only the provenance of
+        # the copied validation file tells them apart.
+        runs = {}
+        for seed in (0, 5):
+            cfg = write_config(tmp_path / f"c{seed}.json", {
+                "seed": seed, "data": {"hamiltonian": None, "n_train": 200, "n_val": 100},
+                "train": {"candidates": [1], "epochs": 2, "restarts": 1,
+                          "n_records": n_records}})
+            runs[seed] = (cfg, tmp_path / f"run{seed}")
+            assert main(["generate", "--config", cfg, "--out", str(runs[seed][1]),
+                         "--quiet"]) == 0
+        cfg, out = runs[0]
+        shutil.copy(runs[5][1] / "val.jsonl", out / "val.jsonl")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert "provenance differs" in capsys.readouterr().err
+        assert not list(out.glob("model_der*.json"))
+
     def test_missing_models_exit_three(self, fitted_run, tmp_path):
         cfg, out = fitted_run
         fresh = tmp_path / "models_only"

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from embedlearn import datagen, seeds
-from embedlearn.datagen import (CollisionModelConfig, Dataset, dataset_prefix,
-                                default_collision_hamiltonian,
+from embedlearn.datagen import (CollisionModelConfig, Dataset, _record_vectors,
+                                dataset_prefix, default_collision_hamiltonian,
                                 exact_controlled_dynamics,
                                 exact_reference_dynamics, generate_trajectory,
-                                load_dataset, overfit_oracle,
+                                load_dataset, make_records, overfit_oracle,
                                 period_superoperator, save_dataset,
                                 split_dataset, validation_continuation)
 from embedlearn.errors import DataError, ZeroProbabilityError
@@ -220,20 +220,19 @@ class TestGenerateTrajectory:
         rho_s = ptrace(rho, [2, 2], [0])
         rec, _ = sample_measurement(rho_s, seeds.stream(seed, "trajectory"),
                                     step=1)
-        assert np.array_equal(ds.records[0].basis, rec.basis)
-        assert ds.records[0].outcome == rec.outcome
+        assert np.array_equal(ds.records["basis"][0], rec.basis)
+        assert ds.records["outcome"][0] == rec.outcome
 
     def test_steps_count_from_one(self):
         ds = generate_trajectory(CollisionModelConfig(), 5, 12)
-        assert [r.step for r in ds.records] == [1, 2, 3, 4, 5]
+        assert ds.records["step"].tolist() == [1, 2, 3, 4, 5]
 
     def test_determinism(self):
         cfg = CollisionModelConfig()
         a = generate_trajectory(cfg, 20, 13)
         b = generate_trajectory(cfg, 20, 13)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.basis, rb.basis)
-            assert ra.outcome == rb.outcome
+        assert np.array_equal(a.records["basis"], b.records["basis"])
+        assert np.array_equal(a.records["outcome"], b.records["outcome"])
         assert a.provenance == b.provenance
 
     def test_first_step_marginals_match_exact_state(self):
@@ -245,17 +244,15 @@ class TestGenerateTrajectory:
         p0 = np.zeros(n)
         for s in range(n):
             ds = generate_trajectory(cfg, 1, 1000 + s)
-            rec = ds.records[0]
-            phi0 = rec.basis[:, 0]
+            phi0 = ds.records["basis"][0, :, 0]
             p0[s] = np.real(phi0.conj() @ rho1 @ phi0)
-            indicator[s] = 1.0 if rec.outcome == 0 else 0.0
+            indicator[s] = 1.0 if ds.records["outcome"][0] == 0 else 0.0
         sigma = np.sqrt(np.sum(p0 * (1 - p0))) / n
         assert abs(indicator.mean() - p0.mean()) < 3 * sigma
 
     def test_basis_unitarity_along_trajectory(self):
         ds = generate_trajectory(CollisionModelConfig(), 50, 14)
-        for rec in ds.records:
-            b = rec.basis
+        for b in ds.records["basis"]:
             assert np.max(np.abs(dagger(b) @ b - np.eye(2))) < 1e-10
 
 
@@ -270,8 +267,8 @@ class TestProductFormSampler:
         ds = generate_trajectory(cfg, 3000, seed)
         bases, outcomes = oracles.joint_trajectory(
             period_superoperator(cfg), cfg.rho_ss1_0, seeds.stream(seed, "trajectory"), 3000)
-        assert np.array_equal(np.array([r.basis for r in ds.records]), bases)
-        assert [r.outcome for r in ds.records] == outcomes.tolist()
+        assert np.array_equal(ds.records["basis"], bases)
+        assert ds.records["outcome"].tolist() == outcomes.tolist()
 
     def test_golden_dataset_bytes(self, tmp_path):
         # sha256 of the files the joint-space simulator wrote for seed 3
@@ -419,8 +416,7 @@ class TestTrueModelLikelihood:
         cfg = CollisionModelConfig()
         ds = generate_trajectory(cfg, 1, 21)
         states, _ = exact_reference_dynamics(cfg, [1])
-        rec = ds.records[0]
-        phi = rec.basis[:, rec.outcome]
+        phi = oracles.record_vectors_serial(ds.records)[0]
         want = np.log(np.real(phi.conj() @ states[0] @ phi))
         assert abs(true_model_log_likelihood(cfg, ds) - want) < 1e-10
 
@@ -434,7 +430,7 @@ class TestTrueModelLikelihood:
     def test_engine_matches_simulator_loop(self):
         cfg = CollisionModelConfig()
         ds = generate_trajectory(cfg, 2000, 25)
-        phis = [rec.basis[:, rec.outcome] for rec in ds.records]
+        phis = oracles.record_vectors_serial(ds.records)
         want = oracles.filtered_log_likelihood(period_superoperator(cfg),
                                                cfg.rho_ss1_0, phis)
         assert abs(true_model_log_likelihood(cfg, ds) - want) < 1e-12
@@ -444,13 +440,13 @@ class TestSplitting:
     def test_split_halves(self):
         ds = generate_trajectory(CollisionModelConfig(), 10, 23)
         tr, va = split_dataset(ds, 6)
-        assert [r.step for r in tr.records] == [1, 2, 3, 4, 5, 6]
-        assert [r.step for r in va.records] == [7, 8, 9, 10]
+        assert tr.records["step"].tolist() == [1, 2, 3, 4, 5, 6]
+        assert va.records["step"].tolist() == [7, 8, 9, 10]
 
     def test_prefix(self):
         ds = generate_trajectory(CollisionModelConfig(), 10, 24)
         pre = dataset_prefix(ds, 4)
-        assert [r.step for r in pre.records] == [1, 2, 3, 4]
+        assert pre.records["step"].tolist() == [1, 2, 3, 4]
         with pytest.raises(ValueError):
             dataset_prefix(ds, 11)
 
@@ -458,13 +454,73 @@ class TestSplitting:
         ds = generate_trajectory(CollisionModelConfig(), 12, 25)
         tr, va = split_dataset(ds, 8)
         cont = validation_continuation(tr, va, 5)
-        assert [r.step for r in cont.records] == [6, 7, 8, 9, 10, 11, 12][:4]
+        assert cont.records["step"].tolist() == [6, 7, 8, 9, 10, 11, 12][:4]
 
     def test_continuation_at_full_length_is_validation(self):
         ds = generate_trajectory(CollisionModelConfig(), 12, 26)
         tr, va = split_dataset(ds, 8)
         cont = validation_continuation(tr, va, 8)
-        assert [r.step for r in cont.records] == [r.step for r in va.records]
+        assert cont.records["step"].tolist() == va.records["step"].tolist()
+
+
+class TestRecordsArray:
+    """The records of a dataset as one structured array, and the measured
+    system vectors read from it by one fancy index, against the per-record
+    stack in ``oracles``."""
+
+    @pytest.mark.parametrize("n, seed", [(1, 50), (7, 51), (600, 52)])
+    def test_vectors_of_generated_records(self, n, seed):
+        ds = generate_trajectory(CollisionModelConfig(), n, seed)
+        assert np.array_equal(_record_vectors(ds), oracles.record_vectors_serial(ds.records))
+
+    def test_vectors_of_slices(self):
+        ds = generate_trajectory(CollisionModelConfig(), 40, 53)
+        tr, va = split_dataset(ds, 25)
+        for part in (tr, va, dataset_prefix(tr, 9), validation_continuation(tr, va, 9),
+                     validation_continuation(tr, va, 25)):
+            assert np.array_equal(_record_vectors(part),
+                                  oracles.record_vectors_serial(part.records))
+
+    def test_empty_records(self):
+        ds = Dataset(records=make_records([], np.empty((0, 2, 2)), []), tau=1.0,
+                     provenance={})
+        got = _record_vectors(ds)
+        assert got.shape == (0, 2)
+        assert np.array_equal(got, oracles.record_vectors_serial(ds.records))
+
+    def test_d_s_comes_from_the_basis_field(self):
+        ds = Dataset(records=make_records([], np.empty((0, 3, 3)), []), tau=1.0,
+                     provenance={})
+        assert ds.d_s == 3
+        assert generate_trajectory(CollisionModelConfig(), 3, 54).d_s == 2
+
+    def test_fields(self):
+        recs = generate_trajectory(CollisionModelConfig(), 5, 55).records
+        assert type(recs) is np.ndarray
+        assert recs.dtype["step"] == np.int64 and recs.dtype["outcome"] == np.int64
+        assert recs.dtype["basis"].base == np.complex128
+        assert recs.dtype["basis"].shape == (2, 2)
+
+
+class TestContinuationCheck:
+    """``validation_continuation`` refuses validation records that do not
+    continue the training records, as ``conditional_validation_ll`` does."""
+
+    def _halves(self, seed):
+        return split_dataset(generate_trajectory(CollisionModelConfig(), 30, seed), 20)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_foreign_trajectory_rejected(self, n):
+        tr, _ = self._halves(60)
+        _, foreign = self._halves(61)
+        with pytest.raises(DataError, match="provenance differs"):
+            validation_continuation(tr, foreign, n)
+
+    def test_gap_rejected(self):
+        tr, va = self._halves(62)
+        gapped = Dataset(records=va.records[1:], tau=va.tau, provenance=dict(va.provenance))
+        with pytest.raises(DataError, match="steps 20 -> 22$"):
+            validation_continuation(tr, gapped, 12)
 
 
 class TestOverfitOracle:
@@ -481,16 +537,12 @@ class TestOverfitOracle:
         ds = self._dataset(12, 28)
         rho_s0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
         _, val_ps = overfit_oracle(ds, rho_s0)
-        recs = ds.records
-        n = len(recs) // 2
-        projs = []
-        for rec in recs:
-            phi = rec.basis[:, rec.outcome]
-            projs.append(np.outer(phi, phi.conj()))
+        phis = oracles.record_vectors_serial(ds.records)
+        n = len(phis) // 2
+        projs = [np.outer(phi, phi.conj()) for phi in phis]
         total = 0.0
         for j in range(n):
-            rec = recs[n + j]
-            phi = rec.basis[:, rec.outcome]
+            phi = phis[n + j]
             source = rho_s0 if j == 0 else projs[j - 1]
             total += np.log(np.real(phi.conj() @ source @ phi))
         assert abs(val_ps - total / n) < 1e-12
@@ -518,10 +570,8 @@ class TestPersistence:
         back = load_dataset(path)
         assert back.tau == ds.tau
         assert back.d_s == ds.d_s
-        for ra, rb in zip(ds.records, back.records):
-            assert ra.step == rb.step
-            assert ra.outcome == rb.outcome
-            assert np.array_equal(ra.basis, rb.basis)
+        for name in ("step", "basis", "outcome"):
+            assert np.array_equal(ds.records[name], back.records[name])
 
     def test_file_line_count(self, tmp_path):
         ds = generate_trajectory(CollisionModelConfig(), 4, 32)

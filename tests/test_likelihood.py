@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from embedlearn.datagen import Dataset, MeasurementRecord
+from embedlearn.datagen import Dataset, make_records
 from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    build_cache, conditional_validation_ll,
@@ -48,18 +48,24 @@ def random_model(rng, d_s=2, d_er=2, tau=1.0, scale=0.5, pure=False):
 
 def random_records(rng, n, d_s=2):
     """Haar-random measurement bases with uniformly random outcomes."""
-    recs = []
+    bases = np.empty((n, d_s, d_s), dtype=np.complex128)
+    outcomes = np.empty(n, dtype=np.int64)
     for i in range(n):
         a = rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s))
         q, r = np.linalg.qr(a)
-        q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        recs.append(MeasurementRecord(step=i + 1, basis=q,
-                                      outcome=int(rng.integers(d_s))))
-    return recs
+        bases[i] = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+        outcomes[i] = rng.integers(d_s)
+    return make_records(np.arange(1, n + 1), bases, outcomes)
 
 
-def make_dataset(records, tau=1.0, d_s=2):
-    return Dataset(records=records, tau=tau, d_s=d_s,
+def basis_records(basis, outcomes, first_step=1):
+    """Records all measured in ``basis``, with the given outcomes."""
+    return make_records(np.arange(first_step, first_step + len(outcomes)),
+                        np.broadcast_to(basis, (len(outcomes), *basis.shape)), outcomes)
+
+
+def make_dataset(records, tau=1.0):
+    return Dataset(records=records, tau=tau,
                    provenance={"seed": 0, "config_hash": "unit-test"})
 
 
@@ -68,10 +74,7 @@ def flat_log_likelihood(model, records):
     states handled by decomposing into pure components."""
     dims = model.dims
     u = expm_unitary(np.asarray(model.h), model.tau)
-    projs = []
-    for rec in records:
-        phi = rec.basis[:, rec.outcome]
-        projs.append(np.outer(phi, phi.conj()))
+    projs = [np.outer(phi, phi.conj()) for phi in oracles.record_vectors_serial(records)]
     w, vecs = np.linalg.eigh(np.asarray(model.rho0_ser))
     total = 0.0
     for k in range(len(w)):
@@ -85,7 +88,7 @@ def flat_log_likelihood(model, records):
 class TestForwardPass:
     def test_empty_sequence(self):
         model = random_model(np.random.default_rng(0))
-        cache = forward_pass(model, make_dataset([]))
+        cache = forward_pass(model, make_dataset(basis_records(np.eye(2), [])))
         assert cache.n == 0
         assert cache.log_likelihood() == 0.0
         assert np.max(np.abs(forward_states(cache)[0] - model.rho0_ser)) == 0.0
@@ -98,9 +101,7 @@ class TestForwardPass:
         rho0[0, 0] = 1.0
         model = make_embedding(dims, 1.0, h, rho0)
         eye = np.eye(2, dtype=np.complex128)
-        recs = [MeasurementRecord(step=i + 1, basis=eye, outcome=0)
-                for i in range(6)]
-        cache = forward_pass(model, make_dataset(recs))
+        cache = forward_pass(model, make_dataset(basis_records(eye, [0] * 6)))
         assert np.max(np.abs(cache.forward_log_scale)) < 1e-12
 
     def test_matches_flat_contraction_n3(self):
@@ -128,10 +129,8 @@ class TestForwardPass:
         rho0[0, 0] = 1.0
         model = make_embedding(dims, 1.0, h, rho0)
         eye = np.eye(2, dtype=np.complex128)
-        recs = [MeasurementRecord(step=1, basis=eye, outcome=0),
-                MeasurementRecord(step=2, basis=eye, outcome=1)]
         with pytest.raises(ZeroProbabilityError, match="2"):
-            forward_pass(model, make_dataset(recs))
+            forward_pass(model, make_dataset(basis_records(eye, [0, 1])))
 
     def test_prefix_log_likelihoods_nonincreasing(self):
         rng = np.random.default_rng(3)
@@ -169,8 +168,7 @@ class TestBackwardPass:
         rho0[0, 0] = 1.0
         model = make_embedding(dims, 1.0, h, rho0)
         eye = np.eye(2, dtype=np.complex128)
-        ds = make_dataset([MeasurementRecord(step=k, basis=eye, outcome=o)
-                           for k, o in enumerate([0, 0, 0, 1, 1, 1, 0, 0], start=10)])
+        ds = make_dataset(basis_records(eye, [0, 0, 0, 1, 1, 1, 0, 0], first_step=10))
         with pytest.raises(ZeroProbabilityError) as fwd:
             forward_pass(model, ds)
         with pytest.raises(ZeroProbabilityError) as bwd:
@@ -202,7 +200,7 @@ class TestLogLikelihood:
         rho0[0, 0] = 1.0
         model = make_embedding(dims, 1.0, h, rho0)
         eye = np.eye(2, dtype=np.complex128)
-        ds = make_dataset([MeasurementRecord(step=1, basis=eye, outcome=0)])
+        ds = make_dataset(basis_records(eye, [0]))
         assert abs(log_likelihood(model, ds)) < 1e-14
 
     def test_unbiased_basis_outcome(self):
@@ -212,7 +210,7 @@ class TestLogLikelihood:
         rho0[0, 0] = 1.0
         model = make_embedding(dims, 1.0, h, rho0)
         had = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-        ds = make_dataset([MeasurementRecord(step=1, basis=had, outcome=0)])
+        ds = make_dataset(basis_records(had, [0]))
         assert abs(log_likelihood(model, ds) - np.log(0.5)) < 1e-12
 
     def test_matches_flat_contraction_n4(self):
@@ -228,8 +226,7 @@ class TestLogLikelihood:
         rng = np.random.default_rng(9)
         model, psi0 = random_model(rng, pure=True)
         records = random_records(rng, 4)
-        projs = [np.outer(r.basis[:, r.outcome], r.basis[:, r.outcome].conj())
-                 for r in records]
+        projs = [np.outer(phi, phi.conj()) for phi in oracles.record_vectors_serial(records)]
         u = expm_unitary(np.asarray(model.h), model.tau)
         dims = model.dims
         p = oracles.flat_record_probability(u, dims.d_s, dims.d_er, dims.d_a,
@@ -240,8 +237,7 @@ class TestLogLikelihood:
     def test_tau_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, tau=1.0)
-        ds = Dataset(records=random_records(rng, 2), tau=2.0, d_s=2,
-                     provenance={})
+        ds = Dataset(records=random_records(rng, 2), tau=2.0, provenance={})
         with pytest.raises(DataError):
             log_likelihood(model, ds)
 
@@ -351,7 +347,7 @@ def hermitian_gradient_vector(g, d):
 def dense_oracle_sweeps(model, ds):
     """Joint-space forward states and logs, backward effects and logs."""
     m = superoperator_matrix(model)
-    phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
+    phis = oracles.record_vectors_serial(ds.records)
     states, flogs = oracles.dense_forward_sweep(m, model.rho0_ser, phis)
     effects, blogs = oracles.dense_backward_sweep(m, phis, model.dims.d)
     return states, flogs, effects, blogs
@@ -361,7 +357,7 @@ def chain_gradient_error(model, ds, got, batch):
     """Relative distance of a gradient from the per-merge-point chain fed
     the joint-space oracle sweeps."""
     states, _, effects, _ = dense_oracle_sweeps(model, ds)
-    phis = np.stack([r.basis[:, r.outcome] for r in ds.records])
+    phis = oracles.record_vectors_serial(ds.records)
     want = oracles.merge_point_chain_gradient(
         np.asarray(model.h), model.tau, ancilla_vector(model), model.dims.d_s,
         model.dims.d_er, states, effects, phis, batch, len(ds.records))
@@ -528,16 +524,15 @@ class TestConditionalValidation:
     def _trajectory_datasets(self, rng, n_train, n_val):
         recs = random_records(rng, n_train + n_val)
         prov = {"seed": 5, "config_hash": "unit-test"}
-        tr = Dataset(records=recs[:n_train], tau=1.0, d_s=2, provenance=prov)
-        va = Dataset(records=recs[n_train:], tau=1.0, d_s=2,
-                     provenance=dict(prov))
+        tr = Dataset(records=recs[:n_train], tau=1.0, provenance=prov)
+        va = Dataset(records=recs[n_train:], tau=1.0, provenance=dict(prov))
         return tr, va
 
     def test_equals_joint_suffix_mean(self):
         rng = np.random.default_rng(18)
         model = random_model(rng)
         tr, va = self._trajectory_datasets(rng, 7, 5)
-        joint = Dataset(records=tr.records + va.records, tau=1.0, d_s=2,
+        joint = Dataset(records=np.concatenate((tr.records, va.records)), tau=1.0,
                         provenance=dict(tr.provenance))
         cache = forward_pass(model, joint)
         want = (cache.forward_log_scale[12] - cache.forward_log_scale[7]) / 5
@@ -551,7 +546,7 @@ class TestConditionalValidation:
         rng = np.random.default_rng(40 + d_er)
         model = random_model(rng, d_er=d_er)
         tr, va = self._trajectory_datasets(rng, 30, 11)
-        joint = Dataset(records=tr.records + va.records, tau=1.0, d_s=2,
+        joint = Dataset(records=np.concatenate((tr.records, va.records)), tau=1.0,
                         provenance=dict(tr.provenance))
         logs = forward_pass(model, joint).forward_log_scale
         want = float(logs[41] - logs[30]) / 11
@@ -561,8 +556,7 @@ class TestConditionalValidation:
         rng = np.random.default_rng(44)
         model = random_model(rng)
         tr, va = self._trajectory_datasets(rng, 6, 4)
-        shorter = Dataset(records=tr.records[:5], tau=1.0, d_s=2,
-                          provenance=dict(tr.provenance))
+        shorter = Dataset(records=tr.records[:5], tau=1.0, provenance=dict(tr.provenance))
         with pytest.raises(ValueError):
             conditional_validation_ll(model, tr, va, forward_pass(model, shorter))
         with pytest.raises(ValueError):
@@ -582,7 +576,7 @@ class TestConditionalValidation:
         rng = np.random.default_rng(19)
         model = random_model(rng, scale=0.3)
         tr, va = self._trajectory_datasets(rng, 400, 400)
-        joint = Dataset(records=tr.records + va.records, tau=1.0, d_s=2,
+        joint = Dataset(records=np.concatenate((tr.records, va.records)), tau=1.0,
                         provenance=dict(tr.provenance))
         cache = forward_pass(model, joint)
         inc = per_step_increments(cache)

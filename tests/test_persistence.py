@@ -13,8 +13,8 @@ import pytest
 import embedlearn
 from embedlearn import jsonio
 from embedlearn.bayes import VariationalPosterior, load_posterior, save_posterior
-from embedlearn.datagen import (CollisionModelConfig, Dataset, MeasurementRecord,
-                                generate_trajectory, load_dataset, save_dataset)
+from embedlearn.datagen import (CollisionModelConfig, generate_trajectory, load_dataset,
+                                save_dataset)
 from embedlearn.embedding import (load_model, make_embedding, model_from_dict, model_to_dict,
                                   save_model)
 from embedlearn.errors import DataError
@@ -136,28 +136,28 @@ class TestPosteriorFiles:
 
 def records_with_signed_zeros(n):
     ds = generate_trajectory(CollisionModelConfig(), n, 40)
-    recs = list(ds.records)
-    for i in range(0, n, 7):
-        recs[i] = MeasurementRecord(step=recs[i].step, basis=signed_zero_basis(),
-                                    outcome=recs[i].outcome)
-    return Dataset(records=recs, tau=ds.tau, d_s=ds.d_s, provenance=ds.provenance)
+    ds.records["basis"][::7] = signed_zero_basis()
+    return ds
 
 
 class TestDatasetFiles:
     def test_bytes_match_per_record_writer(self, tmp_path):
         ds = records_with_signed_zeros(2000)
         save_dataset(ds, tmp_path / "new.jsonl")
+        recs = ds.records
         oracles.legacy_save_dataset(tmp_path / "old.jsonl", ds.tau, ds.d_s, ds.provenance,
-                                    [(r.step, r.basis, r.outcome) for r in ds.records])
+                                    zip(recs["step"].tolist(), recs["basis"],
+                                        recs["outcome"].tolist()))
         new = (tmp_path / "new.jsonl").read_bytes()
         assert new == (tmp_path / "old.jsonl").read_bytes()
         assert b"-0.0" in new
         back = load_dataset(tmp_path / "new.jsonl")
         assert back.provenance == ds.provenance
-        for a, b in zip(ds.records, back.records):
-            assert (a.step, a.outcome) == (b.step, b.outcome)
-            assert type(b.step) is int and type(b.outcome) is int
-            assert a.basis.tobytes() == b.basis.tobytes()
+        assert back.records.dtype["step"] == np.int64
+        assert back.records.dtype["outcome"] == np.int64
+        assert np.array_equal(back.records["step"], recs["step"])
+        assert np.array_equal(back.records["outcome"], recs["outcome"])
+        assert back.records["basis"].tobytes() == recs["basis"].tobytes()
         save_dataset(back, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == new
 
@@ -255,6 +255,20 @@ class TestLoadErrors:
         lines = [good(k) for k in range(1, 281)]
         msg = self.load_error(tmp_path, lines + ["not json"] + [good(k) for k in range(300, 600)])
         assert "bad record line: Expecting value" in msg
+
+    def test_step_outside_int64_is_a_bad_line(self, tmp_path):
+        msg = self.load_error(tmp_path, [good(2**63 - 1), good(2**63)])
+        assert msg.endswith("bad record line: step 9223372036854775808 is outside the int64 range")
+        msg = self.load_error(tmp_path, [good(-2**63 - 1)])
+        assert msg.endswith("step -9223372036854775809 is outside the int64 range")
+        top = load_dataset(write_lines(tmp_path / "top.jsonl", [good(2**63 - 2), good(2**63 - 1)]))
+        assert top.records["step"].tolist() == [2**63 - 2, 2**63 - 1]
+
+    def test_contiguity_is_exact_at_the_int64_edges(self, tmp_path):
+        # In int64 arithmetic the second step would follow the first.
+        msg = self.load_error(tmp_path, [good(2**63 - 1), good(-2**63)])
+        assert msg.endswith(
+            "steps must be contiguous, 9223372036854775807 -> -9223372036854775808")
 
     def test_header_only_and_empty_files(self, tmp_path):
         assert self.load_error(tmp_path, []).endswith("no records")

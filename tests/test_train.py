@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from embedlearn import train
 from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
                                 split_dataset)
 from embedlearn.likelihood import (conditional_validation_ll, forward_pass,
@@ -346,6 +347,15 @@ class TestSelectDEr:
         tr, va = split_dataset(ds, 10)
         with pytest.raises(ValueError):
             select_d_er(tr, va, [], TrainConfig())
+
+    def test_missing_validation_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(train, "fit", no_fit)
+        tr = generate_trajectory(markovian_collision_config(), 20, 59)
+        with pytest.raises(ValueError, match="validation data"):
+            select_d_er(tr, None, [1, 2], TrainConfig(epochs=2))
 
 
 def log_dim_bound_oracle(alpha, epsilon, n_channels, gamma, total_time, tau_corr):
