@@ -148,24 +148,28 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
 
     ``counts`` of shape (inputs, effects) gives one Choi matrix, as
     :func:`choi_from_superop` normalizes it; a stack of shape (C, inputs,
-    effects) gives a stack of C, fitted in lockstep.  Each
-    channel keeps its own iterate, likelihood, step and iteration count:
-    an accepted step starts its next iteration, a rejected one halves its
-    step, a converged channel drops out.  Every channel's iterates are
-    bitwise those of fitting it alone: stacked ``@`` and ``eigh`` compute
-    each matrix as the 2-D calls do, the partial trace and I x L^-1/2
-    repeat the additions and products of ``ptrace`` and ``np.kron``, the
-    log-likelihoods are one stacked row-times-column ``@`` and R one
-    stacked ``einsum``, and the probabilities are per-channel ``einsum``
-    calls (no stacked form of them was found to round the same way).
+    effects) gives a stack of C, fitted in lockstep rounds on the running
+    channels: an accepted step starts a channel's next iteration, a rejected
+    one halves its step, a converged channel is written out and dropped.
+    Each channel's iterates are bitwise those of fitting it alone: stacked
+    ``@`` and ``eigh`` compute each matrix as the 2-D calls do, the partial
+    trace and I x L^-1/2 repeat the additions and products of ``ptrace`` and
+    ``np.kron``, the log-likelihoods are one row-times-column ``@``, R one
+    ``einsum``, and tr(S_n Omega) adds its terms in the one-channel einsum's
+    order (over b for each a, then over a) by ``np.add.reduce`` over leading
+    axes, 16 channels at a time to keep temporaries near 100 KiB.  Each
+    distinct product S_n[a, b] Omega[b, a] is formed once and gathered into
+    the terms: the Pauli-eigenstate inputs and effects of
+    :func:`default_design` repeat their entries across n, so only 92 of its
+    512 products per channel differ (any design is exact, one without such
+    repeats only gains nothing).
 
     Only ``design.input_states`` and ``design.povm`` are read, so channels
-    simulated with different ``shots`` can share one stack.  Counts must
-    be finite and nonnegative with a positive total per channel
-    (``ValueError``).  ``TomographyError`` names the first channel whose
-    multiplier turns singular, whose likelihood turns non-finite or that
-    has not converged in ``max_iter`` iterations, and carries its index in
-    ``channel``.
+    simulated with different ``shots`` can share one stack.  Counts must be
+    finite and nonnegative with a positive total per channel (``ValueError``).
+    ``TomographyError`` names the first channel whose multiplier turns
+    singular, whose likelihood turns non-finite or that has not converged in
+    ``max_iter`` iterations, and carries its index in ``channel``.
     """
     d = design.input_states[0].shape[0]
     side = d * d
@@ -185,75 +189,95 @@ def tomography_mle(counts: np.ndarray, design: TomographyDesign, tol: float = 1e
         raise ValueError(f"channel {int(np.argmax(totals == 0))} has no counts")
     s_ops = np.stack([np.kron(eff, rho.T) for rho in design.input_states
                       for eff in design.povm])  # (J*K, side, side)
-
-    def probs(omegas: CMatrix) -> np.ndarray:
-        raw = np.empty((len(omegas), len(s_ops)), dtype=np.complex128)
-        for i, om in enumerate(omegas):
-            np.einsum("nab,ba->n", s_ops, om, out=raw[i])
-        return np.clip(d * raw.real, 1e-300, None)
-
-    def loglik(lanes: list[int], p: np.ndarray) -> list[float]:
-        values = (flat[lanes][:, None, :] @ np.log(p)[:, :, None])[:, 0, 0]
-        bad = ~np.isfinite(values)
-        if bad.any():
-            c = lanes[int(np.argmax(bad))]
-            raise TomographyError(f"tomography log-likelihood of channel {c} is not finite", c)
-        return values.tolist()
-
-    def weighted_effects(lanes: list[int], p: np.ndarray) -> CMatrix:
-        return hermitianize(np.einsum("cn,nab->cab", flat[lanes] / p, s_ops))
-
-    n_ch = len(flat)
+    s_cols = s_ops.reshape(len(s_ops), -1).T.copy()  # s_cols[a*side + b, n] = S_n[a, b]
+    # Term (b, a, n) of tr(S_n Omega) is S_n[a, b] Omega[b, a]; form each distinct
+    # product once.  Product u multiplies coef[u] = S_n[a, b] by Omega.flat[pos[u]],
+    # and term (b, a, n) is product idx[b, a, n].  Coefficients 0 and -0 share a
+    # product, which can flip only the sign of a zero probability, clipped below.
+    pairs: dict = {}
+    idx = np.empty((side, side, len(s_ops)), dtype=np.intp)
+    for (b, a, n), s in np.ndenumerate(s_ops.transpose(2, 1, 0)):
+        idx[b, a, n] = pairs.setdefault((b * side + a, s), len(pairs))
+    pos = np.array([key[0] for key in pairs])
+    coef = np.array([key[1] for key in pairs])
     identity = np.eye(side, dtype=np.complex128)
     eye_d = np.eye(d, dtype=np.complex128)
-    omega = np.repeat((identity / side)[None], n_ch, axis=0)
-    p = probs(omega)
-    current = loglik(list(range(n_ch)), p)
-    r = weighted_effects(list(range(n_ch)), p)
-    step = [1.0] * n_ch
-    iters = [0] * n_ch
-    active = list(range(n_ch))
-    while active:
-        m = len(active)
-        st = np.array([step[c] for c in active])[:, None, None]
-        r_mix = st * r[active] / totals[active][:, None, None] + (1.0 - st) * identity
-        k = r_mix @ omega[active] @ r_mix
-        # Partial trace over the output factor, summed from zero like ptrace.
-        lam = 0.0
-        for i in range(d):
-            lam = lam + k[:, i * d:(i + 1) * d, i * d:(i + 1) * d]
+
+    def evaluate(omegas: CMatrix, flat: np.ndarray,
+                 lane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-likelihoods and clipped probabilities of the running channels."""
+        p = np.empty((len(omegas), len(s_ops)))
+        cols = omegas.reshape(-1, side * side).T  # cols[b*side + a, c] = Omega_c[b, a]
+        for lo in range(0, len(omegas), 16):  # 16 channels at a time bound the temporaries
+            products = (cols[:, lo:lo + 16].take(pos, axis=0) * coef[:, None]).real
+            # Gathered, the terms lie [b, a, n, c]: summed over b for each a, then over a.
+            np.add.reduce(np.add.reduce(products.take(idx, axis=0)), out=p[lo:lo + 16].T)
+        p = np.maximum(np.multiply(p, d, out=p), 1e-300, out=p)
+        values = (flat[:, None, :] @ np.log(p)[:, :, None])[:, 0, 0]
+        bad = ~np.isfinite(values)
+        if bad.any():
+            c = int(lane[np.argmax(bad)])
+            raise TomographyError(f"tomography log-likelihood of channel {c} is not finite", c)
+        return values, p
+
+    def weighted_effects(weights: np.ndarray) -> CMatrix:
+        return hermitianize(np.einsum("cn,kn->ck", weights, s_cols).reshape(-1, side, side))
+
+    def candidates(om: CMatrix, r: CMatrix, step: np.ndarray, totals: np.ndarray,
+                   lane: np.ndarray) -> CMatrix:
+        st = step[:, None, None]
+        r_mix = st * r / totals[:, None, None] + (1.0 - st) * identity
+        k = r_mix @ om @ r_mix
+        # Partial trace over the output factor: its diagonal blocks summed from zero like ptrace.
+        blocks = k.reshape(-1, d, d, d, d).diagonal(axis1=1, axis2=3).transpose(3, 0, 1, 2)
+        lam = np.add.reduce(blocks, initial=0.0)
         w, v = np.linalg.eigh(hermitianize(lam))
-        singular = w.min(axis=1) <= 1e-15
+        singular = w[:, 0] <= 1e-15  # eigh sorts each w ascending
         if singular.any():
-            c = active[int(np.argmax(singular))]
+            c = int(lane[np.argmax(singular)])
             raise TomographyError("tomography constraint multiplier is singular in "
                                   f"channel {c}", c)
         lam_isqrt = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
         # I x L^-1/2 by the product np.kron forms.
-        proj = (eye_d[:, None, :, None] * lam_isqrt[:, None, :, None, :]).reshape(m, side, side)
-        cand = hermitianize(proj @ k @ proj / d)
-        p = probs(cand)
-        still, moved = [], []
-        for i, (c, new) in enumerate(zip(active, loglik(active, p))):
-            if new < current[c] - 1e-12 and step[c] >= 1e-6:
-                step[c] *= 0.5
-                still.append(c)
-                continue
-            gain = new - current[c]
-            omega[c], current[c] = cand[i], new
-            if abs(gain) < tol:
-                continue
-            iters[c] += 1
-            if iters[c] == max_iter:
-                raise TomographyError(f"tomography MLE of channel {c} did not converge "
-                                      f"in {max_iter} iterations", c)
-            step[c] = 1.0
-            still.append(c)
-            moved.append(i)
-        if moved:
-            lanes = [active[i] for i in moved]
-            r[lanes] = weighted_effects(lanes, p[moved])
-        active = still
+        proj = (eye_d[:, None, :, None] * lam_isqrt[:, None, :, None, :]).reshape(-1, side, side)
+        return hermitianize(proj @ k @ proj / d)
+
+    omega = np.repeat((identity / side)[None], len(flat), axis=0)
+    # The running channels: index, counts, total, iterate, log-likelihood, R, step, iterations.
+    lane = np.arange(len(flat))
+    om = omega
+    cur, p = evaluate(om, flat, lane)
+    r = weighted_effects(flat / p)
+    step = np.ones(len(flat))
+    iters = np.zeros_like(lane)
+    while len(lane):
+        cand = candidates(om, r, step, totals, lane)
+        new, p = evaluate(cand, flat, lane)
+        halve = (new < cur - 1e-12) & (step >= 1e-6)
+        done = ~halve & (np.abs(new - cur) < tol)
+        moved = ~halve & ~done
+        iters += moved
+        om = np.where(halve[:, None, None], om, cand)
+        cur = np.where(halve, cur, new)
+        step = np.where(halve, 0.5 * step, 1.0)
+        r[moved] = weighted_effects(flat[moved] / p[moved])
+        over = iters == max_iter  # only a channel that moved can reach it
+        if over.any():
+            c = int(lane[np.argmax(over)])
+            raise TomographyError(f"tomography MLE of channel {c} did not converge "
+                                  f"in {max_iter} iterations", c)
+        if done.any():
+            omega[lane[done]] = om[done]
+            keep = ~done
+            lane = lane[keep]
+            flat = flat[keep]
+            totals = totals[keep]
+            om = om[keep]
+            cur = cur[keep]
+            r = r[keep]
+            step = step[keep]
+            iters = iters[keep]
+        del cand, p  # before the next round's temporaries
     return omega[0] if arr.ndim == 2 else omega
 
 

@@ -30,7 +30,7 @@ from .assess import (ControlEvent, choi_from_superop, concatenation_prediction,
                      trace_distance_trajectory)
 from .bayes import (BayesConfig, bayes_channel_error, fit_posterior,
                     sample_dynamics, save_posterior)
-from .datagen import (CollisionModelConfig, dataset_prefix,
+from .datagen import (CollisionModelConfig, _check_continues, dataset_prefix,
                       exact_controlled_dynamics, exact_reference_dynamics,
                       generate_trajectory, load_dataset, save_dataset,
                       split_dataset, validation_continuation)
@@ -315,7 +315,11 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
     ds_val = _load_data(out / "val.jsonl")
     t = resolved["train"]
     n_records = _value(t, "n_records", int, allow_none=True)
-    if n_records is not None:
+    # Refuse a foreign validation file before any fit; with n_records,
+    # validation_continuation checks the range of n_records first, then that.
+    if n_records is None:
+        _check_continues(ds_train, ds_val)
+    else:
         try:
             ds_val = validation_continuation(ds_train, ds_val, n_records)
             ds_train = dataset_prefix(ds_train, n_records)

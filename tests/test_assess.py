@@ -1,5 +1,7 @@
 """Assessment tests: Choi construction and metrics, the tomography
 baseline, and coherent-control prediction against concatenation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -466,6 +468,77 @@ class TestTomographyMleRefusals:
         with pytest.raises(NumericalError, match="channel 1 did not converge in 100 ") as info:
             tomography_mle(np.stack([HALVING_COUNTS[0], counts]), design, max_iter=100)
         assert info.value.channel == 1
+
+
+class TestTomographyMleStack:
+    """What the lockstep fit of the 55 ``tomo-scan`` channels costs, and the
+    channel a refusal names once converged channels have dropped out."""
+
+    @staticmethod
+    def tomo_scan_stack():
+        return np.concatenate([counts for _, counts in tomo_scan_groups(0)])
+
+    def test_memory_stays_bounded(self):
+        # The probability kernel takes 16 channels at a time, so its
+        # temporaries do not grow with the number of channels.
+        counts = self.tomo_scan_stack()
+        tracemalloc.start()
+        try:
+            tomography_mle(counts, default_design(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
+
+    def test_a_round_makes_a_fixed_number_of_einsum_calls(self, monkeypatch):
+        # A round evaluates every running channel once, so there are as many
+        # rounds as the slowest channel has evaluations (878 here), each with
+        # one eigh; per-channel probability calls would make over 14,000
+        # einsum calls.
+        counts = self.tomo_scan_stack()
+        design = default_design(1)
+        rounds = 0
+        for c in counts:
+            steps = []
+            tomography_mle_serial(c, design, steps=steps)
+            rounds = max(rounds, len(steps))
+        calls = {"einsum": 0, "eigh": 0}
+        einsum, eigh = np.einsum, np.linalg.eigh
+
+        def counted_einsum(*args, **kwargs):
+            calls["einsum"] += 1
+            return einsum(*args, **kwargs)
+
+        def counted_eigh(a):
+            calls["eigh"] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np, "einsum", counted_einsum)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        tomography_mle(counts, design)
+        assert calls["eigh"] == rounds
+        assert calls["einsum"] <= 2 * rounds + 2
+
+    def test_singular_multiplier_names_its_channel(self, monkeypatch):
+        # Channel 0 converges first; in the next round channel 2 is the
+        # second of two running channels, and its multiplier is made singular.
+        design = default_design(2000)
+        counts = simulate_tomography_counts(mixed_test_superop(), design,
+                                            np.random.default_rng(7))
+        stack = np.stack([HALVING_COUNTS[0], counts, counts[::-1]])
+        eigh = np.linalg.eigh
+
+        def eigh_singular_in_last_of_two(a):
+            w, v = eigh(a)
+            if len(w) == 2:
+                w = w.copy()
+                w[1, 0] = 0.0
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_singular_in_last_of_two)
+        with pytest.raises(NumericalError, match="singular in channel 2$") as info:
+            tomography_mle(stack, design)
+        assert info.value.channel == 2
 
 
 class TestPredictWithControl:

@@ -327,10 +327,12 @@ class TestTrainAndValidate:
         assert main(["train", "--config", cfg, "--out",
                      str(tmp_path / "nodata"), "--quiet"]) == 3
 
-    @pytest.mark.parametrize("n_records", [150, 200])
-    def test_validation_of_another_trajectory_exits_three(self, tmp_path, capsys, n_records):
+    @pytest.mark.parametrize("n_records", [150, 200, None])
+    def test_validation_of_another_trajectory_exits_three(self, tmp_path, capsys, monkeypatch,
+                                                           n_records):
         # Both runs hold steps 1..200 and 201..300; only the provenance of
-        # the copied validation file tells them apart.
+        # the copied validation file tells them apart.  The refusal comes
+        # before any fit, with or without n_records.
         runs = {}
         for seed in (0, 5):
             cfg = write_config(tmp_path / f"c{seed}.json", {
@@ -343,9 +345,19 @@ class TestTrainAndValidate:
         cfg, out = runs[0]
         shutil.copy(runs[5][1] / "val.jsonl", out / "val.jsonl")
         capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("train fitted before refusing the validation file")
+        monkeypatch.setattr(cli, "select_d_er", no_fit)
         assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 3
         assert "provenance differs" in capsys.readouterr().err
         assert not list(out.glob("model_der*.json"))
+        # An out-of-range n_records is still the config error it was.
+        bad = write_config(tmp_path / "bad.json", {
+            "seed": 0, "data": {"hamiltonian": None, "n_train": 200, "n_val": 100},
+            "train": {"candidates": [1], "n_records": 500}})
+        assert main(["train", "--config", bad, "--out", str(out), "--quiet"]) == 2
+        assert "n must be in" in capsys.readouterr().err
 
     def test_missing_models_exit_three(self, fitted_run, tmp_path):
         cfg, out = fitted_run
