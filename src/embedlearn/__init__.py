@@ -24,8 +24,7 @@ from .datagen import (CollisionModelConfig, Dataset, dataset_prefix,
                       split_dataset, validation_continuation)
 from .likelihood import (build_cache, conditional_validation_ll, log_likelihood,
                          log_likelihood_gradient)
-from .train import (LearningCurve, TrainConfig, estimate_d_er, fit, init_model,
-                    select_d_er)
+from .train import LearningCurve, TrainConfig, fit, init_model, select_d_er
 from .bayes import (BayesConfig, PosteriorDynamics, VariationalPosterior,
                     bayes_channel_error, fit_posterior, load_posterior,
                     sample_dynamics, save_posterior)
@@ -52,8 +51,7 @@ __all__ = [
     "split_dataset", "validation_continuation",
     "build_cache", "conditional_validation_ll", "log_likelihood",
     "log_likelihood_gradient",
-    "LearningCurve", "TrainConfig", "estimate_d_er", "fit", "init_model",
-    "select_d_er",
+    "LearningCurve", "TrainConfig", "fit", "init_model", "select_d_er",
     "BayesConfig", "PosteriorDynamics", "VariationalPosterior",
     "bayes_channel_error", "fit_posterior", "load_posterior",
     "sample_dynamics", "save_posterior",

@@ -83,7 +83,8 @@ def average_choi_error(chois_a: CMatrix, chois_b: CMatrix) -> float:
 @dataclass(frozen=True)
 class TomographyDesign:
     """Input states and POVM effects probed per channel, plus the shot
-    budget for that channel."""
+    budget for that channel.  Every state and effect is a square matrix of
+    the side of the first input state."""
 
     input_states: list[CMatrix] = field(repr=False)
     povm: list[CMatrix] = field(repr=False)
@@ -92,6 +93,11 @@ class TomographyDesign:
     def __post_init__(self):
         if not self.shots >= 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        side = len(self.input_states[0]) if len(self.input_states) else 0
+        for name, mats in (("input_states", self.input_states), ("povm", self.povm)):
+            if not (side and len(mats)) or any(np.shape(m) != (side, side) for m in mats):
+                raise ValueError(f"{name} must be a non-empty list of {side} x {side} "
+                                 f"matrices, the side of the first input state")
 
 
 def default_design(shots: int) -> TomographyDesign:

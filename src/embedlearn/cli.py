@@ -199,7 +199,7 @@ def _collision_config(resolved: dict) -> CollisionModelConfig:
     ham = d.get("hamiltonian")
     if ham is not None:
         try:
-            ham = jsonio.pairs_to_matrix(ham, 8, 8)
+            ham = jsonio.pairs_to_matrices([ham], 8, 8)[0]
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad data.hamiltonian: {exc}") from exc
     try:

@@ -373,55 +373,6 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Overfit oracle: n-partite environment built from the observed projectors.
-# ---------------------------------------------------------------------------
-
-def overfit_oracle(records: Dataset, rho_s0: CMatrix) -> tuple[float, float]:
-    """Score the deliberately overfitted n-step environment model.
-
-    The environment is one qubit per training record, prepared in the
-    observed projectors; each period swaps the system with the first
-    environment factor and cyclically shifts the rest.  On the training
-    half every outcome then has probability exactly 1 (the system state
-    *is* the recorded projector, analytically), so the training
-    log-likelihood is exactly 0.0.  The validation half reduces to a
-    product of two-projector overlaps.
-
-    Returns (training log-likelihood, validation per-step log-likelihood).
-    """
-    n = len(records) // 2
-    if len(records) % 2 != 0 or not n:
-        raise DataError(f"need an even record count to split in half, got {len(records)}")
-    phis = _record_vectors(records)
-    projs = phis[:, :, None] * phis[:, None, :].conj()
-
-    # Product-state bookkeeping: a factor is either ("rec", i), meaning the
-    # projector of record i, or ("mat", rho).  SWAP then SHIFT amounts to:
-    # the first environment factor becomes the system, the collapsed system
-    # is appended at the back.
-    system: tuple = ("mat", np.asarray(rho_s0, dtype=np.complex128))
-    env: list[tuple] = [("rec", i) for i in range(n)]
-    train_ll = 0.0
-    val_sum = 0.0
-    for i, phi in enumerate(phis):
-        new_system = env.pop(0)
-        env.append(system)
-        if new_system[0] == "rec" and new_system[1] == i:
-            p = 1.0  # same projector on both sides, exact by construction
-        else:
-            rho = projs[new_system[1]] if new_system[0] == "rec" else new_system[1]
-            p = float(np.real(phi.conj() @ rho @ phi))
-            if p <= 0.0:
-                raise ZeroProbabilityError(int(records.records["step"][i]))
-        if i < n:
-            train_ll += 0.0 if p == 1.0 else np.log(p)
-        else:
-            val_sum += np.log(p)
-        system = ("rec", i)
-    return train_ll, val_sum / n
-
-
-# ---------------------------------------------------------------------------
 # JSONL persistence.
 # ---------------------------------------------------------------------------
 
@@ -437,7 +388,7 @@ def save_dataset(ds: Dataset, path) -> None:
     lines = [jsonio.canonical_dumps(header)]
     lines += [jsonio.canonical_dumps({"step": k, "basis": pairs, "outcome": o})
               for k, pairs, o in zip(recs["step"].tolist(),
-                                     jsonio.matrices_to_pairs(recs["basis"]),
+                                     jsonio.matrix_to_pairs(recs["basis"]),
                                      recs["outcome"].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

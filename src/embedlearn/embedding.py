@@ -2,10 +2,10 @@
 
 A model is a finite system + effective-reservoir space evolved by the
 channel of one measurement period: a joint unitary exp(-i H tau) on
-system x reservoir x ancilla, with the ancilla prepared in a fixed pure
-state and traced out afterward.  The ancilla dimension ``(d_s*d_er)**2``
-makes every channel on the joint space reachable, so Hermitian H is the
-only free object and complete positivity holds by construction.
+system x reservoir x ancilla, with the ancilla prepared in |0> and traced
+out afterward.  The ancilla dimension ``(d_s*d_er)**2`` makes every
+channel on the joint space reachable, so Hermitian H is the only free
+object and complete positivity holds by construction.
 
 The continuous-time picture comes from the principal logarithm of the
 period channel; that extraction fails loudly when the logarithm is
@@ -43,19 +43,19 @@ CHUNK = 256
 
 @dataclass(frozen=True)
 class MarkovianEmbedding:
-    """Embedding model: dimensions, period, Hamiltonian, initial states.
+    """Embedding model: dimensions, period, Hamiltonian, initial state.
 
-    ``h`` is Hermitian on the full dilation space (side ``dims.d_total``),
-    ``rho0_ser`` is the joint system + reservoir state the measured
-    trajectory starts from, and ``rho_a`` is the fixed pure ancilla state
-    consumed by every period.
+    ``h`` is Hermitian on the full dilation space (side ``dims.d_total``)
+    and ``rho0_ser`` is the joint system + reservoir state the measured
+    trajectory starts from.  Every period starts the ancilla in |0>.  That
+    choice is a gauge: an ancilla W|0> under U gives the same channel as
+    |0> under U (I x W), so the ancilla state is not model data.
     """
 
     dims: DimSpec
     tau: float
     h: CMatrix = field(repr=False)
     rho0_ser: CMatrix = field(repr=False)
-    rho_a: CMatrix = field(repr=False)
 
     def unitary(self) -> CMatrix:
         """Period unitary exp(-i H tau)."""
@@ -99,15 +99,11 @@ class GeneratorSuperoperator:
         return out
 
 
-def make_embedding(dims: DimSpec, tau: float, h: CMatrix, rho0_ser: CMatrix,
-                   rho_a: CMatrix | None = None) -> MarkovianEmbedding:
-    """Assemble a model, defaulting the ancilla to |0><0|, and validate it."""
-    if rho_a is None:
-        rho_a = np.zeros((dims.d_a, dims.d_a), dtype=np.complex128)
-        rho_a[0, 0] = 1.0
+def make_embedding(dims: DimSpec, tau: float, h: CMatrix,
+                   rho0_ser: CMatrix) -> MarkovianEmbedding:
+    """Assemble a model and validate it."""
     model = MarkovianEmbedding(dims=dims, tau=float(tau), h=np.asarray(h, dtype=np.complex128),
-                               rho0_ser=np.asarray(rho0_ser, dtype=np.complex128),
-                               rho_a=np.asarray(rho_a, dtype=np.complex128))
+                               rho0_ser=np.asarray(rho0_ser, dtype=np.complex128))
     validate_model(model)
     return model
 
@@ -128,10 +124,6 @@ def validate_model(model: MarkovianEmbedding) -> None:
     if dev > 1e-10:
         raise ValueError(f"h is not Hermitian: max deviation {dev:.3e}")
     _check_state(model.rho0_ser, dims.d, "rho0_ser")
-    _check_state(model.rho_a, dims.d_a, "rho_a")
-    purity = np.max(np.abs(model.rho_a @ model.rho_a - model.rho_a))
-    if purity > 1e-8:
-        raise ValueError(f"rho_a is not pure: ||rho^2 - rho|| = {purity:.3e}")
 
 
 def _check_finite(m: CMatrix, name: str) -> None:
@@ -151,26 +143,15 @@ def _check_state(rho: CMatrix, side: int, name: str) -> None:
         raise ValueError(f"{name} is not positive semidefinite")
 
 
-def ancilla_vector(model: MarkovianEmbedding) -> CMatrix:
-    """State vector of the pure ancilla, phase-fixed by its largest entry."""
-    w, v = np.linalg.eigh(hermitianize(model.rho_a))
-    vec_a = v[:, -1]
-    pivot = np.argmax(np.abs(vec_a))
-    vec_a = vec_a * np.exp(-1j * np.angle(vec_a[pivot]))
-    return vec_a
-
-
 def kraus_stack(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
     """Kraus operators of the period channel, stacked along axis 0.
 
-    K_j = (I x <j|_A) U (I x |a>_A); there are d_a of them, each d x d.
+    K_j = (I x <j|_A) U (I x |0>_A); there are d_a of them, each d x d.
     """
     d, d_a = model.dims.d, model.dims.d_a
     if u is None:
         u = model.unitary()
-    a = ancilla_vector(model)
-    u4 = u.reshape(d, d_a, d, d_a)
-    return np.einsum("xjyk,k->jxy", u4, a)
+    return u.reshape(d, d_a, d, d_a)[:, :, :, 0].transpose(1, 0, 2)
 
 
 def _kraus_superoperator(ks: CMatrix) -> CMatrix:
@@ -269,7 +250,14 @@ def _nonnegative_times(times) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model (de)serialization: one JSON object, matrices as [re, im] pairs.
+# The file records the ancilla's dimension and its state |0><0|, both fixed.
 # ---------------------------------------------------------------------------
+
+def _ancilla_state(dims: DimSpec) -> CMatrix:
+    state = np.zeros((dims.d_a, dims.d_a), dtype=np.complex128)
+    state[0, 0] = 1.0
+    return state
+
 
 def model_to_dict(model: MarkovianEmbedding) -> dict:
     return {
@@ -277,18 +265,24 @@ def model_to_dict(model: MarkovianEmbedding) -> dict:
         "tau": model.tau,
         "h": jsonio.matrix_to_pairs(model.h),
         "rho0_ser": jsonio.matrix_to_pairs(model.rho0_ser),
-        "rho_a": jsonio.matrix_to_pairs(model.rho_a),
+        "rho_a": jsonio.matrix_to_pairs(_ancilla_state(model.dims)),
     }
 
 
 def model_from_dict(obj: dict) -> MarkovianEmbedding:
+    """Rebuild a model; refuses any ancilla other than the |0><0| of
+    dimension (d_s*d_er)**2 it is made with."""
     spec = obj["dims"]
-    dims = DimSpec(**{k: jsonio.ensure_int(spec[k], f"dims.{k}")
-                      for k in ("d_s", "d_er", "d_a")})
-    h = jsonio.pairs_to_matrix(obj["h"], dims.d_total, dims.d_total)
-    rho0 = jsonio.pairs_to_matrix(obj["rho0_ser"], dims.d, dims.d)
-    rho_a = jsonio.pairs_to_matrix(obj["rho_a"], dims.d_a, dims.d_a)
-    return make_embedding(dims, float(obj["tau"]), h, rho0, rho_a)
+    d_s, d_er, d_a = (jsonio.ensure_int(spec[k], f"dims.{k}") for k in ("d_s", "d_er", "d_a"))
+    dims = DimSpec(d_s=d_s, d_er=d_er)
+    if d_a != dims.d_a:
+        raise ValueError(f"d_a must equal (d_s*d_er)**2 = {dims.d_a}, got {d_a}")
+    h = jsonio.pairs_to_matrices([obj["h"]], dims.d_total, dims.d_total)[0]
+    rho0 = jsonio.pairs_to_matrices([obj["rho0_ser"]], dims.d, dims.d)[0]
+    rho_a = jsonio.pairs_to_matrices([obj["rho_a"]], dims.d_a, dims.d_a)[0]
+    if not np.array_equal(rho_a, _ancilla_state(dims)):
+        raise ValueError("rho_a must be |0><0|")
+    return make_embedding(dims, float(obj["tau"]), h, rho0)
 
 
 def save_model(model: MarkovianEmbedding, path) -> None:

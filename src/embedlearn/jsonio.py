@@ -30,25 +30,17 @@ def _float_pairs(m) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
 
 
-def matrix_to_pairs(m: CMatrix) -> list[list[float]]:
-    """Flatten a complex matrix to row-major ``[re, im]`` pairs."""
-    return _float_pairs(m).reshape(-1, 2).tolist()
-
-
-def matrices_to_pairs(ms: CMatrix) -> list[list[list[float]]]:
-    """One :func:`matrix_to_pairs` list per entry of a stack ``(k, rows, cols)``."""
-    k, rows, cols = np.shape(ms)
-    return _float_pairs(ms).reshape(k, rows * cols, 2).tolist()
-
-
-def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int) -> CMatrix:
-    """Rebuild a complex matrix from row-major ``[re, im]`` pairs."""
-    return pairs_to_matrices([pairs], rows, cols)[0]
+def matrix_to_pairs(m: CMatrix) -> list:
+    """Flatten a complex matrix to row-major ``[re, im]`` pairs; a stack
+    ``(..., rows, cols)`` gives one such list per matrix."""
+    *lead, rows, cols = np.shape(m)
+    return _float_pairs(m).reshape(*lead, rows * cols, 2).tolist()
 
 
 def pairs_to_matrices(stack: list, rows: int, cols: int) -> CMatrix:
-    """Rebuild a stack ``(len(stack), rows, cols)`` from one pair list per
-    matrix, in one conversion."""
+    """Rebuild a stack ``(len(stack), rows, cols)`` from one list of
+    row-major ``[re, im]`` pairs per matrix, in one conversion; one matrix
+    is ``pairs_to_matrices([pairs], rows, cols)[0]``."""
     if not stack:
         return np.empty((0, rows, cols), dtype=np.complex128)
     arr = np.array(stack)

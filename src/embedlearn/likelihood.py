@@ -30,7 +30,7 @@ which is the main internal consistency check, and the per-merge-point form
 is what the gradient of the log-likelihood sums over.  Each merge-point
 value is linear in the period superoperator M, so the gradient first sums
 the batch into one d^2 x d^2 matrix C = dlog p/dM, then pulls C back through
-M = sum_j conj(K_j) x K_j to the Kraus operators K_j = (I x <j|) U (I x |a>)
+M = sum_j conj(K_j) x K_j to the Kraus operators K_j = (I x <j|) U (I x |0>)
 and from U to H through the divided differences of exp(-i tau z).
 """
 
@@ -45,7 +45,7 @@ import numpy as np
 from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
                       period_superoperator)
 from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, _transfers,
-                        ancilla_vector, kraus_stack, superoperator_matrix)
+                        kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary, unvec, vec
 
@@ -460,7 +460,6 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     d, dd = dims.d, dims.d_total
     lam, v = spectrum.eigenvalues, spectrum.eigenvectors
     f = _loewner_exp(lam, model.tau)
-    avec = ancilla_vector(model)
     ks = kraus_stack(model, spectral_unitary(spectrum, model.tau))
 
     # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
@@ -479,13 +478,13 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
         raise ZeroProbabilityError(int(bad))
 
     # d sum_m log value_m = sum C * dM with C = sum_m a_m b_m^T / value_m.
-    # Through M = sum_j conj(K_j) x K_j and K_j = (I x <j|) U (I x |a>) this
-    # is tr[Gamma1^T dU] + tr[Gamma2^T dU+], where Gamma1 = g1 (I x a^T) and
-    # Gamma2 = (I x conj(a)) g2; only the d_total x d factors g1, g2 are formed.
+    # Through M = sum_j conj(K_j) x K_j and K_j = (I x <j|) U (I x |0>) this
+    # is tr[Gamma1^T dU] + tr[Gamma2^T dU+], where Gamma1 = g1 (I x <0|) and
+    # Gamma2 = (I x |0>) g2; only the d_total x d factors g1, g2 are formed.
     c4 = ((a / values[:, None]).T @ b).reshape(d, d, d, d)
     g1 = np.einsum("pqrs,jpr->qjs", c4, ks.conj()).reshape(dd, d)
     g2 = np.einsum("pqrs,jqs->rpj", c4, ks).reshape(d, dd)
-    va = np.einsum("xkE,k->xE", v.reshape(d, -1, dd), avec.conj())  # (I x <a|) V
+    va = v.reshape(d, -1, dd)[:, 0, :]  # (I x <0|) V
     vg1v = (v.T @ g1) @ va.conj()  # V^T Gamma1 V*
     vg2v = va.T @ (g2 @ v.conj())  # V^T Gamma2 V*
 

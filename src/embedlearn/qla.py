@@ -30,26 +30,24 @@ BRANCH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DimSpec:
-    """Dimensions of the system / effective-reservoir / ancilla split.
+    """Dimensions of the system / effective-reservoir split.
 
-    ``d_a`` is determined by the other two: the dilation ancilla must have
+    The ancilla dimension ``d_a`` is not free: the dilation ancilla has
     dimension ``(d_s * d_er)**2`` so an arbitrary channel on the joint
-    system-reservoir space is reachable.  Passing ``d_a=0`` (the default)
-    fills it in.
+    system-reservoir space is reachable.
     """
 
     d_s: int
     d_er: int
-    d_a: int = 0
 
     def __post_init__(self):
         if self.d_s < 1 or self.d_er < 1:
             raise ValueError(f"dimensions must be >= 1, got {self}")
-        required = (self.d_s * self.d_er) ** 2
-        if self.d_a == 0:
-            object.__setattr__(self, "d_a", required)
-        elif self.d_a != required:
-            raise ValueError(f"d_a must equal (d_s*d_er)**2 = {required}, got {self.d_a}")
+
+    @property
+    def d_a(self) -> int:
+        """Ancilla dimension, (d_s*d_er)**2."""
+        return self.d ** 2
 
     @property
     def d(self) -> int:

@@ -255,68 +255,3 @@ def select_d_er(data_train, data_val, candidates: list[int], cfg: TrainConfig
         table.append((k, max(v for v in curves[k].val_per_step if v is not None)))
     best_k = max(table, key=lambda row: row[1])[0]
     return best_k, table, models, curves
-
-
-# ---------------------------------------------------------------------------
-# A priori reservoir-dimension estimate from dissipation parameters.
-# ---------------------------------------------------------------------------
-
-def _log_dim_bound(alpha: float, epsilon: float, n_channels: int, gamma: float,
-                   total_time: float, tau_corr: float) -> float:
-    drive = n_channels * gamma * total_time
-    term = 0.0
-    if drive > 0.0:
-        term = drive * ((gamma * tau_corr) ** (alpha - 1.0) - alpha) / (1.0 - alpha)
-    return (0.5 * math.log1p(-alpha)
-            + alpha / (2.0 * (1.0 - alpha)) * math.log(1.0 / epsilon)
-            + term)
-
-
-def estimate_d_er(epsilon: float, n_channels: int, gamma: float,
-                  total_time: float, tau_corr: float, cap: int = 10 ** 12) -> int:
-    """Reservoir dimension sufficient for target error ``epsilon``.
-
-    Minimizes the dimension bound over the interpolation exponent alpha in
-    (0, 1): a dense grid (step 0.001) followed by golden-section refinement
-    around the best grid point.  Values beyond ``cap`` saturate to ``cap``
-    instead of overflowing.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if min(n_channels, gamma, total_time) < 0:
-        raise ValueError("rates and times must be nonnegative")
-    if tau_corr <= 0:
-        raise ValueError("correlation time must be positive")
-
-    def logf(alpha: float) -> float:
-        return _log_dim_bound(alpha, epsilon, n_channels, gamma, total_time, tau_corr)
-
-    # The infimum can sit at the open left edge (decoupled drive): the
-    # alpha -> 0+ limit is drive/(gamma*tau_corr), or 0 with no drive at
-    # all, and the grid below starts at 0.001.
-    drive = n_channels * gamma * total_time
-    left_limit = drive / (gamma * tau_corr) if drive > 0.0 else 0.0
-
-    grid = np.arange(0.001, 0.9995, 0.001)
-    vals = [logf(a) for a in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = logf(c), logf(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = logf(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = logf(d)
-    best = min(vals[i], fc, fd, left_limit)
-    if best > math.log(cap):
-        return cap
-    return max(1, math.ceil(math.exp(best) - 1e-12))

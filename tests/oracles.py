@@ -28,7 +28,11 @@ library's ``period_superoperator``, ``ptrace``, ``hermitianize`` and
 generator ``propagate``.  The helpers that only
 tests use (the joint-space trajectory simulator, joint-sized views of the
 sweeps, the bare-entry unitary derivative, Choi conversions, a CSV dump, a
-Monte-Carlo objective, posterior entry statistics) live here too.
+Monte-Carlo objective, posterior entry statistics, the overfitted
+n-step environment behind the README's overfitting claim) live here too,
+as does :func:`kraus_stack_eigh`, the Kraus operators through an ``eigh``
+of the ancilla state |0><0|, a phase fix and a one-hot contraction: the
+bitwise reference of the library's slice of U at the |0> column.
 """
 from __future__ import annotations
 
@@ -263,25 +267,50 @@ def _period_unitary(model):
     return (v * np.exp(-1j * model.tau * lam)) @ v.conj().T
 
 
+def ground_ancilla(d_a):
+    """The ancilla state |0><0| as a d_a x d_a matrix."""
+    rho_a = np.zeros((d_a, d_a), dtype=np.complex128)
+    rho_a[0, 0] = 1.0
+    return rho_a
+
+
+def ancilla_vector_eigh(rho_a):
+    """State vector of a pure ancilla state: the top eigenvector of an
+    ``eigh``, phase-fixed by its largest entry."""
+    _, v = np.linalg.eigh(0.5 * (rho_a + rho_a.conj().T))
+    vec_a = v[:, -1]
+    pivot = np.argmax(np.abs(vec_a))
+    return vec_a * np.exp(-1j * np.angle(vec_a[pivot]))
+
+
+def kraus_stack_eigh(model, u):
+    """Kraus operators K_j = (I x <j|) U (I x |a>) of the period unitary
+    ``u``, with |a> taken from :func:`ancilla_vector_eigh` of |0><0| and
+    contracted against U by a one-hot ``einsum``."""
+    d, d_a = model.dims.d, model.dims.d_a
+    a = ancilla_vector_eigh(ground_ancilla(d_a))
+    return np.einsum("xjyk,k->jxy", np.asarray(u).reshape(d, d_a, d, d_a), a)
+
+
 def apply_channel(model, rho):
-    """One period of the embedded dynamics: tr_A[U (rho x rho_a) U+], with
+    """One period of the embedded dynamics: tr_A[U (rho x |0><0|) U+], with
     the Kronecker products spelled out on the full dilation space."""
     d, d_a = model.dims.d, model.dims.d_a
     if rho.shape != (d, d):
         raise ValueError(f"state has shape {rho.shape}, expected side {d}")
     u = _period_unitary(model)
-    joint = u @ np.kron(rho, model.rho_a) @ u.conj().T
+    joint = u @ np.kron(rho, ground_ancilla(d_a)) @ u.conj().T
     return np.einsum("xaya->xy", joint.reshape(d, d_a, d, d_a))
 
 
 def apply_dual(model, effect):
-    """Heisenberg-picture dual: tr_A[U+ (E x I_A) U (I x rho_a)]."""
+    """Heisenberg-picture dual: tr_A[U+ (E x I_A) U (I x |0><0|)]."""
     d, d_a = model.dims.d, model.dims.d_a
     if effect.shape != (d, d):
         raise ValueError(f"effect has shape {effect.shape}, expected side {d}")
     u = _period_unitary(model)
     lifted = (u.conj().T @ np.kron(effect, np.eye(d_a)) @ u
-              @ np.kron(np.eye(d), model.rho_a))
+              @ np.kron(np.eye(d), ground_ancilla(d_a)))
     return np.einsum("xaya->xy", lifted.reshape(d, d_a, d, d_a))
 
 
@@ -408,7 +437,7 @@ def legacy_save_posterior(path, posterior):
             "tau": base.tau,
             "h": legacy_matrix_to_pairs(base.h),
             "rho0_ser": legacy_matrix_to_pairs(base.rho0_ser),
-            "rho_a": legacy_matrix_to_pairs(base.rho_a),
+            "rho_a": legacy_matrix_to_pairs(ground_ancilla(base.dims.d_a)),
         },
         "mean": [float(x) for x in posterior.mean],
         "log_std": [float(x) for x in posterior.log_std],
@@ -485,6 +514,53 @@ def record_vectors_serial(records):
     if not len(records):
         return np.empty((0, records.dtype["basis"].shape[0]), dtype=np.complex128)
     return np.stack([rec["basis"][:, rec["outcome"]] for rec in records])
+
+
+def overfit_oracle(records, rho_s0):
+    """Score the deliberately overfitted n-step environment model of a
+    :class:`~embedlearn.datagen.Dataset`.
+
+    The environment is one qubit per training record, prepared in the
+    observed projectors; each period swaps the system with the first
+    environment factor and cyclically shifts the rest.  On the training
+    half every outcome then has probability exactly 1 (the system state
+    *is* the recorded projector, analytically), so the training
+    log-likelihood is exactly 0.0.  The validation half reduces to a
+    product of two-projector overlaps.
+
+    Returns (training log-likelihood, validation per-step log-likelihood).
+    """
+    from embedlearn.errors import DataError, ZeroProbabilityError
+    n = len(records) // 2
+    if len(records) % 2 != 0 or not n:
+        raise DataError(f"need an even record count to split in half, got {len(records)}")
+    phis = record_vectors_serial(records.records)
+    projs = phis[:, :, None] * phis[:, None, :].conj()
+
+    # Product-state bookkeeping: a factor is either ("rec", i), meaning the
+    # projector of record i, or ("mat", rho).  SWAP then SHIFT amounts to:
+    # the first environment factor becomes the system, the collapsed system
+    # is appended at the back.
+    system = ("mat", np.asarray(rho_s0, dtype=np.complex128))
+    env = [("rec", i) for i in range(n)]
+    train_ll = 0.0
+    val_sum = 0.0
+    for i, phi in enumerate(phis):
+        new_system = env.pop(0)
+        env.append(system)
+        if new_system[0] == "rec" and new_system[1] == i:
+            p = 1.0  # same projector on both sides, exact by construction
+        else:
+            rho = projs[new_system[1]] if new_system[0] == "rec" else new_system[1]
+            p = float(np.real(phi.conj() @ rho @ phi))
+            if p <= 0.0:
+                raise ZeroProbabilityError(int(records.records["step"][i]))
+        if i < n:
+            train_ll += 0.0 if p == 1.0 else np.log(p)
+        else:
+            val_sum += np.log(p)
+        system = ("rec", i)
+    return train_ll, val_sum / n
 
 
 def joint_trajectory(period_map, rho0, rng, n):

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from embedlearn import seeds
-from embedlearn.assess import (ControlEvent, average_choi_error,
+from embedlearn.assess import (ControlEvent, TomographyDesign, average_choi_error,
                                choi_from_superop, concatenation_prediction,
                                default_design, dynamics_maps,
                                outcome_probabilities, predict_with_control,
@@ -240,6 +240,31 @@ class TestTomographyDesign:
     def test_budget_below_one_rejected(self, shots):
         with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
             default_design(shots)
+
+    @pytest.mark.parametrize("defect, name", [
+        ("qutrit-effects", "povm"),
+        ("ragged-inputs", "input_states"),
+        ("non-square-input", "input_states"),
+        ("no-effects", "povm"),
+        ("no-inputs", "input_states"),
+    ])
+    def test_mismatched_shapes_rejected(self, defect, name):
+        # Refused when the design is made, not as a raw numpy error deep in
+        # tomography_mle.
+        base = default_design(10)
+        inputs, povm = list(base.input_states), list(base.povm)
+        if defect == "qutrit-effects":
+            povm = [np.eye(3, dtype=np.complex128) / 8] * 8
+        elif defect == "ragged-inputs":
+            inputs[2] = np.eye(3, dtype=np.complex128) / 3
+        elif defect == "non-square-input":
+            inputs[0] = np.ones((2, 3), dtype=np.complex128) / 2
+        elif defect == "no-effects":
+            povm = []
+        else:
+            inputs = []
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TomographyDesign(input_states=inputs, povm=povm, shots=10)
 
 
 def random_collision_config(seed):

@@ -472,6 +472,12 @@ def _break_model(obj, defect):
         obj["tau"] = -1
     elif defect == "missing-rho_a":
         del obj["rho_a"]
+    elif defect == "other-ancilla":
+        # |1><1|: a valid pure state, but the ancilla of a model is |0><0|.
+        obj["rho_a"][0] = [0.0, 0.0]
+        obj["rho_a"][5] = [1.0, 0.0]  # entry (1, 1) of the 4 x 4 state
+    elif defect == "wrong-d_a":
+        obj["dims"]["d_a"] = 15
     elif defect == "short-h":
         obj["h"] = obj["h"][:-1]
     elif defect == "nan-h":
@@ -481,7 +487,8 @@ def _break_model(obj, defect):
 class TestMalformedModelFiles:
     @pytest.mark.parametrize("command", ["predict", "validate"])
     @pytest.mark.parametrize("defect", ["non-hermitian-h", "negative-tau",
-                                        "missing-rho_a", "short-h", "nan-h"])
+                                        "missing-rho_a", "other-ancilla", "wrong-d_a",
+                                        "short-h", "nan-h"])
     def test_exit_three_naming_the_file(self, exact_model_run, tmp_path,
                                         command, defect, capsys):
         cfg, src = exact_model_run

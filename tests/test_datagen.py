@@ -11,7 +11,7 @@ from embedlearn.datagen import (CollisionModelConfig, Dataset, _record_vectors,
                                 dataset_prefix, default_collision_hamiltonian,
                                 exact_controlled_dynamics,
                                 exact_reference_dynamics, generate_trajectory,
-                                load_dataset, make_records, overfit_oracle,
+                                load_dataset, make_records,
                                 period_superoperator, save_dataset,
                                 split_dataset, validation_continuation)
 from embedlearn.errors import DataError, ZeroProbabilityError
@@ -20,7 +20,7 @@ from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expm_unitary,
                             kron, ptrace, unvec, vec)
 
 import oracles
-from oracles import collision_step, sample_measurement
+from oracles import collision_step, overfit_oracle, sample_measurement
 
 
 def random_density(rng, d):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from embedlearn.embedding import (MarkovianEmbedding, ancilla_vector,
+from embedlearn.embedding import (MarkovianEmbedding, _kraus_superoperator,
                                   equilibrium_er_state, extract_generator,
                                   kraus_stack, load_model, make_embedding,
                                   model_from_dict, model_to_dict,
@@ -14,6 +14,7 @@ from embedlearn.assess import ControlEvent, dynamics_maps, predict_with_control
 from embedlearn.errors import FixedPointError
 from embedlearn.qla import (SIGMA_X, DimSpec, dagger, expm_unitary, kron, ptrace,
                             unvec, vec)
+from embedlearn.train import init_model
 
 import oracles
 from oracles import apply_channel, apply_dual
@@ -71,22 +72,25 @@ class TestModelConstruction:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, target, value):
         # Each check fails closed: a NaN deviation compares false against
-        # every tolerance, so it must not slip through as "small".
+        # every tolerance, so it must not slip through as "small".  The
+        # ancilla state is not model data; only a model file records it.
         dims = DimSpec(d_s=2, d_er=1)
         h = np.zeros((dims.d_total, dims.d_total), dtype=np.complex128)
         rho = np.eye(2, dtype=np.complex128) / 2
-        rho_a = np.zeros((dims.d_a, dims.d_a), dtype=np.complex128)
-        rho_a[0, 0] = 1.0
+        if target == "rho_a":
+            obj = model_to_dict(make_embedding(dims, 1.0, h, rho))
+            obj["rho_a"][0] = [value, 0.0]
+            with pytest.raises(ValueError, match="rho_a must be"):
+                model_from_dict(obj)
+            return
         if target == "h-diagonal":
             h[0, 0] = value
         elif target == "h-off-diagonal":
             h[0, 1] = h[1, 0] = value
-        elif target == "rho0_ser":
-            rho[0, 0] = value
         else:
-            rho_a[0, 0] = value
+            rho[0, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
-            make_embedding(dims, 1.0, h, rho, rho_a)
+            make_embedding(dims, 1.0, h, rho)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, 0.0])
     def test_period_must_be_positive_and_finite(self, tau):
@@ -98,17 +102,29 @@ class TestModelConstruction:
     def test_mixed_ancilla_rejected(self):
         dims = DimSpec(d_s=2, d_er=1)
         h = np.zeros((dims.d_total, dims.d_total))
-        with pytest.raises(ValueError):
-            make_embedding(dims, 1.0, h, np.eye(2) / 2,
-                           rho_a=np.eye(dims.d_a) / dims.d_a)
+        obj = model_to_dict(make_embedding(dims, 1.0, h, np.eye(2) / 2))
+        obj["rho_a"] = oracles.legacy_matrix_to_pairs(np.eye(dims.d_a) / dims.d_a)
+        with pytest.raises(ValueError, match="rho_a must be"):
+            model_from_dict(obj)
 
     def test_ancilla_defaults_to_ground_state(self):
         rng = np.random.default_rng(0)
         model = random_model(rng)
-        vec_a = ancilla_vector(model)
-        want = np.zeros(model.dims.d_a)
-        want[0] = 1.0
-        assert np.max(np.abs(np.abs(vec_a) - want)) < 1e-12
+        rho_a = np.array(model_to_dict(model)["rho_a"]).view(np.complex128)
+        assert rho_a.reshape(model.dims.d_a, model.dims.d_a).tobytes() == \
+            oracles.ground_ancilla(model.dims.d_a).tobytes()
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_kraus_stack_matches_eigh_ancilla_route(self, d_er):
+        # Slicing U at the |0> ancilla column is bitwise the contraction of
+        # U against the eigh-derived, phase-fixed ancilla vector.
+        model = init_model(DimSpec(d_s=2, d_er=d_er), 1.0, np.random.default_rng(0))
+        u = model.unitary()
+        want = oracles.kraus_stack_eigh(model, u)
+        got = kraus_stack(model, u)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert superoperator_matrix(model).tobytes() == _kraus_superoperator(want).tobytes()
 
 
 class TestApplyChannel:

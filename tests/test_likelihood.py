@@ -12,7 +12,7 @@ from embedlearn.likelihood import (PropagationCache, backward_pass,
                                    build_cache, conditional_validation_ll,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
-from embedlearn.embedding import ancilla_vector, make_embedding, superoperator_matrix
+from embedlearn.embedding import make_embedding, superoperator_matrix
 from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
 
 import oracles
@@ -358,8 +358,9 @@ def chain_gradient_error(model, ds, got, batch):
     the joint-space oracle sweeps."""
     states, _, effects, _ = dense_oracle_sweeps(model, ds)
     phis = oracles.record_vectors_serial(ds.records)
+    avec = oracles.ancilla_vector_eigh(oracles.ground_ancilla(model.dims.d_a))
     want = oracles.merge_point_chain_gradient(
-        np.asarray(model.h), model.tau, ancilla_vector(model), model.dims.d_s,
+        np.asarray(model.h), model.tau, avec, model.dims.d_s,
         model.dims.d_er, states, effects, phis, batch, len(ds.records))
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 

@@ -49,7 +49,7 @@ class TestPairs:
         assert json.dumps(pairs) == json.dumps(oracles.legacy_matrix_to_pairs(m))
         assert json.dumps(jsonio.matrix_to_pairs(m.T)) == \
             json.dumps(oracles.legacy_matrix_to_pairs(m.T))
-        back = jsonio.pairs_to_matrix(pairs, 5, 3)
+        back = jsonio.pairs_to_matrices([pairs], 5, 3)[0]
         legacy = oracles.legacy_pairs_to_matrix(pairs, 5, 3)
         assert back.tobytes() == legacy.tobytes()
 
@@ -58,7 +58,7 @@ class TestPairs:
         [[2 ** 64 + 1, 0], [-1, 2 ** 63], [0, 0], [1, 1]],
     ])
     def test_integer_and_bool_entries_convert_like_complex(self, pairs):
-        back = jsonio.pairs_to_matrix(pairs, 2, 2)
+        back = jsonio.pairs_to_matrices([pairs], 2, 2)[0]
         assert back.tobytes() == oracles.legacy_pairs_to_matrix(pairs, 2, 2).tobytes()
         stack = jsonio.pairs_to_matrices([pairs[:2] * 2, pairs[2:] * 2], 2, 2)
         assert stack.tobytes() == np.stack([
@@ -68,7 +68,7 @@ class TestPairs:
     def test_stack_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(1)
         ms = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-        stack = jsonio.matrices_to_pairs(ms)
+        stack = jsonio.matrix_to_pairs(ms)
         assert stack == [oracles.legacy_matrix_to_pairs(m) for m in ms]
         assert np.array_equal(jsonio.pairs_to_matrices(stack, 2, 2), ms)
 
@@ -82,11 +82,11 @@ class TestPairs:
     ])
     def test_non_numeric_pairs_rejected(self, pairs):
         with pytest.raises(ValueError):
-            jsonio.pairs_to_matrix(pairs, 1, 2)
+            jsonio.pairs_to_matrices([pairs], 1, 2)
 
     def test_wrong_entry_count_rejected(self):
         with pytest.raises(ValueError, match="expected 4 entries, got 3"):
-            jsonio.pairs_to_matrix([[0.0, 0.0]] * 3, 2, 2)
+            jsonio.pairs_to_matrices([[[0.0, 0.0]] * 3], 2, 2)
         with pytest.raises(ValueError):
             jsonio.pairs_to_matrices([[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3], 2, 2)
 
@@ -103,7 +103,8 @@ class TestModelFiles:
         dims = model.dims
         save_model(model, tmp_path / "new.json")
         oracles.legacy_save_model(tmp_path / "old.json", (dims.d_s, dims.d_er, dims.d_a),
-                                  model.tau, model.h, model.rho0_ser, model.rho_a)
+                                  model.tau, model.h, model.rho0_ser,
+                                  oracles.ground_ancilla(dims.d_a))
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         back = load_model(tmp_path / "new.json")
         assert back.h.tobytes() == model.h.tobytes()
@@ -114,6 +115,15 @@ class TestModelFiles:
         obj = model_to_dict(random_model(np.random.default_rng(3), 1))
         obj["dims"]["d_s"] = value
         with pytest.raises(ValueError, match="dims.d_s must be an integer"):
+            model_from_dict(obj)
+
+    @pytest.mark.parametrize("d_a", [15, 0])
+    def test_wrong_ancilla_dimension_rejected(self, d_a):
+        # A file must state the ancilla dimension: 0 is not "fill it in".
+        obj = model_to_dict(random_model(np.random.default_rng(4), 2))
+        obj["dims"]["d_a"] = d_a
+        want = rf"d_a must equal \(d_s\*d_er\)\*\*2 = 16, got {d_a}$"
+        with pytest.raises(ValueError, match=want):
             model_from_dict(obj)
 
 

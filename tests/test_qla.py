@@ -33,10 +33,6 @@ class TestDimSpec:
         assert dims.d == 6
         assert dims.d_total == 216
 
-    def test_wrong_ancilla_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            DimSpec(d_s=2, d_er=2, d_a=15)
-
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ValueError):
             DimSpec(d_s=0, d_er=1)

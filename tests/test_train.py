@@ -1,8 +1,5 @@
 """Optimizer and model-selection tests: Adam against an unrolled recursion,
-parameter packing, fits on data whose generating model is known, and the
-reservoir-dimension estimate against a grid-only oracle."""
-import math
-
+parameter packing, and fits on data whose generating model is known."""
 import numpy as np
 import pytest
 
@@ -13,9 +10,8 @@ from embedlearn.likelihood import (conditional_validation_ll, forward_pass,
                                    true_model_log_likelihood)
 from embedlearn.qla import SIGMA_X, DimSpec, dagger, kron, ptrace
 from embedlearn.train import (AdamState, LearningCurve, TrainConfig,
-                              adam_update, estimate_d_er, fit,
-                              gradient_to_params, init_model, pack_hermitian,
-                              select_d_er, unpack_hermitian)
+                              adam_update, fit, gradient_to_params, init_model,
+                              pack_hermitian, select_d_er, unpack_hermitian)
 
 
 def markovian_collision_config():
@@ -356,67 +352,3 @@ class TestSelectDEr:
         tr = generate_trajectory(markovian_collision_config(), 20, 59)
         with pytest.raises(ValueError, match="validation data"):
             select_d_er(tr, None, [1, 2], TrainConfig(epochs=2))
-
-
-def log_dim_bound_oracle(alpha, epsilon, n_channels, gamma, total_time, tau_corr):
-    """Straight transcription of the dimension bound in log space."""
-    out = 0.5 * np.log1p(-alpha) + alpha / (2 * (1 - alpha)) * np.log(1 / epsilon)
-    drive = n_channels * gamma * total_time
-    if drive > 0:
-        out = out + drive * ((gamma * tau_corr) ** (alpha - 1) - alpha) / (1 - alpha)
-    return out
-
-
-class TestEstimateDEr:
-    def test_decoupled_limit_is_one(self):
-        assert estimate_d_er(0.01, 3, 0.0, 10.0, 0.5) == 1
-
-    def test_monotone_in_coupling(self):
-        gammas = [0.05, 0.2, 0.8, 2.0, 5.0]
-        ests = [estimate_d_er(0.01, 2, g, 20.0, 0.3) for g in gammas]
-        assert all(b >= a for a, b in zip(ests, ests[1:]))
-
-    def test_monotone_in_target_error(self):
-        eps = [0.3, 0.1, 0.03, 0.01]
-        ests = [estimate_d_er(e, 2, 1.0, 10.0, 0.3) for e in eps]
-        assert all(b >= a for a, b in zip(ests, ests[1:]))
-
-    def test_grid_matches_refined_on_random_draws(self):
-        rng = np.random.default_rng(10)
-        grid = np.arange(0.001, 0.9995, 0.001)
-        for _ in range(50):
-            epsilon = 10.0 ** rng.uniform(-3, -0.5)
-            n_channels = int(rng.integers(1, 5))
-            gamma = rng.uniform(0.01, 2.0)
-            total_time = rng.uniform(1.0, 30.0)
-            tau_corr = rng.uniform(0.01, 2.0)
-            vals = log_dim_bound_oracle(grid, epsilon, n_channels, gamma,
-                                        total_time, tau_corr)
-            edge = n_channels * total_time / tau_corr  # alpha -> 0+ limit
-            best = min(float(np.min(vals)), edge)
-            if best > math.log(10 ** 12) - 1.0:
-                continue  # at or near the library's saturation cap
-            d_grid = max(1, math.ceil(math.exp(best) - 1e-12))
-            d_lib = estimate_d_er(epsilon, n_channels, gamma, total_time,
-                                  tau_corr)
-            draw = (epsilon, n_channels, gamma, total_time, tau_corr)
-            # Refinement can only lower the minimum the grid found.
-            assert d_lib <= d_grid + 1, draw
-            if d_grid <= 1000:
-                assert abs(d_lib - d_grid) <= 1, draw
-            else:
-                # Large estimates: the sub-grid improvement is worth more
-                # than one integer, so compare relatively instead.
-                assert (d_grid - d_lib) / d_grid < 1e-3, draw
-
-    def test_saturates_at_cap(self):
-        # Correlation time far below 1/gamma makes the drive term blow up
-        # for every alpha, pushing the bound past any finite cap.
-        est = estimate_d_er(1e-3, 6, 50.0, 1000.0, 0.001, cap=10 ** 9)
-        assert est == 10 ** 9
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_d_er(0.0, 1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            estimate_d_er(0.1, 1, -1.0, 1.0, 1.0)
