@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeds
+from . import jsonio, seeds
 from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, equilibrium_er_state,
                         model_from_dict, model_to_dict, predict_dynamics,
                         superoperator_matrix)
@@ -314,21 +314,23 @@ def bayes_channel_error(dyn: PosteriorDynamics) -> float:
 # ---------------------------------------------------------------------------
 
 def posterior_to_dict(posterior: VariationalPosterior) -> dict:
+    """The base model and the two parameter vectors, each vector one base64
+    string of its little-endian float64 bytes."""
     return {
         "model": model_to_dict(posterior.base),
-        "mean": posterior.mean.tolist(),
-        "log_std": posterior.log_std.tolist(),
+        "mean": jsonio.array_to_b64(posterior.mean, "<f8"),
+        "log_std": jsonio.array_to_b64(posterior.log_std, "<f8"),
     }
 
 
 def posterior_from_dict(obj: dict) -> VariationalPosterior:
     base = model_from_dict(obj["model"])
-    mean = np.asarray(obj["mean"], dtype=np.float64)
-    log_std = np.asarray(obj["log_std"], dtype=np.float64)
-    n_expected = base.dims.d_total ** 2
-    if mean.size != n_expected or log_std.size != n_expected:
-        raise DataError(f"posterior parameter count mismatch: expected "
-                        f"{n_expected}, got {mean.size} and {log_std.size}")
+    shape = (base.dims.d_total ** 2,)
+    try:
+        mean, log_std = (jsonio.b64_to_array(obj[k], "<f8", shape, k)
+                         for k in ("mean", "log_std"))
+    except ValueError as exc:
+        raise DataError(f"bad posterior parameters: {exc}") from exc
     return VariationalPosterior(base=base, mean=mean, log_std=log_std)
 
 

@@ -377,19 +377,28 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write header + one record per line; byte-stable for a fixed dataset."""
+    """Write header + one record per line; byte-stable for a fixed dataset.
+
+    A record line is the sorted-key compact JSON of its step, basis pairs
+    and outcome, built from one ``%`` template: ``%r`` of a float is the
+    shortest repr ``json`` writes, for finite floats only.
+    """
+    recs = ds.records
+    if not np.all(np.isfinite(recs["basis"])):
+        raise ValueError("measurement bases must have finite entries")
     header = {
         "tau": ds.tau,
         "d_s": ds.d_s,
         "seed": ds.provenance.get("seed"),
         "config_hash": ds.provenance.get("config_hash"),
     }
-    recs = ds.records
+    entries = ds.d_s * ds.d_s
+    template = '{"basis":[' + ",".join(["[%r,%r]"] * entries) + '],"outcome":%d,"step":%d}'
+    # Row-major (re, im) floats of each basis, as matrix_to_pairs orders them.
+    floats = np.ascontiguousarray(recs["basis"]).view(np.float64).reshape(len(recs), 2 * entries)
     lines = [jsonio.canonical_dumps(header)]
-    lines += [jsonio.canonical_dumps({"step": k, "basis": pairs, "outcome": o})
-              for k, pairs, o in zip(recs["step"].tolist(),
-                                     jsonio.matrix_to_pairs(recs["basis"]),
-                                     recs["outcome"].tolist())]
+    lines += [template % (*f, o, k) for f, o, k in zip(floats.tolist(), recs["outcome"].tolist(),
+                                                       recs["step"].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -459,7 +468,7 @@ def load_dataset(path) -> Dataset:
             raise DataError(f"{path}: empty dataset file")
         try:
             header = json.loads(first)
-            tau = float(header["tau"])
+            tau = jsonio.ensure_number(header["tau"], "tau")
             if not 0 < tau < math.inf:
                 raise ValueError(f"tau must be positive and finite, got {tau}")
             d_s = jsonio.ensure_int(header["d_s"], "d_s")

@@ -249,7 +249,8 @@ def _nonnegative_times(times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model (de)serialization: one JSON object, matrices as [re, im] pairs.
+# Model (de)serialization: one JSON object, each matrix one base64 string of
+# its row-major little-endian complex128 bytes, its shape taken from "dims".
 # The file records the ancilla's dimension and its state |0><0|, both fixed.
 # ---------------------------------------------------------------------------
 
@@ -263,9 +264,9 @@ def model_to_dict(model: MarkovianEmbedding) -> dict:
     return {
         "dims": {"d_s": model.dims.d_s, "d_er": model.dims.d_er, "d_a": model.dims.d_a},
         "tau": model.tau,
-        "h": jsonio.matrix_to_pairs(model.h),
-        "rho0_ser": jsonio.matrix_to_pairs(model.rho0_ser),
-        "rho_a": jsonio.matrix_to_pairs(_ancilla_state(model.dims)),
+        "h": jsonio.array_to_b64(model.h, "<c16"),
+        "rho0_ser": jsonio.array_to_b64(model.rho0_ser, "<c16"),
+        "rho_a": jsonio.array_to_b64(_ancilla_state(model.dims), "<c16"),
     }
 
 
@@ -277,12 +278,13 @@ def model_from_dict(obj: dict) -> MarkovianEmbedding:
     dims = DimSpec(d_s=d_s, d_er=d_er)
     if d_a != dims.d_a:
         raise ValueError(f"d_a must equal (d_s*d_er)**2 = {dims.d_a}, got {d_a}")
-    h = jsonio.pairs_to_matrices([obj["h"]], dims.d_total, dims.d_total)[0]
-    rho0 = jsonio.pairs_to_matrices([obj["rho0_ser"]], dims.d, dims.d)[0]
-    rho_a = jsonio.pairs_to_matrices([obj["rho_a"]], dims.d_a, dims.d_a)[0]
+    tau = jsonio.ensure_number(obj["tau"], "tau")
+    h = jsonio.b64_to_array(obj["h"], "<c16", (dims.d_total, dims.d_total), "h")
+    rho0 = jsonio.b64_to_array(obj["rho0_ser"], "<c16", (dims.d, dims.d), "rho0_ser")
+    rho_a = jsonio.b64_to_array(obj["rho_a"], "<c16", (dims.d_a, dims.d_a), "rho_a")
     if not np.array_equal(rho_a, _ancilla_state(dims)):
         raise ValueError("rho_a must be |0><0|")
-    return make_embedding(dims, float(obj["tau"]), h, rho0)
+    return make_embedding(dims, tau, h, rho0)
 
 
 def save_model(model: MarkovianEmbedding, path) -> None:

@@ -392,8 +392,10 @@ def loglog_slope(xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# Per-element JSON writers: the file formats as first written, one complex()
-# or float() call per matrix entry and one dumps call per record.
+# Per-element JSON writers: the dataset format as first written, one complex()
+# or float() call per matrix entry and one dumps call per record.  Model and
+# posterior files written independently of the package: plain json, base64
+# and ndarray.tobytes() with an explicit little-endian dtype.
 # ---------------------------------------------------------------------------
 
 def legacy_matrix_to_pairs(m):
@@ -410,37 +412,47 @@ def legacy_pairs_to_matrix(pairs, rows, cols):
                     dtype=np.complex128).reshape(rows, cols)
 
 
-def legacy_save_model(path, dims, tau, h, rho0_ser, rho_a):
-    """A model file written by streaming ``json.dump``; ``dims`` is the
-    (d_s, d_er, d_a) triple."""
-    import json
-    obj = {
+def b64_encode(a, dtype):
+    """Base64 text of the row-major bytes of ``a`` as ``dtype`` ("<c16" or "<f8")."""
+    import base64
+    return base64.b64encode(np.asarray(a).astype(dtype).tobytes()).decode("ascii")
+
+
+def b64_decode(text, dtype, shape):
+    """Writable array of ``shape`` from :func:`b64_encode` text."""
+    import base64
+    return np.frombuffer(base64.b64decode(text), dtype=dtype).reshape(shape).copy()
+
+
+def model_file_dict(dims, tau, h, rho0_ser, rho_a):
+    """The JSON object of a model file; ``dims`` is the (d_s, d_er, d_a) triple."""
+    return {
         "dims": dict(zip(("d_s", "d_er", "d_a"), dims)),
         "tau": tau,
-        "h": legacy_matrix_to_pairs(h),
-        "rho0_ser": legacy_matrix_to_pairs(rho0_ser),
-        "rho_a": legacy_matrix_to_pairs(rho_a),
+        "h": b64_encode(h, "<c16"),
+        "rho0_ser": b64_encode(rho0_ser, "<c16"),
+        "rho_a": b64_encode(rho_a, "<c16"),
     }
+
+
+def reference_save_model(path, dims, tau, h, rho0_ser, rho_a):
+    """A model file written by streaming ``json.dump``."""
+    import json
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        json.dump(model_file_dict(dims, tau, h, rho0_ser, rho_a), fh)
         fh.write("\n")
 
 
-def legacy_save_posterior(path, posterior):
-    """A posterior file written by streaming ``json.dump`` over per-entry
-    ``float`` lists."""
+def reference_save_posterior(path, posterior):
+    """A posterior file written by streaming ``json.dump``."""
     import json
     base = posterior.base
+    dims = (base.dims.d_s, base.dims.d_er, base.dims.d_a)
     obj = {
-        "model": {
-            "dims": {"d_s": base.dims.d_s, "d_er": base.dims.d_er, "d_a": base.dims.d_a},
-            "tau": base.tau,
-            "h": legacy_matrix_to_pairs(base.h),
-            "rho0_ser": legacy_matrix_to_pairs(base.rho0_ser),
-            "rho_a": legacy_matrix_to_pairs(ground_ancilla(base.dims.d_a)),
-        },
-        "mean": [float(x) for x in posterior.mean],
-        "log_std": [float(x) for x in posterior.log_std],
+        "model": model_file_dict(dims, base.tau, base.h, base.rho0_ser,
+                                 ground_ancilla(base.dims.d_a)),
+        "mean": b64_encode(posterior.mean, "<f8"),
+        "log_std": b64_encode(posterior.log_std, "<f8"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)

@@ -500,6 +500,6 @@ class TestSerialization:
     def test_parameter_count_mismatch_rejected(self, trained_posterior):
         _, post, _ = trained_posterior
         obj = posterior_to_dict(post)
-        obj["mean"] = obj["mean"][:-1]
-        with pytest.raises(DataError):
+        obj["mean"] = oracles.b64_encode(post.mean[:-1], "<f8")
+        with pytest.raises(DataError, match="mean must hold"):
             posterior_from_dict(obj)

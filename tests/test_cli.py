@@ -464,46 +464,92 @@ class TestPredict:
         assert "fixed point not unique" in capsys.readouterr().err
 
 
+def _edit_matrix(obj, key, side, change):
+    """Decode the matrix under ``key``, apply ``change`` and store its
+    result (of any length) re-encoded."""
+    obj[key] = oracles.b64_encode(change(oracles.b64_decode(obj[key], "<c16", (side, side))),
+                                  "<c16")
+
+
+def _with_entry(m, index, value):
+    m[index] = value
+    return m
+
+
 def _break_model(obj, defect):
-    """Apply one defect to a parsed model file of the exact d_er = 1 model."""
+    """Apply one defect to a parsed model file of the exact d_er = 1 model
+    (H of side 8, a 4 x 4 ancilla state)."""
     if defect == "non-hermitian-h":
-        obj["h"][1] = [1.0, 0.0]  # entry (0, 1); entry (1, 0) stays zero
+        # Entry (0, 1); entry (1, 0) stays zero.
+        _edit_matrix(obj, "h", 8, lambda h: _with_entry(h, (0, 1), 1.0))
     elif defect == "negative-tau":
         obj["tau"] = -1
+    elif defect in ("bool-tau", "string-tau", "padded-tau"):
+        obj["tau"] = {"bool-tau": True, "string-tau": "1.0", "padded-tau": " 2 "}[defect]
     elif defect == "missing-rho_a":
         del obj["rho_a"]
     elif defect == "other-ancilla":
         # |1><1|: a valid pure state, but the ancilla of a model is |0><0|.
-        obj["rho_a"][0] = [0.0, 0.0]
-        obj["rho_a"][5] = [1.0, 0.0]  # entry (1, 1) of the 4 x 4 state
+        _edit_matrix(obj, "rho_a", 4, lambda a: _with_entry(0 * a, (1, 1), 1.0))
     elif defect == "wrong-d_a":
         obj["dims"]["d_a"] = 15
     elif defect == "short-h":
-        obj["h"] = obj["h"][:-1]
+        _edit_matrix(obj, "h", 8, lambda h: h.ravel()[:-1])
+    elif defect == "long-h":
+        _edit_matrix(obj, "h", 8, lambda h: np.append(h, 0.0))
+    elif defect == "half-entry-h":
+        obj["h"] = oracles.b64_encode(
+            oracles.b64_decode(obj["h"], "u1", (1024,))[:-8], "u1")
     elif defect == "nan-h":
-        obj["h"][0] = [float("nan"), 0.0]
+        _edit_matrix(obj, "h", 8, lambda h: _with_entry(h, (0, 0), np.nan))
+    elif defect == "pair-format-h":
+        obj["h"] = oracles.legacy_matrix_to_pairs(oracles.b64_decode(obj["h"], "<c16", (8, 8)))
+    elif defect == "non-base64-h":
+        obj["h"] = "*" + obj["h"][1:]
+    elif defect == "non-string-h":
+        obj["h"] = 0
+
+
+MODEL_DEFECTS = ["non-hermitian-h", "negative-tau", "bool-tau", "string-tau", "padded-tau",
+                 "missing-rho_a", "other-ancilla", "wrong-d_a", "short-h", "long-h",
+                 "half-entry-h", "nan-h", "pair-format-h", "non-base64-h", "non-string-h"]
 
 
 class TestMalformedModelFiles:
-    @pytest.mark.parametrize("command", ["predict", "validate"])
-    @pytest.mark.parametrize("defect", ["non-hermitian-h", "negative-tau",
-                                        "missing-rho_a", "other-ancilla", "wrong-d_a",
-                                        "short-h", "nan-h"])
-    def test_exit_three_naming_the_file(self, exact_model_run, tmp_path,
-                                        command, defect, capsys):
-        cfg, src = exact_model_run
+    def break_and_run(self, run, tmp_path, command, defect, capsys):
+        """Exit code and error text of ``command`` on a copy of ``run``
+        whose model file carries ``defect``."""
+        cfg, src = run
         out = tmp_path / "run"
         shutil.copytree(src, out)
         path = out / "model_der1.json"
         obj = json.loads(path.read_text())
         _break_model(obj, defect)
         path.write_text(json.dumps(obj))
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 3
-        err = capsys.readouterr().err
+        code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+        assert not (out / "validation.csv").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "validate"])
+    @pytest.mark.parametrize("defect", MODEL_DEFECTS)
+    def test_exit_three_naming_the_file(self, exact_model_run, tmp_path,
+                                        command, defect, capsys):
+        code, err = self.break_and_run(exact_model_run, tmp_path, command, defect, capsys)
+        assert code == 3
         assert err.startswith("error: bad model file")
         assert "model_der1.json" in err
-        assert not (out / "validation.csv").exists()
+
+    def test_pair_format_names_the_base64_field(self, exact_model_run, tmp_path, capsys):
+        # A file in the [re, im] pair format of earlier versions is refused,
+        # not converted.
+        _, err = self.break_and_run(exact_model_run, tmp_path, "validate", "pair-format-h",
+                                    capsys)
+        assert "h must be a base64 string, got list" in err
+
+    def test_unbroken_copy_loads(self, exact_model_run, tmp_path, capsys):
+        # The defects above are edits of a file that is otherwise accepted.
+        code, _ = self.break_and_run(exact_model_run, tmp_path, "predict", "none", capsys)
+        assert code == 0
 
 
 class TestBayes:

@@ -79,7 +79,9 @@ class TestModelConstruction:
         rho = np.eye(2, dtype=np.complex128) / 2
         if target == "rho_a":
             obj = model_to_dict(make_embedding(dims, 1.0, h, rho))
-            obj["rho_a"][0] = [value, 0.0]
+            rho_a = oracles.b64_decode(obj["rho_a"], "<c16", (dims.d_a, dims.d_a))
+            rho_a[0, 0] = value
+            obj["rho_a"] = oracles.b64_encode(rho_a, "<c16")
             with pytest.raises(ValueError, match="rho_a must be"):
                 model_from_dict(obj)
             return
@@ -103,16 +105,16 @@ class TestModelConstruction:
         dims = DimSpec(d_s=2, d_er=1)
         h = np.zeros((dims.d_total, dims.d_total))
         obj = model_to_dict(make_embedding(dims, 1.0, h, np.eye(2) / 2))
-        obj["rho_a"] = oracles.legacy_matrix_to_pairs(np.eye(dims.d_a) / dims.d_a)
+        obj["rho_a"] = oracles.b64_encode(np.eye(dims.d_a) / dims.d_a, "<c16")
         with pytest.raises(ValueError, match="rho_a must be"):
             model_from_dict(obj)
 
     def test_ancilla_defaults_to_ground_state(self):
         rng = np.random.default_rng(0)
         model = random_model(rng)
-        rho_a = np.array(model_to_dict(model)["rho_a"]).view(np.complex128)
-        assert rho_a.reshape(model.dims.d_a, model.dims.d_a).tobytes() == \
-            oracles.ground_ancilla(model.dims.d_a).tobytes()
+        d_a = model.dims.d_a
+        rho_a = oracles.b64_decode(model_to_dict(model)["rho_a"], "<c16", (d_a, d_a))
+        assert rho_a.tobytes() == oracles.ground_ancilla(d_a).tobytes()
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_kraus_stack_matches_eigh_ancilla_route(self, d_er):
@@ -437,6 +439,9 @@ class TestSerialization:
         rng = np.random.default_rng(25)
         model = random_model(rng, d_er=1)
         obj = model_to_dict(model)
-        obj["h"][1][0] += 1.0  # breaks Hermiticity of the (0,1) entry
+        side = model.dims.d_total
+        h = oracles.b64_decode(obj["h"], "<c16", (side, side))
+        h[0, 1] += 1.0  # breaks Hermiticity of the (0,1) entry
+        obj["h"] = oracles.b64_encode(h, "<c16")
         with pytest.raises(ValueError):
             model_from_dict(obj)

@@ -1,6 +1,6 @@
-"""Model and dataset files: whole-array conversion against the per-element
-writers in ``oracles``, the loader's error paths, and that no command loads
-scipy."""
+"""Model, posterior and dataset files: whole-array conversion against the
+independent writers in ``oracles``, the loaders' error paths, and that no
+command loads scipy."""
 import json
 import os
 import subprocess
@@ -12,7 +12,8 @@ import pytest
 
 import embedlearn
 from embedlearn import jsonio
-from embedlearn.bayes import VariationalPosterior, load_posterior, save_posterior
+from embedlearn.bayes import (VariationalPosterior, load_posterior, posterior_from_dict,
+                              posterior_to_dict, save_posterior)
 from embedlearn.datagen import (CollisionModelConfig, generate_trajectory, load_dataset,
                                 save_dataset)
 from embedlearn.embedding import (load_model, make_embedding, model_from_dict, model_to_dict,
@@ -96,19 +97,83 @@ class TestPairs:
             jsonio.ensure_int(value, "step")
 
 
+class TestBase64:
+    def test_round_trip_is_bitwise_and_writable(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        m[0, 1] = complex(-0.0, -0.0)
+        m[2, 3] = complex(np.inf, np.nan)
+        text = jsonio.array_to_b64(m, "<c16")
+        assert text == oracles.b64_encode(m, "<c16")
+        back = jsonio.b64_to_array(text, "<c16", (3, 4), "m")
+        assert back.dtype == np.complex128 and back.flags.writeable
+        assert back.tobytes() == m.tobytes()
+        # A transposed view is written row-major, as its copy would be.
+        assert jsonio.array_to_b64(m.T, "<c16") == oracles.b64_encode(m.T.copy(), "<c16")
+        v = rng.standard_normal(7)
+        v[3] = -0.0
+        back = jsonio.b64_to_array(jsonio.array_to_b64(v, "<f8"), "<f8", (7,), "v")
+        assert back.dtype == np.float64 and back.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        ([[1.0, 0.0]] * 4, "m must be a base64 string, got list"),
+        (None, "m must be a base64 string, got NoneType"),
+        (5, "m must be a base64 string, got int"),
+        ("AAAA*AAA", "m is not valid base64"),
+        ("AAA", "m is not valid base64"),
+        ("AAAA\u00e9AAA", "m is not valid base64"),
+        (" " + "A" * 88, "m is not valid base64"),
+    ])
+    def test_anything_but_base64_text_rejected(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            jsonio.b64_to_array(value, "<c16", (2, 2), "m")
+
+    @pytest.mark.parametrize("n_bytes", [48, 56, 72, 80, 0])
+    def test_wrong_byte_count_rejected(self, n_bytes):
+        text = oracles.b64_encode(np.zeros(n_bytes, dtype=np.uint8), "u1")
+        want = f"m must hold 4 <c16 entries \\(64 bytes\\), got {n_bytes} bytes"
+        with pytest.raises(ValueError, match=want):
+            jsonio.b64_to_array(text, "<c16", (2, 2), "m")
+
+    @pytest.mark.parametrize("value", [True, "1.0", " 2 ", None, [1.0], 10 ** 400])
+    def test_ensure_number_refuses_non_numbers(self, value):
+        with pytest.raises(ValueError, match="tau"):
+            jsonio.ensure_number(value, "tau")
+
+    def test_ensure_number_accepts_json_numbers(self):
+        assert jsonio.ensure_number(2, "tau") == 2.0
+        assert isinstance(jsonio.ensure_number(2, "tau"), float)
+        assert jsonio.ensure_number(0.5, "tau") == 0.5
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_bytes_match_streaming_writer(self, tmp_path, d_er):
         model = random_model(np.random.default_rng(10 + d_er), d_er)
         dims = model.dims
         save_model(model, tmp_path / "new.json")
-        oracles.legacy_save_model(tmp_path / "old.json", (dims.d_s, dims.d_er, dims.d_a),
-                                  model.tau, model.h, model.rho0_ser,
-                                  oracles.ground_ancilla(dims.d_a))
+        oracles.reference_save_model(tmp_path / "old.json", (dims.d_s, dims.d_er, dims.d_a),
+                                     model.tau, model.h, model.rho0_ser,
+                                     oracles.ground_ancilla(dims.d_a))
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         back = load_model(tmp_path / "new.json")
         assert back.h.tobytes() == model.h.tobytes()
+        assert back.rho0_ser.tobytes() == model.rho0_ser.tobytes()
         assert np.signbit(back.h[0, 0].real)
+        assert back.tau == model.tau
+
+    def test_d_er_3_file_size(self, tmp_path):
+        # 46656 + 36 + 1296 complex128 entries in base64: 4/3 bytes per byte.
+        model = random_model(np.random.default_rng(13), 3)
+        save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").stat().st_size <= 1_100_000
+
+    def test_pair_format_rejected(self):
+        model = random_model(np.random.default_rng(5), 1)
+        obj = model_to_dict(model)
+        obj["h"] = oracles.legacy_matrix_to_pairs(model.h)
+        with pytest.raises(ValueError, match="h must be a base64 string, got list"):
+            model_from_dict(obj)
 
     @pytest.mark.parametrize("value", [2.0, True, "2"])
     def test_non_integer_dims_rejected(self, value):
@@ -116,6 +181,18 @@ class TestModelFiles:
         obj["dims"]["d_s"] = value
         with pytest.raises(ValueError, match="dims.d_s must be an integer"):
             model_from_dict(obj)
+
+    @pytest.mark.parametrize("tau", [True, "1.0", " 2 "])
+    def test_non_number_tau_rejected(self, tau):
+        obj = model_to_dict(random_model(np.random.default_rng(3), 1))
+        obj["tau"] = tau
+        with pytest.raises(ValueError, match="tau must be a number"):
+            model_from_dict(obj)
+
+    def test_integer_tau_accepted(self):
+        obj = model_to_dict(random_model(np.random.default_rng(3), 1))
+        obj["tau"] = 2
+        assert model_from_dict(obj).tau == 2.0
 
     @pytest.mark.parametrize("d_a", [15, 0])
     def test_wrong_ancilla_dimension_rejected(self, d_a):
@@ -127,21 +204,46 @@ class TestModelFiles:
             model_from_dict(obj)
 
 
+def random_posterior(model, seed):
+    rng = np.random.default_rng(seed)
+    mean = pack_hermitian(model.h) + 1e-3 * rng.standard_normal(model.dims.d_total ** 2)
+    mean[1] = -0.0
+    log_std = np.log(rng.uniform(1e-9, 1.0, mean.size))
+    return VariationalPosterior(base=model, mean=mean, log_std=log_std)
+
+
 class TestPosteriorFiles:
     @pytest.mark.parametrize("d_er", [1, 2])
     def test_bytes_match_streaming_writer(self, tmp_path, d_er):
         model = random_model(np.random.default_rng(20 + d_er), d_er)
-        rng = np.random.default_rng(30 + d_er)
-        mean = pack_hermitian(model.h) + 1e-3 * rng.standard_normal(model.dims.d_total ** 2)
-        mean[1] = -0.0
-        log_std = np.log(rng.uniform(1e-9, 1.0, mean.size))
-        post = VariationalPosterior(base=model, mean=mean, log_std=log_std)
+        post = random_posterior(model, 30 + d_er)
         save_posterior(post, tmp_path / "new.json")
-        oracles.legacy_save_posterior(tmp_path / "old.json", post)
+        oracles.reference_save_posterior(tmp_path / "old.json", post)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         back = load_posterior(tmp_path / "new.json")
-        assert back.mean.tobytes() == mean.tobytes()
-        assert back.log_std.tobytes() == log_std.tobytes()
+        assert back.mean.tobytes() == post.mean.tobytes()
+        assert np.signbit(back.mean[1])
+        assert back.log_std.tobytes() == post.log_std.tobytes()
+        assert back.base.h.tobytes() == model.h.tobytes()
+
+    @pytest.mark.parametrize("key", ["mean", "log_std"])
+    @pytest.mark.parametrize("value", [
+        # Each entry is a string: np.asarray(..., dtype=float64) would parse it.
+        "strings",
+        # The vector as JSON numbers, the format before base64.
+        "numbers",
+        "short",
+    ])
+    def test_anything_but_base64_vectors_rejected(self, key, value):
+        model = random_model(np.random.default_rng(22), 1)
+        post = random_posterior(model, 32)
+        obj = posterior_to_dict(post)
+        vec = getattr(post, key)
+        obj[key] = {"strings": [repr(x) for x in vec.tolist()],
+                    "numbers": vec.tolist(),
+                    "short": oracles.b64_encode(vec[:-1], "<f8")}[value]
+        with pytest.raises(DataError, match=f"bad posterior parameters: {key}"):
+            posterior_from_dict(obj)
 
 
 def records_with_signed_zeros(n):
@@ -170,6 +272,15 @@ class TestDatasetFiles:
         assert back.records["basis"].tobytes() == recs["basis"].tobytes()
         save_dataset(back, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == new
+
+    @pytest.mark.parametrize("part, entry", [("real", np.nan), ("imag", -np.inf)])
+    def test_non_finite_basis_refused_before_writing(self, tmp_path, part, entry):
+        # The line template would write nan or -inf, which is not JSON.
+        ds = records_with_signed_zeros(20)
+        getattr(ds.records["basis"], part)[7, 1, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            save_dataset(ds, tmp_path / "d.jsonl")
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 def write_lines(path, records, header=None):
@@ -240,6 +351,12 @@ class TestLoadErrors:
     def test_non_integer_header_d_s(self, tmp_path, d_s):
         header = {"tau": 1.0, "d_s": d_s, "seed": 0, "config_hash": "x"}
         assert "bad header line" in self.load_error(tmp_path, [good(1)], header)
+
+    @pytest.mark.parametrize("tau", [True, "1.0", " 2 "])
+    def test_non_number_header_tau(self, tmp_path, tau):
+        header = {"tau": tau, "d_s": 2, "seed": 0, "config_hash": "x"}
+        msg = self.load_error(tmp_path, [good(1)], header)
+        assert msg.endswith(f"bad header line: tau must be a number, got {tau!r}")
 
     @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0])
     def test_bad_header_tau(self, tmp_path, tau):
