@@ -329,6 +329,8 @@ def posterior_from_dict(obj: dict) -> VariationalPosterior:
     try:
         mean, log_std = (jsonio.b64_to_array(obj[k], "<f8", shape, k)
                          for k in ("mean", "log_std"))
+        if not (np.isfinite(mean).all() and np.isfinite(log_std).all()):
+            raise ValueError("mean and log_std must be finite")
     except ValueError as exc:
         raise DataError(f"bad posterior parameters: {exc}") from exc
     return VariationalPosterior(base=base, mean=mean, log_std=log_std)

@@ -6,10 +6,10 @@ models, predict reduced dynamics, attach variational error bars, run the
 process-tomography baseline on the same measurement budget, and compare
 predictions under an instantaneous control gate.
 
-All run parameters live in a single JSON file with strictly checked keys;
-every invocation writes the fully resolved configuration next to its
-outputs.  Exit codes: 0 success, 2 configuration problem, 3 data problem,
-4 numerical failure.
+All run parameters live in one JSON file.  Every invocation writes the fully
+resolved configuration next to its outputs and checks all of its sections
+before the command does any other work.  Exit codes: 0 success, 2
+configuration problem, 3 data problem, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,68 +49,196 @@ _GATES = {
     "h": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
 }
 
+# The largest reservoir dimension a run accepts.  H is d_total x d_total
+# with d_total = (2 d_er)**3: 4 MiB at d_er = 4, 120 MB at 7, 1 GB at 10.
+MAX_D_ER = 4
 
-# Config fields a run does not read from its config file.
-_FIXED_FIELDS = ("d_er", "seed", "divergence_window", "divergence_margin")
+# ---------------------------------------------------------------------------
+# The run configuration: one frozen dataclass per section, whose fields are
+# the section's keys; build_config converts each by its declared type, and
+# __post_init__ refuses bad values.  No code compares configs, so the classes
+# go without __eq__ and __hash__, half of what they cost every command start.
+# ---------------------------------------------------------------------------
 
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in _FIXED_FIELDS}
-
-
-def _default_config() -> dict:
-    return {
-        "seed": 0,
-        "data": {
-            "tau": 1.0,
-            "delta_t": None,
-            "collisions_per_period": 5,
-            "hamiltonian": None,
-            "n_train": 20000,
-            "n_val": 4000,
-        },
-        "train": {"candidates": [1, 2], "n_records": None, **_field_defaults(TrainConfig)},
-        "predict": {
-            "d_er": None,
-            "times": [float(t) for t in range(21)],
-            "n_values": None,
-        },
-        "bayes": {
-            "d_er": None,
-            **_field_defaults(BayesConfig),
-            "n_draws": 50,
-            "n_records": None,
-            "times": [float(t) for t in range(21)],
-        },
-        "tomo": {
-            "times": list(range(1, 21)),
-            "shots_per_channel": None,
-            "k_values": None,
-        },
-        "compare": {
-            "d_er": None,
-            "gate": "x",
-            "gate_period": 20,
-            "times": list(range(41)),
-        },
-    }
+_section = dataclass(frozen=True, eq=False)
 
 
-def _merge_section(defaults: dict, raw, name: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section '{name}' must be a JSON object")
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in section '{name}': {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(raw)
-    return merged
+def _flat(cls, *unset: str):
+    """A section field holding ``cls``, built from the section's own keys;
+    the fields named in ``unset`` are set by the command, not the config."""
+    return field(default_factory=cls, metadata={"unset": unset})
+
+
+def _check_range(lo, hi=math.inf, **values) -> None:
+    """Refuse a value, or a list entry, outside [lo, hi]; None passes."""
+    for key, value in values.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if x is not None and not lo <= x <= hi:
+                upper = f" and <= {hi}" if hi < math.inf else ""
+                raise ValueError(f"{key} must be >= {lo}{upper}, got {x}")
+
+
+@_section
+class DataSection:
+    collision: CollisionModelConfig = _flat(CollisionModelConfig, "rho_r", "rho_ss1_0")
+    n_train: int = 20000
+    n_val: int = 4000
+
+    def __post_init__(self):
+        _check_range(1, n_train=self.n_train, n_val=self.n_val)
+
+
+@_section
+class TrainSection:
+    candidates: tuple[int, ...] = (1, 2)
+    n_records: int | None = None
+    fit: TrainConfig = _flat(TrainConfig, "d_er", "seed")
+
+    def __post_init__(self):
+        _check_range(1, MAX_D_ER, candidates=self.candidates)
+
+
+@_section
+class PredictSection:
+    d_er: int | None = None
+    times: tuple[float, ...] = tuple(map(float, range(21)))
+    n_values: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        _check_range(1, MAX_D_ER, d_er=self.d_er)
+        _check_range(0, times=self.times)
+
+
+@_section
+class BayesSection:
+    d_er: int | None = None
+    fit: BayesConfig = _flat(BayesConfig, "seed", "divergence_window", "divergence_margin")
+    n_draws: int = 50
+    n_records: int | None = None
+    times: tuple[float, ...] = tuple(map(float, range(21)))
+
+    def __post_init__(self):
+        _check_range(1, MAX_D_ER, d_er=self.d_er)
+        _check_range(2, n_draws=self.n_draws)
+        _check_range(0, times=self.times)
+
+
+@_section
+class TomoSection:
+    times: tuple[int, ...] = tuple(range(1, 21))
+    shots_per_channel: int | None = None
+    k_values: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        _check_range(1, times=self.times, shots_per_channel=self.shots_per_channel,
+                     k_values=self.k_values)
+        repeated = next((k for i, k in enumerate(self.times) if k in self.times[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"tomo times must be distinct periods; {repeated} is "
+                             f"repeated in {list(self.times)}")
+
+
+@_section
+class CompareSection:
+    d_er: int | None = None
+    gate: str = "x"
+    gate_period: int = 20
+    times: tuple[int, ...] = tuple(range(41))
+
+    def __post_init__(self):
+        if self.gate.lower() not in _GATES:
+            raise ValueError(f"unknown gate '{self.gate}'; choose from {sorted(_GATES)}")
+        _check_range(0, gate_period=self.gate_period, times=self.times)
+        if self.gate_period not in self.times:
+            raise ValueError("gate_period must be on the time grid")
+        _check_range(1, MAX_D_ER, d_er=self.d_er)
+
+
+@_section
+class RunConfig:
+    seed: int = 0
+    data: DataSection = field(default_factory=DataSection)
+    train: TrainSection = field(default_factory=TrainSection)
+    predict: PredictSection = field(default_factory=PredictSection)
+    bayes: BayesSection = field(default_factory=BayesSection)
+    tomo: TomoSection = field(default_factory=TomoSection)
+    compare: CompareSection = field(default_factory=CompareSection)
+
+    def __post_init__(self):
+        # seeds.stream takes 32-bit seeds; a wider one would repeat another.
+        _check_range(0, 2**32 - 1, seed=self.seed)
+        on_grid = _integer_periods(self.predict.times, self.data.collision.tau)
+        if self.predict.n_values is not None and max(on_grid.values(), default=0) < 1:
+            raise ValueError("n_values scan needs at least one positive "
+                             "integer-period prediction time")
+
+
+def _convert(kind: str, x, key: str):
+    """The JSON value ``x`` of ``key`` as the declared field type ``kind``;
+    a value of another JSON type is a ``ValueError``, not converted."""
+    kind, _, null = kind.partition(" | ")
+    if x is None and null:
+        return None
+    if kind.startswith("tuple["):  # "tuple[T, ...]": a nonempty list of T
+        if not isinstance(x, list) or not x:
+            raise ValueError(f"'{key}' must be a nonempty list")
+        return tuple(_convert(kind[6:-6], v, key) for v in x)
+    if kind == "CMatrix":  # the one matrix of a config: the 8x8 collision H
+        try:
+            return jsonio.pairs_to_matrices([x], 8, 8)[0]
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"bad '{key}': {exc}") from exc
+    if kind == "int":
+        return jsonio.ensure_int(x, f"'{key}'")
+    if kind == "str" and not isinstance(x, str):
+        raise ValueError(f"'{key}' must be a string, got {x!r}")
+    # Compared, not converted: an integer beyond the float range is refused
+    # here instead of overflowing in float().
+    if kind == "float" and (isinstance(x, bool) or not isinstance(x, (int, float))
+                            or not abs(x) <= sys.float_info.max):
+        raise ValueError(f"'{key}' takes finite numbers, got {x!r}")
+    return float(x) if kind == "float" else x
+
+
+def build_config(cls, raw: dict, unset: tuple[str, ...] = (), where: str = ""):
+    """``cls`` built from the merged config dict ``raw``, each field
+    converted by its declared type in field order.  A :func:`_flat` field
+    reads the same keys; any other dataclass field reads its own section,
+    whose name prefixes its errors.  The first bad value is a
+    :class:`ConfigError`."""
+    values = {}
+    try:
+        for f in fields(cls):
+            if "unset" in f.metadata:
+                values[f.name] = build_config(f.default_factory, raw, f.metadata["unset"], where)
+            elif f.default_factory is not MISSING:
+                values[f.name] = build_config(f.default_factory, raw[f.name],
+                                              where=f"section '{f.name}': ")
+            elif f.name not in unset:
+                values[f.name] = _convert(f.type, raw[f.name], f.name)
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _defaults(cls, unset: tuple[str, ...] = ()) -> dict:
+    """The keys :func:`build_config` reads for ``cls``, at their defaults."""
+    out = {}
+    for f in fields(cls):
+        if "unset" in f.metadata:
+            out.update(_defaults(f.default_factory, f.metadata["unset"]))
+        elif f.default_factory is not MISSING:
+            out[f.name] = _defaults(f.default_factory)
+        elif f.name not in unset:
+            out[f.name] = list(f.default) if isinstance(f.default, tuple) else f.default
+    return out
 
 
 def load_run_config(path: str | None, seed_override: int | None) -> dict:
     """Resolve the run configuration: file contents over defaults, the
-    --seed flag over both.  Unknown keys anywhere are rejected."""
-    resolved = _default_config()
+    --seed flag over both.  Unknown keys anywhere are rejected; the values
+    are checked by :func:`build_config`."""
+    resolved = _defaults(RunConfig)
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -124,59 +252,19 @@ def load_run_config(path: str | None, seed_override: int | None) -> dict:
         unknown = set(raw) - set(resolved)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "seed" in raw:
-            resolved["seed"] = _ensure_int(raw["seed"], "seed")
-        for name in resolved:
-            if name != "seed" and name in raw:
-                resolved[name] = _merge_section(resolved[name], raw[name], name)
+        for name, section in raw.items():
+            if name == "seed":
+                resolved[name] = section
+                continue
+            if not isinstance(section, dict):
+                raise ConfigError(f"section '{name}' must be a JSON object")
+            unknown = set(section) - set(resolved[name])
+            if unknown:
+                raise ConfigError(f"unknown keys in section '{name}': {sorted(unknown)}")
+            resolved[name].update(section)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
     return resolved
-
-
-def _value(section: dict, key: str, cast, allow_none: bool = False):
-    val = section[key]
-    if val is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"'{key}' must not be null")
-    if cast is int:
-        return _ensure_int(val, key)
-    return _ensure_number(val, key)
-
-
-def _times_list(section: dict, key: str = "times") -> list[float]:
-    raw = section[key]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"'{key}' must be a nonempty list")
-    times = [_ensure_number(x, key) for x in raw]
-    if any(t < 0 for t in times):
-        raise ConfigError(f"'{key}' entries must be nonnegative")
-    return times
-
-
-def _int_list(section: dict, key: str) -> list[int]:
-    """A nonempty JSON list of integers, in the order given."""
-    raw = section[key]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"'{key}' must be a nonempty list")
-    return [_ensure_int(x, key) for x in raw]
-
-
-def _ensure_number(x, key: str) -> float:
-    # Compared, not converted: an integer beyond the float range is refused
-    # here instead of overflowing in float().
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or not abs(x) <= sys.float_info.max):
-        raise ConfigError(f"'{key}' takes finite numbers, got {x!r}")
-    return float(x)
-
-
-def _ensure_int(x, key: str) -> int:
-    try:
-        return jsonio.ensure_int(x, f"'{key}'")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -186,31 +274,6 @@ def _say(quiet: bool, msg: str) -> None:
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _write_resolved(out: Path, resolved: dict) -> None:
-    with open(out / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _collision_config(resolved: dict) -> CollisionModelConfig:
-    d = resolved["data"]
-    ham = d.get("hamiltonian")
-    if ham is not None:
-        try:
-            ham = jsonio.pairs_to_matrices([ham], 8, 8)[0]
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad data.hamiltonian: {exc}") from exc
-    try:
-        return CollisionModelConfig(
-            tau=_value(d, "tau", float),
-            delta_t=_value(d, "delta_t", float, allow_none=True),
-            collisions_per_period=_value(d, "collisions_per_period", int),
-            hamiltonian=ham,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_data(path: Path):
@@ -223,12 +286,7 @@ def _model_path(out: Path, d_er: int) -> Path:
     return out / f"model_der{d_er}.json"
 
 
-def _resolve_d_er(requested, out: Path) -> int:
-    if requested is not None:
-        d_er = _ensure_int(requested, "d_er")
-        if d_er < 1:
-            raise ConfigError(f"d_er must be >= 1, got {d_er}")
-        return d_er
+def _selected_d_er(out: Path) -> int:
     sel = out / "selection.csv"
     if not sel.exists():
         raise ConfigError("no reservoir dimension given and no selection.csv; "
@@ -258,78 +316,53 @@ def _load_model(path: Path):
         raise DataError(f"bad model file {path}: {exc}") from exc
 
 
-def _load_model_for(out: Path, d_er: int):
-    p = _model_path(out, d_er)
+def _load_model_for(out: Path, d_er: int | None):
+    """The saved model of ``d_er``, or of the one 'train' selected if None."""
+    p = _model_path(out, _selected_d_er(out) if d_er is None else d_er)
     if not p.exists():
         raise DataError(f"missing model file {p}; run 'train' first")
     return _load_model(p)
 
 
-def _integer_periods(times: list[float], tau: float) -> dict[int, int]:
+def _integer_periods(times, tau: float) -> dict[int, int]:
     """Map from position in ``times`` to period count, for times that sit
     on the period grid within 1e-9."""
-    out = {}
-    for i, t in enumerate(times):
-        k = round(t / tau)
-        if k >= 0 and abs(t - k * tau) < 1e-9:
-            out[i] = int(k)
-    return out
+    ks = [round(t / tau) for t in times]
+    return {i: k for i, (t, k) in enumerate(zip(times, ks)) if k >= 0 and abs(t - k * tau) < 1e-9}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_generate(resolved: dict, out: Path, quiet: bool) -> None:
-    cm = _collision_config(resolved)
-    d = resolved["data"]
-    n_train = _value(d, "n_train", int)
-    n_val = _value(d, "n_val", int)
-    if n_train < 1 or n_val < 1:
-        raise ConfigError(f"n_train and n_val must be >= 1, got {n_train}, {n_val}")
-    ds = generate_trajectory(cm, n_train + n_val, resolved["seed"])
+def cmd_generate(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    n_train = cfg.data.n_train
+    ds = generate_trajectory(cfg.data.collision, n_train + cfg.data.n_val, cfg.seed)
     ds_train, ds_val = split_dataset(ds, n_train)
     save_dataset(ds_train, out / "train.jsonl")
     save_dataset(ds_val, out / "val.jsonl")
     freq0 = np.count_nonzero(ds_train.records["outcome"] == 0) / n_train
-    _say(quiet, f"wrote {n_train} training and {n_val} validation records to {out}")
+    _say(quiet, f"wrote {n_train} training and {cfg.data.n_val} validation records to {out}")
     _say(quiet, f"training outcome frequencies: 0 -> {freq0:.4f}, 1 -> {1.0 - freq0:.4f}")
 
 
-def _dataclass_config(cls, section: dict, **fixed):
-    """``cls`` built from ``fixed`` and, in field order, the values of the
-    section keys named after its other fields, each cast to the type of the
-    field's default; fields the section does not name keep their defaults."""
-    values = dict(fixed)
-    for f in fields(cls):
-        if f.name not in fixed and f.name in section:
-            values[f.name] = _value(section, f.name, type(f.default))
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
+def cmd_train(cfg: RunConfig, out: Path, quiet: bool) -> None:
     ds_train = _load_data(out / "train.jsonl")
     ds_val = _load_data(out / "val.jsonl")
-    t = resolved["train"]
-    n_records = _value(t, "n_records", int, allow_none=True)
+    t = cfg.train
     # Refuse a foreign validation file before any fit; with n_records,
     # validation_continuation checks the range of n_records first, then that.
-    if n_records is None:
+    if t.n_records is None:
         _check_continues(ds_train, ds_val)
     else:
         try:
-            ds_val = validation_continuation(ds_train, ds_val, n_records)
-            ds_train = dataset_prefix(ds_train, n_records)
+            ds_val = validation_continuation(ds_train, ds_val, t.n_records)
+            ds_train = dataset_prefix(ds_train, t.n_records)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    candidates = sorted(set(_int_list(t, "candidates")))
-    if candidates[0] < 1:
-        raise ConfigError(f"candidates must be >= 1, got {candidates}")
-    cfg = _dataclass_config(TrainConfig, t, d_er=candidates[0], seed=resolved["seed"])
-    best_k, table, models, curves = select_d_er(ds_train, ds_val, candidates, cfg)
+    best_k, table, models, curves = select_d_er(
+        ds_train, ds_val, t.candidates,
+        replace(t.fit, d_er=min(t.candidates), seed=cfg.seed))
     for k, val_ll in table:
         save_model(models[k], _model_path(out, k))
         curves[k].to_csv(out / f"curves_der{k}.csv")
@@ -343,7 +376,7 @@ def cmd_train(resolved: dict, out: Path, quiet: bool) -> None:
     _say(quiet, f"selected d_er={best_k}")
 
 
-def cmd_validate(resolved: dict, out: Path, quiet: bool) -> None:
+def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     ds_train = _load_data(out / "train.jsonl")
     ds_val = _load_data(out / "val.jsonl")
     n = len(ds_train.records)
@@ -370,15 +403,22 @@ def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> np.ndar
     return 0.5 * trace_norm(maps - exact_chois)
 
 
-def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
-    p = resolved["predict"]
-    d_er = _resolve_d_er(p["d_er"], out)
-    model = _load_model_for(out, d_er)
+def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    p, cm = cfg.predict, cfg.data.collision
+    model = _load_model_for(out, p.d_er)
     gen = extract_generator(model)
-    dims = model.dims
-    times = _times_list(p)
+    dims, times = model.dims, p.times
+    # Every n_values entry is checked against the datasets before any output.
+    scan = []
+    if p.n_values is not None:
+        ds_train = _load_data(out / "train.jsonl")
+        ds_val = _load_data(out / "val.jsonl")
+        try:
+            scan = [(n, dataset_prefix(ds_train, n), validation_continuation(ds_train, ds_val, n))
+                    for n in sorted(set(p.n_values))]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    cm = _collision_config(resolved)
     rho_s0 = ptrace(np.asarray(cm.rho_ss1_0, dtype=np.complex128), [2, 2], [0])
     rho_ser0 = kron(rho_s0, equilibrium_er_state(gen, dims))
     states = predict_dynamics(gen, dims, rho_ser0, times)
@@ -405,22 +445,11 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
         _say(quiet, f"mean process-matrix error over {len(errors)} times: "
                     f"{float(np.mean(errors)):.6f}")
 
-    if p["n_values"] is not None:
-        if not grid_times:
-            raise ConfigError("n_values scan needs at least one positive "
-                              "integer-period prediction time")
-        ns = sorted(set(_int_list(p, "n_values")))
-        ds_train = _load_data(out / "train.jsonl")
-        ds_val = _load_data(out / "val.jsonl")
+    if scan:
         rows = []
-        for n in ns:
-            try:
-                prefix = dataset_prefix(ds_train, n)
-                cont = validation_continuation(ds_train, ds_val, n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            fitted, _ = fit(prefix, cont, dims, _dataclass_config(
-                TrainConfig, resolved["train"], d_er=d_er, seed=resolved["seed"]))
+        fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
+        for n, prefix, cont in scan:
+            fitted, _ = fit(prefix, cont, dims, fit_cfg)
             err = float(np.mean(_choi_errors(extract_generator(fitted), dims,
                                              grid_times, exact_chois)))
             rows.append((n, err))
@@ -433,36 +462,29 @@ def cmd_predict(resolved: dict, out: Path, quiet: bool) -> None:
             slope = float(np.polyfit(np.log([n for n, _ in rows]),
                                      np.log([e for _, e in rows]), 1)[0])
             _say(quiet, f"error-vs-n log-log slope {slope:.3f}")
-    _say(quiet, f"wrote predictions for d_er={d_er} to {out}")
+    _say(quiet, f"wrote predictions for d_er={dims.d_er} to {out}")
 
 
-def cmd_bayes(resolved: dict, out: Path, quiet: bool) -> None:
-    b = resolved["bayes"]
-    d_er = _resolve_d_er(b["d_er"], out)
-    model = _load_model_for(out, d_er)
+def cmd_bayes(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    b = cfg.bayes
+    model = _load_model_for(out, b.d_er)
     ds_train = _load_data(out / "train.jsonl")
-    n_records = _value(b, "n_records", int, allow_none=True)
-    if n_records is not None:
+    if b.n_records is not None:
         try:
-            ds_train = dataset_prefix(ds_train, n_records)
+            ds_train = dataset_prefix(ds_train, b.n_records)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    times = _times_list(b)
-    n_draws = _value(b, "n_draws", int)
-    if n_draws < 2:
-        raise ConfigError(f"n_draws must be >= 2, got {n_draws}")
-    posterior = fit_posterior(model, ds_train,
-                              _dataclass_config(BayesConfig, b, seed=resolved["seed"]))
+    posterior = fit_posterior(model, ds_train, replace(b.fit, seed=cfg.seed))
     save_posterior(posterior, out / "posterior.json")
     rho_s0 = ptrace(model.rho0_ser, [model.dims.d_s, model.dims.d_er], [0])
-    dyn = sample_dynamics(posterior, rho_s0, times, n_draws,
-                          seeds.stream(resolved["seed"], "bayes-choi"))
+    dyn = sample_dynamics(posterior, rho_s0, b.times, b.n_draws,
+                          seeds.stream(cfg.seed, "bayes-choi"))
     dyn.bands_to_csv(out / "posterior_bands.csv")
     spread = bayes_channel_error(dyn)
     std = np.sort(posterior.std)
     n = std.size
     summary = {
-        "d_er": d_er,
+        "d_er": model.dims.d_er,
         "n_records": len(ds_train.records),
         # The mean of the two middle entries, as np.median takes it; the
         # first np.median call would import numpy.ma (numpy 2), which no
@@ -506,41 +528,25 @@ def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[in
     return [[next(errors) for _ in periods] for _, periods, _, _ in groups]
 
 
-def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
-    cm = _collision_config(resolved)
-    tm = resolved["tomo"]
-    periods = _int_list(tm, "times")
-    if min(periods) < 1:
-        raise ConfigError(f"tomo times must be periods >= 1, got {periods}")
-    repeated = next((k for i, k in enumerate(periods) if k in periods[:i]), None)
-    if repeated is not None:
-        raise ConfigError(f"tomo times must be distinct periods; {repeated} is repeated "
-                          f"in {periods}")
-    shots = _value(tm, "shots_per_channel", int, allow_none=True)
-    if shots is None:
-        shots = max(1, _value(resolved["data"], "n_train", int) // len(periods))
-    elif shots < 1:
-        raise ConfigError(f"shots_per_channel must be >= 1, got {shots}")
-    groups = [("main", periods, shots, ("tomo",))]
+def cmd_tomo(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    cm, tm = cfg.data.collision, cfg.tomo
+    shots = tm.shots_per_channel or max(1, cfg.data.n_train // len(tm.times))
+    groups = [("main", tm.times, shots, ("tomo",))]
     # Optional budget-split scan: same total shot count spread over the
     # first K channels, one row per K.
-    if tm["k_values"] is not None:
-        ks = sorted(set(_int_list(tm, "k_values")))
-        if ks[0] < 1:
-            raise ConfigError(f"k_values must be >= 1, got {ks}")
-        budget = _value(resolved["data"], "n_train", int)
-        groups += [(f"K = {kk}", list(range(1, kk + 1)), max(1, budget // kk),
-                    ("tomo-scan", kk)) for kk in ks]
+    ks = sorted(set(tm.k_values or ()))
+    groups += [(f"K = {kk}", list(range(1, kk + 1)), max(1, cfg.data.n_train // kk),
+                ("tomo-scan", kk)) for kk in ks]
 
-    errors, *scan = _tomography_errors(cm, groups, resolved["seed"])
+    errors, *scan = _tomography_errors(cm, groups, cfg.seed)
     with open(out / "tomo_error.csv", "w", encoding="utf-8") as fh:
         fh.write("time,choi_error\n")
-        for k, e in zip(periods, errors):
+        for k, e in zip(tm.times, errors):
             fh.write(f"{_fmt(k * cm.tau)},{_fmt(e)}\n")
     avg = float(np.mean(errors))
     _say(quiet, f"tomography with {shots} shots per channel: "
                 f"mean process-matrix error {avg:.6f}")
-    if tm["k_values"] is None:
+    if not ks:
         return
     scan_rows = []
     for kk, (_, _, per, _), errs in zip(ks, groups[1:], scan):
@@ -552,33 +558,19 @@ def cmd_tomo(resolved: dict, out: Path, quiet: bool) -> None:
             fh.write(f"{kk},{per},{_fmt(e)}\n")
 
 
-def cmd_compare(resolved: dict, out: Path, quiet: bool) -> None:
-    c = resolved["compare"]
-    cm = _collision_config(resolved)
-    gate_name = str(c["gate"]).lower()
-    if gate_name not in _GATES:
-        raise ConfigError(f"unknown gate '{c['gate']}'; choose from "
-                          f"{sorted(_GATES)}")
-    gate = _GATES[gate_name]
-    gate_period = _value(c, "gate_period", int)
-    if gate_period < 0:
-        raise ConfigError(f"gate_period must be nonnegative, got {gate_period}")
-    periods = _int_list(c, "times")
-    if min(periods) < 0:
-        raise ConfigError(f"compare times must be periods >= 0, got {periods}")
-    if gate_period not in periods:
-        raise ConfigError("gate_period must be on the time grid")
-    d_er = _resolve_d_er(c["d_er"], out)
-    model = _load_model_for(out, d_er)
+def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    c, cm = cfg.compare, cfg.data.collision
+    gate = _GATES[c.gate.lower()]
+    model = _load_model_for(out, c.d_er)
     gen = extract_generator(model)
-    times = [k * cm.tau for k in periods]
-    event = ControlEvent(time=gate_period * cm.tau, gate=gate)
+    times = [k * cm.tau for k in c.times]
+    event = ControlEvent(time=c.gate_period * cm.tau, gate=gate)
 
-    exact = exact_controlled_dynamics(cm, gate, gate_period, periods)
+    exact = exact_controlled_dynamics(cm, gate, c.gate_period, c.times)
     rho_s0 = ptrace(np.asarray(cm.rho_ss1_0, dtype=np.complex128), [2, 2], [0])
     rho_ser0 = kron(rho_s0, equilibrium_er_state(gen, model.dims))
     embed = predict_with_control(gen, model.dims, rho_ser0, [event], times)
-    _, chans = exact_reference_dynamics(cm, periods)
+    _, chans = exact_reference_dynamics(cm, c.times)
     concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 
     d_embed = trace_distance_trajectory(embed, exact)
@@ -634,8 +626,10 @@ def main(argv=None) -> int:
         resolved = load_run_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_resolved(out, resolved)
-        _HANDLERS[args.command][0](resolved, out, args.quiet)
+        (out / "resolved_config.json").write_text(
+            json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        # Every section is checked, whatever the command, before it runs.
+        _HANDLERS[args.command][0](build_config(RunConfig, resolved), out, args.quiet)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,10 @@ import numpy as np
 
 
 def stream(seed: int, *names: str | int) -> np.random.Generator:
-    """Generator for the stream addressed by ``names`` under ``seed``."""
-    material = [int(seed) & 0xFFFFFFFF]
+    """Generator for the stream addressed by ``names`` under a 32-bit ``seed``."""
+    if not 0 <= seed <= 0xFFFFFFFF:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+    material = [int(seed)]
     for name in names:
         if isinstance(name, int):
             material.append(name & 0xFFFFFFFF)

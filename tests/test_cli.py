@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from embedlearn import cli, jsonio
-from embedlearn.bayes import BayesConfig
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import load_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
@@ -112,10 +111,10 @@ class TestConfigResolution:
         ("bayes", {"floor_log_likelihood": 2}, "floor_log_likelihood must be negative"),
     ])
     def test_first_bad_field_in_dataclass_order_is_reported(self, section, raw, match):
+        resolved = load_run_config(None, None)
+        resolved[section].update(raw)
         with pytest.raises(ConfigError, match=match):
-            cli._dataclass_config({"train": TrainConfig, "bayes": BayesConfig}[section],
-                                  {**load_run_config(None, None)[section], **raw},
-                                  seed=0, **({"d_er": 1} if section == "train" else {}))
+            cli.build_config(cli.RunConfig, resolved)
 
     def test_seed_override_wins(self, tmp_path):
         p = tmp_path / "c.json"
@@ -148,65 +147,97 @@ class TestConfigResolution:
             load_run_config(str(p), None)
 
 
+NON_INTEGER_CASES = [
+    ("generate", {"seed": True}),
+    ("generate", {"data": {"hamiltonian": MARKOV_PAIRS, "n_train": 120.0,
+                           "n_val": 120}}),
+    ("train", {"train": {"epochs": 2.5}}),
+    ("train", {"train": {"restarts": True}}),
+    ("train", {"train": {"batch_size": "7"}}),
+    ("train", {"train": {"candidates": [1, 1.5]}}),
+    ("predict", {"predict": {"d_er": 1.5}}),
+    ("predict", {"predict": {"d_er": 1, "times": [1.0],
+                             "n_values": [60.5]}}),
+    ("tomo", {"tomo": {"times": [1, 2.5]}}),
+    ("tomo", {"tomo": {"times": [1], "shots_per_channel": 30,
+                       "k_values": [2.0]}}),
+    ("compare", {"compare": {"times": [0, 1.0], "gate_period": 0}}),
+]
+
+BAD_SHAPE_CASES = [
+    ("bayes", {"bayes": {"d_er": 1, "n_records": 500}}),
+    ("bayes", {"bayes": {"d_er": 1, "n_records": 0}}),
+    ("tomo", {"tomo": {"times": 5}}),
+    ("tomo", {"tomo": {"times": None}}),
+    ("compare", {"compare": {"times": 5, "gate_period": 0}}),
+    ("compare", {"compare": {"times": None, "gate_period": 0}}),
+    ("train", {"train": {"candidates": 1}}),
+    ("predict", {"predict": {"d_er": 1, "times": [1.0], "n_values": 60}}),
+    ("tomo", {"tomo": {"times": [1], "k_values": []}}),
+    ("bayes", {"bayes": {"d_er": 1, "times": [1.0, -1.0]}}),
+    ("bayes", {"bayes": {"d_er": 1, "times": 5}}),
+    ("bayes", {"bayes": {"d_er": 1, "n_draws": 1}}),
+    ("generate", {"data": {"tau": math.nan}}),
+    ("generate", {"data": {"delta_t": math.nan}}),
+    ("predict", {"predict": {"d_er": 1, "times": [math.nan]}}),
+    ("train", {"train": {"lr": math.nan}}),
+    ("train", {"train": {"lr": math.inf}}),
+    ("tomo", {"tomo": {"shots_per_channel": 0}}),
+    ("tomo", {"tomo": {"shots_per_channel": -3}}),
+    ("generate", {"data": {"tau": "1.0"}}),
+    ("train", {"train": {"lr": True}}),
+    ("bayes", {"bayes": {"d_er": 1, "lr": "0.01"}}),
+    ("generate", {"data": {"hamiltonian": NAN_HAMILTONIAN}}),
+    ("generate", {"data": {"tau": 10 ** 400}}),
+    ("predict", {"predict": {"d_er": 1, "times": [1.0, 10 ** 400]}}),
+    ("tomo", {"tomo": {"times": [7, 2, 4, 2]}}),
+]
+
+# Values beyond the largest reservoir dimension or a 32-bit seed, scans the
+# datasets cannot serve, and bad keys of a section the command does not read.
+OUT_OF_RANGE_CASES = [
+    ("train", {"train": {"candidates": [1, cli.MAX_D_ER + 1]}}),
+    ("predict", {"predict": {"d_er": cli.MAX_D_ER + 1}}),
+    ("bayes", {"bayes": {"d_er": cli.MAX_D_ER + 1}}),
+    ("compare", {"compare": {"d_er": cli.MAX_D_ER + 1}}),
+    ("generate", {"seed": 2**32}),
+    ("generate", {"seed": -1}),
+    ("predict", {"predict": {"d_er": 1, "times": [1.0], "n_values": [60, 10**6]}}),
+    ("predict", {"predict": {"d_er": 1, "times": [0.5], "n_values": [60]}}),
+    ("generate", {"compare": {"gate": "q"}}),
+    ("validate", {"bayes": {"n_draws": 1}}),
+    ("tomo", {"train": {"candidates": [0]}}),
+]
+
+
+def run_on_copy(run, tmp_path, command, extra, *flags):
+    """Exit code of ``command`` with config ``extra`` on a copy of the run
+    directory ``run``, and that copy."""
+    _, src = run
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    cfg = write_config(tmp_path / "c.json", extra)
+    return main([command, "--config", cfg, "--out", str(out), "--quiet", *flags]), out
+
+
+def file_bytes(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "resolved_config.json"}
+
+
 class TestIntegerFields:
-    @pytest.mark.parametrize("command,extra", [
-        ("generate", {"seed": True}),
-        ("generate", {"data": {"hamiltonian": MARKOV_PAIRS, "n_train": 120.0,
-                               "n_val": 120}}),
-        ("train", {"train": {"epochs": 2.5}}),
-        ("train", {"train": {"restarts": True}}),
-        ("train", {"train": {"batch_size": "7"}}),
-        ("train", {"train": {"candidates": [1, 1.5]}}),
-        ("predict", {"predict": {"d_er": 1.5}}),
-        ("predict", {"predict": {"d_er": 1, "times": [1.0],
-                                 "n_values": [60.5]}}),
-        ("tomo", {"tomo": {"times": [1, 2.5]}}),
-        ("tomo", {"tomo": {"times": [1], "shots_per_channel": 30,
-                           "k_values": [2.0]}}),
-        ("compare", {"compare": {"times": [0, 1.0], "gate_period": 0}}),
-    ])
+    @pytest.mark.parametrize("command,extra", NON_INTEGER_CASES)
     def test_non_integers_exit_two(self, exact_model_run, tmp_path, command,
                                    extra, capsys):
         # Refused outright rather than truncated: resolved_config.json
         # records the raw value, so a truncated run would misreport itself.
-        _, src = exact_model_run
-        out = tmp_path / "run"
-        shutil.copytree(src, out)
-        cfg = write_config(tmp_path / "c.json", extra)
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 2
+        code, _ = run_on_copy(exact_model_run, tmp_path, command, extra)
+        assert code == 2
         assert "must be an integer" in capsys.readouterr().err
 
 
 class TestConfigShapes:
-    @pytest.mark.parametrize("command,extra", [
-        ("bayes", {"bayes": {"d_er": 1, "n_records": 500}}),
-        ("bayes", {"bayes": {"d_er": 1, "n_records": 0}}),
-        ("tomo", {"tomo": {"times": 5}}),
-        ("tomo", {"tomo": {"times": None}}),
-        ("compare", {"compare": {"times": 5, "gate_period": 0}}),
-        ("compare", {"compare": {"times": None, "gate_period": 0}}),
-        ("train", {"train": {"candidates": 1}}),
-        ("predict", {"predict": {"d_er": 1, "times": [1.0], "n_values": 60}}),
-        ("tomo", {"tomo": {"times": [1], "k_values": []}}),
-        ("bayes", {"bayes": {"d_er": 1, "times": [1.0, -1.0]}}),
-        ("bayes", {"bayes": {"d_er": 1, "times": 5}}),
-        ("bayes", {"bayes": {"d_er": 1, "n_draws": 1}}),
-        ("generate", {"data": {"tau": math.nan}}),
-        ("generate", {"data": {"delta_t": math.nan}}),
-        ("predict", {"predict": {"d_er": 1, "times": [math.nan]}}),
-        ("train", {"train": {"lr": math.nan}}),
-        ("train", {"train": {"lr": math.inf}}),
-        ("tomo", {"tomo": {"shots_per_channel": 0}}),
-        ("tomo", {"tomo": {"shots_per_channel": -3}}),
-        ("generate", {"data": {"tau": "1.0"}}),
-        ("train", {"train": {"lr": True}}),
-        ("bayes", {"bayes": {"d_er": 1, "lr": "0.01"}}),
-        ("generate", {"data": {"hamiltonian": NAN_HAMILTONIAN}}),
-        ("generate", {"data": {"tau": 10 ** 400}}),
-        ("predict", {"predict": {"d_er": 1, "times": [1.0, 10 ** 400]}}),
-        ("tomo", {"tomo": {"times": [7, 2, 4, 2]}}),
-    ])
+    @pytest.mark.parametrize("command,extra", BAD_SHAPE_CASES)
     def test_bad_shapes_exit_two(self, exact_model_run, tmp_path, monkeypatch,
                                  command, extra, capsys):
         # bayes settings are checked before the posterior is fitted.
@@ -214,14 +245,60 @@ class TestConfigShapes:
             raise AssertionError("fit_posterior must not run")
 
         monkeypatch.setattr(cli, "fit_posterior", no_fit)
-        _, src = exact_model_run
-        out = tmp_path / "run"
-        shutil.copytree(src, out)
-        cfg = write_config(tmp_path / "c.json", extra)
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 2
+        code, out = run_on_copy(exact_model_run, tmp_path, command, extra)
+        assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "posterior.json").exists()
+
+
+class TestCheckedBeforeAnyWork:
+    @pytest.mark.parametrize("command,extra",
+                             NON_INTEGER_CASES + BAD_SHAPE_CASES + OUT_OF_RANGE_CASES)
+    def test_refused_config_leaves_outputs_untouched(self, exact_model_run, tmp_path,
+                                                     command, extra, capsys):
+        _, src = exact_model_run
+        before = file_bytes(src)
+        code, out = run_on_copy(exact_model_run, tmp_path, command, extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert file_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["generate", "train", "tomo"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_seed_flag_outside_32_bits_exits_two(self, exact_model_run, tmp_path,
+                                                 command, seed, capsys):
+        _, src = exact_model_run
+        before = file_bytes(src)
+        code, out = run_on_copy(exact_model_run, tmp_path, command, {}, "--seed", seed)
+        assert code == 2
+        assert "seed must be >= 0 and <= 4294967295" in capsys.readouterr().err
+        assert file_bytes(out) == before
+
+    def test_other_section_refused_whatever_the_command(self, tmp_path, capsys):
+        # generate reads only data and seed, but a bad compare.gate still
+        # stops it before the datasets are written.
+        cfg = write_config(tmp_path / "c.json", {"compare": {"gate": "q"}})
+        out = tmp_path / "run"
+        assert main(["generate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "unknown gate 'q'" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+    def test_candidate_beyond_largest_d_er_exits_two_without_data(self, tmp_path, capsys):
+        # Refused as a config error (exit 2) before the missing dataset
+        # (exit 3) is noticed.
+        cfg = write_config(tmp_path / "c.json", {"train": {"candidates": [5]}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "empty"),
+                     "--quiet"]) == 2
+        assert "candidates must be >= 1 and <= 4, got 5" in capsys.readouterr().err
+
+    def test_largest_d_er_is_accepted(self):
+        resolved = load_run_config(None, None)
+        resolved["train"]["candidates"] = [1, cli.MAX_D_ER]
+        for section in ("predict", "bayes", "compare"):
+            resolved[section]["d_er"] = cli.MAX_D_ER
+        resolved["seed"] = 2**32 - 1
+        cfg = cli.build_config(cli.RunConfig, resolved)
+        assert (cfg.train.candidates, cfg.predict.d_er, cfg.seed) == ((1, 4), 4, 2**32 - 1)
 
 
 class TestGenerate:

@@ -2,6 +2,7 @@
 trajectory generation, exact references, and the memorizing environment."""
 import hashlib
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -234,6 +235,23 @@ class TestGenerateTrajectory:
         assert np.array_equal(a.records["basis"], b.records["basis"])
         assert np.array_equal(a.records["outcome"], b.records["outcome"])
         assert a.provenance == b.provenance
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 13])
+    def test_seed_outside_32_bits_is_refused(self, seed):
+        # The stream keeps 32 bits of its seed, so a wider seed would repeat
+        # the records of another one instead of giving its own.
+        with pytest.raises(ValueError, match="seed must be in"):
+            seeds.stream(seed, "trajectory")
+        with pytest.raises(ValueError, match="seed must be in"):
+            generate_trajectory(CollisionModelConfig(), 2, seed)
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**32 - 1])
+    def test_seeds_in_range_keep_their_streams(self, seed):
+        # The stream of a 32-bit seed is the one it had when wider seeds were
+        # masked to 32 bits.
+        material = np.random.SeedSequence([seed, 4, zlib.crc32(b"trajectory")])
+        want = np.random.Generator(np.random.PCG64(material)).random(4)
+        assert np.array_equal(seeds.stream(seed, 4, "trajectory").random(4), want)
 
     def test_first_step_marginals_match_exact_state(self):
         cfg = CollisionModelConfig()

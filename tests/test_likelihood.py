@@ -468,6 +468,19 @@ class TestGradientThroughSuperoperator:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_full_batch_memory_is_bounded_at_d_er_4(self):
+        # d_er = 4 is the largest the command line accepts: d_total = 512, so
+        # one H-sized complex matrix is 4 MiB.  Measured peak 30.2 MiB (0.09 s
+        # with one BLAS thread); the cap leaves a third on top of that.
+        _, model, ds, cache = self._setup(4, 1000, 50)
+        tracemalloc.start()
+        try:
+            log_likelihood_gradient(model, ds, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
 
 class TestProductFormAgainstDenseOracle:
     """The reservoir-sized sweeps against the joint-space loops they replaced,

@@ -245,6 +245,16 @@ class TestPosteriorFiles:
         with pytest.raises(DataError, match=f"bad posterior parameters: {key}"):
             posterior_from_dict(obj)
 
+    @pytest.mark.parametrize("key,value", [("mean", np.nan), ("log_std", np.inf)])
+    def test_non_finite_parameters_rejected(self, key, value):
+        model = random_model(np.random.default_rng(23), 1)
+        obj = posterior_to_dict(random_posterior(model, 33))
+        vec = np.full(model.dims.d_total ** 2, value)
+        obj[key] = oracles.b64_encode(vec, "<f8")
+        with pytest.raises(DataError, match="bad posterior parameters: mean and log_std "
+                                            "must be finite"):
+            posterior_from_dict(obj)
+
 
 def records_with_signed_zeros(n):
     ds = generate_trajectory(CollisionModelConfig(), n, 40)
