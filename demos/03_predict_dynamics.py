@@ -29,7 +29,7 @@ print(f"stopped after {len(curve.epoch)} epochs; validation per-step ll "
       f"{conditional_validation_ll(model, train, val, forward_pass(model, train)):+.4f}")
 
 gen = extract_generator(model)
-rho_er0 = ptrace(model.rho0_ser, [2, 2], [0])
+rho_er0 = ptrace(model.rho0_ser, [2, 2], [1])
 periods = list(range(1, 11))
 times = [float(k) for k in periods]
 

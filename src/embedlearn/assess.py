@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import GeneratorSuperoperator, _nonnegative_times
+from .embedding import GeneratorSuperoperator, PeriodChannel
 from .errors import IllConditionedError, TomographyError
 from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unvec, vec
 
@@ -37,17 +37,16 @@ def choi_from_superop(m: CMatrix, d: int) -> CMatrix:
     return m4.reshape(lead + (d * d, d * d)) / d
 
 
-def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
-                  times: list[float]) -> CMatrix:
-    """Reduced dynamical maps of an embedding at the given times.
+def reduced_superops(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
+                     rho_er0: CMatrix, times: list[float]) -> CMatrix:
+    """Reduced dynamical maps of an embedding at the given times, as
+    column-stacking superoperators on S, (times, d_s**2, d_s**2).
 
     Each map sends an S input through x -> tr_ER[exp(t L)(x tensor
-    rho_er0)]; the maps are returned as stacked Choi matrices on S,
-    (times, d_s**2, d_s**2).  A stacked generator with a matching stack of
-    reservoir states gives (..., times, d_s**2, d_s**2).
+    rho_er0)].  A stacked generator with a matching stack of reservoir
+    states gives (..., times, d_s**2, d_s**2).
     """
     d_s, d_er = dims.d_s, dims.d_er
-    times = _nonnegative_times(times)
     # Column j*d_s + i holds vec(|i><j| x rho_er0); a column-stacked joint
     # state has axes (j_s, j_er, i_s, i_er).
     eye = np.eye(d_s, dtype=np.complex128)
@@ -57,7 +56,14 @@ def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
     joint = gen.propagate(cols, times)
     joint = joint.reshape(joint.shape[:-2] + (d_s, d_er, d_s, d_er, d_s * d_s))
     m = np.einsum("...jeiec->...jic", joint)  # tr_ER
-    return choi_from_superop(m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s)), d_s)
+    return m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s))
+
+
+def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
+                  times: list[float]) -> CMatrix:
+    """The maps of :func:`reduced_superops` as stacked Choi matrices on S,
+    (..., times, d_s**2, d_s**2)."""
+    return choi_from_superop(reduced_superops(gen, dims, rho_er0, times), dims.d_s)
 
 
 def average_choi_error(chois_a: CMatrix, chois_b: CMatrix) -> float:
@@ -299,7 +305,7 @@ class ControlEvent:
     gate: CMatrix = field(repr=False)
 
 
-def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
+def predict_with_control(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
                          rho_ser0: CMatrix, events: list[ControlEvent],
                          times: list[float]) -> CMatrix:
     """Embedding prediction with gates applied to the joint state: system
@@ -314,10 +320,10 @@ def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
     for e in ev:
         g = np.asarray(e.gate, dtype=np.complex128)
         if g.shape != (d_s, d_s) or np.max(np.abs(g @ dagger(g) - np.eye(d_s))) > 1e-10:
-            raise ValueError(f"gate at t={e.time} is not a {d_s}x{d_s} unitary")
+            raise ValueError(f"gate must be a {d_s}x{d_s} unitary")
         if e.time < 0:
             raise ValueError("event times must be nonnegative")
-    times = _nonnegative_times(times)
+    times = np.asarray(times, dtype=np.float64)
     order = np.argsort(times)
     sorted_times = times[order]
     x = vec(np.asarray(rho_ser0, dtype=np.complex128))[:, None]
@@ -334,7 +340,7 @@ def predict_with_control(gen: GeneratorSuperoperator, dims: DimSpec,
         start, done = e.time, hi
     joint.append(gen.propagate(x, sorted_times[done:] - start)[..., 0])
     states = np.empty((len(times), d_s, d_s), dtype=np.complex128)
-    states[order] = ptrace(hermitianize(unvec(np.concatenate(joint))), [d_s, d_er], [0])
+    states[order] = hermitianize(ptrace(unvec(np.concatenate(joint)), [d_s, d_er], [0]))
     return states
 
 

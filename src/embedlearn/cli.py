@@ -34,7 +34,7 @@ from .datagen import (CollisionModelConfig, _check_continues, dataset_prefix,
                       exact_controlled_dynamics, exact_reference_dynamics,
                       generate_trajectory, load_dataset, save_dataset,
                       split_dataset, validation_continuation)
-from .embedding import (equilibrium_er_state, extract_generator, load_model,
+from .embedding import (MAX_D_ER, equilibrium_er_state, extract_generator, load_model,
                         predict_dynamics, save_model)
 from .errors import ConfigError, DataError, NumericalError, TomographyError
 from .likelihood import conditional_validation_ll, forward_pass
@@ -48,10 +48,6 @@ _GATES = {
     "z": SIGMA_Z,
     "h": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
 }
-
-# The largest reservoir dimension a run accepts.  H is d_total x d_total
-# with d_total = (2 d_er)**3: 4 MiB at d_er = 4, 120 MB at 7, 1 GB at 10.
-MAX_D_ER = 4
 
 # ---------------------------------------------------------------------------
 # The run configuration: one frozen dataclass per section, whose fields are
@@ -303,6 +299,8 @@ def _selected_d_er(out: Path) -> int:
                     raise DataError(f"{sel}: bad selected row {ln.strip()!r}") from exc
     if winner is None:
         raise DataError(f"{sel} has no selected row")
+    if not 1 <= winner <= MAX_D_ER:
+        raise DataError(f"{sel}: selected d_er must be in 1..{MAX_D_ER}, got {winner}")
     return winner
 
 
@@ -396,11 +394,10 @@ def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
             fh.write(f"{name},{k},{_fmt(tr)},{_fmt(va)}\n")
 
 
-def _choi_errors(gen, dims: DimSpec, times: list[float], exact_chois) -> np.ndarray:
-    """Trace-norm error of the learned reduced maps (reservoir at its
-    equilibrium state) against the exact Choi matrices, one per time."""
-    maps = dynamics_maps(gen, dims, equilibrium_er_state(gen, dims), times)
-    return 0.5 * trace_norm(maps - exact_chois)
+def _model_start(cm: CollisionModelConfig, gen, dims: DimSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The start of a model's predictions, (rho_s0, rho_er0): the system in
+    the S marginal of the truth's start state, the reservoir at equilibrium."""
+    return ptrace(cm.rho_ss1_0, [2, 2], [0]), equilibrium_er_state(gen, dims)
 
 
 def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
@@ -419,9 +416,8 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    rho_s0 = ptrace(np.asarray(cm.rho_ss1_0, dtype=np.complex128), [2, 2], [0])
-    rho_ser0 = kron(rho_s0, equilibrium_er_state(gen, dims))
-    states = predict_dynamics(gen, dims, rho_ser0, times)
+    rho_s0, rho_er0 = _model_start(cm, gen, dims)
+    states = predict_dynamics(gen, dims, kron(rho_s0, rho_er0), times)
     on_grid = _integer_periods(times, cm.tau)
     periods = np.array(list(on_grid.values()), dtype=int)
     exact_states, exact_chans = exact_reference_dynamics(cm, periods)
@@ -437,7 +433,7 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
     grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
     exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
     if grid_times:
-        errors = _choi_errors(gen, dims, grid_times, exact_chois)
+        errors = 0.5 * trace_norm(dynamics_maps(gen, dims, rho_er0, grid_times) - exact_chois)
         with open(out / "choi_error.csv", "w", encoding="utf-8") as fh:
             fh.write("time,choi_error\n")
             for t, e in zip(grid_times, errors):
@@ -450,8 +446,9 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
         fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
         for n, prefix, cont in scan:
             fitted, _ = fit(prefix, cont, dims, fit_cfg)
-            err = float(np.mean(_choi_errors(extract_generator(fitted), dims,
-                                             grid_times, exact_chois)))
+            gen_n = extract_generator(fitted)
+            maps = dynamics_maps(gen_n, dims, _model_start(cm, gen_n, dims)[1], grid_times)
+            err = float(np.mean(0.5 * trace_norm(maps - exact_chois)))
             rows.append((n, err))
             _say(quiet, f"n={n}: mean process-matrix error {err:.6f}")
         with open(out / "error_vs_n.csv", "w", encoding="utf-8") as fh:
@@ -567,9 +564,8 @@ def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> None:
     event = ControlEvent(time=c.gate_period * cm.tau, gate=gate)
 
     exact = exact_controlled_dynamics(cm, gate, c.gate_period, c.times)
-    rho_s0 = ptrace(np.asarray(cm.rho_ss1_0, dtype=np.complex128), [2, 2], [0])
-    rho_ser0 = kron(rho_s0, equilibrium_er_state(gen, model.dims))
-    embed = predict_with_control(gen, model.dims, rho_ser0, [event], times)
+    rho_s0, rho_er0 = _model_start(cm, gen, model.dims)
+    embed = predict_with_control(gen, model.dims, kron(rho_s0, rho_er0), [event], times)
     _, chans = exact_reference_dynamics(cm, c.times)
     concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 

@@ -28,18 +28,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import jsonio, seeds
-from .embedding import CHUNK, _check_finite, _kraus_superoperator, _transfer_basis, _transfers
+from .embedding import (CHUNK, PeriodChannel, _check_finite, _kraus_superoperator,
+                        _transfer_basis, _transfers, er_marginal, predict_dynamics)
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     CMatrix,
+    DimSpec,
     dagger,
     expm_unitary,
     hermitianize,
     kron,
-    ptrace,
     unvec,
     vec,
 )
@@ -306,26 +307,14 @@ def validation_continuation(ds_train: Dataset, ds_val: Dataset, n: int) -> Datas
     return replace(ds_train, records=recs, provenance=dict(ds_train.provenance))
 
 
-def _period_powers(mp: CMatrix, x: CMatrix, periods) -> CMatrix:
-    """M^k x for each period count k of ``periods``, stacked in their
-    order; one product per period up to the largest, keeping only the
-    requested powers."""
-    ks = np.asarray(periods, dtype=np.intp)
-    if (ks < 0).any():
-        raise ValueError("period counts must be nonnegative")
-    out = np.empty(ks.shape + x.shape, dtype=np.complex128)
-    k, power = 0, x
-    for i in np.argsort(ks, kind="stable"):
-        for _ in range(ks[i] - k):
-            power = mp @ power
-        k = ks[i]
-        out[i] = power
-    return out
+# The truth as an embedding whose two-level reservoir is the memory S1.
+_TRUTH_DIMS = DimSpec(d_s=2, d_er=2)
 
 
 def exact_reference_dynamics(cfg: CollisionModelConfig,
                              periods: list[int]) -> tuple[CMatrix, CMatrix]:
-    """Unmeasured ground-truth states and dynamical maps at period counts.
+    """Unmeasured ground-truth states and dynamical maps at period counts,
+    by the model's own propagation code run on the period channel.
 
     States propagate ``cfg.rho_ss1_0`` directly.  The maps take an S input
     through ``X -> tr_S1[period^k (X x rho_S1(0))]`` with the S1 marginal of
@@ -333,16 +322,13 @@ def exact_reference_dynamics(cfg: CollisionModelConfig,
     the maps as 4x4 column-stacking superoperator matrices, (P, 4, 4), one
     per entry of ``periods``.
     """
-    mp = period_superoperator(cfg)
-    rho0 = np.asarray(cfg.rho_ss1_0, dtype=np.complex128)
-    # Column b*2 + a holds vec(|a><b| x rho_S1(0)).  The columns and the
-    # maps are copied to row-major order, the layout products see them in
-    # when they are built one column at a time.
-    units = np.kron(unvec(np.eye(4, dtype=np.complex128)), ptrace(rho0, [2, 2], [1]))
-    states = _period_powers(mp, vec(rho0), periods)
-    cols = _period_powers(mp, vec(units).T.copy(), periods)
-    channels = vec(ptrace(unvec(cols.swapaxes(-1, -2)), [2, 2], [0])).swapaxes(-1, -2)
-    return hermitianize(ptrace(unvec(states), [2, 2], [0])), channels.copy()
+    # Imported on use: loading assess while datagen loads raises the peak
+    # RSS of every command by about 0.1 MB (compiled from source).
+    from .assess import reduced_superops
+    channel = PeriodChannel(period_superoperator(cfg))
+    memory = er_marginal(cfg.rho_ss1_0, _TRUTH_DIMS)  # the memory preparation of the maps
+    return (predict_dynamics(channel, _TRUTH_DIMS, cfg.rho_ss1_0, periods),
+            reduced_superops(channel, _TRUTH_DIMS, memory, periods))
 
 
 def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
@@ -356,20 +342,9 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
     """
     if event_period < 0:
         raise ValueError("event_period must be nonnegative")
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (2, 2) or np.max(np.abs(gate @ dagger(gate) - np.eye(2))) > 1e-10:
-        raise ValueError("gate must be a 2x2 unitary")
-    mp = period_superoperator(cfg)
-    ks = np.asarray(periods, dtype=np.intp)
-    before = ks < event_period
-    head = _period_powers(mp, vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128)),
-                          np.append(ks[before], event_period))
-    g2 = np.kron(gate, np.eye(2, dtype=np.complex128))
-    v = np.empty((ks.size, 16), dtype=np.complex128)
-    v[before] = head[:-1]
-    v[~before] = _period_powers(mp, vec(g2 @ unvec(head[-1]) @ dagger(g2)),
-                                ks[~before] - event_period)
-    return hermitianize(ptrace(unvec(v), [2, 2], [0]))
+    from .assess import ControlEvent, predict_with_control  # see exact_reference_dynamics
+    return predict_with_control(PeriodChannel(period_superoperator(cfg)), _TRUTH_DIMS,
+                                cfg.rho_ss1_0, [ControlEvent(event_period, gate)], periods)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ from .qla import (
 )
 
 PSD_TOL = 1e-10
+# The largest reservoir dimension a run accepts.  H is d_total x d_total
+# with d_total = (2 d_er)**3: 4 MiB at d_er = 4, 120 MB at 7, 1 GB at 10.
+MAX_D_ER = 4
 # Records per batch of transfer matrices: bounds the memory of a sweep or
 # a sampler beyond its output, whatever the record count is.
 CHUNK = 256
@@ -85,17 +88,47 @@ class GeneratorSuperoperator:
         """Dense L, assembled from the factors."""
         return (self.eigenvectors * self.log_eigenvalues) @ self.inverse / self.tau
 
-    def propagate(self, x: CMatrix, times: np.ndarray) -> CMatrix:
+    def propagate(self, x: CMatrix, times) -> CMatrix:
         """exp(t L) x at every time of ``times`` for a block of columns x,
         (..., D, c) -> (..., times, D, c); rows at t = 0 are x itself.  A
         stacked generator evolves each block of a matching stack of x.
         The columns at one time do not depend on which other times are
-        requested."""
+        requested.  Times must be nonnegative."""
+        times = np.asarray(times, dtype=np.float64)
+        if (times < 0).any():
+            raise ValueError(f"times must be nonnegative, got {times[times < 0][0]}")
         coords = self.inverse @ x
         scale = np.exp((times / self.tau)[:, None] * self.log_eigenvalues[..., None, :])
         z = scale[..., None, :] * coords.swapaxes(-1, -2)[..., None, :, :]
         out = self.eigenvectors[..., None, :, :] @ z.swapaxes(-1, -2)
         out[..., times == 0, :, :] = x[..., None, :, :]
+        return out
+
+
+@dataclass(frozen=True)
+class PeriodChannel:
+    """A channel known at whole periods only, by its column-stacking period
+    superoperator ``m``.  It stands in for a :class:`GeneratorSuperoperator`
+    in the prediction and assessment functions, with period counts as times."""
+
+    m: CMatrix = field(repr=False)
+
+    def propagate(self, x: CMatrix, periods) -> CMatrix:
+        """M^k x for every count k of ``periods``, laid out as
+        :meth:`GeneratorSuperoperator.propagate` lays out exp(t L) x; one
+        product per period up to the largest count."""
+        ks = np.asarray(periods, dtype=np.float64)
+        if (ks < 0).any():
+            raise ValueError("period counts must be nonnegative")
+        if not np.all(np.isfinite(ks) & (ks == np.floor(ks))):
+            raise ValueError(f"period counts must be integers, got {ks.tolist()}")
+        out = np.empty(x.shape[:-2] + ks.shape + x.shape[-2:], dtype=np.complex128)
+        k, power = 0, x
+        for i in np.argsort(ks, kind="stable"):
+            for _ in range(int(ks[i]) - k):
+                power = self.m @ power
+            k = int(ks[i])
+            out[..., i, :, :] = power
         return out
 
 
@@ -223,11 +256,16 @@ def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
     tr = np.trace(rho).real
     if moduli[1] >= 1.0 - 1e-8 or abs(tr) < 1e-12:
         raise FixedPointError((float(moduli[0]), float(moduli[1])))
-    return ptrace(rho / tr, [dims.d_s, dims.d_er], [1])
+    return er_marginal(rho / tr, dims)
 
 
-def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatrix,
-                     times: list[float]) -> CMatrix:
+def er_marginal(rho_ser: CMatrix, dims: DimSpec) -> CMatrix:
+    """Reservoir marginal tr_S of a joint system + reservoir state."""
+    return ptrace(rho_ser, [dims.d_s, dims.d_er], [1])
+
+
+def predict_dynamics(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
+                     rho_ser0: CMatrix, times: list[float]) -> CMatrix:
     """System states tr_ER[exp(t L) rho_ser0] at the requested times,
     stacked (times, d_s, d_s); a stacked generator with a matching stack of
     initial states gives (..., times, d_s, d_s).
@@ -235,17 +273,8 @@ def predict_dynamics(gen: GeneratorSuperoperator, dims: DimSpec, rho_ser0: CMatr
     Output states are symmetrized against roundoff drift; trace and
     positivity are up to the quality of the generator, not enforced.
     """
-    times = _nonnegative_times(times)
     joint = gen.propagate(vec(rho_ser0)[..., None], times)[..., 0]
-    rho = hermitianize(unvec(joint))
-    return ptrace(rho, [dims.d_s, dims.d_er], [0])
-
-
-def _nonnegative_times(times) -> np.ndarray:
-    for t in times:
-        if t < 0:
-            raise ValueError(f"times must be nonnegative, got {t}")
-    return np.array([float(t) for t in times], dtype=np.float64)
+    return hermitianize(ptrace(unvec(joint), [dims.d_s, dims.d_er], [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +300,13 @@ def model_to_dict(model: MarkovianEmbedding) -> dict:
 
 
 def model_from_dict(obj: dict) -> MarkovianEmbedding:
-    """Rebuild a model; refuses any ancilla other than the |0><0| of
-    dimension (d_s*d_er)**2 it is made with."""
+    """Rebuild a model; refuses a d_er above :data:`MAX_D_ER` before any
+    matrix is decoded, and any ancilla other than the |0><0| of dimension
+    (d_s*d_er)**2 it is made with."""
     spec = obj["dims"]
     d_s, d_er, d_a = (jsonio.ensure_int(spec[k], f"dims.{k}") for k in ("d_s", "d_er", "d_a"))
+    if d_er > MAX_D_ER:
+        raise ValueError(f"dims.d_er must be <= {MAX_D_ER}, got {d_er}")
     dims = DimSpec(d_s=d_s, d_er=d_er)
     if d_a != dims.d_a:
         raise ValueError(f"d_a must equal (d_s*d_er)**2 = {dims.d_a}, got {d_a}")

@@ -991,7 +991,7 @@ def predict_dynamics_per_time(gen, dims, rho_ser0, times):
     """Reduced states of the generator's flow, one time at a time."""
     from embedlearn.qla import hermitianize, ptrace, unvec, vec
     flow = generator_flow(gen, vec(rho_ser0))
-    return [ptrace(hermitianize(unvec(flow(float(t)))), [dims.d_s, dims.d_er], [0])
+    return [hermitianize(ptrace(unvec(flow(float(t))), [dims.d_s, dims.d_er], [0]))
             for t in times]
 
 
@@ -1031,8 +1031,7 @@ def predict_with_control_per_time(gen, dims, rho_ser0, events, times):
             flow = generator_flow(gen, vec(g @ unvec(v) @ dagger(g)))
             start = e.time
             ev_idx += 1
-        rho = hermitianize(unvec(flow(t - start)))
-        results[pos] = ptrace(rho, [d_s, d_er], [0])
+        results[pos] = hermitianize(ptrace(unvec(flow(t - start)), [d_s, d_er], [0]))
     return [results[i] for i in range(len(times))]
 
 
@@ -1165,5 +1164,5 @@ def predict_with_control_serial(gen, dims, rho_ser0, events, times):
     joint.extend(gen.propagate(x, sorted_times[len(joint):] - start))
     results = [None] * len(times)
     for pos, v in zip(order, joint):
-        results[pos] = ptrace(hermitianize(_unvec(v)), [d_s, d_er], [0])
+        results[pos] = hermitianize(ptrace(_unvec(v), [d_s, d_er], [0]))
     return results

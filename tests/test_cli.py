@@ -500,6 +500,33 @@ class TestPredict:
         assert err.startswith("error: ")
         assert "selection.csv" in err
 
+    @pytest.mark.parametrize("command,names", [
+        ("validate", ["model_der5.json", "dims.d_er must be <= 4, got 5"]),
+        ("predict", ["selection.csv", "selected d_er must be in 1..4, got 5"]),
+    ])
+    def test_reservoir_beyond_largest_in_run_directory_exits_three(
+            self, exact_model_run, tmp_path, command, names, capsys):
+        # The d_er reaches the command through the run directory, not the
+        # config: a data problem.  H is not base64, so an error naming it
+        # would mean the file was decoded.
+        d_er = cli.MAX_D_ER + 1
+        _, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        big = {"dims": {"d_s": 2, "d_er": d_er, "d_a": (2 * d_er) ** 2}, "tau": 1.0,
+               "h": "*", "rho0_ser": "*", "rho_a": "*"}
+        (out / f"model_der{d_er}.json").write_text(json.dumps(big))
+        (out / "selection.csv").write_text(
+            f"d_er,val_per_step,selected\n1,-0.5,0\n{d_er},-0.4,1\n")
+        before = file_bytes(out)
+        cfg = write_config(tmp_path / "c.json", {"predict": {"times": [0.0, 1.0]}})
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(name in err for name in names)
+        assert "base64" not in err
+        assert file_bytes(out) == before
+
     def test_branch_cut_model_exits_four(self, tmp_path, capsys):
         # Half-period rotation puts a channel eigenvalue on the logarithm's
         # branch cut; the failure must surface as a numerical exit code.

@@ -418,6 +418,16 @@ class TestExactControlled:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("periods", PERIOD_LISTS)
+    def test_gate_after_every_period_is_bitwise_the_reference(self, seed, periods):
+        cfg = random_collision_config(seed)
+        ref, _ = exact_reference_dynamics(cfg, periods)
+        got = exact_controlled_dynamics(cfg, random_unitary(seed + 10),
+                                        max(periods, default=0) + 1, periods)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("periods", PERIOD_LISTS)
     # Before, at, between and after the requested periods, for most lists.
     @pytest.mark.parametrize("event_period", [0, 1, 2, 4, 12])
     def test_stack_is_bitwise_the_serial_steps(self, seed, periods, event_period):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from embedlearn.embedding import (MarkovianEmbedding, _kraus_superoperator,
-                                  equilibrium_er_state, extract_generator,
-                                  kraus_stack, load_model, make_embedding,
-                                  model_from_dict, model_to_dict,
+from embedlearn.embedding import (MAX_D_ER, MarkovianEmbedding, PeriodChannel,
+                                  _kraus_superoperator, equilibrium_er_state,
+                                  extract_generator, kraus_stack, load_model,
+                                  make_embedding, model_from_dict, model_to_dict,
                                   predict_dynamics, save_model,
                                   superoperator_matrix)
 from embedlearn.assess import ControlEvent, dynamics_maps, predict_with_control
@@ -417,6 +417,38 @@ class TestPredictDynamics:
             predict_dynamics(gen, model.dims, model.rho0_ser, [-1.0])
 
 
+class TestPeriodChannel:
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_matches_the_generator_at_whole_periods(self, d_er):
+        rng = np.random.default_rng(40 + d_er)
+        model = random_model(rng, d_er=d_er, tau=0.5)
+        side = model.dims.d ** 2
+        # A stack of two blocks of three columns each.
+        x = rng.standard_normal((2, side, 3)) + 1j * rng.standard_normal((2, side, 3))
+        periods = [3, 0, 7, 1, 3]
+        got = PeriodChannel(superoperator_matrix(model)).propagate(x, periods)
+        want = extract_generator(model).propagate(x, model.tau * np.array(periods, float))
+        assert got.shape == want.shape == (2, 5, side, 3)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_period_zero_is_the_input(self):
+        rng = np.random.default_rng(43)
+        model = random_model(rng)
+        x = rng.standard_normal((model.dims.d ** 2, 2)) + 0j
+        out = PeriodChannel(superoperator_matrix(model)).propagate(x, [0, 2, 0.0])
+        assert np.array_equal(out[0], x) and np.array_equal(out[2], x)
+
+    @pytest.mark.parametrize("periods,match", [
+        ([-1], "must be nonnegative"), ([2, -np.inf], "must be nonnegative"),
+        ([1, 2.5], "must be integers"), ([np.nan], "must be integers"),
+        ([np.inf], "must be integers"),
+    ])
+    def test_negative_and_non_integer_counts_rejected(self, periods, match):
+        channel = PeriodChannel(np.eye(4, dtype=np.complex128))
+        with pytest.raises(ValueError, match=f"period counts {match}"):
+            channel.propagate(np.ones((4, 1), dtype=np.complex128), periods)
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         rng = np.random.default_rng(23)
@@ -434,6 +466,14 @@ class TestSerialization:
         save_model(model, path)
         back = load_model(path)
         assert np.array_equal(back.h, model.h)
+
+    def test_reservoir_beyond_largest_refused_before_decoding(self):
+        # No matrix is valid base64: decoding any would fail for that instead.
+        d_er = MAX_D_ER + 1
+        obj = {"dims": {"d_s": 2, "d_er": d_er, "d_a": (2 * d_er) ** 2}, "tau": 1.0,
+               "h": "*", "rho0_ser": "*", "rho_a": "*"}
+        with pytest.raises(ValueError, match=f"dims.d_er must be <= {MAX_D_ER}, got {d_er}"):
+            model_from_dict(obj)
 
     def test_invariants_revalidated_on_load(self):
         rng = np.random.default_rng(25)
