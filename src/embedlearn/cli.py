@@ -272,10 +272,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _require_qubit(d_s: int, path: Path) -> None:
+    if d_s != 2:  # the truth, the measurement bases and the gates are qubit ones
+        raise DataError(f"{path}: d_s={d_s}; commands take qubit (d_s=2) records and models only")
+
+
 def _load_data(path: Path):
     if not path.exists():
         raise DataError(f"missing dataset file {path}; run 'generate' first")
-    return load_dataset(path)
+    ds = load_dataset(path)
+    _require_qubit(ds.d_s, path)
+    return ds
 
 
 def _model_path(out: Path, d_er: int) -> Path:
@@ -305,13 +312,15 @@ def _selected_d_er(out: Path) -> int:
 
 
 def _load_model(path: Path):
-    """A saved model; a malformed or invalid file is a data problem."""
+    """A saved qubit model; a malformed or invalid file is a data problem."""
     try:
-        return load_model(path)
+        model = load_model(path)
     except KeyError as exc:
         raise DataError(f"bad model file {path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad model file {path}: {exc}") from exc
+    _require_qubit(model.dims.d_s, path)
+    return model
 
 
 def _load_model_for(out: Path, d_er: int | None):
@@ -422,6 +431,16 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
     periods = np.array(list(on_grid.values()), dtype=int)
     exact_states, exact_chans = exact_reference_dynamics(cm, periods)
     exact_bloch = dict(zip(on_grid, bloch_vector(exact_states)))
+    grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
+    exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
+    # Every fit and map comes first: a failure (exit 4) leaves no partial outputs.
+    errors = 0.5 * trace_norm(dynamics_maps(gen, dims, rho_er0, grid_times) - exact_chois)
+    rows = []
+    fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
+    for n, prefix, cont in scan:
+        gen_n = extract_generator(fit(prefix, cont, dims, fit_cfg)[0])
+        maps = dynamics_maps(gen_n, dims, _model_start(cm, gen_n, dims)[1], grid_times)
+        rows.append((n, float(np.mean(0.5 * trace_norm(maps - exact_chois)))))
 
     with open(out / "bloch.csv", "w", encoding="utf-8") as fh:
         fh.write("time,x_model,y_model,z_model,x_exact,y_exact,z_exact\n")
@@ -430,10 +449,7 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
             cells += [_fmt(c) for c in exact_bloch[i]] if i in on_grid else ["", "", ""]
             fh.write(",".join(cells) + "\n")
 
-    grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
-    exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
     if grid_times:
-        errors = 0.5 * trace_norm(dynamics_maps(gen, dims, rho_er0, grid_times) - exact_chois)
         with open(out / "choi_error.csv", "w", encoding="utf-8") as fh:
             fh.write("time,choi_error\n")
             for t, e in zip(grid_times, errors):
@@ -441,19 +457,11 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
         _say(quiet, f"mean process-matrix error over {len(errors)} times: "
                     f"{float(np.mean(errors)):.6f}")
 
-    if scan:
-        rows = []
-        fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
-        for n, prefix, cont in scan:
-            fitted, _ = fit(prefix, cont, dims, fit_cfg)
-            gen_n = extract_generator(fitted)
-            maps = dynamics_maps(gen_n, dims, _model_start(cm, gen_n, dims)[1], grid_times)
-            err = float(np.mean(0.5 * trace_norm(maps - exact_chois)))
-            rows.append((n, err))
-            _say(quiet, f"n={n}: mean process-matrix error {err:.6f}")
+    if rows:
         with open(out / "error_vs_n.csv", "w", encoding="utf-8") as fh:
             fh.write("n_records,mean_choi_error\n")
             for n, e in rows:
+                _say(quiet, f"n={n}: mean process-matrix error {e:.6f}")
                 fh.write(f"{n},{_fmt(e)}\n")
         if len(rows) >= 2:
             slope = float(np.polyfit(np.log([n for n, _ in rows]),

@@ -13,13 +13,14 @@ The draw order per step is fixed (three normals for the direction, then one
 uniform for the outcome), so a seed pins the byte-exact dataset.  The
 sampler draws the whole stream first and builds every basis in one batch.
 After a record, S is in the measured basis state and only the memory block
-sigma is random, so each later record costs one 4x4 transfer per outcome
-(the same product form the likelihood filter uses) instead of a joint-space
-step; only the first record is drawn from the joint state.
+sigma is random, so each later record costs one d_mem^2 x d_mem^2 transfer
+per outcome (the same product form the likelihood filter uses) instead of a
+joint-space step; only the first record is drawn from the joint state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import jsonio, seeds
-from .embedding import (CHUNK, PeriodChannel, _check_finite, _kraus_superoperator,
+from .embedding import (CHUNK, PeriodChannel, _check_state, _kraus_superoperator,
                         _transfer_basis, _transfers, er_marginal, predict_dynamics)
 from .errors import DataError, ZeroProbabilityError
 from .qla import (
@@ -102,8 +103,8 @@ class CollisionModelConfig:
             rho0 = np.zeros((4, 4), dtype=np.complex128)
             rho0[0, 0] = 1.0
             object.__setattr__(self, "rho_ss1_0", rho0)
-        _check_density(np.asarray(self.rho_r, dtype=np.complex128), 2, "rho_r")
-        _check_density(np.asarray(self.rho_ss1_0, dtype=np.complex128), 4, "rho_ss1_0")
+        _check_state(np.asarray(self.rho_r, dtype=np.complex128), 2, "rho_r")
+        _check_state(np.asarray(self.rho_ss1_0, dtype=np.complex128), 4, "rho_ss1_0")
 
     def to_dict(self) -> dict:
         return {
@@ -117,18 +118,6 @@ class CollisionModelConfig:
 
     def digest(self) -> str:
         return jsonio.config_hash(self.to_dict())
-
-
-def _check_density(rho: CMatrix, side: int, name: str) -> None:
-    if rho.shape != (side, side):
-        raise ValueError(f"{name} must be {side}x{side}, got {rho.shape}")
-    _check_finite(rho, name)
-    if np.max(np.abs(rho - dagger(rho))) > 1e-10:
-        raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise ValueError(f"{name} has trace {np.trace(rho)}")
-    if np.linalg.eigvalsh(hermitianize(rho)).min() < -1e-10:
-        raise ValueError(f"{name} is not positive semidefinite")
 
 
 def make_records(steps, bases, outcomes) -> np.ndarray:
@@ -170,19 +159,15 @@ def _record_vectors(data: Dataset) -> np.ndarray:
     return data.records["basis"][np.arange(len(data)), :, data.records["outcome"]]
 
 
-def _collision_superoperator(cfg: CollisionModelConfig) -> CMatrix:
-    """Column-stacking 16x16 matrix of one collision on S+S1, from the Kraus
-    family sqrt(w_k) (I x <j|) U (I x |chi_k>) of rho_r = sum_k w_k |chi_k><chi_k|."""
+def period_superoperator(cfg: CollisionModelConfig) -> CMatrix:
+    """Column-stacking 16x16 map of one measurement period on S+S1:
+    collisions_per_period collisions, each from the Kraus family
+    sqrt(w_k) (I x <j|) U (I x |chi_k>) of rho_r = sum_k w_k |chi_k><chi_k|."""
     u = expm_unitary(cfg.hamiltonian, cfg.delta_t)
     w, chi = np.linalg.eigh(hermitianize(cfg.rho_r))
     kr = np.einsum("xjyk,kl,l->ljxy", u.reshape(4, 2, 4, 2), chi,
                    np.sqrt(np.clip(w, 0.0, None)))
-    return _kraus_superoperator(kr.reshape(4, 4, 4))
-
-
-def period_superoperator(cfg: CollisionModelConfig) -> CMatrix:
-    """Map for one full measurement period: collisions_per_period collisions."""
-    mc = _collision_superoperator(cfg)
+    mc = _kraus_superoperator(kr.reshape(4, 4, 4))
     return np.linalg.matrix_power(mc, cfg.collisions_per_period)
 
 
@@ -206,12 +191,16 @@ def _random_bases(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
     return bases, u
 
 
-def _measure(y: list[complex], u: float, step: int) -> tuple[int, np.ndarray]:
-    """Outcome and conditioned S1 block from ``y``, the flattened
-    unnormalized blocks <b_k| rho |b_k> of outcome 0 then outcome 1: the two
-    traces are clipped at 0 and normalized, outcome 0 is taken when ``u`` <
-    p0, and the observed block is hermitianized and divided by its trace."""
-    w = ((y[0] + y[3]).real, (y[4] + y[7]).real)
+def _measure(y: list[complex], u: float, step: int, d_mem: int,
+             transposed: list[int]) -> tuple[int, np.ndarray]:
+    """Outcome and conditioned memory block from ``y``, the flattened
+    unnormalized d_mem x d_mem blocks <b_k| rho |b_k> of outcome 0 then
+    outcome 1: the two traces are clipped at 0 and normalized, outcome 0 is
+    taken when ``u`` < p0, and the observed block is hermitianized (through
+    the row-major order ``transposed`` of its transpose) and divided by its trace."""
+    k = d_mem * d_mem
+    w = (functools.reduce(complex.__add__, y[:k:d_mem + 1]).real,
+         functools.reduce(complex.__add__, y[k::d_mem + 1]).real)
     total = max(w[0], 0.0) + max(w[1], 0.0)
     if total <= 0:
         raise ZeroProbabilityError(step)
@@ -219,43 +208,47 @@ def _measure(y: list[complex], u: float, step: int) -> tuple[int, np.ndarray]:
     tr = w[outcome]
     if tr <= 0:
         raise ZeroProbabilityError(step)
-    a, b, c, d = y[4 * outcome:4 * outcome + 4]  # hermitianize([[a, b], [c, d]]) / tr
-    return outcome, np.array([0.5 * (a + a.conjugate()) / tr, 0.5 * (b + c.conjugate()) / tr,
-                              0.5 * (c + b.conjugate()) / tr, 0.5 * (d + d.conjugate()) / tr])
+    block = y[outcome * k:(outcome + 1) * k]
+    return outcome, np.array([0.5 * (a + block[j].conjugate()) / tr
+                              for a, j in zip(block, transposed)])
 
 
 def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset:
-    """Simulate ``n`` measured periods of the collision model.
+    """Simulate ``n`` measured periods of the truth's :func:`period_channel`.
 
-    Each record projects S onto a basis vector, so after it the S+S1 state
+    Each record projects S onto a basis vector, so after it the joint state
     is |phi><phi| x sigma and the sampler carries only the memory block
     sigma: the outcome weights of record i are the traces of
     T[i, o, k] sigma, one transfer per previous outcome o and candidate
     outcome k, and sigma is conditioned on the observed one.  The first
-    record is drawn from the joint state one period after ``rho_ss1_0``,
-    which need not be a product.  All random draws come first, in the fixed
-    per-period order of :func:`_random_bases`; the transfers are built in
-    chunks of records, so memory beyond the records does not grow with n.
+    record is drawn from the joint state one period after the channel's
+    ``rho0``, which need not be a product.  All random draws come first, in
+    the fixed per-period order of :func:`_random_bases`; the transfers are
+    built in chunks of records, so memory beyond the records does not grow
+    with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    channel = period_channel(cfg)
+    d_s, d_mem = channel.dims.d_s, channel.dims.d_er
+    assert d_s == 2, "the measurement bases are qubit r.sigma eigenbases"
     bases, u = _random_bases(seeds.stream(seed, "trajectory"), n)
-    mp = period_superoperator(cfg)
-    rho = hermitianize(unvec(mp @ vec(np.asarray(cfg.rho_ss1_0, dtype=np.complex128))))
-    y = np.einsum("so,setf,to->oef", bases[0].conj(), rho.reshape(2, 2, 2, 2), bases[0])
-    o, sigma = _measure(y.ravel().tolist(), u[0], 1)
+    transposed = [c * d_mem + r for r in range(d_mem) for c in range(d_mem)]
+    rho = hermitianize(unvec(channel.m @ vec(channel.rho0)))
+    y = np.einsum("so,setf,to->oef", bases[0].conj(), rho.reshape((d_s, d_mem) * 2), bases[0])
+    o, sigma = _measure(y.ravel().tolist(), u[0], 1, d_mem, transposed)
     outcomes = [o]
-    basis = _transfer_basis(mp, 2)
+    basis = _transfer_basis(channel.m, channel.dims)
     for start in range(1, n, CHUNK):
         stop = min(start + CHUNK, n)
         # One pair per (record i, previous outcome o, candidate outcome k):
         # column o of basis i-1, then column k of basis i.
         prev = bases[start - 1:stop - 1].transpose(0, 2, 1)[:, :, None]
         this = bases[start:stop].transpose(0, 2, 1)[:, None]
-        before, after = (a.reshape(-1, 2) for a in np.broadcast_arrays(prev, this))
-        t = _transfers(basis, before, after).reshape(stop - start, 2, 8, 4)
+        before, after = (a.reshape(-1, d_s) for a in np.broadcast_arrays(prev, this))
+        t = _transfers(basis, before, after).reshape(stop - start, d_s, -1, d_mem * d_mem)
         for i in range(start, stop):
-            o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1)
+            o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1, d_mem, transposed)
             outcomes.append(o)
     return Dataset(records=make_records(np.arange(1, n + 1), bases, outcomes), tau=cfg.tau,
                    provenance={"seed": int(seed), "config_hash": cfg.digest()})
@@ -307,8 +300,11 @@ def validation_continuation(ds_train: Dataset, ds_val: Dataset, n: int) -> Datas
     return replace(ds_train, records=recs, provenance=dict(ds_train.provenance))
 
 
-# The truth as an embedding whose two-level reservoir is the memory S1.
-_TRUTH_DIMS = DimSpec(d_s=2, d_er=2)
+def period_channel(cfg: CollisionModelConfig) -> PeriodChannel:
+    """The truth's period channel on S x S1 from ``rho_ss1_0``: the one place
+    that sets its dimensions, the memory S1 as a two-level reservoir."""
+    return PeriodChannel(period_superoperator(cfg), DimSpec(d_s=2, d_er=2),
+                         np.asarray(cfg.rho_ss1_0, dtype=np.complex128), cfg.tau)
 
 
 def exact_reference_dynamics(cfg: CollisionModelConfig,
@@ -325,10 +321,10 @@ def exact_reference_dynamics(cfg: CollisionModelConfig,
     # Imported on use: loading assess while datagen loads raises the peak
     # RSS of every command by about 0.1 MB (compiled from source).
     from .assess import reduced_superops
-    channel = PeriodChannel(period_superoperator(cfg))
-    memory = er_marginal(cfg.rho_ss1_0, _TRUTH_DIMS)  # the memory preparation of the maps
-    return (predict_dynamics(channel, _TRUTH_DIMS, cfg.rho_ss1_0, periods),
-            reduced_superops(channel, _TRUTH_DIMS, memory, periods))
+    channel = period_channel(cfg)
+    memory = er_marginal(channel.rho0, channel.dims)  # the memory preparation of the maps
+    return (predict_dynamics(channel, channel.dims, channel.rho0, periods),
+            reduced_superops(channel, channel.dims, memory, periods))
 
 
 def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
@@ -343,8 +339,9 @@ def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
     if event_period < 0:
         raise ValueError("event_period must be nonnegative")
     from .assess import ControlEvent, predict_with_control  # see exact_reference_dynamics
-    return predict_with_control(PeriodChannel(period_superoperator(cfg)), _TRUTH_DIMS,
-                                cfg.rho_ss1_0, [ControlEvent(event_period, gate)], periods)
+    channel = period_channel(cfg)
+    return predict_with_control(channel, channel.dims, channel.rho0,
+                                [ControlEvent(event_period, gate)], periods)
 
 
 # ---------------------------------------------------------------------------

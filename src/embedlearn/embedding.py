@@ -35,7 +35,6 @@ from .qla import (
     vec,
 )
 
-PSD_TOL = 1e-10
 # The largest reservoir dimension a run accepts.  H is d_total x d_total
 # with d_total = (2 d_er)**3: 4 MiB at d_er = 4, 120 MB at 7, 1 GB at 10.
 MAX_D_ER = 4
@@ -107,11 +106,16 @@ class GeneratorSuperoperator:
 
 @dataclass(frozen=True)
 class PeriodChannel:
-    """A channel known at whole periods only, by its column-stacking period
-    superoperator ``m``.  It stands in for a :class:`GeneratorSuperoperator`
-    in the prediction and assessment functions, with period counts as times."""
+    """The channel of one measurement period ``tau`` on system x memory
+    (``dims``, the memory as ``d_er``) by its column-stacking superoperator
+    ``m``, with the joint start state ``rho0`` of a measured trajectory.  It
+    stands in for a :class:`GeneratorSuperoperator` in the prediction and
+    assessment functions, with period counts as times."""
 
     m: CMatrix = field(repr=False)
+    dims: DimSpec
+    rho0: CMatrix = field(repr=False)
+    tau: float
 
     def propagate(self, x: CMatrix, periods) -> CMatrix:
         """M^k x for every count k of ``periods``, laid out as
@@ -200,19 +204,17 @@ def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) ->
     return _kraus_superoperator(kraus_stack(model, u))
 
 
-def _transfer_basis(m: np.ndarray, d_s: int) -> np.ndarray:
+def _transfer_basis(m: np.ndarray, dims: DimSpec) -> np.ndarray:
     """The period superoperator rearranged so that the record-pair vector
     conj(P_{i+1}) x P_i, with P = |phi><phi| flattened, times it is T_i.
 
     Rows run over (s', t', s, t), the entries of the two projectors; columns
     over (e', f', g, h), T_i taking a flattened block (g, h) to (e', f').
     """
-    d = int(round(np.sqrt(m.shape[0])))
-    d_er = d // d_s
     # Column stacking: m[(q, p), (s, r)] maps input entry (r, s) to output
     # entry (p, q); split every joint index into (system, reservoir).
-    m8 = m.reshape((d_s, d_er) * 4)
-    return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(d_s ** 4, d_er ** 4)
+    m8 = m.reshape((dims.d_s, dims.d_er) * 4)
+    return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(dims.d_s ** 4, dims.d_er ** 4)
 
 
 def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
-                      period_superoperator)
-from .embedding import (CHUNK, MarkovianEmbedding, _transfer_basis, _transfers,
-                        kraus_stack, superoperator_matrix)
+                      period_channel)
+from .embedding import (CHUNK, MarkovianEmbedding, PeriodChannel, _transfer_basis,
+                        _transfers, kraus_stack, superoperator_matrix)
 from .errors import DataError, ZeroProbabilityError
 from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary, unvec, vec
 
@@ -70,18 +70,16 @@ class PropagationCache:
         log tr(sigma_i @ beta_i) + forward_log_scale[i]
                                  + backward_log_scale[i]  == log p
 
-    Entry 0 of both block arrays is NaN: at time 0 the pair is the initial
-    joint state ``rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
+    Entry 0 of both block arrays is NaN: at time 0 the pair is the start
+    state ``channel.rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
     at unit operator norm, whose log scale is ``backward_log_scale[0]``.
     Either half may be absent if only one sweep was run.
 
-    ``model`` and ``data`` are the pair the sweeps ran on (``model`` is
-    None for the generating model of :func:`true_model_log_likelihood`,
-    whose ``period_map`` and ``rho0`` act on S x S1); ``phis`` holds
-    the measured system vectors, ``spectrum`` the eigensystem of the
-    model's H and ``period_map`` the superoperator M built from it.  A
-    later sweep, validation or gradient of the same model (and data) reuses
-    these instead of decomposing H again.
+    The sweeps ran under ``channel`` over ``data``, whose measured system
+    vectors are ``phis``.  ``model`` and the eigensystem ``spectrum`` of its
+    H, which ``channel`` was built from, let a later sweep, validation or
+    gradient of the same model and data skip decomposing H again; both are
+    None for the generating model of :func:`true_model_log_likelihood`.
     """
 
     n: int
@@ -89,8 +87,7 @@ class PropagationCache:
     data: Dataset | None = field(default=None, repr=False)
     phis: np.ndarray | None = field(default=None, repr=False)
     spectrum: SpectralDecomposition | None = field(default=None, repr=False)
-    period_map: np.ndarray | None = field(default=None, repr=False)
-    rho0: np.ndarray | None = field(default=None, repr=False)
+    channel: PeriodChannel | None = field(default=None, repr=False)
     forward_blocks: np.ndarray | None = field(default=None, repr=False)
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
     backward_blocks: np.ndarray | None = field(default=None, repr=False)
@@ -109,11 +106,11 @@ class PropagationCache:
         if not 0 <= m <= self.n:
             raise ValueError(f"merge point {m} outside 0..{self.n}")
         if m == 0:
-            eff = np.eye(self.rho0.shape[0])
+            eff = np.eye(self.channel.dims.d)
             if self.n:
-                eff = _dense_effects(self.period_map, self.phis[:1],
+                eff = _dense_effects(self.channel.m, self.phis[:1],
                                      self.backward_blocks[1:2])[0][0]
-            overlap = np.einsum("ij,ji->", self.rho0, eff).real
+            overlap = np.einsum("ij,ji->", self.channel.rho0, eff).real
         else:
             overlap = np.einsum("ij,ji->", self.forward_blocks[m],
                                 self.backward_blocks[m]).real
@@ -123,23 +120,29 @@ class PropagationCache:
                      + self.backward_log_scale[m])
 
 
-def _period_inputs(model: MarkovianEmbedding, data: Dataset,
-                   cache: PropagationCache | None):
-    """Measured system vectors, eigensystem of H and period superoperator M
-    for one model and dataset, taken from ``cache`` when its sweeps ran on
-    that same pair."""
-    if cache is not None and cache.model is model and cache.data is data:
-        return cache.phis, cache.spectrum, cache.period_map
-    phis = _projector_vectors(model, data)
+def _new_cache(channel: PeriodChannel, data: Dataset, model: MarkovianEmbedding | None = None,
+               spectrum: SpectralDecomposition | None = None,
+               phis: np.ndarray | None = None) -> PropagationCache:
+    """A cache of ``channel`` over ``data`` before any sweep; given ``phis`` skip the check."""
+    phis = _projector_vectors(channel, data) if phis is None else phis
+    return PropagationCache(n=len(data), model=model, data=data, phis=phis,
+                            spectrum=spectrum, channel=channel)
+
+
+def _model_cache(model: MarkovianEmbedding, data: Dataset,
+                 phis: np.ndarray | None = None) -> PropagationCache:
+    """A new cache of ``model`` over ``data``, its channel built from H."""
     spectrum = herm_eig(model.h)
-    return phis, spectrum, superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
+    m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
+    channel = PeriodChannel(m, model.dims, model.rho0_ser, model.tau)
+    return _new_cache(channel, data, model, spectrum, phis)
 
 
-def _projector_vectors(model: MarkovianEmbedding, data: Dataset) -> np.ndarray:
-    if data.d_s != model.dims.d_s:
-        raise DataError(f"data d_s={data.d_s} does not match model d_s={model.dims.d_s}")
-    if not abs(data.tau - model.tau) <= 1e-12:  # NaN fails too
-        raise DataError(f"data tau={data.tau} does not match model tau={model.tau}")
+def _projector_vectors(channel: PeriodChannel, data: Dataset) -> np.ndarray:
+    if data.d_s != channel.dims.d_s:
+        raise DataError(f"data d_s={data.d_s} does not match model d_s={channel.dims.d_s}")
+    if not abs(data.tau - channel.tau) <= 1e-12:  # NaN fails too
+        raise DataError(f"data tau={data.tau} does not match model tau={channel.tau}")
     return _record_vectors(data)
 
 
@@ -228,11 +231,11 @@ def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
 def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> list[int]:
     """The forward and/or backward sweeps of caches of one shape over one
     record sequence, as the lanes of one :func:`_filter` call.  Each cache
-    holds ``phis``, ``period_map`` and ``rho0``.
+    holds ``phis`` and ``channel``.
 
     A forward lane starts from the block after the first record, which one
-    joint-sized step conditions on ``rho0``.  A backward lane starts from
-    beta_n = I under the dual channel M^+ over the records in reverse
+    joint-sized step conditions on ``channel.rho0``.  A backward lane starts
+    from beta_n = I under the dual channel M^+ over the records in reverse
     order, and the norm of the joint effect at time 0 closes it.  All
     forward lanes run first, then all backward lanes; a cache whose first
     record has zero probability gets no lanes.  Blocks and running logs are
@@ -240,8 +243,8 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     one lane.  Returns per cache the index of its first record of zero
     probability, or -1; such a cache holds no meaningful sweep.
     """
-    n, d_s = caches[0].phis.shape
-    d_er = caches[0].rho0.shape[0] // d_s
+    n, dims = len(caches[0].phis), caches[0].channel.dims
+    d_s, d_er = dims.d_s, dims.d_er
     for cache in caches:
         if forward:
             cache.forward_blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
@@ -257,7 +260,7 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     # logs of those blocks; a backward lane's views run from time n to 1.
     lanes = []
     for c, cache in enumerate(caches if forward else []):
-        evolved = unvec(cache.period_map @ vec(cache.rho0))
+        evolved = unvec(cache.channel.m @ vec(cache.channel.rho0))
         first = np.einsum("s,setf,t->ef", cache.phis[0].conj(),
                           evolved.reshape(d_s, d_er, d_s, d_er), cache.phis[0])
         p = np.trace(first).real
@@ -265,13 +268,13 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
             bad[c] = 0
             continue
         cache.forward_blocks[1] = first / p
-        lanes.append((c, _transfer_basis(cache.period_map, d_s), cache.phis, np.log(p),
+        lanes.append((c, _transfer_basis(cache.channel.m, dims), cache.phis, np.log(p),
                       cache.forward_blocks[1:], cache.forward_log_scale[1:]))
     n_forward = len(lanes)
     for c, cache in enumerate(caches if backward else []):
         if bad[c] < 0:
             cache.backward_blocks[n] = np.eye(d_er)
-            lanes.append((c, _transfer_basis(cache.period_map.conj().T, d_s), cache.phis[::-1],
+            lanes.append((c, _transfer_basis(cache.channel.m.conj().T, dims), cache.phis[::-1],
                           0.0, cache.backward_blocks[:0:-1], cache.backward_log_scale[:0:-1]))
     if not lanes:
         return bad
@@ -292,7 +295,7 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
         scales[s][...] = logs[s]
         if s >= n_forward:
             cache = caches[c]
-            _, norm = _dense_effects(cache.period_map, cache.phis[:1], cache.backward_blocks[1:2])
+            _, norm = _dense_effects(cache.channel.m, cache.phis[:1], cache.backward_blocks[1:2])
             if norm[0] <= 0.0:
                 bad[c] = 0
             else:
@@ -302,14 +305,10 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
 
 def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache | None,
                forward: bool) -> PropagationCache:
-    """One sweep of ``model`` over ``data`` into ``cache`` (a new one if
-    None); raises on a zero-probability record."""
-    phis, spectrum, m = _period_inputs(model, data, cache)
-    if cache is None:
-        cache = PropagationCache(n=len(data))
-    cache.model, cache.data, cache.phis = model, data, phis
-    cache.spectrum, cache.period_map = spectrum, m
-    cache.rho0 = np.asarray(model.rho0_ser, dtype=np.complex128)
+    """One sweep of ``model`` over ``data`` into ``cache`` if it holds that
+    pair, else into a new cache; raises on a zero-probability record."""
+    if cache is None or cache.model is not model or cache.data is not data:
+        cache = _model_cache(model, data)
     _raise_zero_probability(_sweep([cache], forward, not forward), data)
     return cache
 
@@ -347,14 +346,8 @@ def build_caches(models: list[MarkovianEmbedding], data: Dataset
     cache is bitwise the one :func:`build_cache` gives.  A model under
     which some record has zero probability gets None in place of a cache;
     the others are unaffected."""
-    phis = _projector_vectors(models[0], data)
-    caches = []
-    for model in models:
-        spectrum = herm_eig(model.h)
-        m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
-        caches.append(PropagationCache(
-            n=len(data), model=model, data=data, phis=phis, spectrum=spectrum,
-            period_map=m, rho0=np.asarray(model.rho0_ser, dtype=np.complex128)))
+    caches = [_model_cache(models[0], data)]
+    caches += [_model_cache(model, data, caches[0].phis) for model in models[1:]]
     bad = _sweep(caches, forward=True, backward=True)
     return [None if b >= 0 else cache for cache, b in zip(caches, bad)]
 
@@ -379,11 +372,12 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     if (train_cache.model is not model or train_cache.data is not data_train
             or train_cache.forward_blocks is None):
         raise ValueError("train_cache is not a forward sweep of model over data_train")
-    phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(model, data_val)))
+    phis = np.concatenate((train_cache.phis[-1:],
+                           _projector_vectors(train_cache.channel, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    logs, bad = _filter([_transfer_basis(train_cache.period_map, model.dims.d_s)], x[None],
+    logs, bad = _filter([_transfer_basis(train_cache.channel.m, model.dims)], x[None],
                         train_cache.forward_log_scale[-1:], [phis],
                         np.empty((1, len(data_val), x.size), dtype=np.complex128))
     _raise_zero_probability(bad, data_val)
@@ -391,12 +385,10 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
 
 
 def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
-    """Per-step log-likelihood of a record set under the generating model, a
-    diagnostic ceiling for fitted models.  The period map is a channel on
-    S x S1, so the sweep scores the records with S1 as the reservoir."""
-    cache = PropagationCache(n=len(ds), data=ds, phis=_record_vectors(ds),
-                             period_map=period_superoperator(cfg),
-                             rho0=np.asarray(cfg.rho_ss1_0, dtype=np.complex128))
+    """Per-step log-likelihood of a record set under the generating model's
+    period channel, a diagnostic ceiling for fitted models; a dataset of
+    another ``tau`` or ``d_s`` is a :class:`DataError`."""
+    cache = _new_cache(period_channel(cfg), ds)
     _raise_zero_probability(_sweep([cache], forward=True, backward=False), ds)
     return cache.log_likelihood() / len(ds)
 
@@ -441,7 +433,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
         raise ValueError("cache is not a sweep of model over data")
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
-    phis, spectrum, m = cache.phis, cache.spectrum, cache.period_map
+    phis, spectrum, m = cache.phis, cache.spectrum, cache.channel.m
     n = len(data)
     if batch is None:
         batch = np.arange(1, n + 1)
@@ -471,7 +463,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     b = _product_operators(phis[batch - 2].conj(),
                            cache.forward_blocks[batch - 1].transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
-    b[batch == 1] = vec(cache.rho0)
+    b[batch == 1] = vec(cache.channel.rho0)
     values = np.einsum("mi,mi->m", a, b @ m.T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]

@@ -576,17 +576,20 @@ def overfit_oracle(records, rho_s0):
 
 
 def joint_trajectory(period_map, rho0, rng, n):
-    """Bases (n, 2, 2) and outcomes (n,) of ``n`` periods: evolve the joint
-    state by the column-stacking 16x16 ``period_map``, measure the reduced
-    system state, then condition S1 on the outcome.  A zero-probability
-    record raises ValueError naming its step."""
+    """Bases (n, 2, 2) and outcomes (n,) of ``n`` periods of a qubit system
+    and a memory of any dimension: evolve the joint state by the
+    column-stacking ``period_map`` (side d**2 for the d x d joint state
+    ``rho0``), measure the reduced system state, then condition the memory
+    on the outcome.  A zero-probability record raises ValueError naming its
+    step."""
     v = np.asarray(rho0, dtype=np.complex128).T.ravel()
+    d = len(rho0)
     bases = np.empty((n, 2, 2), dtype=np.complex128)
     outcomes = np.empty(n, dtype=int)
     for i in range(1, n + 1):
-        rho = (period_map @ v).reshape(4, 4).T
+        rho = (period_map @ v).reshape(d, d).T
         rho = 0.5 * (rho + rho.conj().T)
-        rho4 = rho.reshape(2, 2, 2, 2)
+        rho4 = rho.reshape(2, d // 2, 2, d // 2)
         rec, proj = sample_measurement(np.einsum("sete->st", rho4), rng, step=i)
         bases[i - 1], outcomes[i - 1] = rec.basis, rec.outcome
         phi = rec.basis[:, rec.outcome]
@@ -596,6 +599,13 @@ def joint_trajectory(period_map, rho0, rng, n):
             raise ValueError(f"zero probability at step {i}")
         v = np.kron(proj, 0.5 * (block + block.conj().T) / tr).T.ravel()
     return bases, outcomes
+
+
+def model_channel(model):
+    """The period channel of a model: its superoperator, dimensions, start
+    state and period."""
+    from embedlearn.embedding import PeriodChannel, superoperator_matrix
+    return PeriodChannel(superoperator_matrix(model), model.dims, model.rho0_ser, model.tau)
 
 
 def dump_step_increments(cache, path):
@@ -624,7 +634,7 @@ def forward_states(cache):
     from embedlearn.likelihood import _product_operators
     if cache.forward_blocks is None:
         raise ValueError("forward sweep missing")
-    return np.concatenate((cache.rho0[None],
+    return np.concatenate((cache.channel.rho0[None],
                            _product_operators(cache.phis, cache.forward_blocks[1:])))
 
 
@@ -634,7 +644,7 @@ def backward_effects(cache):
     from embedlearn.likelihood import _dense_effects
     if cache.backward_blocks is None:
         raise ValueError("backward sweep missing")
-    effects, _ = _dense_effects(cache.period_map, cache.phis, cache.backward_blocks[1:])
+    effects, _ = _dense_effects(cache.channel.m, cache.phis, cache.backward_blocks[1:])
     d = effects.shape[1]
     return np.concatenate((effects, np.eye(d, dtype=np.complex128)[None]))
 

@@ -377,8 +377,11 @@ def idle_model(d_er):
 
 def caches_equal(got, want):
     for name in ("forward_blocks", "forward_log_scale", "backward_blocks",
-                 "backward_log_scale", "period_map", "rho0", "phis"):
+                 "backward_log_scale", "phis"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    for name in ("m", "rho0"):
+        assert np.array_equal(getattr(got.channel, name), getattr(want.channel, name)), name
+    assert (got.channel.dims, got.channel.tau) == (want.channel.dims, want.channel.tau)
     assert np.array_equal(got.spectrum.eigenvectors, want.spectrum.eigenvectors)
 
 

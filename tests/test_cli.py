@@ -11,9 +11,9 @@ import pytest
 
 from embedlearn import cli, jsonio
 from embedlearn.cli import load_run_config, main
-from embedlearn.datagen import load_dataset
+from embedlearn.datagen import Dataset, load_dataset, make_records, save_dataset, split_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
-from embedlearn.errors import ConfigError, TomographyError
+from embedlearn.errors import ConfigError, FixedPointError, TomographyError
 from embedlearn.qla import SIGMA_X, SIGMA_Z, DimSpec, kron
 from embedlearn.train import TrainConfig, select_d_er
 
@@ -527,6 +527,32 @@ class TestPredict:
         assert "base64" not in err
         assert file_bytes(out) == before
 
+    def test_failed_scan_fit_writes_no_outputs(self, exact_model_run, tmp_path,
+                                               monkeypatch, capsys):
+        # The first equilibrium is the loaded model's, the second the scan's
+        # fit's; failing the second leaves every output of predict unwritten.
+        _, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        outputs = ("bloch.csv", "choi_error.csv", "error_vs_n.csv")
+        for name in outputs:
+            (out / name).unlink(missing_ok=True)
+        real, calls = cli.equilibrium_er_state, []
+
+        def fail_for_the_scan(gen, dims):
+            calls.append(gen)
+            if len(calls) > 1:
+                raise FixedPointError((1.0, 1.0))
+            return real(gen, dims)
+        monkeypatch.setattr(cli, "equilibrium_er_state", fail_for_the_scan)
+        cfg = write_config(tmp_path / "c.json", {
+            "train": {"candidates": [1], "epochs": 2, "batch_size": 60, "restarts": 1},
+            "predict": {"d_er": 1, "times": [0.0, 1.0], "n_values": [60]}})
+        assert main(["predict", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+        assert len(calls) == 2
+        assert "fixed point not unique" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in outputs)
+
     def test_branch_cut_model_exits_four(self, tmp_path, capsys):
         # Half-period rotation puts a channel eigenvalue on the logarithm's
         # branch cut; the failure must surface as a numerical exit code.
@@ -566,6 +592,48 @@ class TestPredict:
         assert main([command, "--config", cfg, "--out", str(out),
                      "--quiet"]) == 4
         assert "fixed point not unique" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def qutrit_run(tmp_path_factory):
+    """A run directory of a three-level system: datasets of Haar-random
+    3x3 bases and a d_s = 3, d_er = 1 model that selection.csv marks."""
+    out = tmp_path_factory.mktemp("qutrit") / "run"
+    out.mkdir()
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((30, 3, 3)) + 1j * rng.standard_normal((30, 3, 3))
+    bases = np.linalg.qr(g)[0]
+    ds = Dataset(records=make_records(np.arange(1, 31), bases, rng.integers(0, 3, 30)),
+                 tau=1.0, provenance={"seed": 0, "config_hash": "x"})
+    for name, part in zip(("train", "val"), split_dataset(ds, 20)):
+        save_dataset(part, out / f"{name}.jsonl")
+    dims = DimSpec(d_s=3, d_er=1)
+    save_model(make_embedding(dims, 1.0, np.zeros((dims.d_total, dims.d_total)),
+                              np.eye(3) / 3), out / "model_der1.json")
+    (out / "selection.csv").write_text("d_er,val_per_step,selected\n1,-1.0,1\n")
+    return out
+
+
+class TestQubitOnly:
+    @pytest.mark.parametrize("command,file", [
+        ("train", "train.jsonl"), ("validate", "train.jsonl"), ("predict", "model_der1.json"),
+        ("bayes", "model_der1.json"), ("compare", "model_der1.json"),
+    ])
+    def test_non_qubit_run_directory_exits_three(self, qutrit_run, tmp_path, command, file,
+                                                 capsys):
+        out = tmp_path / "run"
+        shutil.copytree(qutrit_run, out)
+        before = file_bytes(out)
+        cfg = write_config(tmp_path / "c.json", {
+            "train": {"candidates": [1], "epochs": 2, "restarts": 1},
+            "bayes": {"iterations": 2, "mc_samples": 2, "n_draws": 2},
+            "compare": {"gate_period": 1, "times": [0, 1, 2]}})
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"{file}: d_s=3;" in err
+        assert "commands take qubit (d_s=2) records and models only" in err
+        assert file_bytes(out) == before
+        assert (out / "resolved_config.json").exists()
 
 
 def _edit_matrix(obj, key, side, change):

@@ -15,9 +15,10 @@ from embedlearn.datagen import (CollisionModelConfig, Dataset, _record_vectors,
                                 load_dataset, make_records,
                                 period_superoperator, save_dataset,
                                 split_dataset, validation_continuation)
+from embedlearn.embedding import make_embedding
 from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import true_model_log_likelihood
-from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expm_unitary,
+from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, dagger, expm_unitary,
                             kron, ptrace, unvec, vec)
 
 import oracles
@@ -288,6 +289,24 @@ class TestProductFormSampler:
         assert np.array_equal(ds.records["basis"], bases)
         assert ds.records["outcome"].tolist() == outcomes.tolist()
 
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_any_memory_matches_joint_oracle(self, monkeypatch, d_er):
+        # The sampler reads every memory size from the channel it samples:
+        # here a random embedding's, its reservoir the memory.
+        rng = np.random.default_rng(60 + d_er)
+        dims = DimSpec(d_s=2, d_er=d_er)
+        a = rng.standard_normal((dims.d_total, dims.d_total)) * (1 + 1j)
+        h = 0.25 * (a + a.conj().T) / np.sqrt(dims.d_total)
+        channel = oracles.model_channel(
+            make_embedding(dims, 1.0, h, random_density(rng, dims.d)))
+        monkeypatch.setattr(datagen, "period_channel", lambda cfg: channel)
+        ds = generate_trajectory(CollisionModelConfig(), 600, d_er)
+        bases, outcomes = oracles.joint_trajectory(
+            channel.m, channel.rho0, seeds.stream(d_er, "trajectory"), 600)
+        assert np.array_equal(ds.records["basis"], bases)
+        assert ds.records["outcome"].tolist() == outcomes.tolist()
+        assert 0 < outcomes.mean() < 1
+
     def test_golden_dataset_bytes(self, tmp_path):
         # sha256 of the files the joint-space simulator wrote for seed 3
         # with 200 training and 100 validation records.
@@ -454,6 +473,15 @@ class TestTrueModelLikelihood:
         ll = true_model_log_likelihood(cfg, ds)
         assert np.isfinite(ll)
         assert ll < 0.0
+
+    def test_dataset_of_another_tau_or_d_s_is_refused(self):
+        ds = generate_trajectory(CollisionModelConfig(), 20, 26)
+        with pytest.raises(DataError, match="data tau=1.0 does not match model tau=2.0"):
+            true_model_log_likelihood(CollisionModelConfig(tau=2.0), ds)
+        qutrit = Dataset(records=make_records([1, 2], np.stack([np.eye(3)] * 2), [0, 2]),
+                         tau=1.0, provenance={})
+        with pytest.raises(DataError, match="data d_s=3 does not match model d_s=2"):
+            true_model_log_likelihood(CollisionModelConfig(), qutrit)
 
     def test_engine_matches_simulator_loop(self):
         cfg = CollisionModelConfig()

@@ -426,7 +426,7 @@ class TestPeriodChannel:
         # A stack of two blocks of three columns each.
         x = rng.standard_normal((2, side, 3)) + 1j * rng.standard_normal((2, side, 3))
         periods = [3, 0, 7, 1, 3]
-        got = PeriodChannel(superoperator_matrix(model)).propagate(x, periods)
+        got = oracles.model_channel(model).propagate(x, periods)
         want = extract_generator(model).propagate(x, model.tau * np.array(periods, float))
         assert got.shape == want.shape == (2, 5, side, 3)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -435,7 +435,7 @@ class TestPeriodChannel:
         rng = np.random.default_rng(43)
         model = random_model(rng)
         x = rng.standard_normal((model.dims.d ** 2, 2)) + 0j
-        out = PeriodChannel(superoperator_matrix(model)).propagate(x, [0, 2, 0.0])
+        out = oracles.model_channel(model).propagate(x, [0, 2, 0.0])
         assert np.array_equal(out[0], x) and np.array_equal(out[2], x)
 
     @pytest.mark.parametrize("periods,match", [
@@ -444,7 +444,8 @@ class TestPeriodChannel:
         ([np.inf], "must be integers"),
     ])
     def test_negative_and_non_integer_counts_rejected(self, periods, match):
-        channel = PeriodChannel(np.eye(4, dtype=np.complex128))
+        channel = PeriodChannel(np.eye(4, dtype=np.complex128), DimSpec(d_s=2, d_er=1),
+                                np.eye(2, dtype=np.complex128) / 2, 1.0)
         with pytest.raises(ValueError, match=f"period counts {match}"):
             channel.propagate(np.ones((4, 1), dtype=np.complex128), periods)
 
