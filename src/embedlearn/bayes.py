@@ -19,14 +19,13 @@ import numpy as np
 
 from . import jsonio, seeds
 from .embedding import (GeneratorSuperoperator, MarkovianEmbedding, equilibrium_er_state,
-                        model_from_dict, model_to_dict, predict_dynamics,
-                        superoperator_matrix)
+                        model_channels, model_from_dict, model_to_dict,
+                        predict_dynamics)
 from .assess import dynamics_maps
 from .errors import (DataError, DivergenceError, FixedPointError, NumericalError,
                      ZeroProbabilityError)
 from .likelihood import build_caches, log_likelihood_gradient
-from .qla import (bloch_vector, herm_eig, kron, logm_principal_stack, spectral_unitary,
-                  trace_norm)
+from .qla import bloch_vector, kron, logm_principal_stack, trace_norm
 from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
                     unpack_hermitian)
 
@@ -214,9 +213,7 @@ def _usable_draws(posterior: VariationalPosterior, n_draws: int,
         tries += size
         thetas = posterior.mean + posterior.std * rng.standard_normal((size, posterior.mean.size))
         models = [base.with_h(unpack_hermitian(theta, dims.d_total)) for theta in thetas]
-        units = spectral_unitary(herm_eig(np.stack([m.h for m in models])), base.tau)
-        ok, log_w, v, v_inv = logm_principal_stack(
-            np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)]))
+        _, log_w, v, v_inv = logm_principal_stack(model_channels(models)[1])
         keep, ers = [], []
         for j in range(len(log_w)):
             try:

@@ -32,10 +32,10 @@ from .bayes import (BayesConfig, bayes_channel_error, fit_posterior,
                     sample_dynamics, save_posterior)
 from .datagen import (CollisionModelConfig, _check_continues, dataset_prefix,
                       exact_controlled_dynamics, exact_reference_dynamics,
-                      generate_trajectory, load_dataset, save_dataset,
+                      generate_trajectory, load_dataset, period_channel, save_dataset,
                       split_dataset, validation_continuation)
-from .embedding import (MAX_D_ER, equilibrium_er_state, extract_generator, load_model,
-                        predict_dynamics, save_model)
+from .embedding import (MAX_D_ER, MAX_PERIODS, equilibrium_er_state, extract_generator,
+                        load_model, predict_dynamics, save_model)
 from .errors import ConfigError, DataError, NumericalError, TomographyError
 from .likelihood import conditional_validation_ll, forward_pass
 from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector, kron,
@@ -126,8 +126,8 @@ class TomoSection:
     k_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_range(1, times=self.times, shots_per_channel=self.shots_per_channel,
-                     k_values=self.k_values)
+        _check_range(1, MAX_PERIODS, times=self.times, k_values=self.k_values)
+        _check_range(1, shots_per_channel=self.shots_per_channel)
         repeated = next((k for i, k in enumerate(self.times) if k in self.times[:i]), None)
         if repeated is not None:
             raise ValueError(f"tomo times must be distinct periods; {repeated} is "
@@ -144,7 +144,7 @@ class CompareSection:
     def __post_init__(self):
         if self.gate.lower() not in _GATES:
             raise ValueError(f"unknown gate '{self.gate}'; choose from {sorted(_GATES)}")
-        _check_range(0, gate_period=self.gate_period, times=self.times)
+        _check_range(0, MAX_PERIODS, gate_period=self.gate_period, times=self.times)
         if self.gate_period not in self.times:
             raise ValueError("gate_period must be on the time grid")
         _check_range(1, MAX_D_ER, d_er=self.d_er)
@@ -163,8 +163,12 @@ class RunConfig:
     def __post_init__(self):
         # seeds.stream takes 32-bit seeds; a wider one would repeat another.
         _check_range(0, 2**32 - 1, seed=self.seed)
-        on_grid = _integer_periods(self.predict.times, self.data.collision.tau)
-        if self.predict.n_values is not None and max(on_grid.values(), default=0) < 1:
+        last = max(_integer_periods(self.predict.times, self.data.collision.tau).values(),
+                   default=0)
+        if last > MAX_PERIODS:
+            raise ValueError(f"predict times on the period grid must be <= {MAX_PERIODS} "
+                             f"periods, got {last}")
+        if self.predict.n_values is not None and last < 1:
             raise ValueError("n_values scan needs at least one positive "
                              "integer-period prediction time")
 
@@ -406,7 +410,9 @@ def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 def _model_start(cm: CollisionModelConfig, gen, dims: DimSpec) -> tuple[np.ndarray, np.ndarray]:
     """The start of a model's predictions, (rho_s0, rho_er0): the system in
     the S marginal of the truth's start state, the reservoir at equilibrium."""
-    return ptrace(cm.rho_ss1_0, [2, 2], [0]), equilibrium_er_state(gen, dims)
+    truth = period_channel(cm)
+    return (ptrace(truth.rho0, [truth.dims.d_s, truth.dims.d_er], [0]),
+            equilibrium_er_state(gen, dims))
 
 
 def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:

@@ -7,6 +7,11 @@ out afterward.  The ancilla dimension ``(d_s*d_er)**2`` makes every
 channel on the joint space reachable, so Hermitian H is the only free
 object and complete positivity holds by construction.
 
+A model's period channel has one construction, :func:`model_channels`,
+which decomposes the H of a stack of models in one call; a single model is
+a stack of one.  The sweeps, the posterior draws and the generator start
+from it.
+
 The continuous-time picture comes from the principal logarithm of the
 period channel; that extraction fails loudly when the logarithm is
 ambiguous (see :func:`embedlearn.qla.logm_principal`).  Its eigensystem is
@@ -26,11 +31,13 @@ from .errors import FixedPointError
 from .qla import (
     CMatrix,
     DimSpec,
+    SpectralDecomposition,
     dagger,
-    expm_unitary,
+    herm_eig,
     hermitianize,
     logm_principal,
     ptrace,
+    spectral_unitary,
     unvec,
     vec,
 )
@@ -38,6 +45,9 @@ from .qla import (
 # The largest reservoir dimension a run accepts.  H is d_total x d_total
 # with d_total = (2 d_er)**3: 4 MiB at d_er = 4, 120 MB at 7, 1 GB at 10.
 MAX_D_ER = 4
+# The largest period count a run asks for: the truth's dynamics and the
+# model's period grid take one superoperator product per period.
+MAX_PERIODS = 10**5
 # Records per batch of transfer matrices: bounds the memory of a sweep or
 # a sampler beyond its output, whatever the record count is.
 CHUNK = 256
@@ -58,10 +68,6 @@ class MarkovianEmbedding:
     tau: float
     h: CMatrix = field(repr=False)
     rho0_ser: CMatrix = field(repr=False)
-
-    def unitary(self) -> CMatrix:
-        """Period unitary exp(-i H tau)."""
-        return expm_unitary(self.h, self.tau)
 
     def with_h(self, h: CMatrix) -> "MarkovianEmbedding":
         return replace(self, h=h)
@@ -180,14 +186,12 @@ def _check_state(rho: CMatrix, side: int, name: str) -> None:
         raise ValueError(f"{name} is not positive semidefinite")
 
 
-def kraus_stack(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
-    """Kraus operators of the period channel, stacked along axis 0.
+def kraus_stack(model: MarkovianEmbedding, u: CMatrix) -> CMatrix:
+    """Kraus operators of the period channel of unitary ``u``, stacked along axis 0.
 
     K_j = (I x <j|_A) U (I x |0>_A); there are d_a of them, each d x d.
     """
     d, d_a = model.dims.d, model.dims.d_a
-    if u is None:
-        u = model.unitary()
     return u.reshape(d, d_a, d, d_a)[:, :, :, 0].transpose(1, 0, 2)
 
 
@@ -198,10 +202,23 @@ def _kraus_superoperator(ks: CMatrix) -> CMatrix:
     return m.reshape(d * d, d * d)
 
 
-def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix | None = None) -> CMatrix:
-    """Column-stacking matrix of the period channel, side (d_s*d_er)**2,
-    built from the Kraus stack (of the period unitary ``u`` if given)."""
+def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix) -> CMatrix:
+    """Column-stacking matrix of the period channel of period unitary
+    ``u``, side (d_s*d_er)**2, built from its Kraus stack."""
     return _kraus_superoperator(kraus_stack(model, u))
+
+
+def model_channels(models: list[MarkovianEmbedding]) -> tuple[SpectralDecomposition, CMatrix]:
+    """The eigensystems of the H of models of one period, from one stacked
+    decomposition, and their period superoperators, both stacked along a
+    leading axis.  LAPACK and BLAS take a stack one matrix at a time, so
+    each entry is bitwise what its model alone gives."""
+    # A stack of one is a view of its H; a copy would add one H to the peak
+    # memory of every one-model sweep.
+    hs = models[0].h[None] if len(models) == 1 else np.stack([m.h for m in models])
+    spectra = herm_eig(hs)
+    units = spectral_unitary(spectra, models[0].tau)
+    return spectra, np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)])
 
 
 def _transfer_basis(m: np.ndarray, dims: DimSpec) -> np.ndarray:
@@ -236,7 +253,7 @@ def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.n
 
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:
     """Generator L = log(channel)/tau via the principal matrix logarithm."""
-    m = superoperator_matrix(model)
+    m = model_channels([model])[1][0]
     return GeneratorSuperoperator(*logm_principal(m), tau=model.tau)
 
 
@@ -302,14 +319,18 @@ def model_to_dict(model: MarkovianEmbedding) -> dict:
 
 
 def model_from_dict(obj: dict) -> MarkovianEmbedding:
-    """Rebuild a model; refuses a d_er above :data:`MAX_D_ER` before any
-    matrix is decoded, and any ancilla other than the |0><0| of dimension
-    (d_s*d_er)**2 it is made with."""
+    """Rebuild a model; refuses a d_er above :data:`MAX_D_ER`, or a d_total
+    above that of a qubit system with it, before any matrix is decoded, and
+    any ancilla other than the |0><0| of dimension (d_s*d_er)**2 it is made
+    with."""
     spec = obj["dims"]
     d_s, d_er, d_a = (jsonio.ensure_int(spec[k], f"dims.{k}") for k in ("d_s", "d_er", "d_a"))
     if d_er > MAX_D_ER:
         raise ValueError(f"dims.d_er must be <= {MAX_D_ER}, got {d_er}")
     dims = DimSpec(d_s=d_s, d_er=d_er)
+    if dims.d_total > (2 * MAX_D_ER) ** 3:
+        raise ValueError(f"dims.d_total = (d_s*d_er)**3 must be <= {(2 * MAX_D_ER) ** 3}, "
+                         f"got {dims.d_total}")
     if d_a != dims.d_a:
         raise ValueError(f"d_a must equal (d_s*d_er)**2 = {dims.d_a}, got {d_a}")
     tau = jsonio.ensure_number(obj["tau"], "tau")

@@ -45,9 +45,9 @@ import numpy as np
 from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
                       period_channel)
 from .embedding import (CHUNK, MarkovianEmbedding, PeriodChannel, _transfer_basis,
-                        _transfers, kraus_stack, superoperator_matrix)
+                        _transfers, kraus_stack, model_channels)
 from .errors import DataError, ZeroProbabilityError
-from .qla import CMatrix, SpectralDecomposition, herm_eig, spectral_unitary, unvec, vec
+from .qla import CMatrix, SpectralDecomposition, spectral_unitary, unvec, vec
 
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
@@ -129,13 +129,15 @@ def _new_cache(channel: PeriodChannel, data: Dataset, model: MarkovianEmbedding 
                             spectrum=spectrum, channel=channel)
 
 
-def _model_cache(model: MarkovianEmbedding, data: Dataset,
-                 phis: np.ndarray | None = None) -> PropagationCache:
-    """A new cache of ``model`` over ``data``, its channel built from H."""
-    spectrum = herm_eig(model.h)
-    m = superoperator_matrix(model, spectral_unitary(spectrum, model.tau))
-    channel = PeriodChannel(m, model.dims, model.rho0_ser, model.tau)
-    return _new_cache(channel, data, model, spectrum, phis)
+def _model_caches(models: list[MarkovianEmbedding], data: Dataset) -> list[PropagationCache]:
+    """New caches of ``models`` over ``data``, their channels built as one stack."""
+    spectra, ms = model_channels(models)
+    caches = []
+    for model, w, v, m in zip(models, spectra.eigenvalues, spectra.eigenvectors, ms):
+        channel = PeriodChannel(m, model.dims, model.rho0_ser, model.tau)
+        caches.append(_new_cache(channel, data, model, SpectralDecomposition(w, v),
+                                 caches[0].phis if caches else None))
+    return caches
 
 
 def _projector_vectors(channel: PeriodChannel, data: Dataset) -> np.ndarray:
@@ -238,28 +240,19 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     from beta_n = I under the dual channel M^+ over the records in reverse
     order, and the norm of the joint effect at time 0 closes it.  All
     forward lanes run first, then all backward lanes; a cache whose first
-    record has zero probability gets no lanes.  Blocks and running logs are
-    written into the caches, straight into the block arrays when there is
-    one lane.  Returns per cache the index of its first record of zero
-    probability, or -1; such a cache holds no meaningful sweep.
+    record has zero probability gets no lanes.  The caches' blocks and
+    running logs are views of rows of two arrays, which the loop writes.
+    Returns per cache the index of its first record of zero probability,
+    or -1; such a cache holds no meaningful sweep.
     """
     n, dims = len(caches[0].phis), caches[0].channel.dims
     d_s, d_er = dims.d_s, dims.d_er
-    for cache in caches:
-        if forward:
-            cache.forward_blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
-            cache.forward_log_scale = np.zeros(n + 1)
-        if backward:
-            cache.backward_blocks = np.full((n + 1, d_er, d_er), np.nan, dtype=np.complex128)
-            cache.backward_log_scale = np.zeros(n + 1)
     bad = [-1] * len(caches)
-    if n == 0:
-        return bad
-    # Per lane: cache index, transfer basis, record vectors, start log, the
-    # start block followed by the blocks the lane writes, and the running
-    # logs of those blocks; a backward lane's views run from time n to 1.
+    # Per lane: cache index, direction (True forward), transfer basis,
+    # record vectors, start log and start block; a backward lane's record
+    # vectors run from time n to 1.
     lanes = []
-    for c, cache in enumerate(caches if forward else []):
+    for c, cache in enumerate(caches if forward and n else []):
         evolved = unvec(cache.channel.m @ vec(cache.channel.rho0))
         first = np.einsum("s,setf,t->ef", cache.phis[0].conj(),
                           evolved.reshape(d_s, d_er, d_s, d_er), cache.phis[0])
@@ -267,34 +260,41 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
         if p <= 0.0:
             bad[c] = 0
             continue
-        cache.forward_blocks[1] = first / p
-        lanes.append((c, _transfer_basis(cache.channel.m, dims), cache.phis, np.log(p),
-                      cache.forward_blocks[1:], cache.forward_log_scale[1:]))
-    n_forward = len(lanes)
-    for c, cache in enumerate(caches if backward else []):
+        lanes.append((c, True, _transfer_basis(cache.channel.m, dims), cache.phis,
+                      np.log(p), first / p))
+    for c, cache in enumerate(caches if backward and n else []):
         if bad[c] < 0:
-            cache.backward_blocks[n] = np.eye(d_er)
-            lanes.append((c, _transfer_basis(cache.channel.m.conj().T, dims), cache.phis[::-1],
-                          0.0, cache.backward_blocks[:0:-1], cache.backward_log_scale[:0:-1]))
+            lanes.append((c, False, _transfer_basis(cache.channel.m.conj().T, dims),
+                          cache.phis[::-1], 0.0, np.eye(d_er)))
+    # Row s holds lane s's start block at 1 and the blocks it writes at
+    # 2..n, and their running logs.  A forward cache reads its rows from 0
+    # up, a backward one from n + 1 down, so entry 0 of both block arrays is
+    # NaN.  A direction that runs no lane reads rows after the lanes' rows.
+    running = [lane[:2] for lane in lanes]
+    idle = [(c, fwd) for fwd, on in ((True, forward), (False, backward)) if on
+            for c in range(len(caches)) if (c, fwd) not in running]
+    rows = np.full((len(running) + len(idle), n + 2, d_er * d_er), np.nan, dtype=np.complex128)
+    scales = np.zeros(rows.shape[:2])
+    for row, scale, (c, fwd) in zip(rows, scales, running + idle):
+        if fwd:
+            caches[c].forward_blocks = row[:n + 1].reshape(n + 1, d_er, d_er)
+            caches[c].forward_log_scale = scale[:n + 1]
+        else:
+            caches[c].backward_blocks = row[:0:-1].reshape(n + 1, d_er, d_er)
+            caches[c].backward_log_scale = scale[:0:-1]
     if not lanes:
         return bad
-    owner, basis, phis, log0, blocks, scales = zip(*lanes)
-    blocks = [b.reshape(n, d_er * d_er) for b in blocks]
-    if len(lanes) == 1:
-        out = blocks[0][None, 1:]
-    else:
-        out = np.empty((len(lanes), n - 1, d_er * d_er), dtype=np.complex128)
-    logs, dead = _filter(basis, np.stack([b[0] for b in blocks]), np.array(log0), phis, out)
+    owner, ahead, basis, phis, log0, start = zip(*lanes)
+    rows[:len(lanes), 1] = np.reshape(start, (len(lanes), -1))
+    logs, dead = _filter(basis, rows[:len(lanes), 1].copy(), np.array(log0), phis,
+                         rows[:len(lanes), 2:n + 1])
+    scales[:len(lanes), 1:n + 1] = logs
     for s, c in enumerate(owner):
+        cache = caches[c]
         if dead[s] >= 0:
             if bad[c] < 0:
-                bad[c] = dead[s] + 1 if s < n_forward else n - 1 - dead[s]
-            continue
-        if len(lanes) > 1:
-            blocks[s][1:] = out[s]
-        scales[s][...] = logs[s]
-        if s >= n_forward:
-            cache = caches[c]
+                bad[c] = dead[s] + 1 if ahead[s] else n - 1 - dead[s]
+        elif not ahead[s]:
             _, norm = _dense_effects(cache.channel.m, cache.phis[:1], cache.backward_blocks[1:2])
             if norm[0] <= 0.0:
                 bad[c] = 0
@@ -304,12 +304,12 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
 
 
 def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache | None,
-               forward: bool) -> PropagationCache:
-    """One sweep of ``model`` over ``data`` into ``cache`` if it holds that
+               forward: bool, backward: bool) -> PropagationCache:
+    """The sweeps of ``model`` over ``data`` into ``cache`` if it holds that
     pair, else into a new cache; raises on a zero-probability record."""
     if cache is None or cache.model is not model or cache.data is not data:
-        cache = _model_cache(model, data)
-    _raise_zero_probability(_sweep([cache], forward, not forward), data)
+        cache = _model_caches([model], data)[0]
+    _raise_zero_probability(_sweep([cache], forward, backward), data)
     return cache
 
 
@@ -321,7 +321,7 @@ def _raise_zero_probability(bad: list[int], data: Dataset) -> None:
 def forward_pass(model: MarkovianEmbedding, data: Dataset,
                  cache: PropagationCache | None = None) -> PropagationCache:
     """Trace-normalized filtering sweep; raises on a zero-probability step."""
-    return _one_sweep(model, data, cache, forward=True)
+    return _one_sweep(model, data, cache, forward=True, backward=False)
 
 
 def backward_pass(model: MarkovianEmbedding, data: Dataset,
@@ -330,24 +330,24 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset,
     the dual channel M^+ over the records in reverse order, since
     beta_i = T_i^+ beta_{i+1} and T_i^+ is the transfer of M^+ from record
     i+1 to record i."""
-    return _one_sweep(model, data, cache, forward=False)
+    return _one_sweep(model, data, cache, forward=False, backward=True)
 
 
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
-    """Both sweeps in one cache, the forward sweep first."""
-    return backward_pass(model, data, forward_pass(model, data))
+    """Both sweeps in one cache, as two lanes of one :func:`_filter` loop;
+    raises on a zero-probability record, the forward sweep's first."""
+    return _one_sweep(model, data, None, forward=True, backward=True)
 
 
 def build_caches(models: list[MarkovianEmbedding], data: Dataset
                  ) -> list[PropagationCache | None]:
     """:func:`build_cache` of several models with the same dimensions over
-    one dataset.  The forward sweeps and the dual-channel backward sweeps
-    of all models run as the lanes of one :func:`_filter` loop, so each
-    cache is bitwise the one :func:`build_cache` gives.  A model under
-    which some record has zero probability gets None in place of a cache;
-    the others are unaffected."""
-    caches = [_model_cache(models[0], data)]
-    caches += [_model_cache(model, data, caches[0].phis) for model in models[1:]]
+    one dataset: their channels are built as one stack, and their forward
+    and dual-channel backward sweeps run as the lanes of one :func:`_filter`
+    loop, so each cache is bitwise the one :func:`build_cache` gives.  A
+    model under which some record has zero probability gets None in place
+    of a cache; the others are unaffected."""
+    caches = _model_caches(models, data)
     bad = _sweep(caches, forward=True, backward=True)
     return [None if b >= 0 else cache for cache, b in zip(caches, bad)]
 

@@ -32,7 +32,13 @@ Monte-Carlo objective, posterior entry statistics, the overfitted
 n-step environment behind the README's overfitting claim) live here too,
 as does :func:`kraus_stack_eigh`, the Kraus operators through an ``eigh``
 of the ancilla state |0><0|, a phase fix and a one-hot contraction: the
-bitwise reference of the library's slice of U at the |0> column.
+bitwise reference of the library's slice of U at the |0> column.  The
+one-model channel route (:func:`model_superoperator`,
+:func:`extract_generator_serial`, :func:`build_cache_serial`), the bitwise
+reference of the library's stacked construction, runs on its
+``expm_unitary``, ``superoperator_matrix``, ``logm_principal`` and
+one-lane sweeps; :func:`exact_embedding`, the model whose channel is the
+truth's, builds it from the library's ``period_superoperator`` with scipy.
 """
 from __future__ import annotations
 
@@ -601,11 +607,88 @@ def joint_trajectory(period_map, rho0, rng, n):
     return bases, outcomes
 
 
+def model_superoperator(model):
+    """A model's period superoperator by the one-model sequence: the period
+    unitary ``expm_unitary`` of H alone, then ``superoperator_matrix``; the
+    bitwise reference of the stacked ``model_channels``."""
+    from embedlearn.embedding import superoperator_matrix
+    from embedlearn.qla import expm_unitary
+    return superoperator_matrix(model, expm_unitary(model.h, model.tau))
+
+
+def extract_generator_serial(model):
+    """A model's generator by :func:`model_superoperator` and the raising
+    ``logm_principal``: the bitwise reference of ``extract_generator``."""
+    from embedlearn.embedding import GeneratorSuperoperator
+    from embedlearn.qla import logm_principal
+    return GeneratorSuperoperator(*logm_principal(model_superoperator(model)), tau=model.tau)
+
+
 def model_channel(model):
-    """The period channel of a model: its superoperator, dimensions, start
-    state and period."""
-    from embedlearn.embedding import PeriodChannel, superoperator_matrix
-    return PeriodChannel(superoperator_matrix(model), model.dims, model.rho0_ser, model.tau)
+    """The period channel of a model, by :func:`model_superoperator`: its
+    superoperator, dimensions, start state and period."""
+    from embedlearn.embedding import PeriodChannel
+    return PeriodChannel(model_superoperator(model), model.dims, model.rho0_ser, model.tau)
+
+
+def build_cache_serial(model, data):
+    """Both sweeps of one model over ``data`` as two one-lane sweeps, the
+    forward one first, into a cache whose channel is :func:`model_channel`
+    and whose eigensystem is ``herm_eig`` of H alone: the bitwise reference
+    of ``build_cache`` and of each cache of ``build_caches``."""
+    from embedlearn.likelihood import _new_cache, backward_pass, forward_pass
+    from embedlearn.qla import herm_eig
+    cache = _new_cache(model_channel(model), data, model, herm_eig(model.h))
+    return backward_pass(model, data, forward_pass(model, data, cache))
+
+
+def exact_embedding(cfg, d_er):
+    """An embedding whose period channel is the truth's
+    ``datagen.period_superoperator`` of ``cfg``, for d_er = 2 or 3.
+
+    The Kraus operators come from the eigensystem of the channel's Choi
+    matrix.  They form the isometry into the ancilla's |0> column, in
+    ``kraus_stack``'s index order K_j[x, y] = U[x d_a + j, y d_a]; the
+    other columns of U are an orthonormal basis of the complement, and
+    H = i log(U) / tau through a complex Schur form of U.  At d_er = 3 the
+    memory gains a decoupled third level: K'_0 = K_0 + I on S x |2> and
+    every other K'_j = K_j + 0.  The start state is ``rho_ss1_0`` on the
+    first two memory levels.
+    """
+    import scipy.linalg
+
+    from embedlearn.datagen import period_superoperator
+    from embedlearn.embedding import make_embedding
+    from embedlearn.qla import DimSpec
+    if d_er not in (2, 3):
+        raise ValueError(f"d_er must be 2 or 3, got {d_er}")
+    dims = DimSpec(d_s=2, d_er=d_er)
+    d, d_a = dims.d, dims.d_a
+    m = period_superoperator(cfg)
+    # Choi matrix J[(r, p), (s, q)] = Phi(|r><s|)[p, q] = m[q*4 + p, s*4 + r].
+    choi = m.reshape(4, 4, 4, 4).transpose(3, 1, 2, 0).reshape(16, 16)
+    lam, vecs = scipy.linalg.eigh(0.5 * (choi + choi.conj().T))
+    order = np.argsort(-lam)
+    # K_k[p, r] = sqrt(lam_k) v_k[r*4 + p], the largest eigenvalue first.
+    small = (np.sqrt(np.clip(lam[order], 0.0, None))[:, None, None]
+             * vecs[:, order].T.reshape(16, 4, 4).transpose(0, 2, 1))
+    # Joint index s*d_er + r; the truth's memory levels are r = 0, 1.
+    sel = np.array([s * d_er + r for s in range(2) for r in range(2)])
+    ks = np.zeros((d_a, d, d), dtype=np.complex128)
+    ks[:16, sel[:, None], sel[None, :]] = small
+    for s in range(2):
+        ks[0, s * d_er + 2:(s + 1) * d_er, s * d_er + 2:(s + 1) * d_er] = np.eye(d_er - 2)
+    total = d * d_a
+    u = np.zeros((total, total), dtype=np.complex128)
+    first = np.arange(d) * d_a
+    u[:, first] = ks.transpose(1, 0, 2).reshape(total, d)
+    u[:, np.setdiff1d(np.arange(total), first)] = scipy.linalg.null_space(
+        u[:, first].conj().T)
+    t, z = scipy.linalg.schur(u, output="complex")
+    h = (z * (1j * np.log(np.diag(t)))) @ z.conj().T / cfg.tau
+    rho0 = np.zeros((d, d), dtype=np.complex128)
+    rho0[sel[:, None], sel[None, :]] = cfg.rho_ss1_0
+    return make_embedding(dims, cfg.tau, 0.5 * (h + h.conj().T), rho0)
 
 
 def dump_step_increments(cache, path):
@@ -954,10 +1037,10 @@ def fit_posterior_serial(model, data, cfg):
 def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
     """Yield (model, generator, equilibrium reservoir state) for usable
     draws, one attempt at a time through :func:`sample_model`,
-    ``extract_generator`` and ``equilibrium_er_state``; rejected attempts
+    :func:`extract_generator_serial` and ``equilibrium_er_state``; rejected attempts
     are resampled, at most ten attempts per requested draw.  ``outcomes``,
     if a list, receives True or False per attempt."""
-    from embedlearn.embedding import equilibrium_er_state, extract_generator
+    from embedlearn.embedding import equilibrium_er_state
     from embedlearn.errors import (BranchCutError, FixedPointError, IllConditionedError,
                                    NumericalError)
     dims = posterior.base.dims
@@ -970,7 +1053,7 @@ def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
         tries += 1
         m = sample_model(posterior, rng)
         try:
-            gen = extract_generator(m)
+            gen = extract_generator_serial(m)
             er = equilibrium_er_state(gen, dims)
         except (BranchCutError, IllConditionedError, FixedPointError):
             if outcomes is not None:

@@ -6,7 +6,7 @@ import pytest
 
 from embedlearn.assess import dynamics_maps
 from embedlearn.bayes import (DRAW_BLOCK, BayesConfig, PosteriorDynamics,
-                              VariationalPosterior, bayes_channel_error,
+                              VariationalPosterior, _usable_draws, bayes_channel_error,
                               fit_gaussian_posterior, fit_posterior,
                               load_posterior, posterior_from_dict,
                               posterior_to_dict, sample_dynamics,
@@ -291,6 +291,19 @@ class TestSampleDynamics:
             assert np.array_equal(dyn.states[i], np.stack(want))
             maps = dynamics_maps(gen, dims, er, times)
             assert np.array_equal(dyn.maps[i], maps)
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_draw_factors_match_one_draw_at_a_time(self, d_er):
+        post = spread_posterior(d_er)
+        n_draws = DRAW_BLOCK + 2
+        got = [(gen, ers, j) for gen, ers in _usable_draws(post, n_draws, np.random.default_rng(5))
+               for j in range(len(ers))]
+        want = list(oracles.usable_draws_serial(post, n_draws, np.random.default_rng(5)))
+        assert len(got) == len(want) == n_draws
+        for (gen, ers, j), (_, want_gen, want_er) in zip(got, want):
+            for name in ("log_eigenvalues", "eigenvectors", "inverse"):
+                assert getattr(gen, name)[j].tobytes() == getattr(want_gen, name).tobytes()
+            assert ers[j].tobytes() == want_er.tobytes()
 
     def test_too_few_draws_rejected(self):
         post = degenerate_posterior(unitary_system_model())

@@ -291,6 +291,32 @@ class TestCheckedBeforeAnyWork:
                      "--quiet"]) == 2
         assert "candidates must be >= 1 and <= 4, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,raw", [
+        ("tomo", {"times": [1, cli.MAX_PERIODS + 1]}),
+        ("tomo", {"k_values": [2, cli.MAX_PERIODS + 1]}),
+        ("compare", {"times": [0, 2, cli.MAX_PERIODS + 1], "gate_period": 2}),
+        ("compare", {"times": [0, 2], "gate_period": cli.MAX_PERIODS + 1}),
+        ("predict", {"times": [0.0, cli.MAX_PERIODS + 1.0]}),
+    ])
+    def test_period_count_beyond_largest_exits_two(self, tmp_path, command, raw, capsys):
+        # Each period costs one superoperator product, so a count bounds the
+        # run time; one beyond the largest is refused before any work.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", {command: raw})
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"<= {cli.MAX_PERIODS}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+    def test_largest_period_count_is_accepted(self):
+        resolved = load_run_config(None, None)
+        big = cli.MAX_PERIODS
+        resolved["tomo"].update(times=[1, big], k_values=[big])
+        resolved["compare"].update(times=[0, big], gate_period=big)
+        resolved["predict"]["times"] = [0.0, float(big)]
+        cfg = cli.build_config(cli.RunConfig, resolved)
+        assert (cfg.tomo.k_values, cfg.compare.gate_period, cfg.predict.times[-1]) == (
+            (big,), big, big)
+
     def test_largest_d_er_is_accepted(self):
         resolved = load_run_config(None, None)
         resolved["train"]["candidates"] = [1, cli.MAX_D_ER]
@@ -525,6 +551,28 @@ class TestPredict:
         assert err.startswith("error: ")
         assert all(name in err for name in names)
         assert "base64" not in err
+        assert file_bytes(out) == before
+
+    def test_oversize_model_file_exits_three_before_decoding(self, exact_model_run, tmp_path,
+                                                             capsys):
+        # d_s = 3 with the largest d_er is d_total = 1728, a 48 MB H, above
+        # the 512 of a qubit with that d_er.  H is not base64, so an error
+        # naming it would mean the file was decoded.
+        _, src = exact_model_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        big = {"dims": {"d_s": 3, "d_er": cli.MAX_D_ER, "d_a": (3 * cli.MAX_D_ER) ** 2},
+               "tau": 1.0, "h": "*", "rho0_ser": "*", "rho_a": "*"}
+        path = out / f"model_der{cli.MAX_D_ER}.json"
+        path.write_text(json.dumps(big))
+        with pytest.raises(ValueError, match=r"d_total .* must be <= 512, got 1728"):
+            load_model(path)
+        before = file_bytes(out)
+        cfg = write_config(tmp_path / "c.json", {})
+        assert main(["validate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad model file {path}")
+        assert "must be <= 512, got 1728" in err and "base64" not in err
         assert file_bytes(out) == before
 
     def test_failed_scan_fit_writes_no_outputs(self, exact_model_run, tmp_path,

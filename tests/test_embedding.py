@@ -121,12 +121,12 @@ class TestModelConstruction:
         # Slicing U at the |0> ancilla column is bitwise the contraction of
         # U against the eigh-derived, phase-fixed ancilla vector.
         model = init_model(DimSpec(d_s=2, d_er=d_er), 1.0, np.random.default_rng(0))
-        u = model.unitary()
+        u = expm_unitary(model.h, model.tau)
         want = oracles.kraus_stack_eigh(model, u)
         got = kraus_stack(model, u)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-        assert superoperator_matrix(model).tobytes() == _kraus_superoperator(want).tobytes()
+        assert superoperator_matrix(model, u).tobytes() == _kraus_superoperator(want).tobytes()
 
 
 class TestApplyChannel:
@@ -150,7 +150,7 @@ class TestApplyChannel:
         for _ in range(3):
             model = random_model(rng)
             d, d_a = model.dims.d, model.dims.d_a
-            u = model.unitary()
+            u = expm_unitary(model.h, model.tau)
             # Kraus slices read straight off U against the |0> ancilla column.
             kraus = [np.array([[u[x * d_a + j, y * d_a] for y in range(d)]
                                for x in range(d)]) for j in range(d_a)]
@@ -204,13 +204,14 @@ class TestSuperoperatorMatrix:
         dims = DimSpec(d_s=2, d_er=1)
         model = make_embedding(dims, 1.0, np.zeros((dims.d_total, dims.d_total)),
                                np.eye(2) / 2)
-        assert np.max(np.abs(superoperator_matrix(model) - np.eye(4))) < 1e-12
+        m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
+        assert np.max(np.abs(m - np.eye(4))) < 1e-12
 
     def test_agrees_with_channel_on_matrix_units(self):
         rng = np.random.default_rng(9)
         model = random_model(rng)
         d = model.dims.d
-        m = superoperator_matrix(model)
+        m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
         for i in range(d):
             for j in range(d):
                 unit = np.zeros((d, d), dtype=np.complex128)
@@ -224,12 +225,13 @@ class TestSuperoperatorMatrix:
         model = random_model(rng)
         d = model.dims.d
         ident = vec(np.eye(d, dtype=np.complex128))
-        assert np.max(np.abs(ident @ superoperator_matrix(model) - ident)) < 1e-12
+        m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
+        assert np.max(np.abs(ident @ m - ident)) < 1e-12
 
     def test_kraus_stack_shape(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, d_er=1)
-        ks = kraus_stack(model)
+        ks = kraus_stack(model, expm_unitary(model.h, model.tau))
         assert ks.shape == (model.dims.d_a, model.dims.d, model.dims.d)
         total = sum(dagger(k) @ k for k in ks)
         assert np.max(np.abs(total - np.eye(model.dims.d))) < 1e-12
@@ -255,7 +257,7 @@ class TestExtractGenerator:
         rng = np.random.default_rng(13)
         for _ in range(3):
             model = random_model(rng)
-            m = superoperator_matrix(model)
+            m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
             gen = extract_generator(model)
             back = scipy.linalg.expm(model.tau * gen.matrix)
             assert np.linalg.norm(back - m) / np.linalg.norm(m) < 1e-8

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from embedlearn.assess import choi_from_superop
 from embedlearn.embedding import extract_generator, superoperator_matrix
-from embedlearn.qla import vec
+from embedlearn.qla import expm_unitary, vec
 from embedlearn.train import pack_hermitian, unpack_hermitian
 
 from test_likelihood import random_model
@@ -31,7 +31,7 @@ def model_for(d_er, seed, scale):
 def test_period_channel_is_cptp(d_er, seed, scale):
     model = model_for(d_er, seed, scale)
     d = model.dims.d
-    m = superoperator_matrix(model)
+    m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
     choi = d * choi_from_superop(m, d)
     assert np.linalg.eigvalsh(choi).min() >= -1e-10
     ident = vec(np.eye(d, dtype=np.complex128))
@@ -44,7 +44,7 @@ def test_flow_at_whole_periods_is_channel_power(d_er, seed, scale):
     # Scales up to 1 keep every channel eigenvalue off the logarithm's
     # branch cut; larger ones are where extraction is meant to refuse.
     model = model_for(d_er, seed, scale)
-    m = superoperator_matrix(model)
+    m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
     flow = extract_generator(model).propagate(np.eye(m.shape[0], dtype=np.complex128),
                                               model.tau * np.arange(1, 6))
     for k in range(1, 6):

@@ -9,11 +9,12 @@ import pytest
 from embedlearn.datagen import Dataset, make_records
 from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import (PropagationCache, backward_pass,
-                                   build_cache, conditional_validation_ll,
+                                   build_cache, build_caches, conditional_validation_ll,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
-from embedlearn.embedding import make_embedding, superoperator_matrix
-from embedlearn.qla import DimSpec, dagger, expm_unitary, kron
+from embedlearn.embedding import (extract_generator, make_embedding, model_channels,
+                                  superoperator_matrix)
+from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 
 import oracles
 from oracles import (backward_effects, dump_step_increments, forward_states,
@@ -346,7 +347,7 @@ def hermitian_gradient_vector(g, d):
 
 def dense_oracle_sweeps(model, ds):
     """Joint-space forward states and logs, backward effects and logs."""
-    m = superoperator_matrix(model)
+    m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
     phis = oracles.record_vectors_serial(ds.records)
     states, flogs = oracles.dense_forward_sweep(m, model.rho0_ser, phis)
     effects, blogs = oracles.dense_backward_sweep(m, phis, model.dims.d)
@@ -648,15 +649,17 @@ class TestCacheReuse:
     """One eigendecomposition of H and one period map per (model, data) pair."""
 
     def _counted(self, monkeypatch):
+        import embedlearn.embedding as em
         import embedlearn.likelihood as lk
-        calls = {"herm_eig": 0, "superoperator_matrix": 0, "backward_pass": 0}
-        for name in calls:
-            fn = getattr(lk, name)
+        calls = {}
+        for mod, name in ((em, "herm_eig"), (em, "superoperator_matrix"), (lk, "_filter")):
+            fn = getattr(mod, name)
+            calls[name] = 0
 
             def counting(*args, _fn=fn, _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(lk, name, counting)
+            monkeypatch.setattr(mod, name, counting)
         return calls
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
@@ -669,7 +672,16 @@ class TestCacheReuse:
         cache = build_cache(model, tr)
         log_likelihood_gradient(model, tr, cache, [3, 7, 30])
         conditional_validation_ll(model, tr, va, cache)
-        assert calls == {"herm_eig": 1, "superoperator_matrix": 1, "backward_pass": 1}
+        # Both sweeps of build_cache are lanes of one loop; validation runs one more.
+        assert calls == {"herm_eig": 1, "superoperator_matrix": 1, "_filter": 2}
+
+    def test_build_caches_decomposes_every_model_in_one_call(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        models = [random_model(rng) for _ in range(3)]
+        ds = make_dataset(random_records(rng, 20))
+        calls = self._counted(monkeypatch)
+        build_caches(models, ds)
+        assert calls == {"herm_eig": 1, "superoperator_matrix": 3, "_filter": 1}
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_reuse_is_bitwise_equal_to_recomputing(self, d_er):
@@ -732,3 +744,88 @@ class TestCacheReuse:
         assert np.array_equal(cache.backward_log_scale, separate.backward_log_scale)
         assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
         assert abs(cache.merged_log_likelihood(7) - cache.log_likelihood()) < 1e-10
+
+
+class TestStackedChannels:
+    """The stacked channel construction and the two-lane build_cache,
+    bitwise against one model, one decomposition and one sweep at a time."""
+
+    SWEEP_FIELDS = ("forward_blocks", "forward_log_scale", "backward_blocks",
+                    "backward_log_scale")
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_model_channels_match_one_model_at_a_time(self, d_er, count):
+        rng = np.random.default_rng(90 + d_er)
+        models = [random_model(rng, d_er=d_er) for _ in range(count)]
+        spectra, ms = model_channels(models)
+        for j, model in enumerate(models):
+            want = herm_eig(model.h)
+            assert spectra.eigenvalues[j].tobytes() == want.eigenvalues.tobytes()
+            assert spectra.eigenvectors[j].tobytes() == want.eigenvectors.tobytes()
+            assert ms[j].tobytes() == oracles.model_superoperator(model).tobytes()
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_generator_factors_match_one_model_route(self, d_er):
+        model = random_model(np.random.default_rng(95 + d_er), d_er=d_er, scale=0.3)
+        got, want = extract_generator(model), oracles.extract_generator_serial(model)
+        for name in ("log_eigenvalues", "eigenvectors", "inverse"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.tau == want.tau
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_build_cache_is_two_one_lane_sweeps(self, d_er):
+        rng = np.random.default_rng(100 + d_er)
+        model = random_model(rng, d_er=d_er)
+        ds = make_dataset(random_records(rng, 300))
+        got, want = build_cache(model, ds), backward_pass(model, ds, forward_pass(model, ds))
+        for name in self.SWEEP_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_build_caches_and_gradients_match_serial_caches(self, d_er):
+        rng = np.random.default_rng(110 + d_er)
+        models = [random_model(rng, d_er=d_er) for _ in range(3)]
+        ds = make_dataset(random_records(rng, 200))
+        for model, cache in zip(models, build_caches(models, ds)):
+            want = oracles.build_cache_serial(model, ds)
+            for name in self.SWEEP_FIELDS:
+                assert getattr(cache, name).tobytes() == getattr(want, name).tobytes(), name
+            for batch in (None, [1, 17, 200]):
+                got = log_likelihood_gradient(model, ds, cache, batch)
+                assert got.tobytes() == log_likelihood_gradient(model, ds, want, batch).tobytes()
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    @pytest.mark.parametrize("outcomes, step", [([1, 0, 0], 1), ([0, 0, 1, 1, 0], 3)])
+    def test_build_cache_raises_at_the_forward_sweeps_step(self, d_er, outcomes, step):
+        # H = 0 keeps every record: a change of outcome has zero probability.
+        dims = DimSpec(d_s=2, d_er=d_er)
+        rho0 = kron(np.diag([1.0, 0.0]), np.eye(d_er) / d_er)
+        model = make_embedding(dims, 1.0, np.zeros((dims.d_total, dims.d_total)), rho0)
+        ds = make_dataset(basis_records(np.eye(2), outcomes * 20))
+        with pytest.raises(ZeroProbabilityError) as want:
+            forward_pass(model, ds)
+        with pytest.raises(ZeroProbabilityError) as got:
+            build_cache(model, ds)
+        assert got.value.step == want.value.step == step
+
+
+class TestExactEmbedding:
+    """The embedding built from the truth's period channel reproduces it and
+    its record likelihood."""
+
+    def test_superoperator_is_the_truths(self):
+        from embedlearn.datagen import CollisionModelConfig, period_superoperator
+        cfg = CollisionModelConfig()
+        model = oracles.exact_embedding(cfg, 2)
+        m = superoperator_matrix(model, expm_unitary(model.h, model.tau))
+        assert np.max(np.abs(m - period_superoperator(cfg))) <= 1e-13
+
+    @pytest.mark.parametrize("d_er", [2, 3])
+    def test_log_likelihood_is_the_truths(self, d_er):
+        from embedlearn.datagen import CollisionModelConfig, generate_trajectory
+        from embedlearn.likelihood import true_model_log_likelihood
+        cfg = CollisionModelConfig()
+        ds = generate_trajectory(cfg, 2000, 7)
+        per_step = log_likelihood(oracles.exact_embedding(cfg, d_er), ds) / len(ds)
+        assert abs(per_step - true_model_log_likelihood(cfg, ds)) <= 1e-12
