@@ -327,12 +327,17 @@ def _load_model(path: Path):
     return model
 
 
-def _load_model_for(out: Path, d_er: int | None):
-    """The saved model of ``d_er``, or of the one 'train' selected if None."""
+def _load_model_for(out: Path, d_er: int | None, tau: float | None = None):
+    """The saved model of ``d_er``, or of the one 'train' selected if None;
+    given the configured period ``tau``, a model of another period is
+    refused, as the likelihood refuses records of another period."""
     p = _model_path(out, _selected_d_er(out) if d_er is None else d_er)
     if not p.exists():
         raise DataError(f"missing model file {p}; run 'train' first")
-    return _load_model(p)
+    model = _load_model(p)
+    if tau is not None and not abs(model.tau - tau) <= 1e-12:
+        raise DataError(f"{p}: model tau={model.tau} does not match data tau={tau}")
+    return model
 
 
 def _integer_periods(times, tau: float) -> dict[int, int]:
@@ -417,7 +422,7 @@ def _model_start(cm: CollisionModelConfig, gen, dims: DimSpec) -> tuple[np.ndarr
 
 def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
     p, cm = cfg.predict, cfg.data.collision
-    model = _load_model_for(out, p.d_er)
+    model = _load_model_for(out, p.d_er, cm.tau)
     gen = extract_generator(model)
     dims, times = model.dims, p.times
     # Every n_values entry is checked against the datasets before any output.
@@ -572,7 +577,7 @@ def cmd_tomo(cfg: RunConfig, out: Path, quiet: bool) -> None:
 def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> None:
     c, cm = cfg.compare, cfg.data.collision
     gate = _GATES[c.gate.lower()]
-    model = _load_model_for(out, c.d_er)
+    model = _load_model_for(out, c.d_er, cm.tau)
     gen = extract_generator(model)
     times = [k * cm.tau for k in c.times]
     event = ControlEvent(time=c.gate_period * cm.tau, gate=gate)

@@ -208,17 +208,22 @@ def superoperator_matrix(model: MarkovianEmbedding, u: CMatrix) -> CMatrix:
     return _kraus_superoperator(kraus_stack(model, u))
 
 
-def model_channels(models: list[MarkovianEmbedding]) -> tuple[SpectralDecomposition, CMatrix]:
+def model_channels(models: list[MarkovianEmbedding]
+                   ) -> tuple[SpectralDecomposition, CMatrix, CMatrix]:
     """The eigensystems of the H of models of one period, from one stacked
-    decomposition, and their period superoperators, both stacked along a
-    leading axis.  LAPACK and BLAS take a stack one matrix at a time, so
-    each entry is bitwise what its model alone gives."""
+    decomposition, their period superoperators and the Kraus stacks of
+    their period unitaries, all stacked along a leading axis.  LAPACK and BLAS take
+    a stack one matrix at a time, so each entry is bitwise what its model
+    alone gives."""
     # A stack of one is a view of its H; a copy would add one H to the peak
     # memory of every one-model sweep.
     hs = models[0].h[None] if len(models) == 1 else np.stack([m.h for m in models])
     spectra = herm_eig(hs)
     units = spectral_unitary(spectra, models[0].tau)
-    return spectra, np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)])
+    # The Kraus stacks are C-ordered copies: views would keep every period
+    # unitary alive.
+    return (spectra, np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)]),
+            np.array([kraus_stack(m, u) for m, u in zip(models, units)]))
 
 
 def _transfer_basis(m: np.ndarray, dims: DimSpec) -> np.ndarray:

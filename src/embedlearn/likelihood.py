@@ -45,9 +45,9 @@ import numpy as np
 from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
                       period_channel)
 from .embedding import (CHUNK, MarkovianEmbedding, PeriodChannel, _transfer_basis,
-                        _transfers, kraus_stack, model_channels)
+                        _transfers, model_channels)
 from .errors import DataError, ZeroProbabilityError
-from .qla import CMatrix, SpectralDecomposition, spectral_unitary, unvec, vec
+from .qla import CMatrix, SpectralDecomposition, unvec, vec
 
 GradientMatrix = CMatrix  # Hermitian, same side as the model Hamiltonian
 
@@ -76,10 +76,11 @@ class PropagationCache:
     Either half may be absent if only one sweep was run.
 
     The sweeps ran under ``channel`` over ``data``, whose measured system
-    vectors are ``phis``.  ``model`` and the eigensystem ``spectrum`` of its
-    H, which ``channel`` was built from, let a later sweep, validation or
-    gradient of the same model and data skip decomposing H again; both are
-    None for the generating model of :func:`true_model_log_likelihood`.
+    vectors are ``phis``.  ``model``, the eigensystem ``spectrum`` of its H
+    and the Kraus stack ``kraus`` of its period unitary, which ``channel``
+    was built from, let a later validation or gradient of the same model and
+    data skip decomposing H again; all three are None for the generating
+    model of :func:`true_model_log_likelihood`.
     """
 
     n: int
@@ -87,6 +88,7 @@ class PropagationCache:
     data: Dataset | None = field(default=None, repr=False)
     phis: np.ndarray | None = field(default=None, repr=False)
     spectrum: SpectralDecomposition | None = field(default=None, repr=False)
+    kraus: np.ndarray | None = field(default=None, repr=False)
     channel: PeriodChannel | None = field(default=None, repr=False)
     forward_blocks: np.ndarray | None = field(default=None, repr=False)
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
@@ -121,21 +123,21 @@ class PropagationCache:
 
 
 def _new_cache(channel: PeriodChannel, data: Dataset, model: MarkovianEmbedding | None = None,
-               spectrum: SpectralDecomposition | None = None,
+               spectrum: SpectralDecomposition | None = None, kraus: np.ndarray | None = None,
                phis: np.ndarray | None = None) -> PropagationCache:
     """A cache of ``channel`` over ``data`` before any sweep; given ``phis`` skip the check."""
     phis = _projector_vectors(channel, data) if phis is None else phis
     return PropagationCache(n=len(data), model=model, data=data, phis=phis,
-                            spectrum=spectrum, channel=channel)
+                            spectrum=spectrum, kraus=kraus, channel=channel)
 
 
 def _model_caches(models: list[MarkovianEmbedding], data: Dataset) -> list[PropagationCache]:
     """New caches of ``models`` over ``data``, their channels built as one stack."""
-    spectra, ms = model_channels(models)
+    spectra, ms, kraus = model_channels(models)
     caches = []
-    for model, w, v, m in zip(models, spectra.eigenvalues, spectra.eigenvectors, ms):
+    for model, w, v, m, ks in zip(models, spectra.eigenvalues, spectra.eigenvectors, ms, kraus):
         channel = PeriodChannel(m, model.dims, model.rho0_ser, model.tau)
-        caches.append(_new_cache(channel, data, model, SpectralDecomposition(w, v),
+        caches.append(_new_cache(channel, data, model, SpectralDecomposition(w, v), ks,
                                  caches[0].phis if caches else None))
     return caches
 
@@ -178,15 +180,16 @@ def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
     Returns the running logs, (lanes, n + 1) with ``log0`` first, and per
     lane the index of its first record of zero probability, or -1.  A lane
     that meets such a record holds no meaningful blocks or logs from there
-    on, and the other lanes run on.  One lane runs the plain matrix-vector
-    loop; several run in lockstep as one stack, every lane bitwise equal to
-    its own one-lane loop.
+    on, and the other lanes run on.  Any number of lanes, one included, runs
+    in lockstep as one stack of column blocks, every lane bitwise equal to
+    its own loop run alone.
     """
     lanes, k = x.shape
     n = len(phis[0]) - 1
-    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
+    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).reshape(1, k)
     ps = np.empty((lanes, n))
-    bad = np.full(lanes, -1)
+    # Each lane's block is a column, so one step is two stacked products.
+    xc, outc, psc = x[:, :, None], out[..., None], ps[:, :, None, None]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         t = [_transfers(b, ph[start:stop], ph[start + 1:stop + 1])
@@ -194,32 +197,21 @@ def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
         if k == 1:  # T_i is the probability of record i+1 given record i
             for s, ts in enumerate(t):
                 ps[s, start:stop] = ts[:, 0, 0].real
-        elif lanes == 1:
-            x1, out1, ps1 = x[0], out[0], ps[0]
-            for i, ti in enumerate(t[0], start):
-                y = ti @ x1
+            continue
+        # A dead lane runs on with meaningless numbers, which may divide by
+        # zero or overflow; its first nonpositive probability is found
+        # afterwards.  (np.errstate would slow every step by a fifth.)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for i, ti in enumerate(np.stack(t, axis=1), start):
+                y = ti @ xc
                 p = (unit @ y).real
-                if p <= 0.0:
-                    bad[0] = i
-                    return np.full((1, n + 1), np.nan), bad
-                x1 = y / p
-                out1[i] = x1
-                ps1[i] = p
-            x = x1[None]
-        else:
-            # A dead lane runs on with meaningless numbers, which may divide
-            # by zero or overflow; its first nonpositive probability is found
-            # afterwards.  (np.errstate would slow every step by a fifth.)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                for i, ti in enumerate(np.stack(t, axis=1), start):
-                    y = np.matmul(ti, x[:, :, None])[:, :, 0]
-                    p = (y @ unit).real
-                    x = y / p[:, None]
-                    out[:, i] = x
-                    ps[:, i] = p
+                xc = y / p
+                outc[:, i] = xc
+                psc[:, i] = p
     dead = ps <= 0.0
     logs = np.full((lanes, n + 1), np.nan)
+    bad = np.full(lanes, -1)
     for s in range(lanes):
         if dead[s].any():
             bad[s] = dead[s].argmax()
@@ -303,12 +295,11 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     return bad
 
 
-def _one_sweep(model: MarkovianEmbedding, data: Dataset, cache: PropagationCache | None,
-               forward: bool, backward: bool) -> PropagationCache:
-    """The sweeps of ``model`` over ``data`` into ``cache`` if it holds that
-    pair, else into a new cache; raises on a zero-probability record."""
-    if cache is None or cache.model is not model or cache.data is not data:
-        cache = _model_caches([model], data)[0]
+def _one_sweep(model: MarkovianEmbedding, data: Dataset, forward: bool,
+               backward: bool) -> PropagationCache:
+    """The sweeps of ``model`` over ``data`` into a new cache; raises on a
+    zero-probability record, the forward sweep's first."""
+    cache = _model_caches([model], data)[0]
     _raise_zero_probability(_sweep([cache], forward, backward), data)
     return cache
 
@@ -318,25 +309,23 @@ def _raise_zero_probability(bad: list[int], data: Dataset) -> None:
         raise ZeroProbabilityError(int(data.records["step"][bad[0]]))
 
 
-def forward_pass(model: MarkovianEmbedding, data: Dataset,
-                 cache: PropagationCache | None = None) -> PropagationCache:
+def forward_pass(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     """Trace-normalized filtering sweep; raises on a zero-probability step."""
-    return _one_sweep(model, data, cache, forward=True, backward=False)
+    return _one_sweep(model, data, forward=True, backward=False)
 
 
-def backward_pass(model: MarkovianEmbedding, data: Dataset,
-                  cache: PropagationCache | None = None) -> PropagationCache:
+def backward_pass(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     """Trace-normalized smoothing sweep from beta_n = I: the forward loop of
     the dual channel M^+ over the records in reverse order, since
     beta_i = T_i^+ beta_{i+1} and T_i^+ is the transfer of M^+ from record
     i+1 to record i."""
-    return _one_sweep(model, data, cache, forward=False, backward=True)
+    return _one_sweep(model, data, forward=False, backward=True)
 
 
 def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     """Both sweeps in one cache, as two lanes of one :func:`_filter` loop;
     raises on a zero-probability record, the forward sweep's first."""
-    return _one_sweep(model, data, None, forward=True, backward=True)
+    return _one_sweep(model, data, forward=True, backward=True)
 
 
 def build_caches(models: list[MarkovianEmbedding], data: Dataset
@@ -433,7 +422,7 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
         raise ValueError("cache is not a sweep of model over data")
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
-    phis, spectrum, m = cache.phis, cache.spectrum, cache.channel.m
+    phis, spectrum, ks, m = cache.phis, cache.spectrum, cache.kraus, cache.channel.m
     n = len(data)
     if batch is None:
         batch = np.arange(1, n + 1)
@@ -452,7 +441,6 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     d, dd = dims.d, dims.d_total
     lam, v = spectrum.eigenvalues, spectrum.eigenvectors
     f = _loewner_exp(lam, model.tau)
-    ks = kraus_stack(model, spectral_unitary(spectrum, model.tau))
 
     # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
     # the measured effect A_m = |phi_m><phi_m| x beta_m, b_m = vec(B_m) for the

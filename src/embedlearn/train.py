@@ -2,11 +2,12 @@
 
 The free parameters are the independent real entries of the dilation
 Hamiltonian (diagonal, plus real and imaginary parts above it).  Each epoch
-scores the current point with a forward sweep; unless the epoch ends the
-fit, it then runs the backward sweep, draws one batch of merge points, and
-takes one Adam ascent step on the total log-likelihood.  The initial joint
-state is drawn once per restart and then held fixed; only the Hamiltonian
-moves.
+runs the forward and backward sweeps as the two lanes of one
+:func:`~embedlearn.likelihood.build_cache` call and scores the current
+point with the forward one; unless the epoch ends the fit, it then draws
+one batch of merge points and takes one Adam ascent step on the total
+log-likelihood.  The initial joint state is drawn once per restart and then
+held fixed; only the Hamiltonian moves.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from . import seeds
 from .embedding import MarkovianEmbedding, make_embedding
 from .errors import ZeroProbabilityError
-from .likelihood import (backward_pass, conditional_validation_ll, forward_pass,
-                         log_likelihood_gradient)
+from .likelihood import build_cache, conditional_validation_ll, log_likelihood_gradient
 from .qla import CMatrix, DimSpec, haar_random_pure_state, kron
 
 
@@ -186,7 +186,7 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
     best_h = model.h.copy()
     t0 = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
-        cache = forward_pass(model, data_train)
+        cache = build_cache(model, data_train)
         train_ps = cache.log_likelihood() / n
         converged = (epoch > cfg.convergence_window and
                      abs(train_ps - curve.train_per_step[-cfg.convergence_window])
@@ -201,9 +201,9 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
         curve.append(epoch, train_ps, val_ps, time.monotonic() - t0)
         if last:
             break
-        backward_pass(model, data_train, cache)
         batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
         grad = log_likelihood_gradient(model, data_train, cache, batch)
+        del cache  # else this epoch's sweeps share the peak with the next one's
         params, adam = adam_update(adam, params, gradient_to_params(grad), cfg)
         model = model.with_h(unpack_hermitian(params, dd))
     if data_val is not None:

@@ -36,8 +36,9 @@ bitwise reference of the library's slice of U at the |0> column.  The
 one-model channel route (:func:`model_superoperator`,
 :func:`extract_generator_serial`, :func:`build_cache_serial`), the bitwise
 reference of the library's stacked construction, runs on its
-``expm_unitary``, ``superoperator_matrix``, ``logm_principal`` and
-one-lane sweeps; :func:`exact_embedding`, the model whose channel is the
+``expm_unitary``, ``superoperator_matrix``, ``logm_principal`` and sweeps,
+their loop swapped for :func:`filter_lanes_serial`, the lane-by-lane
+reference of the lockstep ``_filter``; :func:`exact_embedding`, the model whose channel is the
 truth's, builds it from the library's ``period_superoperator`` with scipy.
 """
 from __future__ import annotations
@@ -631,15 +632,55 @@ def model_channel(model):
     return PeriodChannel(model_superoperator(model), model.dims, model.rho0_ser, model.tau)
 
 
+def filter_lanes_serial(basis, x, log0, phis, out):
+    """``likelihood._filter`` one lane after another, with its arguments and
+    return value: the plain matrix-vector loop of one block over all the
+    lane's transfers, stopped at the lane's first record of zero
+    probability; at d_er = 1 every transfer is that record's probability.
+    The bitwise reference of the lockstep loop, for any number of lanes."""
+    from embedlearn.embedding import _transfers
+    lanes, k = x.shape
+    n = len(phis[0]) - 1
+    unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).ravel()
+    logs = np.full((lanes, n + 1), np.nan)
+    bad = np.full(lanes, -1)
+    for s in range(lanes):
+        ts = _transfers(basis[s], phis[s][:-1], phis[s][1:])
+        if k == 1:
+            ps = ts[:, 0, 0].real
+            out[s] = 1.0
+        else:
+            ps, xs = np.zeros(n), x[s]
+            for i, ti in enumerate(ts):
+                y = ti @ xs
+                ps[i] = (unit @ y).real
+                if ps[i] <= 0.0:
+                    break
+                xs = y / ps[i]
+                out[s, i] = xs
+        if (ps <= 0.0).any():
+            bad[s] = np.argmax(ps <= 0.0)
+        else:
+            logs[s] = np.cumsum(np.concatenate(([log0[s]], np.log(ps))))
+    return logs, bad
+
+
 def build_cache_serial(model, data):
-    """Both sweeps of one model over ``data`` as two one-lane sweeps, the
-    forward one first, into a cache whose channel is :func:`model_channel`
-    and whose eigensystem is ``herm_eig`` of H alone: the bitwise reference
-    of ``build_cache`` and of each cache of ``build_caches``."""
-    from embedlearn.likelihood import _new_cache, backward_pass, forward_pass
-    from embedlearn.qla import herm_eig
-    cache = _new_cache(model_channel(model), data, model, herm_eig(model.h))
-    return backward_pass(model, data, forward_pass(model, data, cache))
+    """Both sweeps of one model over ``data``, lane by lane through
+    :func:`filter_lanes_serial`, into a cache whose channel is
+    :func:`model_channel`, whose eigensystem is ``herm_eig`` of H alone and
+    whose Kraus stack is that of ``expm_unitary``: the bitwise reference of
+    ``build_cache`` and of each cache of ``build_caches``."""
+    from unittest import mock
+
+    import embedlearn.likelihood as lk
+    from embedlearn.embedding import kraus_stack
+    from embedlearn.qla import expm_unitary, herm_eig
+    ks = kraus_stack(model, expm_unitary(model.h, model.tau)).copy()
+    cache = lk._new_cache(model_channel(model), data, model, herm_eig(model.h), ks)
+    with mock.patch.object(lk, "_filter", filter_lanes_serial):
+        lk._raise_zero_probability(lk._sweep([cache], forward=True, backward=True), data)
+    return cache
 
 
 def exact_embedding(cfg, d_er):

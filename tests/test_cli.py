@@ -620,6 +620,27 @@ class TestPredict:
                          "--quiet"]) == 4
             assert "branch cut" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, output", [("predict", "bloch.csv"),
+                                                 ("compare", "control.csv")])
+    def test_model_of_another_period_exits_three(self, exact_model_run, tmp_path, command,
+                                                 output, capsys):
+        # The exact model's period is 1.0; scored against the truth of
+        # period 0.5 it would describe another experiment.
+        out = tmp_path / "run"
+        shutil.copytree(exact_model_run[1], out)
+        for name in ("bloch.csv", "control.csv"):
+            (out / name).unlink(missing_ok=True)
+        before = file_bytes(out)
+        cfg = write_config(tmp_path / "c.json", {
+            "data": {"hamiltonian": MARKOV_PAIRS, "n_train": 120, "n_val": 120, "tau": 0.5},
+            "predict": {"times": [0.0, 0.5, 1.0]},
+            "compare": {"gate": "x", "gate_period": 2, "times": [0, 1, 2, 3, 4]},
+        })
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert "model tau=1.0 does not match data tau=0.5" in capsys.readouterr().err
+        assert not (out / output).exists()
+        assert file_bytes(out) == before
+
     @pytest.mark.parametrize("command", ["predict", "compare"])
     def test_unitary_channel_exits_four(self, tmp_path, command, capsys):
         # H acts trivially on the ancilla, so the period channel is unitary:

@@ -8,12 +8,12 @@ import pytest
 
 from embedlearn.datagen import Dataset, make_records
 from embedlearn.errors import DataError, ZeroProbabilityError
-from embedlearn.likelihood import (PropagationCache, backward_pass,
+from embedlearn.likelihood import (PropagationCache, _filter, backward_pass,
                                    build_cache, build_caches, conditional_validation_ll,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
-from embedlearn.embedding import (extract_generator, make_embedding, model_channels,
-                                  superoperator_matrix)
+from embedlearn.embedding import (_transfer_basis, extract_generator, kraus_stack,
+                                  make_embedding, model_channels, superoperator_matrix)
 from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 
 import oracles
@@ -713,7 +713,7 @@ class TestCacheReuse:
         model, other = random_model(rng), random_model(rng)
         recs = random_records(rng, 16)
         tr, va = make_dataset(recs[:12]), make_dataset(recs[12:])
-        cache = backward_pass(model, tr, build_cache(model, tr))
+        cache = build_cache(model, tr)
         with pytest.raises(ValueError):
             conditional_validation_ll(other, tr, va, cache)
         with pytest.raises(ValueError):
@@ -758,12 +758,15 @@ class TestStackedChannels:
     def test_model_channels_match_one_model_at_a_time(self, d_er, count):
         rng = np.random.default_rng(90 + d_er)
         models = [random_model(rng, d_er=d_er) for _ in range(count)]
-        spectra, ms = model_channels(models)
+        spectra, ms, kraus = model_channels(models)
         for j, model in enumerate(models):
             want = herm_eig(model.h)
             assert spectra.eigenvalues[j].tobytes() == want.eigenvalues.tobytes()
             assert spectra.eigenvectors[j].tobytes() == want.eigenvectors.tobytes()
             assert ms[j].tobytes() == oracles.model_superoperator(model).tobytes()
+            want = kraus_stack(model, expm_unitary(model.h, model.tau))
+            assert kraus[j].tobytes() == want.tobytes()
+            assert kraus[j].flags.c_contiguous
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_generator_factors_match_one_model_route(self, d_er):
@@ -778,7 +781,7 @@ class TestStackedChannels:
         rng = np.random.default_rng(100 + d_er)
         model = random_model(rng, d_er=d_er)
         ds = make_dataset(random_records(rng, 300))
-        got, want = build_cache(model, ds), backward_pass(model, ds, forward_pass(model, ds))
+        got, want = build_cache(model, ds), oracles.build_cache_serial(model, ds)
         for name in self.SWEEP_FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -808,6 +811,86 @@ class TestStackedChannels:
         with pytest.raises(ZeroProbabilityError) as got:
             build_cache(model, ds)
         assert got.value.step == want.value.step == step
+
+
+def stuck_model(d_er):
+    """H = 0 from |0> on the system: the period channel is the identity, so
+    a record in the computational basis has probability 1 until the outcome
+    changes, and then exactly 0."""
+    dims = DimSpec(d_s=2, d_er=d_er)
+    rho0 = kron(np.diag([1.0, 0.0]), np.eye(d_er) / d_er)
+    return make_embedding(dims, 1.0, np.zeros((dims.d_total, dims.d_total)), rho0)
+
+
+class TestOneLoop:
+    """The lockstep ``_filter`` against :func:`oracles.filter_lanes_serial`,
+    its lanes run one after another by the plain matrix-vector loop, over
+    more than one chunk of records and with a lane that dies among live
+    ones: every result is bitwise the same."""
+
+    N = 300  # records, more than one CHUNK of transfers
+
+    @staticmethod
+    def _lane(rng, d_er, dies):
+        """Transfer basis, start block and N + 1 record vectors of one lane;
+        a dying lane's record N // 2 has probability 0."""
+        if dies:
+            model = stuck_model(d_er)
+            phis = np.zeros((TestOneLoop.N + 1, 2), dtype=np.complex128)
+            phis[:TestOneLoop.N // 2, 0] = phis[TestOneLoop.N // 2:, 1] = 1.0
+        else:
+            model = random_model(rng, d_er=d_er)
+            phis = rng.standard_normal((TestOneLoop.N + 1, 2)) * (1 + 1j)
+            phis[:, 1] *= 1j ** rng.integers(4, size=TestOneLoop.N + 1)
+            phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        basis = _transfer_basis(model_channels([model])[1][0], model.dims)
+        return basis, np.eye(d_er, dtype=np.complex128).ravel() / d_er, phis
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lanes", ["L", "D", "LD", "LLL", "LDL"])
+    def test_filter_is_the_serial_lanes(self, d_er, lanes):
+        rng = np.random.default_rng(130 + d_er)
+        basis, x, phis = zip(*(self._lane(rng, d_er, c == "D") for c in lanes))
+        log0 = rng.standard_normal(len(lanes))
+        outs = [np.full((len(lanes), self.N, d_er * d_er), np.nan, dtype=np.complex128)
+                for _ in range(2)]
+        got = _filter(basis, np.array(x), log0, phis, outs[0])
+        want = oracles.filter_lanes_serial(basis, np.array(x), log0, phis, outs[1])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[1].tolist() == [self.N // 2 - 1 if c == "D" else -1 for c in lanes]
+        for s, b in enumerate(want[1]):
+            # A dead lane's blocks from its dead record on mean nothing.
+            stop = self.N if b < 0 else b
+            assert outs[0][s, :stop].tobytes() == outs[1][s, :stop].tobytes()
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3, 4])
+    def test_sweeps_and_validation_are_the_serial_lanes(self, monkeypatch, d_er):
+        # One lane (forward_pass, validation), two (build_cache) and six
+        # (build_caches), one model of which dies while the others live.
+        import embedlearn.likelihood as lk
+        rng = np.random.default_rng(140 + d_er)
+        models = [random_model(rng, d_er=d_er), stuck_model(d_er), random_model(rng, d_er=d_er)]
+        outcomes = [0] * 100 + [1] + rng.integers(2, size=self.N - 101).tolist()
+        tr = make_dataset(basis_records(np.eye(2), outcomes[:260]))
+        va = make_dataset(basis_records(np.eye(2), outcomes[260:], first_step=261))
+        fields = TestStackedChannels.SWEEP_FIELDS
+
+        def results():
+            out = [getattr(forward_pass(models[0], tr), f) for f in fields[:2]]
+            out += [getattr(build_cache(models[2], tr), f) for f in fields]
+            caches = build_caches(models, tr)
+            assert caches[1] is None
+            out += [getattr(c, f) for c in (caches[0], caches[2]) for f in fields]
+            out.append(np.float64(conditional_validation_ll(models[0], tr, va, caches[0])))
+            with pytest.raises(ZeroProbabilityError) as err:
+                forward_pass(models[1], tr)
+            assert err.value.step == 101
+            return [a.tobytes() for a in out]
+
+        want = results()
+        monkeypatch.setattr(lk, "_filter", oracles.filter_lanes_serial)
+        assert results() == want
 
 
 class TestExactEmbedding:
