@@ -220,8 +220,7 @@ def model_channels(models: list[MarkovianEmbedding]
     hs = models[0].h[None] if len(models) == 1 else np.stack([m.h for m in models])
     spectra = herm_eig(hs)
     units = spectral_unitary(spectra, models[0].tau)
-    # The Kraus stacks are C-ordered copies: views would keep every period
-    # unitary alive.
+    # C-ordered copies of the Kraus stacks: views would keep every U alive.
     return (spectra, np.stack([superoperator_matrix(m, u) for m, u in zip(models, units)]),
             np.array([kraus_stack(m, u) for m, u in zip(models, units)]))
 

@@ -38,8 +38,9 @@ one-model channel route (:func:`model_superoperator`,
 reference of the library's stacked construction, runs on its
 ``expm_unitary``, ``superoperator_matrix``, ``logm_principal`` and sweeps,
 their loop swapped for :func:`filter_lanes_serial`, the lane-by-lane
-reference of the lockstep ``_filter``; :func:`exact_embedding`, the model whose channel is the
-truth's, builds it from the library's ``period_superoperator`` with scipy.
+reference of the lockstep ``_filter``; :func:`exact_embedding`, the model
+whose channel is the truth's, builds it from the library's
+``period_superoperator`` with scipy.
 """
 from __future__ import annotations
 

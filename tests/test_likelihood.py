@@ -840,8 +840,7 @@ class TestOneLoop:
             phis[:TestOneLoop.N // 2, 0] = phis[TestOneLoop.N // 2:, 1] = 1.0
         else:
             model = random_model(rng, d_er=d_er)
-            phis = rng.standard_normal((TestOneLoop.N + 1, 2)) * (1 + 1j)
-            phis[:, 1] *= 1j ** rng.integers(4, size=TestOneLoop.N + 1)
+            phis = rng.standard_normal((TestOneLoop.N + 1, 2, 2)) @ [1, 1j]
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
         basis = _transfer_basis(model_channels([model])[1][0], model.dims)
         return basis, np.eye(d_er, dtype=np.complex128).ravel() / d_er, phis
