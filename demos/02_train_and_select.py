@@ -9,7 +9,8 @@ command-line `train` subcommand runs it at full size.
 """
 import numpy as np
 
-from embedlearn.datagen import CollisionModelConfig, generate_trajectory, split_dataset
+from embedlearn.datagen import (CollisionModelConfig, generate_trajectory, period_channel,
+                                split_dataset)
 from embedlearn.likelihood import true_model_log_likelihood
 from embedlearn.qla import SIGMA_X, kron
 from embedlearn.train import TrainConfig, select_d_er
@@ -18,9 +19,9 @@ cfg = CollisionModelConfig(
     hamiltonian=kron(0.3 * SIGMA_X, np.eye(4, dtype=np.complex128)))
 ds = generate_trajectory(cfg, 800, seed=77)
 train, val = split_dataset(ds, 400)
-truth = true_model_log_likelihood(cfg, train)
+truth_ll = true_model_log_likelihood(period_channel(cfg), train)
 print(f"400 training / 400 validation records; "
-      f"generating-model per-step ll {truth:.4f}")
+      f"generating-model per-step ll {truth_ll:.4f}")
 
 
 tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3, restarts=1,

@@ -10,7 +10,7 @@ import numpy as np
 from embedlearn.assess import average_choi_error, choi_from_superop, dynamics_maps
 from embedlearn.datagen import (CollisionModelConfig, dataset_prefix,
                                 exact_reference_dynamics, generate_trajectory,
-                                split_dataset, validation_continuation)
+                                period_channel, split_dataset, validation_continuation)
 from embedlearn.embedding import extract_generator, predict_dynamics
 from embedlearn.likelihood import conditional_validation_ll, forward_pass
 from embedlearn.qla import DimSpec, bloch_vector, ptrace
@@ -33,7 +33,7 @@ rho_er0 = ptrace(model.rho0_ser, [2, 2], [1])
 periods = list(range(1, 11))
 times = [float(k) for k in periods]
 
-exact_states, exact_chans = exact_reference_dynamics(cfg, periods)
+exact_states, exact_chans = exact_reference_dynamics(period_channel(cfg), periods)
 predicted = predict_dynamics(gen, model.dims, model.rho0_ser, times)
 
 print("\nreduced dynamics, Bloch z component:")

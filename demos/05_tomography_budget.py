@@ -10,14 +10,14 @@ import numpy as np
 
 from embedlearn.assess import (choi_from_superop, default_design,
                                simulate_tomography_counts, tomography_mle)
-from embedlearn.datagen import CollisionModelConfig, exact_reference_dynamics
+from embedlearn.datagen import CollisionModelConfig, exact_reference_dynamics, period_channel
 from embedlearn.qla import trace_norm
 
-cfg = CollisionModelConfig()
+truth = period_channel(CollisionModelConfig())
 budget = 8000
 print(f"total budget: {budget} measurements of the collision dynamics\n")
 
-_, chans = exact_reference_dynamics(cfg, list(range(1, 21)))
+_, chans = exact_reference_dynamics(truth, list(range(1, 21)))
 rows = []
 for K in [4, 8, 16]:
     shots = budget // K

@@ -14,8 +14,7 @@ import numpy as np
 
 from embedlearn.assess import (ControlEvent, concatenation_prediction,
                                predict_with_control, trace_distance_trajectory)
-from embedlearn.datagen import (CollisionModelConfig, exact_controlled_dynamics,
-                                exact_reference_dynamics)
+from embedlearn.datagen import CollisionModelConfig, exact_reference_dynamics, period_channel
 from embedlearn.embedding import extract_generator, make_embedding
 from embedlearn.qla import SIGMA_X, DimSpec, bloch_vector, kron
 
@@ -25,15 +24,18 @@ rho_s0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 model = make_embedding(DimSpec(d_s=2, d_er=1), 1.0, h, rho_s0.copy())
 gen = extract_generator(model)
 
-cfg = CollisionModelConfig(hamiltonian=h)
+truth = period_channel(CollisionModelConfig(hamiltonian=h))
 periods = list(range(1, 13))
 times = [float(k) for k in periods]
 gate_at = 6
 event = ControlEvent(time=float(gate_at), gate=SIGMA_X)
 
-exact = exact_controlled_dynamics(cfg, SIGMA_X, gate_at, periods)
+# The same prediction on the truth's period channel, which counts time in
+# periods, from its joint start state.
+exact = predict_with_control(truth, truth.dims, truth.rho0,
+                             [ControlEvent(gate_at, SIGMA_X)], periods)
 embed = predict_with_control(gen, model.dims, rho_s0, [event], times)
-_, chans = exact_reference_dynamics(cfg, periods)
+_, chans = exact_reference_dynamics(truth, periods)
 concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 
 print(f"bit flip at t = {gate_at}; Bloch z of the system:\n")

@@ -19,9 +19,9 @@ from .embedding import (GeneratorSuperoperator, MarkovianEmbedding,
                         make_embedding, predict_dynamics, save_model,
                         superoperator_matrix)
 from .datagen import (CollisionModelConfig, Dataset, dataset_prefix,
-                      exact_controlled_dynamics, exact_reference_dynamics,
-                      generate_trajectory, load_dataset, make_records, save_dataset,
-                      split_dataset, validation_continuation)
+                      exact_reference_dynamics, generate_trajectory, load_dataset,
+                      make_records, sample_trajectory, save_dataset, split_dataset,
+                      validation_continuation)
 from .likelihood import (build_cache, conditional_validation_ll, log_likelihood,
                          log_likelihood_gradient)
 from .train import LearningCurve, TrainConfig, fit, init_model, select_d_er
@@ -46,9 +46,9 @@ __all__ = [
     "equilibrium_er_state", "extract_generator", "load_model",
     "make_embedding", "predict_dynamics", "save_model", "superoperator_matrix",
     "CollisionModelConfig", "Dataset", "dataset_prefix",
-    "exact_controlled_dynamics", "exact_reference_dynamics",
-    "generate_trajectory", "load_dataset", "make_records", "save_dataset",
-    "split_dataset", "validation_continuation",
+    "exact_reference_dynamics", "generate_trajectory", "load_dataset",
+    "make_records", "sample_trajectory", "save_dataset", "split_dataset",
+    "validation_continuation",
     "build_cache", "conditional_validation_ll", "log_likelihood",
     "log_likelihood_gradient",
     "LearningCurve", "TrainConfig", "fit", "init_model", "select_d_er",

@@ -31,11 +31,10 @@ from .assess import (ControlEvent, choi_from_superop, concatenation_prediction,
 from .bayes import (BayesConfig, bayes_channel_error, fit_posterior,
                     sample_dynamics, save_posterior)
 from .datagen import (CollisionModelConfig, _check_continues, dataset_prefix,
-                      exact_controlled_dynamics, exact_reference_dynamics,
-                      generate_trajectory, load_dataset, period_channel, save_dataset,
-                      split_dataset, validation_continuation)
-from .embedding import (MAX_D_ER, MAX_PERIODS, equilibrium_er_state, extract_generator,
-                        load_model, predict_dynamics, save_model)
+                      exact_reference_dynamics, generate_trajectory, load_dataset,
+                      period_channel, save_dataset, split_dataset, validation_continuation)
+from .embedding import (MAX_D_ER, MAX_PERIODS, PeriodChannel, equilibrium_er_state,
+                        extract_generator, load_model, predict_dynamics, save_model)
 from .errors import ConfigError, DataError, NumericalError, TomographyError
 from .likelihood import conditional_validation_ll, forward_pass
 from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector, kron,
@@ -412,10 +411,9 @@ def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
             fh.write(f"{name},{k},{_fmt(tr)},{_fmt(va)}\n")
 
 
-def _model_start(cm: CollisionModelConfig, gen, dims: DimSpec) -> tuple[np.ndarray, np.ndarray]:
+def _model_start(truth: PeriodChannel, gen, dims: DimSpec) -> tuple[np.ndarray, np.ndarray]:
     """The start of a model's predictions, (rho_s0, rho_er0): the system in
-    the S marginal of the truth's start state, the reservoir at equilibrium."""
-    truth = period_channel(cm)
+    the S marginal of the truth channel's ``rho0``, the reservoir at equilibrium."""
     return (ptrace(truth.rho0, [truth.dims.d_s, truth.dims.d_er], [0]),
             equilibrium_er_state(gen, dims))
 
@@ -436,11 +434,12 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    rho_s0, rho_er0 = _model_start(cm, gen, dims)
+    truth = period_channel(cm)
+    rho_s0, rho_er0 = _model_start(truth, gen, dims)
     states = predict_dynamics(gen, dims, kron(rho_s0, rho_er0), times)
     on_grid = _integer_periods(times, cm.tau)
     periods = np.array(list(on_grid.values()), dtype=int)
-    exact_states, exact_chans = exact_reference_dynamics(cm, periods)
+    exact_states, exact_chans = exact_reference_dynamics(truth, periods)
     exact_bloch = dict(zip(on_grid, bloch_vector(exact_states)))
     grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
     exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
@@ -450,7 +449,7 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
     fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
     for n, prefix, cont in scan:
         gen_n = extract_generator(fit(prefix, cont, dims, fit_cfg)[0])
-        maps = dynamics_maps(gen_n, dims, _model_start(cm, gen_n, dims)[1], grid_times)
+        maps = dynamics_maps(gen_n, dims, _model_start(truth, gen_n, dims)[1], grid_times)
         rows.append((n, float(np.mean(0.5 * trace_norm(maps - exact_chois)))))
 
     with open(out / "bloch.csv", "w", encoding="utf-8") as fh:
@@ -516,10 +515,10 @@ def cmd_bayes(cfg: RunConfig, out: Path, quiet: bool) -> None:
                 f"channel spread {spread:.6f}")
 
 
-def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[int], int, tuple]],
+def _tomography_errors(truth: PeriodChannel, groups: list[tuple[str, list[int], int, tuple]],
                        seed: int) -> list[list[float]]:
-    """Choi-matrix errors of simulated tomography of the exact channels,
-    one list per group.
+    """Choi-matrix errors of simulated tomography of the reduced maps of the
+    truth's channel, one list per group.
 
     A group is (label, periods, shots per setting, stream names); period
     ``k`` of a group samples its counts from ``seeds.stream(seed, *names,
@@ -529,7 +528,7 @@ def _tomography_errors(cm: CollisionModelConfig, groups: list[tuple[str, list[in
     """
     lanes = [(label, k, shots, names) for label, periods, shots, names in groups
              for k in periods]
-    _, chans = exact_reference_dynamics(cm, [k for _, k, _, _ in lanes])
+    _, chans = exact_reference_dynamics(truth, [k for _, k, _, _ in lanes])
     base = default_design(1)
     counts = [simulate_tomography_counts(ch, replace(base, shots=shots),
                                          seeds.stream(seed, *names, k))
@@ -554,7 +553,7 @@ def cmd_tomo(cfg: RunConfig, out: Path, quiet: bool) -> None:
     groups += [(f"K = {kk}", list(range(1, kk + 1)), max(1, cfg.data.n_train // kk),
                 ("tomo-scan", kk)) for kk in ks]
 
-    errors, *scan = _tomography_errors(cm, groups, cfg.seed)
+    errors, *scan = _tomography_errors(period_channel(cm), groups, cfg.seed)
     with open(out / "tomo_error.csv", "w", encoding="utf-8") as fh:
         fh.write("time,choi_error\n")
         for k, e in zip(tm.times, errors):
@@ -582,10 +581,12 @@ def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> None:
     times = [k * cm.tau for k in c.times]
     event = ControlEvent(time=c.gate_period * cm.tau, gate=gate)
 
-    exact = exact_controlled_dynamics(cm, gate, c.gate_period, c.times)
-    rho_s0, rho_er0 = _model_start(cm, gen, model.dims)
+    truth = period_channel(cm)
+    exact = predict_with_control(truth, truth.dims, truth.rho0,
+                                 [ControlEvent(c.gate_period, gate)], c.times)
+    rho_s0, rho_er0 = _model_start(truth, gen, model.dims)
     embed = predict_with_control(gen, model.dims, kron(rho_s0, rho_er0), [event], times)
-    _, chans = exact_reference_dynamics(cm, c.times)
+    _, chans = exact_reference_dynamics(truth, c.times)
     concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 
     d_embed = trace_distance_trajectory(embed, exact)

@@ -6,7 +6,9 @@ consecutive projective measurements of S the joint S+S1 pair undergoes a
 fixed number of collisions; each measurement projects S in a freshly drawn
 random basis and conditions the S1 state on the outcome.  The resulting
 record of (basis, outcome) pairs is the only training input the learner
-ever sees.
+ever sees.  Only :func:`period_channel` reads the collision model: the
+sampler, the reference dynamics and the truth's likelihood take the
+:class:`PeriodChannel` it returns, or a fitted model's.
 
 Measurement bases are eigenbases of r.sigma for r uniform on the sphere.
 The draw order per step is fixed (three normals for the direction, then one
@@ -213,25 +215,27 @@ def _measure(y: list[complex], u: float, step: int, d_mem: int,
                               for a, j in zip(block, transposed)])
 
 
-def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset:
-    """Simulate ``n`` measured periods of the truth's :func:`period_channel`.
+def sample_trajectory(channel: PeriodChannel, n: int, seed: int,
+                      config_hash: str | None) -> Dataset:
+    """Simulate ``n`` measured periods of any ``channel`` of a qubit system,
+    with provenance ``{"seed": seed, "config_hash": config_hash}``.
 
     Each record projects S onto a basis vector, so after it the joint state
     is |phi><phi| x sigma and the sampler carries only the memory block
-    sigma: the outcome weights of record i are the traces of
-    T[i, o, k] sigma, one transfer per previous outcome o and candidate
-    outcome k, and sigma is conditioned on the observed one.  The first
-    record is drawn from the joint state one period after the channel's
-    ``rho0``, which need not be a product.  All random draws come first, in
-    the fixed per-period order of :func:`_random_bases`; the transfers are
-    built in chunks of records, so memory beyond the records does not grow
-    with n.
+    sigma, sized by ``channel.dims``: the outcome weights of record i are the
+    traces of T[i, o, k] sigma, one transfer per previous outcome o and
+    candidate outcome k, and sigma is conditioned on the observed one.  The
+    first record is drawn from the joint state one period after the
+    channel's ``rho0``, which need not be a product.  All random draws come
+    first, in the fixed per-period order of :func:`_random_bases`; the
+    transfers are built in chunks of records, so memory beyond the records
+    does not grow with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    channel = period_channel(cfg)
     d_s, d_mem = channel.dims.d_s, channel.dims.d_er
-    assert d_s == 2, "the measurement bases are qubit r.sigma eigenbases"
+    if d_s != 2:
+        raise ValueError(f"the bases are qubit r.sigma eigenbases; the channel has d_s={d_s}")
     bases, u = _random_bases(seeds.stream(seed, "trajectory"), n)
     transposed = [c * d_mem + r for r in range(d_mem) for c in range(d_mem)]
     rho = hermitianize(unvec(channel.m @ vec(channel.rho0)))
@@ -250,8 +254,14 @@ def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset
         for i in range(start, stop):
             o, sigma = _measure((t[i - start, o] @ sigma).tolist(), u[i], i + 1, d_mem, transposed)
             outcomes.append(o)
-    return Dataset(records=make_records(np.arange(1, n + 1), bases, outcomes), tau=cfg.tau,
-                   provenance={"seed": int(seed), "config_hash": cfg.digest()})
+    return Dataset(records=make_records(np.arange(1, n + 1), bases, outcomes), tau=channel.tau,
+                   provenance={"seed": int(seed), "config_hash": config_hash})
+
+
+def generate_trajectory(cfg: CollisionModelConfig, n: int, seed: int) -> Dataset:
+    """``n`` measured periods of the truth's :func:`period_channel`, tagged
+    with ``cfg.digest()``."""
+    return sample_trajectory(period_channel(cfg), n, seed, cfg.digest())
 
 
 def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
@@ -307,41 +317,23 @@ def period_channel(cfg: CollisionModelConfig) -> PeriodChannel:
                          np.asarray(cfg.rho_ss1_0, dtype=np.complex128), cfg.tau)
 
 
-def exact_reference_dynamics(cfg: CollisionModelConfig,
+def exact_reference_dynamics(truth: PeriodChannel,
                              periods: list[int]) -> tuple[CMatrix, CMatrix]:
-    """Unmeasured ground-truth states and dynamical maps at period counts,
-    by the model's own propagation code run on the period channel.
+    """Unmeasured states and dynamical maps of a truth's period channel at
+    period counts, by the model's own propagation code.
 
-    States propagate ``cfg.rho_ss1_0`` directly.  The maps take an S input
-    through ``X -> tr_S1[period^k (X x rho_S1(0))]`` with the S1 marginal of
-    the initial state held fixed.  Returns the S states, (P, 2, 2), and
-    the maps as 4x4 column-stacking superoperator matrices, (P, 4, 4), one
-    per entry of ``periods``.
+    States propagate ``truth.rho0`` directly.  The maps take an S input
+    through ``X -> tr_S1[period^k (X x rho_S1(0))]`` with the memory
+    marginal of the start state held fixed.  Returns the S states,
+    (P, d_s, d_s), and the maps as column-stacking superoperator matrices,
+    (P, d_s^2, d_s^2), one per entry of ``periods``.
     """
     # Imported on use: loading assess while datagen loads raises the peak
     # RSS of every command by about 0.1 MB (compiled from source).
     from .assess import reduced_superops
-    channel = period_channel(cfg)
-    memory = er_marginal(channel.rho0, channel.dims)  # the memory preparation of the maps
-    return (predict_dynamics(channel, channel.dims, channel.rho0, periods),
-            reduced_superops(channel, channel.dims, memory, periods))
-
-
-def exact_controlled_dynamics(cfg: CollisionModelConfig, gate: CMatrix,
-                              event_period: int, periods: list[int]) -> CMatrix:
-    """Ground-truth S states with an instantaneous gate on S at one period,
-    (P, 2, 2), one per entry of ``periods``.
-
-    The gate (a 2x2 unitary) hits the joint state right at the boundary of
-    ``event_period``; requested times at that period already see the
-    post-gate state.
-    """
-    if event_period < 0:
-        raise ValueError("event_period must be nonnegative")
-    from .assess import ControlEvent, predict_with_control  # see exact_reference_dynamics
-    channel = period_channel(cfg)
-    return predict_with_control(channel, channel.dims, channel.rho0,
-                                [ControlEvent(event_period, gate)], periods)
+    memory = er_marginal(truth.rho0, truth.dims)  # the memory preparation of the maps
+    return (predict_dynamics(truth, truth.dims, truth.rho0, periods),
+            reduced_superops(truth, truth.dims, memory, periods))
 
 
 # ---------------------------------------------------------------------------

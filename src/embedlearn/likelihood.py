@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import (CollisionModelConfig, Dataset, _check_continues, _record_vectors,
-                      period_channel)
+from .datagen import Dataset, _check_continues, _record_vectors
 from .embedding import (CHUNK, MarkovianEmbedding, PeriodChannel, _transfer_basis,
                         _transfers, model_channels)
 from .errors import DataError, ZeroProbabilityError
@@ -373,11 +372,11 @@ def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
     return float(logs[0, -1] - logs[0, 0]) / len(data_val)
 
 
-def true_model_log_likelihood(cfg: CollisionModelConfig, ds: Dataset) -> float:
-    """Per-step log-likelihood of a record set under the generating model's
-    period channel, a diagnostic ceiling for fitted models; a dataset of
-    another ``tau`` or ``d_s`` is a :class:`DataError`."""
-    cache = _new_cache(period_channel(cfg), ds)
+def true_model_log_likelihood(truth: PeriodChannel, ds: Dataset) -> float:
+    """Per-step log-likelihood of a record set under the period channel
+    ``truth`` that generated it, a diagnostic ceiling for fitted models; a
+    dataset of another ``tau`` or ``d_s`` is a :class:`DataError`."""
+    cache = _new_cache(truth, ds)
     _raise_zero_probability(_sweep([cache], forward=True, backward=False), ds)
     return cache.log_likelihood() / len(ds)
 

@@ -911,10 +911,11 @@ def tomography_mle_serial(counts, design, tol=1e-10, max_iter=200_000, steps=Non
     raise NumericalError(f"tomography MLE did not converge in {max_iter} iterations")
 
 
-def tomography_errors_per_group(cm, periods, shots, seed, *stream_names):
+def tomography_errors_per_group(truth, periods, shots, seed, *stream_names):
     """The CLI's tomography of one group before all groups of a ``tomo``
     command shared one MLE, kept as the reference of the shared fit: the
-    exact channels of this group's periods, counts of period ``k`` drawn
+    reduced maps of the truth's period channel ``truth`` at this group's
+    periods, counts of period ``k`` drawn
     from ``seeds.stream(seed, *stream_names, k)``, one lockstep MLE per
     group and the Choi-matrix error of each estimate.  It runs on the
     library's simulation, MLE and trace norm."""
@@ -923,7 +924,7 @@ def tomography_errors_per_group(cm, periods, shots, seed, *stream_names):
                                    simulate_tomography_counts, tomography_mle)
     from embedlearn.datagen import exact_reference_dynamics
     from embedlearn.qla import trace_norm
-    _, chans = exact_reference_dynamics(cm, periods)
+    _, chans = exact_reference_dynamics(truth, periods)
     design = default_design(shots)
     counts = np.stack([simulate_tomography_counts(ch, design, seeds.stream(seed, *stream_names, k))
                        for k, ch in zip(periods, chans)])
@@ -1231,8 +1232,10 @@ def exact_reference_dynamics_serial(cfg, periods):
 
 
 def exact_controlled_dynamics_serial(cfg, gate, event_period, periods):
-    """``exact_controlled_dynamics`` as a list, stepping the joint state one
-    period at a time and gating it at ``event_period``."""
+    """The truth's S states under one gate, as ``predict_with_control`` of
+    its period channel and ``ControlEvent(event_period, gate)`` gives them,
+    as a list: the joint state stepped one period at a time and gated at
+    ``event_period``."""
     from embedlearn.datagen import period_superoperator
     from embedlearn.qla import dagger, hermitianize, ptrace
     mp = period_superoperator(cfg)

@@ -13,8 +13,8 @@ from embedlearn.assess import (ControlEvent, TomographyDesign, average_choi_erro
                                outcome_probabilities, predict_with_control,
                                simulate_tomography_counts, tomography_mle,
                                trace_distance_trajectory)
-from embedlearn.datagen import (CollisionModelConfig, exact_controlled_dynamics,
-                                exact_reference_dynamics)
+from embedlearn.datagen import (CollisionModelConfig, exact_reference_dynamics,
+                                period_channel)
 from embedlearn.embedding import extract_generator, make_embedding
 from embedlearn.errors import IllConditionedError, NumericalError
 from embedlearn.qla import SIGMA_X, DimSpec, kron, unvec, vec
@@ -284,7 +284,8 @@ class TestOutcomeProbabilities:
     @pytest.mark.parametrize("seed", range(3))
     def test_bitwise_the_per_entry_traces(self, seed):
         rng = np.random.default_rng(seed)
-        _, chans = exact_reference_dynamics(random_collision_config(seed), list(range(8)))
+        truth = period_channel(random_collision_config(seed))
+        _, chans = exact_reference_dynamics(truth, list(range(8)))
         design = default_design(1)
         for sup in [*chans, random_kraus_channel(rng)[1], np.eye(4, dtype=np.complex128)]:
             assert np.array_equal(outcome_probabilities(sup, design),
@@ -401,7 +402,7 @@ def tomo_scan_groups(seed):
     """The four channel groups the ``tomo-scan`` bench workload fits at
     ``seed`` (n_train = 5000, the 20 default periods, k_values 5, 10, 20),
     each as (design, counts), counts drawn from the CLI's seed streams."""
-    _, chans = exact_reference_dynamics(CollisionModelConfig(), list(range(1, 21)))
+    _, chans = exact_reference_dynamics(period_channel(CollisionModelConfig()), list(range(1, 21)))
     groups = [(250, [seeds.stream(seed, "tomo", k) for k in range(1, 21)])]
     for kk in (5, 10, 20):
         groups.append((5000 // kk, [seeds.stream(seed, "tomo-scan", kk, k)
@@ -684,23 +685,23 @@ class TestConcatenationPrediction:
     def test_collision_truth_breaks_concatenation(self):
         # Memory makes the stitched prediction fail hard after the gate: it
         # leaves the state space and sits far from the exact trajectory.
-        cfg = CollisionModelConfig()
+        truth = period_channel(CollisionModelConfig())
         periods = list(range(1, 11))
-        _, channels = exact_reference_dynamics(cfg, periods)
+        _, channels = exact_reference_dynamics(truth, periods)
         times = [float(k) for k in periods]
         ev = ControlEvent(5.0, SIGMA_X)
         concat, flags = concatenation_prediction(times, channels, ev,
                                                  ZERO.copy())
-        exact_post = exact_controlled_dynamics(cfg, SIGMA_X, 5, periods)
+        exact_post = predict_with_control(truth, truth.dims, truth.rho0,
+                                          [ControlEvent(5, SIGMA_X)], periods)
         dist = trace_distance_trajectory(concat, exact_post)
         assert np.max(dist[:5]) < 1e-12
         assert np.min(dist[5:]) > 0.4
         assert any(flags[5:])
 
     def test_flags_report_raw_eigenvalues_unclipped(self):
-        cfg = CollisionModelConfig()
         periods = list(range(1, 11))
-        _, channels = exact_reference_dynamics(cfg, periods)
+        _, channels = exact_reference_dynamics(period_channel(CollisionModelConfig()), periods)
         states, flags = concatenation_prediction(
             [float(k) for k in periods], channels, ControlEvent(5.0, SIGMA_X),
             ZERO.copy())
@@ -718,7 +719,7 @@ class TestConcatenationPrediction:
     def test_stack_is_bitwise_the_per_time_loop(self, seed, event_period):
         rng = np.random.default_rng(seed)
         periods = [4, 1, 6, 3, 3, 2]
-        _, chans = exact_reference_dynamics(random_collision_config(seed), periods)
+        _, chans = exact_reference_dynamics(period_channel(random_collision_config(seed)), periods)
         times = [float(k) for k in periods]
         event = ControlEvent(float(event_period), random_unitary(rng))
         rho_s0 = random_density(rng)
@@ -777,8 +778,8 @@ class TestNonmonotonicityFlag:
         assert nonmonotonicity_flag(np.array([0.5, 0.5 + 1e-5]), tol=1e-6)
 
     def test_collision_dynamics_show_backflow(self):
-        cfg = CollisionModelConfig()
-        _, channels = exact_reference_dynamics(cfg, list(range(1, 21)))
+        _, channels = exact_reference_dynamics(period_channel(CollisionModelConfig()),
+                                               list(range(1, 21)))
         traj_a = [unvec(m @ vec(ZERO)) for m in channels]
         traj_b = [unvec(m @ vec(ONE)) for m in channels]
         d = trace_distance_trajectory(traj_a, traj_b)

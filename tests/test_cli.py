@@ -5,11 +5,12 @@ import hashlib
 import json
 import math
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from embedlearn import cli, jsonio
+from embedlearn import cli, datagen, jsonio
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import Dataset, load_dataset, make_records, save_dataset, split_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
@@ -894,8 +895,8 @@ class TestTomo:
         assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "one"),
                      "--quiet"]) == 0
 
-        def per_group(cm, groups, seed):
-            return [oracles.tomography_errors_per_group(cm, periods, shots, seed, *names)
+        def per_group(truth, groups, seed):
+            return [oracles.tomography_errors_per_group(truth, periods, shots, seed, *names)
                     for _, periods, shots, names in groups]
 
         monkeypatch.setattr(cli, "_tomography_errors", per_group)
@@ -925,6 +926,38 @@ class TestTomo:
         assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--quiet"]) == 0
         assert calls == {"tomography_mle": 1, "exact_reference_dynamics": 1}
+
+
+class TestOneTruthBuild:
+    """The commands that score against the truth build its period channel
+    once and pass it on: to the model's start state (once per refit of
+    ``predict``), the reference dynamics and the gated truth."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("predict", {"train": {"epochs": 2, "batch_size": 60, "restarts": 1, "val_every": 1},
+                     "predict": {"d_er": 1, "times": [0.0, 0.5, 1.0, 2.0],
+                                 "n_values": [60, 120]}}),
+        ("compare", {"compare": {"d_er": 1, "gate": "x", "gate_period": 2,
+                                 "times": [0, 1, 2, 3]}}),
+        ("tomo", {"tomo": {"times": [1, 2], "k_values": [1, 2]}}),
+    ])
+    def test_one_period_superoperator_per_command(self, exact_model_run, tmp_path,
+                                                  command, extra):
+        # Counted by a profile hook on its code object, which leaves the
+        # function itself in place.
+        code, calls = datagen.period_superoperator.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(1)
+
+        sys.setprofile(profile)
+        try:
+            status, _ = run_on_copy(exact_model_run, tmp_path, command, extra)
+        finally:
+            sys.setprofile(None)
+        assert status == 0
+        assert len(calls) == 1
 
 
 class TestCompare:

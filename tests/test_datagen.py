@@ -7,15 +7,15 @@ import zlib
 import numpy as np
 import pytest
 
-from embedlearn import datagen, seeds
+from embedlearn import seeds
+from embedlearn.assess import ControlEvent, predict_with_control
 from embedlearn.datagen import (CollisionModelConfig, Dataset, _record_vectors,
                                 dataset_prefix, default_collision_hamiltonian,
-                                exact_controlled_dynamics,
                                 exact_reference_dynamics, generate_trajectory,
-                                load_dataset, make_records,
-                                period_superoperator, save_dataset,
+                                load_dataset, make_records, period_channel,
+                                period_superoperator, sample_trajectory, save_dataset,
                                 split_dataset, validation_continuation)
-from embedlearn.embedding import make_embedding
+from embedlearn.embedding import PeriodChannel, make_embedding
 from embedlearn.errors import DataError, ZeroProbabilityError
 from embedlearn.likelihood import true_model_log_likelihood
 from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, dagger, expm_unitary,
@@ -51,6 +51,19 @@ def random_unitary(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     return q
+
+
+def reference(cfg, periods):
+    """The truth's unmeasured states and maps at ``periods``."""
+    return exact_reference_dynamics(period_channel(cfg), periods)
+
+
+def controlled(cfg, gate, event_period, periods):
+    """The truth's S states at ``periods`` with ``gate`` on S at the
+    boundary of ``event_period``, as the ``compare`` command predicts them."""
+    truth = period_channel(cfg)
+    return predict_with_control(truth, truth.dims, truth.rho0,
+                                [ControlEvent(event_period, gate)], periods)
 
 
 # Sorted, unsorted with repeats, all repeats, one late period, none.
@@ -256,7 +269,7 @@ class TestGenerateTrajectory:
 
     def test_first_step_marginals_match_exact_state(self):
         cfg = CollisionModelConfig()
-        exact_states, _ = exact_reference_dynamics(cfg, [1])
+        exact_states, _ = reference(cfg, [1])
         rho1 = exact_states[0]
         n = 4000
         indicator = np.zeros(n)
@@ -290,7 +303,7 @@ class TestProductFormSampler:
         assert ds.records["outcome"].tolist() == outcomes.tolist()
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
-    def test_any_memory_matches_joint_oracle(self, monkeypatch, d_er):
+    def test_any_memory_matches_joint_oracle(self, d_er):
         # The sampler reads every memory size from the channel it samples:
         # here a random embedding's, its reservoir the memory.
         rng = np.random.default_rng(60 + d_er)
@@ -299,13 +312,27 @@ class TestProductFormSampler:
         h = 0.25 * (a + a.conj().T) / np.sqrt(dims.d_total)
         channel = oracles.model_channel(
             make_embedding(dims, 1.0, h, random_density(rng, dims.d)))
-        monkeypatch.setattr(datagen, "period_channel", lambda cfg: channel)
-        ds = generate_trajectory(CollisionModelConfig(), 600, d_er)
+        ds = sample_trajectory(channel, 600, d_er, "model")
         bases, outcomes = oracles.joint_trajectory(
             channel.m, channel.rho0, seeds.stream(d_er, "trajectory"), 600)
         assert np.array_equal(ds.records["basis"], bases)
         assert ds.records["outcome"].tolist() == outcomes.tolist()
         assert 0 < outcomes.mean() < 1
+        assert ds.provenance == {"seed": d_er, "config_hash": "model"}
+
+    def test_generate_is_the_sampler_on_the_truth(self):
+        cfg = CollisionModelConfig(tau=0.5)
+        ds = generate_trajectory(cfg, 40, 8)
+        want = sample_trajectory(period_channel(cfg), 40, 8, cfg.digest())
+        assert ds.records.tobytes() == want.records.tobytes()
+        assert (ds.tau, ds.provenance) == (0.5, {"seed": 8, "config_hash": cfg.digest()})
+
+    def test_non_qubit_channel_rejected(self):
+        dims = DimSpec(d_s=3, d_er=1)
+        channel = PeriodChannel(np.eye(9, dtype=np.complex128), dims,
+                                np.eye(3, dtype=np.complex128) / 3, 1.0)
+        with pytest.raises(ValueError, match="d_s=3"):
+            sample_trajectory(channel, 5, 0, None)
 
     def test_golden_dataset_bytes(self, tmp_path):
         # sha256 of the files the joint-space simulator wrote for seed 3
@@ -323,15 +350,14 @@ class TestProductFormSampler:
         # S1 |0> -> |1>, and |1> is annihilated: the second record has no weight.
         (np.kron(np.eye(2), [[0.0, 0.0], [1.0, 0.0]]), 2),
     ])
-    def test_zero_probability_step_matches_oracle(self, monkeypatch, kraus, step):
+    def test_zero_probability_step_matches_oracle(self, kraus, step):
         m = np.kron(kraus.conj(), kraus).astype(np.complex128)
-        monkeypatch.setattr(datagen, "period_superoperator", lambda cfg: m)
-        cfg = CollisionModelConfig()
+        rho0 = CollisionModelConfig().rho_ss1_0
         with pytest.raises(ZeroProbabilityError) as exc:
-            generate_trajectory(cfg, 10, 5)
+            sample_trajectory(PeriodChannel(m, DimSpec(d_s=2, d_er=2), rho0, 1.0), 10, 5, None)
         assert exc.value.step == step
         with pytest.raises(ValueError, match=f"zero probability at step {step}$"):
-            oracles.joint_trajectory(m, cfg.rho_ss1_0, seeds.stream(5, "trajectory"), 10)
+            oracles.joint_trajectory(m, rho0, seeds.stream(5, "trajectory"), 10)
 
     def test_memory_at_20000_records(self):
         # Mostly the records themselves (6.4 MiB for the joint-space loop);
@@ -349,28 +375,28 @@ class TestProductFormSampler:
 class TestExactReference:
     def test_time_zero(self):
         cfg = CollisionModelConfig()
-        states, chans = exact_reference_dynamics(cfg, [0])
+        states, chans = reference(cfg, [0])
         want = ptrace(np.asarray(cfg.rho_ss1_0), [2, 2], [0])
         assert np.max(np.abs(states[0] - want)) < 1e-12
         assert np.max(np.abs(chans[0] - np.eye(4))) < 1e-12
 
     def test_traces_one(self):
         cfg = CollisionModelConfig()
-        states, _ = exact_reference_dynamics(cfg, list(range(11)))
+        states, _ = reference(cfg, list(range(11)))
         for rho in states:
             assert abs(np.trace(rho) - 1.0) < 1e-10
 
     def test_channel_action_matches_state_propagation(self):
         cfg = CollisionModelConfig()
         rho_s0 = ptrace(np.asarray(cfg.rho_ss1_0), [2, 2], [0])
-        states, chans = exact_reference_dynamics(cfg, [1, 3, 7])
+        states, chans = reference(cfg, [1, 3, 7])
         for rho_t, m in zip(states, chans):
             via_channel = unvec(m @ vec(rho_s0))
             assert np.max(np.abs(via_channel - rho_t)) < 1e-11
 
     def test_channels_are_trace_preserving(self):
         cfg = CollisionModelConfig()
-        _, chans = exact_reference_dynamics(cfg, [2, 5])
+        _, chans = reference(cfg, [2, 5])
         ident = vec(np.eye(2, dtype=np.complex128))
         for m in chans:
             assert np.max(np.abs(ident @ m - ident)) < 1e-10
@@ -379,7 +405,7 @@ class TestExactReference:
     @pytest.mark.parametrize("periods", PERIOD_LISTS)
     def test_stacks_are_bitwise_the_serial_steps(self, seed, periods):
         cfg = random_collision_config(seed)
-        states, chans = exact_reference_dynamics(cfg, periods)
+        states, chans = reference(cfg, periods)
         want_states, want_chans = oracles.exact_reference_dynamics_serial(cfg, periods)
         assert states.shape == (len(periods), 2, 2)
         assert chans.shape == (len(periods), 4, 4)
@@ -388,15 +414,15 @@ class TestExactReference:
 
     def test_negative_period_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            exact_reference_dynamics(CollisionModelConfig(), [2, -1])
+            reference(CollisionModelConfig(), [2, -1])
 
     def test_memory_does_not_grow_with_the_period(self):
         # Keeping every power up to period 20000 takes about 30 MB.
         cfg = CollisionModelConfig()
         tracemalloc.start()
         try:
-            exact_reference_dynamics(cfg, [20000, 3])
-            exact_controlled_dynamics(cfg, SIGMA_X, 10000, [20000])
+            reference(cfg, [20000, 3])
+            controlled(cfg, SIGMA_X, 10000, [20000])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,41 +433,43 @@ class TestExactControlled:
     def test_identity_gate_matches_reference(self):
         cfg = CollisionModelConfig()
         periods = [0, 1, 2, 3, 4]
-        ref, _ = exact_reference_dynamics(cfg, periods)
-        got = exact_controlled_dynamics(cfg, np.eye(2), 2, periods)
+        ref, _ = reference(cfg, periods)
+        got = controlled(cfg, np.eye(2), 2, periods)
         for a, b in zip(ref, got):
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_gate_applied_at_event_period(self):
         cfg = CollisionModelConfig()
-        ref, _ = exact_reference_dynamics(cfg, [2])
-        got = exact_controlled_dynamics(cfg, SIGMA_X, 2, [2])
+        ref, _ = reference(cfg, [2])
+        got = controlled(cfg, SIGMA_X, 2, [2])
         want = SIGMA_X @ ref[0] @ SIGMA_X
         assert np.max(np.abs(got[0] - want)) < 1e-12
 
     def test_pre_gate_states_unaffected(self):
         cfg = CollisionModelConfig()
-        ref, _ = exact_reference_dynamics(cfg, [0, 1])
-        got = exact_controlled_dynamics(cfg, SIGMA_X, 2, [0, 1])
+        ref, _ = reference(cfg, [0, 1])
+        got = controlled(cfg, SIGMA_X, 2, [0, 1])
         for a, b in zip(ref, got):
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError):
-            exact_controlled_dynamics(CollisionModelConfig(), np.eye(2) * 2, 1,
-                                      [0, 1])
+            controlled(CollisionModelConfig(), np.eye(2) * 2, 1, [0, 1])
 
     def test_negative_period_rejected(self):
         with pytest.raises(ValueError, match="period counts must be nonnegative"):
-            exact_controlled_dynamics(CollisionModelConfig(), SIGMA_X, 2, [-1, 3])
+            controlled(CollisionModelConfig(), SIGMA_X, 2, [-1, 3])
+
+    def test_negative_event_period_rejected(self):
+        with pytest.raises(ValueError, match="event times must be nonnegative"):
+            controlled(CollisionModelConfig(), SIGMA_X, -1, [0, 3])
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("periods", PERIOD_LISTS)
     def test_gate_after_every_period_is_bitwise_the_reference(self, seed, periods):
         cfg = random_collision_config(seed)
-        ref, _ = exact_reference_dynamics(cfg, periods)
-        got = exact_controlled_dynamics(cfg, random_unitary(seed + 10),
-                                        max(periods, default=0) + 1, periods)
+        ref, _ = reference(cfg, periods)
+        got = controlled(cfg, random_unitary(seed + 10), max(periods, default=0) + 1, periods)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -452,7 +480,7 @@ class TestExactControlled:
     def test_stack_is_bitwise_the_serial_steps(self, seed, periods, event_period):
         cfg = random_collision_config(seed)
         gate = random_unitary(seed + 10)
-        got = exact_controlled_dynamics(cfg, gate, event_period, periods)
+        got = controlled(cfg, gate, event_period, periods)
         want = oracles.exact_controlled_dynamics_serial(cfg, gate, event_period, periods)
         assert got.shape == (len(periods), 2, 2)
         assert np.array_equal(got, np.reshape(want, (-1, 2, 2)))
@@ -462,26 +490,26 @@ class TestTrueModelLikelihood:
     def test_single_record_closed_form(self):
         cfg = CollisionModelConfig()
         ds = generate_trajectory(cfg, 1, 21)
-        states, _ = exact_reference_dynamics(cfg, [1])
+        states, _ = reference(cfg, [1])
         phi = oracles.record_vectors_serial(ds.records)[0]
         want = np.log(np.real(phi.conj() @ states[0] @ phi))
-        assert abs(true_model_log_likelihood(cfg, ds) - want) < 1e-10
+        assert abs(true_model_log_likelihood(period_channel(cfg), ds) - want) < 1e-10
 
     def test_longer_record_is_finite_and_negative(self):
         cfg = CollisionModelConfig()
         ds = generate_trajectory(cfg, 200, 22)
-        ll = true_model_log_likelihood(cfg, ds)
+        ll = true_model_log_likelihood(period_channel(cfg), ds)
         assert np.isfinite(ll)
         assert ll < 0.0
 
     def test_dataset_of_another_tau_or_d_s_is_refused(self):
         ds = generate_trajectory(CollisionModelConfig(), 20, 26)
         with pytest.raises(DataError, match="data tau=1.0 does not match model tau=2.0"):
-            true_model_log_likelihood(CollisionModelConfig(tau=2.0), ds)
+            true_model_log_likelihood(period_channel(CollisionModelConfig(tau=2.0)), ds)
         qutrit = Dataset(records=make_records([1, 2], np.stack([np.eye(3)] * 2), [0, 2]),
                          tau=1.0, provenance={})
         with pytest.raises(DataError, match="data d_s=3 does not match model d_s=2"):
-            true_model_log_likelihood(CollisionModelConfig(), qutrit)
+            true_model_log_likelihood(period_channel(CollisionModelConfig()), qutrit)
 
     def test_engine_matches_simulator_loop(self):
         cfg = CollisionModelConfig()
@@ -489,7 +517,7 @@ class TestTrueModelLikelihood:
         phis = oracles.record_vectors_serial(ds.records)
         want = oracles.filtered_log_likelihood(period_superoperator(cfg),
                                                cfg.rho_ss1_0, phis)
-        assert abs(true_model_log_likelihood(cfg, ds) - want) < 1e-12
+        assert abs(true_model_log_likelihood(period_channel(cfg), ds) - want) < 1e-12
 
 
 class TestSplitting:

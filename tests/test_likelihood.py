@@ -905,9 +905,35 @@ class TestExactEmbedding:
 
     @pytest.mark.parametrize("d_er", [2, 3])
     def test_log_likelihood_is_the_truths(self, d_er):
-        from embedlearn.datagen import CollisionModelConfig, generate_trajectory
+        from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
+                                        period_channel)
         from embedlearn.likelihood import true_model_log_likelihood
         cfg = CollisionModelConfig()
         ds = generate_trajectory(cfg, 2000, 7)
         per_step = log_likelihood(oracles.exact_embedding(cfg, d_er), ds) / len(ds)
-        assert abs(per_step - true_model_log_likelihood(cfg, ds)) <= 1e-12
+        assert abs(per_step - true_model_log_likelihood(period_channel(cfg), ds)) <= 1e-12
+
+
+class TestRecordsOfAModelsChannel:
+    """Records sampled from a fitted model's period channel, as a recovery
+    test or a parametric bootstrap draws them: the channel's likelihood is
+    the model's, and provenance still separates trajectories."""
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_channel_likelihood_is_the_models(self, d_er):
+        from embedlearn.datagen import sample_trajectory
+        from embedlearn.likelihood import true_model_log_likelihood
+        model = random_model(np.random.default_rng(70 + d_er), d_er=d_er)
+        channel = oracles.model_channel(model)
+        ds = sample_trajectory(channel, 400, d_er, "model")
+        want = log_likelihood(model, ds) / len(ds)
+        assert abs(true_model_log_likelihood(channel, ds) - want) <= 1e-12
+
+    def test_validation_of_another_config_hash_is_refused(self):
+        from embedlearn.datagen import sample_trajectory, split_dataset
+        model = random_model(np.random.default_rng(74), d_er=2)
+        channel = oracles.model_channel(model)
+        train, _ = split_dataset(sample_trajectory(channel, 60, 5, "a"), 40)
+        _, val = split_dataset(sample_trajectory(channel, 60, 5, "b"), 40)
+        with pytest.raises(DataError, match="provenance differs"):
+            conditional_validation_ll(model, train, val, forward_pass(model, train))

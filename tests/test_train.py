@@ -5,7 +5,7 @@ import pytest
 
 from embedlearn import train
 from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
-                                split_dataset)
+                                period_channel, split_dataset)
 from embedlearn.likelihood import (conditional_validation_ll, forward_pass,
                                    true_model_log_likelihood)
 from embedlearn.qla import SIGMA_X, DimSpec, dagger, kron, ptrace
@@ -31,7 +31,7 @@ def markovian_fit():
     tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3, restarts=1,
                      convergence_window=60, convergence_tol=1e-4, val_every=25)
     model, curve = fit(tr, va, DimSpec(d_s=2, d_er=1), tc)
-    truth_train = true_model_log_likelihood(cfg, tr)
+    truth_train = true_model_log_likelihood(period_channel(cfg), tr)
     return model, curve, truth_train, tc, tr, va
 
 
