@@ -24,7 +24,7 @@ print(f"400 training / 400 validation records; "
       f"generating-model per-step ll {truth_ll:.4f}")
 
 
-tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3, restarts=1,
+tc = TrainConfig(epochs=300, batch_size=400, seed=3, restarts=1,
                  convergence_window=60, convergence_tol=1e-4, val_every=25)
 print("\nfitting candidates d_er = 1, 2 ...")
 best, table, models, _ = select_d_er(train, val, [1, 2], tc)

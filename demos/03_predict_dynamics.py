@@ -21,12 +21,12 @@ n = 2000
 ds = generate_trajectory(cfg, 2 * n, seed=11)
 train, val = split_dataset(ds, n)
 
-tc = TrainConfig(d_er=2, epochs=500, batch_size=1000, seed=3, restarts=1,
+tc = TrainConfig(epochs=500, batch_size=1000, seed=3, restarts=1,
                  convergence_window=80, convergence_tol=1e-4, val_every=20)
 print(f"fitting d_er = 2 on {n} records (a minute or so) ...")
 model, curve = fit(train, val, DimSpec(d_s=2, d_er=2), tc)
 print(f"stopped after {len(curve.epoch)} epochs; validation per-step ll "
-      f"{conditional_validation_ll(model, train, val, forward_pass(model, train)):+.4f}")
+      f"{conditional_validation_ll(train, val, forward_pass(model, train)):+.4f}")
 
 gen = extract_generator(model)
 rho_er0 = ptrace(model.rho0_ser, [2, 2], [1])
@@ -34,14 +34,14 @@ periods = list(range(1, 11))
 times = [float(k) for k in periods]
 
 exact_states, exact_chans = exact_reference_dynamics(period_channel(cfg), periods)
-predicted = predict_dynamics(gen, model.dims, model.rho0_ser, times)
+predicted = predict_dynamics(gen, model.rho0_ser, times)
 
 print("\nreduced dynamics, Bloch z component:")
 print("time   exact   learned")
 for t, rs, rp in zip(times, exact_states, predicted):
     print(f"{t:4.0f}  {bloch_vector(rs)[2]:+.4f}  {bloch_vector(rp)[2]:+.4f}")
 
-learned_maps = dynamics_maps(gen, model.dims, rho_er0, times)
+learned_maps = dynamics_maps(gen, rho_er0, times)
 exact_chois = [choi_from_superop(m, 2) for m in exact_chans]
 err = average_choi_error(learned_maps, exact_chois)
 print(f"\naverage process-matrix error over t = 1..10: {err:.4f}")

@@ -17,7 +17,7 @@ cfg = CollisionModelConfig()
 ds = generate_trajectory(cfg, 1200, seed=23)
 train, val = split_dataset(ds, 600)
 
-tc = TrainConfig(d_er=1, epochs=250, batch_size=600, seed=5, restarts=1,
+tc = TrainConfig(epochs=250, batch_size=600, seed=5, restarts=1,
                  convergence_window=60, convergence_tol=1e-4, val_every=25)
 print("point fit (d_er = 1, 600 records) ...")
 model, _ = fit(train, val, DimSpec(d_s=2, d_er=1), tc)

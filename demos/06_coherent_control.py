@@ -32,9 +32,9 @@ event = ControlEvent(time=float(gate_at), gate=SIGMA_X)
 
 # The same prediction on the truth's period channel, which counts time in
 # periods, from its joint start state.
-exact = predict_with_control(truth, truth.dims, truth.rho0,
+exact = predict_with_control(truth, truth.rho0,
                              [ControlEvent(gate_at, SIGMA_X)], periods)
-embed = predict_with_control(gen, model.dims, rho_s0, [event], times)
+embed = predict_with_control(gen, rho_s0, [event], times)
 _, chans = exact_reference_dynamics(truth, periods)
 concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embedding import GeneratorSuperoperator, PeriodChannel
 from .errors import IllConditionedError, TomographyError
-from .qla import CMatrix, DimSpec, dagger, hermitianize, ptrace, trace_norm, unvec, vec
+from .qla import CMatrix, dagger, hermitianize, ptrace, trace_norm, unvec, vec
 
 POSITIVITY_TOL = 1e-8
 
@@ -37,8 +37,8 @@ def choi_from_superop(m: CMatrix, d: int) -> CMatrix:
     return m4.reshape(lead + (d * d, d * d)) / d
 
 
-def reduced_superops(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
-                     rho_er0: CMatrix, times: list[float]) -> CMatrix:
+def reduced_superops(gen: GeneratorSuperoperator | PeriodChannel, rho_er0: CMatrix,
+                     times: list[float]) -> CMatrix:
     """Reduced dynamical maps of an embedding at the given times, as
     column-stacking superoperators on S, (times, d_s**2, d_s**2).
 
@@ -46,24 +46,24 @@ def reduced_superops(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
     rho_er0)].  A stacked generator with a matching stack of reservoir
     states gives (..., times, d_s**2, d_s**2).
     """
-    d_s, d_er = dims.d_s, dims.d_er
+    d_s, d_er = gen.dims.d_s, gen.dims.d_er
     # Column j*d_s + i holds vec(|i><j| x rho_er0); a column-stacked joint
     # state has axes (j_s, j_er, i_s, i_er).
     eye = np.eye(d_s, dtype=np.complex128)
     rho_er0 = np.asarray(rho_er0, dtype=np.complex128)
     basis = np.einsum("aj,bi,...ef->...afbeji", eye, eye, rho_er0)
-    cols = basis.reshape(rho_er0.shape[:-2] + (dims.d ** 2, d_s * d_s))
+    cols = basis.reshape(rho_er0.shape[:-2] + (gen.dims.d ** 2, d_s * d_s))
     joint = gen.propagate(cols, times)
     joint = joint.reshape(joint.shape[:-2] + (d_s, d_er, d_s, d_er, d_s * d_s))
     m = np.einsum("...jeiec->...jic", joint)  # tr_ER
     return m.reshape(m.shape[:-3] + (d_s * d_s, d_s * d_s))
 
 
-def dynamics_maps(gen: GeneratorSuperoperator, dims: DimSpec, rho_er0: CMatrix,
+def dynamics_maps(gen: GeneratorSuperoperator, rho_er0: CMatrix,
                   times: list[float]) -> CMatrix:
     """The maps of :func:`reduced_superops` as stacked Choi matrices on S,
     (..., times, d_s**2, d_s**2)."""
-    return choi_from_superop(reduced_superops(gen, dims, rho_er0, times), dims.d_s)
+    return choi_from_superop(reduced_superops(gen, rho_er0, times), gen.dims.d_s)
 
 
 def average_choi_error(chois_a: CMatrix, chois_b: CMatrix) -> float:
@@ -305,9 +305,8 @@ class ControlEvent:
     gate: CMatrix = field(repr=False)
 
 
-def predict_with_control(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
-                         rho_ser0: CMatrix, events: list[ControlEvent],
-                         times: list[float]) -> CMatrix:
+def predict_with_control(gen: GeneratorSuperoperator | PeriodChannel, rho_ser0: CMatrix,
+                         events: list[ControlEvent], times: list[float]) -> CMatrix:
     """Embedding prediction with gates applied to the joint state: system
     states at the requested times, stacked (times, d_s, d_s).
 
@@ -315,7 +314,7 @@ def predict_with_control(gen: GeneratorSuperoperator | PeriodChannel, dims: DimS
     an event time the gate acts as V x I on system x reservoir.  A requested
     time that coincides with an event reports the post-gate state.
     """
-    d_s, d_er = dims.d_s, dims.d_er
+    d_s, d_er = gen.dims.d_s, gen.dims.d_er
     ev = sorted(events, key=lambda e: e.time)
     for e in ev:
         g = np.asarray(e.gate, dtype=np.complex128)

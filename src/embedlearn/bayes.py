@@ -32,6 +32,10 @@ from .train import (AdamState, adam_update, gradient_to_params, pack_hermitian,
 # Posterior draws decomposed and pushed forward together: bounds the memory
 # of the stacked decompositions, whatever the number of draws is.
 DRAW_BLOCK = 8
+# The divergence guard of the variational fit: it stops when the objective,
+# averaged over a window of iterations, climbs by more than the margin.
+DIVERGENCE_WINDOW = 50
+DIVERGENCE_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,11 @@ class BayesConfig:
     init_sigma: float = 0.01
     seed: int = 0
     floor_log_likelihood: float = -1e6
-    divergence_window: int = 50
-    divergence_margin: float = 100.0
 
     def __post_init__(self):
-        if min(self.iterations, self.mc_samples, self.divergence_window) < 1:
+        if min(self.iterations, self.mc_samples) < 1:
             raise ValueError(f"integer fields must be >= 1: {self}")
-        if min(self.lr, self.eps_adam, self.init_sigma, self.divergence_margin) <= 0:
+        if min(self.lr, self.eps_adam, self.init_sigma) <= 0:
             raise ValueError(f"scale fields must be positive: {self}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError(f"betas must lie in (0, 1): {self}")
@@ -80,7 +82,7 @@ def fit_gaussian_posterior(value_and_grad, mean0: np.ndarray, log_std0: np.ndarr
     Returns the optimized mean, log_std, and the per-iteration objective
     trace.  A non-finite objective or parameter vector aborts with
     :class:`DivergenceError`, as does a window-averaged objective that
-    climbs by more than ``cfg.divergence_margin`` over one window; the
+    climbs by more than :data:`DIVERGENCE_MARGIN` over one window; the
     exception carries the trace so far.
     """
     mean = np.asarray(mean0, dtype=np.float64)
@@ -92,7 +94,7 @@ def fit_gaussian_posterior(value_and_grad, mean0: np.ndarray, log_std0: np.ndarr
     params = np.concatenate([mean, log_std])
     adam = AdamState.fresh(2 * n)
     trace: list[float] = []
-    w = cfg.divergence_window
+    w = DIVERGENCE_WINDOW
     for _ in range(cfg.iterations):
         mean, log_std = params[:n], params[n:]
         sigma = np.exp(log_std)
@@ -113,7 +115,7 @@ def fit_gaussian_posterior(value_and_grad, mean0: np.ndarray, log_std0: np.ndarr
         if len(trace) >= 2 * w:
             recent = sum(trace[-w:]) / w
             prev = sum(trace[-2 * w:-w]) / w
-            if recent > prev + cfg.divergence_margin:
+            if recent > prev + DIVERGENCE_MARGIN:
                 raise DivergenceError(
                     f"variational objective climbed by {recent - prev:.3e} "
                     f"over one {w}-iteration window", trace)
@@ -178,11 +180,11 @@ def score_draws(model: MarkovianEmbedding, data, thetas: np.ndarray,
     models = [model.with_h(unpack_hermitian(theta, dd)) for theta in thetas]
     all_steps = np.arange(1, len(data) + 1)
     scores = []
-    for m, cache in zip(models, build_caches(models, data)):
+    for cache in build_caches(models, data):
         score = (floor, np.zeros(thetas.shape[1]))
         if cache is not None:
             try:
-                g = log_likelihood_gradient(m, data, cache, all_steps)
+                g = log_likelihood_gradient(cache, all_steps)
                 score = (cache.log_likelihood(), gradient_to_params(g))
             except ZeroProbabilityError:
                 pass
@@ -218,13 +220,13 @@ def _usable_draws(posterior: VariationalPosterior, n_draws: int,
         for j in range(len(log_w)):
             try:
                 ers.append(equilibrium_er_state(
-                    GeneratorSuperoperator(log_w[j], v[j], v_inv[j], tau=base.tau), dims))
+                    GeneratorSuperoperator(log_w[j], v[j], v_inv[j], dims, base.tau)))
             except FixedPointError:
                 continue
             keep.append(j)
         got += len(keep)
         if keep:
-            yield (GeneratorSuperoperator(log_w[keep], v[keep], v_inv[keep], tau=base.tau),
+            yield (GeneratorSuperoperator(log_w[keep], v[keep], v_inv[keep], dims, base.tau),
                    np.stack(ers))
 
 
@@ -282,8 +284,8 @@ def sample_dynamics(posterior: VariationalPosterior, rho_s0: np.ndarray, times,
     for gen, ers in _usable_draws(posterior, n_draws, rng):
         j = i + len(ers)
         rho0 = np.stack([kron(rho_s0, er) for er in ers])
-        states[i:j] = predict_dynamics(gen, dims, rho0, times)
-        maps[i:j] = dynamics_maps(gen, dims, ers, times)
+        states[i:j] = predict_dynamics(gen, rho0, times)
+        maps[i:j] = dynamics_maps(gen, ers, times)
         i = j
     return PosteriorDynamics(times=times, states=states, maps=maps)
 

@@ -37,8 +37,7 @@ from .embedding import (MAX_D_ER, MAX_PERIODS, PeriodChannel, equilibrium_er_sta
                         extract_generator, load_model, predict_dynamics, save_model)
 from .errors import ConfigError, DataError, NumericalError, TomographyError
 from .likelihood import conditional_validation_ll, forward_pass
-from .qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector, kron,
-                  ptrace, trace_norm)
+from .qla import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, kron, ptrace, trace_norm
 from .train import TrainConfig, fit, select_d_er
 
 _GATES = {
@@ -87,7 +86,7 @@ class DataSection:
 class TrainSection:
     candidates: tuple[int, ...] = (1, 2)
     n_records: int | None = None
-    fit: TrainConfig = _flat(TrainConfig, "d_er", "seed")
+    fit: TrainConfig = _flat(TrainConfig, "seed")
 
     def __post_init__(self):
         _check_range(1, MAX_D_ER, candidates=self.candidates)
@@ -107,7 +106,7 @@ class PredictSection:
 @_section
 class BayesSection:
     d_er: int | None = None
-    fit: BayesConfig = _flat(BayesConfig, "seed", "divergence_window", "divergence_margin")
+    fit: BayesConfig = _flat(BayesConfig, "seed")
     n_draws: int = 50
     n_records: int | None = None
     times: tuple[float, ...] = tuple(map(float, range(21)))
@@ -375,9 +374,8 @@ def cmd_train(cfg: RunConfig, out: Path, quiet: bool) -> None:
             ds_train = dataset_prefix(ds_train, t.n_records)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    best_k, table, models, curves = select_d_er(
-        ds_train, ds_val, t.candidates,
-        replace(t.fit, d_er=min(t.candidates), seed=cfg.seed))
+    best_k, table, models, curves = select_d_er(ds_train, ds_val, t.candidates,
+                                                replace(t.fit, seed=cfg.seed))
     for k, val_ll in table:
         save_model(models[k], _model_path(out, k))
         curves[k].to_csv(out / f"curves_der{k}.csv")
@@ -400,7 +398,7 @@ def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
         model = _load_model(p)
         cache = forward_pass(model, ds_train)
         train_ps = cache.log_likelihood() / n
-        val_ps = conditional_validation_ll(model, ds_train, ds_val, cache)
+        val_ps = conditional_validation_ll(ds_train, ds_val, cache)
         rows.append((p.name, model.dims.d_er, train_ps, val_ps))
         _say(quiet, f"{p.name}: train {train_ps:.6f}, validation {val_ps:.6f} per step")
     if not rows:
@@ -411,11 +409,11 @@ def cmd_validate(cfg: RunConfig, out: Path, quiet: bool) -> None:
             fh.write(f"{name},{k},{_fmt(tr)},{_fmt(va)}\n")
 
 
-def _model_start(truth: PeriodChannel, gen, dims: DimSpec) -> tuple[np.ndarray, np.ndarray]:
+def _model_start(truth: PeriodChannel, gen) -> tuple[np.ndarray, np.ndarray]:
     """The start of a model's predictions, (rho_s0, rho_er0): the system in
     the S marginal of the truth channel's ``rho0``, the reservoir at equilibrium."""
     return (ptrace(truth.rho0, [truth.dims.d_s, truth.dims.d_er], [0]),
-            equilibrium_er_state(gen, dims))
+            equilibrium_er_state(gen))
 
 
 def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
@@ -435,8 +433,8 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
             raise ConfigError(str(exc)) from exc
 
     truth = period_channel(cm)
-    rho_s0, rho_er0 = _model_start(truth, gen, dims)
-    states = predict_dynamics(gen, dims, kron(rho_s0, rho_er0), times)
+    rho_s0, rho_er0 = _model_start(truth, gen)
+    states = predict_dynamics(gen, kron(rho_s0, rho_er0), times)
     on_grid = _integer_periods(times, cm.tau)
     periods = np.array(list(on_grid.values()), dtype=int)
     exact_states, exact_chans = exact_reference_dynamics(truth, periods)
@@ -444,12 +442,12 @@ def cmd_predict(cfg: RunConfig, out: Path, quiet: bool) -> None:
     grid_times = [times[i] for i, k in on_grid.items() if k >= 1]
     exact_chois = choi_from_superop(exact_chans[periods >= 1], dims.d_s)
     # Every fit and map comes first: a failure (exit 4) leaves no partial outputs.
-    errors = 0.5 * trace_norm(dynamics_maps(gen, dims, rho_er0, grid_times) - exact_chois)
+    errors = 0.5 * trace_norm(dynamics_maps(gen, rho_er0, grid_times) - exact_chois)
     rows = []
-    fit_cfg = replace(cfg.train.fit, d_er=dims.d_er, seed=cfg.seed)
+    fit_cfg = replace(cfg.train.fit, seed=cfg.seed)
     for n, prefix, cont in scan:
         gen_n = extract_generator(fit(prefix, cont, dims, fit_cfg)[0])
-        maps = dynamics_maps(gen_n, dims, _model_start(truth, gen_n, dims)[1], grid_times)
+        maps = dynamics_maps(gen_n, equilibrium_er_state(gen_n), grid_times)
         rows.append((n, float(np.mean(0.5 * trace_norm(maps - exact_chois)))))
 
     with open(out / "bloch.csv", "w", encoding="utf-8") as fh:
@@ -576,16 +574,14 @@ def cmd_tomo(cfg: RunConfig, out: Path, quiet: bool) -> None:
 def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> None:
     c, cm = cfg.compare, cfg.data.collision
     gate = _GATES[c.gate.lower()]
-    model = _load_model_for(out, c.d_er, cm.tau)
-    gen = extract_generator(model)
+    gen = extract_generator(_load_model_for(out, c.d_er, cm.tau))
     times = [k * cm.tau for k in c.times]
     event = ControlEvent(time=c.gate_period * cm.tau, gate=gate)
 
     truth = period_channel(cm)
-    exact = predict_with_control(truth, truth.dims, truth.rho0,
-                                 [ControlEvent(c.gate_period, gate)], c.times)
-    rho_s0, rho_er0 = _model_start(truth, gen, model.dims)
-    embed = predict_with_control(gen, model.dims, kron(rho_s0, rho_er0), [event], times)
+    exact = predict_with_control(truth, truth.rho0, [ControlEvent(c.gate_period, gate)], c.times)
+    rho_s0, rho_er0 = _model_start(truth, gen)
+    embed = predict_with_control(gen, kron(rho_s0, rho_er0), [event], times)
     _, chans = exact_reference_dynamics(truth, c.times)
     concat, flags = concatenation_prediction(times, chans, event, rho_s0)
 

@@ -332,8 +332,8 @@ def exact_reference_dynamics(truth: PeriodChannel,
     # RSS of every command by about 0.1 MB (compiled from source).
     from .assess import reduced_superops
     memory = er_marginal(truth.rho0, truth.dims)  # the memory preparation of the maps
-    return (predict_dynamics(truth, truth.dims, truth.rho0, periods),
-            reduced_superops(truth, truth.dims, memory, periods))
+    return (predict_dynamics(truth, truth.rho0, periods),
+            reduced_superops(truth, memory, periods))
 
 
 # ---------------------------------------------------------------------------

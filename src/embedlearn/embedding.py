@@ -79,14 +79,16 @@ class GeneratorSuperoperator:
     diagonalized as the factors of :func:`~embedlearn.qla.logm_principal`:
     tau L = V diag(log w) V⁻¹ over the eigenvalues w of the period channel,
     so exp(t L) = V diag(w**(t/tau)) V⁻¹.  L acts on column-stacked density
-    matrices of the joint system + reservoir space.  The factors may carry
-    leading stack axes, one generator per entry, for :meth:`propagate`.
+    matrices of the joint system + reservoir space of ``dims``.  The factors
+    may carry leading stack axes, one generator per entry of one ``dims``
+    and ``tau``, for :meth:`propagate`.
     """
 
     log_eigenvalues: np.ndarray
     eigenvectors: CMatrix = field(repr=False)
     inverse: CMatrix = field(repr=False)
-    tau: float = 1.0
+    dims: DimSpec
+    tau: float
 
     @property
     def matrix(self) -> CMatrix:
@@ -258,10 +260,10 @@ def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.n
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:
     """Generator L = log(channel)/tau via the principal matrix logarithm."""
     m = model_channels([model])[1][0]
-    return GeneratorSuperoperator(*logm_principal(m), tau=model.tau)
+    return GeneratorSuperoperator(*logm_principal(m), model.dims, model.tau)
 
 
-def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
+def equilibrium_er_state(gen: GeneratorSuperoperator) -> CMatrix:
     """Reservoir marginal of the stationary state of exp(tau L): the
     trace-one eigenvector of the period channel's largest-modulus eigenvalue.
 
@@ -271,7 +273,7 @@ def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
     trivial marginal regardless of whether the joint stationary state is
     unique.
     """
-    if dims.d_er == 1:
+    if gen.dims.d_er == 1:
         return np.ones((1, 1), dtype=np.complex128)
     order = np.argsort(-gen.log_eigenvalues.real)
     moduli = np.exp(gen.log_eigenvalues.real[order])  # |w|, largest first
@@ -279,7 +281,7 @@ def equilibrium_er_state(gen: GeneratorSuperoperator, dims: DimSpec) -> CMatrix:
     tr = np.trace(rho).real
     if moduli[1] >= 1.0 - 1e-8 or abs(tr) < 1e-12:
         raise FixedPointError((float(moduli[0]), float(moduli[1])))
-    return er_marginal(rho / tr, dims)
+    return er_marginal(rho / tr, gen.dims)
 
 
 def er_marginal(rho_ser: CMatrix, dims: DimSpec) -> CMatrix:
@@ -287,8 +289,8 @@ def er_marginal(rho_ser: CMatrix, dims: DimSpec) -> CMatrix:
     return ptrace(rho_ser, [dims.d_s, dims.d_er], [1])
 
 
-def predict_dynamics(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
-                     rho_ser0: CMatrix, times: list[float]) -> CMatrix:
+def predict_dynamics(gen: GeneratorSuperoperator | PeriodChannel, rho_ser0: CMatrix,
+                     times: list[float]) -> CMatrix:
     """System states tr_ER[exp(t L) rho_ser0] at the requested times,
     stacked (times, d_s, d_s); a stacked generator with a matching stack of
     initial states gives (..., times, d_s, d_s).
@@ -297,7 +299,7 @@ def predict_dynamics(gen: GeneratorSuperoperator | PeriodChannel, dims: DimSpec,
     positivity are up to the quality of the generator, not enforced.
     """
     joint = gen.propagate(vec(rho_ser0)[..., None], times)[..., 0]
-    return hermitianize(ptrace(unvec(joint), [dims.d_s, dims.d_er], [0]))
+    return hermitianize(ptrace(unvec(joint), [gen.dims.d_s, gen.dims.d_er], [0]))
 
 
 # ---------------------------------------------------------------------------

@@ -75,15 +75,14 @@ class PropagationCache:
     Either half may be absent if only one sweep was run.
 
     The sweeps ran under ``channel`` over ``data``, whose measured system
-    vectors are ``phis``.  ``model``, the eigensystem ``spectrum`` of its H
-    and the Kraus stack ``kraus`` of its period unitary, which ``channel``
-    was built from, let a later validation or gradient of the same model and
-    data skip decomposing H again; all three are None for the generating
-    model of :func:`true_model_log_likelihood`.
+    vectors are ``phis``.  The eigensystem ``spectrum`` of the model's H and
+    the Kraus stack ``kraus`` of its period unitary, which ``channel`` was
+    built from, let the gradient of these sweeps skip decomposing H again;
+    both are None for the generating channel of
+    :func:`true_model_log_likelihood`.
     """
 
     n: int
-    model: MarkovianEmbedding | None = field(default=None, repr=False)
     data: Dataset | None = field(default=None, repr=False)
     phis: np.ndarray | None = field(default=None, repr=False)
     spectrum: SpectralDecomposition | None = field(default=None, repr=False)
@@ -121,12 +120,12 @@ class PropagationCache:
                      + self.backward_log_scale[m])
 
 
-def _new_cache(channel: PeriodChannel, data: Dataset, model: MarkovianEmbedding | None = None,
+def _new_cache(channel: PeriodChannel, data: Dataset,
                spectrum: SpectralDecomposition | None = None, kraus: np.ndarray | None = None,
                phis: np.ndarray | None = None) -> PropagationCache:
     """A cache of ``channel`` over ``data`` before any sweep; given ``phis`` skip the check."""
     phis = _projector_vectors(channel, data) if phis is None else phis
-    return PropagationCache(n=len(data), model=model, data=data, phis=phis,
+    return PropagationCache(n=len(data), data=data, phis=phis,
                             spectrum=spectrum, kraus=kraus, channel=channel)
 
 
@@ -136,7 +135,7 @@ def _model_caches(models: list[MarkovianEmbedding], data: Dataset) -> list[Propa
     caches = []
     for model, w, v, m, ks in zip(models, spectra.eigenvalues, spectra.eigenvectors, ms, kraus):
         channel = PeriodChannel(m, model.dims, model.rho0_ser, model.tau)
-        caches.append(_new_cache(channel, data, model, SpectralDecomposition(w, v), ks,
+        caches.append(_new_cache(channel, data, SpectralDecomposition(w, v), ks,
                                  caches[0].phis if caches else None))
     return caches
 
@@ -345,27 +344,27 @@ def log_likelihood(model: MarkovianEmbedding, data: Dataset) -> float:
     return forward_pass(model, data).log_likelihood()
 
 
-def conditional_validation_ll(model: MarkovianEmbedding, data_train: Dataset,
-                              data_val: Dataset, train_cache: PropagationCache) -> float:
+def conditional_validation_ll(data_train: Dataset, data_val: Dataset,
+                              train_cache: PropagationCache) -> float:
     """Per-step log-likelihood of the validation records, conditioned on
-    the training prefix of the same physical trajectory.
+    the training prefix of the same physical trajectory, under the channel
+    of ``train_cache``.
 
     The two datasets must share provenance (seed and config digest) and the
     validation steps must continue the training steps without a gap.
-    ``train_cache`` is the forward sweep of ``model`` over ``data_train``;
-    filtering continues from its last record and reservoir block, so the
-    training prefix is not filtered again.
+    ``train_cache`` is a forward sweep over ``data_train``; filtering
+    continues from its last record and reservoir block, so the training
+    prefix is not filtered again.
     """
     _check_continues(data_train, data_val)
-    if (train_cache.model is not model or train_cache.data is not data_train
-            or train_cache.forward_blocks is None):
-        raise ValueError("train_cache is not a forward sweep of model over data_train")
-    phis = np.concatenate((train_cache.phis[-1:],
-                           _projector_vectors(train_cache.channel, data_val)))
+    if train_cache.data is not data_train or train_cache.forward_blocks is None:
+        raise ValueError("train_cache is not a forward sweep over data_train")
+    channel = train_cache.channel
+    phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(channel, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
     x = train_cache.forward_blocks[-1].ravel()
-    logs, bad = _filter([_transfer_basis(train_cache.channel.m, model.dims)], x[None],
+    logs, bad = _filter([_transfer_basis(channel.m, channel.dims)], x[None],
                         train_cache.forward_log_scale[-1:], [phis],
                         np.empty((1, len(data_val), x.size), dtype=np.complex128))
     _raise_zero_probability(bad, data_val)
@@ -398,10 +397,10 @@ def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
     return np.where(degenerate, limit, f)
 
 
-def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
-                            cache: PropagationCache,
+def log_likelihood_gradient(cache: PropagationCache,
                             batch: np.ndarray | list[int] | None = None) -> GradientMatrix:
-    """Gradient of the total log-likelihood with respect to the Hamiltonian.
+    """Gradient of the total log-likelihood with respect to the Hamiltonian
+    of the model whose sweeps ``cache`` holds.
 
     Entry (mu, nu) is the derivative along the bare matrix unit |mu><nu|;
     the result is Hermitian, so real/imaginary Hermitian parameter
@@ -413,16 +412,14 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     the per-merge-point derivative to the per-merge-point sandwich value,
     which cancels every renormalization scale.
 
-    ``cache`` must hold both sweeps of this ``model`` over this ``data``,
-    the same objects (``ValueError`` otherwise): another model's sweeps
-    would be combined with this model's channel without notice.
+    ``cache`` must hold both sweeps (``ValueError`` otherwise).  The
+    channel, the spectrum of H and the Kraus stack come from the cache, so
+    the sweeps and the model they are combined with are always one model's.
     """
-    if cache.model is not model or cache.data is not data:
-        raise ValueError("cache is not a sweep of model over data")
     if cache.forward_blocks is None or cache.backward_blocks is None:
         raise ValueError("gradient needs both sweeps in the cache")
-    phis, spectrum, ks, m = cache.phis, cache.spectrum, cache.kraus, cache.channel.m
-    n = len(data)
+    phis, spectrum, ks, n = cache.phis, cache.spectrum, cache.kraus, cache.n
+    m, dims, tau = cache.channel.m, cache.channel.dims, cache.channel.tau
     if batch is None:
         batch = np.arange(1, n + 1)
     # Sorted distinct merge points; np.unique would import numpy.ma on its
@@ -436,10 +433,9 @@ def log_likelihood_gradient(model: MarkovianEmbedding, data: Dataset,
     if batch[0] < 1 or batch[-1] > n:
         raise ValueError(f"batch entries must lie in 1..{n}")
 
-    dims = model.dims
     d, dd = dims.d, dims.d_total
     lam, v = spectrum.eigenvalues, spectrum.eigenvectors
-    f = _loewner_exp(lam, model.tau)
+    f = _loewner_exp(lam, tau)
 
     # Merge-point factors, column-stacked: a_m = A_m.ravel() = vec(A_m^T) for
     # the measured effect A_m = |phi_m><phi_m| x beta_m, b_m = vec(B_m) for the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .errors import BranchCutError, IllConditionedError
+from .errors import BranchCutError, IllConditionedError, NumericalError
 
 CMatrix = npt.NDArray[np.complex128]
 
@@ -177,30 +177,31 @@ def logm_principal(m: CMatrix) -> tuple[npt.NDArray[np.complex128], CMatrix, CMa
     Fails loudly instead of silently picking a branch: an eigenvalue within
     ``1e-10`` of the closed negative real axis raises :class:`BranchCutError`,
     and an eigenvector matrix with condition number above ``1e10`` raises
-    :class:`IllConditionedError`.
+    :class:`IllConditionedError`.  It is :func:`logm_principal_stack` of a
+    stack of one.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    w, v = np.linalg.eig(m)
-    near = _branch_distance(w) < BRANCH_TOL
-    if near.any():
-        raise BranchCutError(complex(w[np.argmax(near)]))
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise IllConditionedError(float(cond))
-    return np.log(w), v, np.linalg.inv(v)  # principal branch, Im in (-pi, pi]
+    (failure,), *factors = logm_principal_stack(np.asarray(m)[None])
+    if failure is not None:
+        raise failure
+    return tuple(f[0] for f in factors)
 
 
-def logm_principal_stack(m: CMatrix) -> tuple[np.ndarray, npt.NDArray[np.complex128],
-                                              CMatrix, CMatrix]:
+def logm_principal_stack(m: CMatrix) -> tuple[list[NumericalError | None],
+                                              npt.NDArray[np.complex128], CMatrix, CMatrix]:
     """:func:`logm_principal` of each matrix of a stack (n, D, D), without
-    raising: the mask of the matrices it accepts and their factors, stacked.
-    LAPACK decomposes a stack one matrix at a time, so each accepted entry
-    is bitwise what :func:`logm_principal` returns for that matrix."""
+    raising: per matrix None, or the error :func:`logm_principal` raises for
+    it, and the factors of the accepted matrices, stacked in order.  LAPACK
+    decomposes a stack one matrix at a time, so each accepted entry is
+    bitwise what that matrix alone gives."""
     w, v = np.linalg.eig(np.asarray(m, dtype=np.complex128))
-    cond = np.linalg.cond(v)
-    ok = (~(_branch_distance(w) < BRANCH_TOL).any(axis=-1)
-          & np.isfinite(cond) & (cond <= COND_CAP))
-    return ok, np.log(w[ok]), v[ok], np.linalg.inv(v[ok])
+    near = _branch_distance(w) < BRANCH_TOL
+    # A condition number that is not <= the cap is too large, inf or NaN.
+    failures = [BranchCutError(complex(wj[np.argmax(nj)])) if nj.any()
+                else None if cj <= COND_CAP else IllConditionedError(float(cj))
+                for wj, nj, cj in zip(w, near, np.linalg.cond(v))]
+    ok = np.array([f is None for f in failures], dtype=bool)
+    # Principal branch, Im in (-pi, pi].
+    return failures, np.log(w[ok]), v[ok], np.linalg.inv(v[ok])
 
 
 def _branch_distance(w: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class TrainConfig:
     """Fit hyperparameters.  Optimizer defaults follow the reference setup:
     lr 1e-3, betas (0.9, 0.95), eps 1e-4, batches of 1000 merge points."""
 
-    d_er: int = 2
     epochs: int = 3000
     batch_size: int = 1000
     seed: int = 0
@@ -45,7 +44,7 @@ class TrainConfig:
     val_every: int = 20
 
     def __post_init__(self):
-        if min(self.d_er, self.epochs, self.batch_size, self.convergence_window,
+        if min(self.epochs, self.batch_size, self.convergence_window,
                self.restarts, self.val_every) < 1:
             raise ValueError(f"integer fields must be >= 1: {self}")
         if min(self.init_scale, self.convergence_tol, self.lr, self.eps_adam) <= 0:
@@ -163,13 +162,12 @@ def _run_single_fit(data_train, data_val, dims: DimSpec, cfg: TrainConfig,
     else the final train per-step ll.  A zero-probability dataset under a
     fresh initialization is retried up to three times before propagating.
     """
-    n = len(data_train.records)
     for attempt in range(3):
         rng_init = seeds.stream(cfg.seed, "init", restart, attempt)
         rng_batch = seeds.stream(cfg.seed, "batch", restart, attempt)
         model = init_model(dims, data_train.tau, rng_init, cfg.init_scale)
         try:
-            return _fit_loop(model, data_train, data_val, cfg, rng_batch, n)
+            return _fit_loop(model, data_train, data_val, cfg, rng_batch)
         except ZeroProbabilityError:
             if attempt == 2:
                 raise
@@ -177,7 +175,8 @@ def _run_single_fit(data_train, data_val, dims: DimSpec, cfg: TrainConfig,
 
 
 def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
-              rng_batch: np.random.Generator, n: int):
+              rng_batch: np.random.Generator):
+    n = len(data_train)
     params = pack_hermitian(model.h)
     adam = AdamState.fresh(params.size)
     curve = LearningCurve()
@@ -194,7 +193,7 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
         last = converged or epoch == cfg.epochs
         val_ps = None
         if data_val is not None and (epoch % cfg.val_every == 0 or last):
-            val_ps = conditional_validation_ll(model, data_train, data_val, cache)
+            val_ps = conditional_validation_ll(data_train, data_val, cache)
             if val_ps > best_val:
                 best_val = val_ps
                 best_h = model.h.copy()
@@ -202,7 +201,7 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
         if last:
             break
         batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
-        grad = log_likelihood_gradient(model, data_train, cache, batch)
+        grad = log_likelihood_gradient(cache, batch)
         del cache  # else this epoch's sweeps share the peak with the next one's
         params, adam = adam_update(adam, params, gradient_to_params(grad), cfg)
         model = model.with_h(unpack_hermitian(params, dd))
@@ -251,7 +250,7 @@ def select_d_er(data_train, data_val, candidates: list[int], cfg: TrainConfig
     curves: dict[int, LearningCurve] = {}
     for k in sorted(set(candidates)):
         dims = DimSpec(d_s=data_train.d_s, d_er=k)
-        models[k], curves[k] = fit(data_train, data_val, dims, replace(cfg, d_er=k))
+        models[k], curves[k] = fit(data_train, data_val, dims, cfg)
         table.append((k, max(v for v in curves[k].val_per_step if v is not None)))
     best_k = max(table, key=lambda row: row[1])[0]
     return best_k, table, models, curves

@@ -36,9 +36,10 @@ bitwise reference of the library's slice of U at the |0> column.  The
 one-model channel route (:func:`model_superoperator`,
 :func:`extract_generator_serial`, :func:`build_cache_serial`), the bitwise
 reference of the library's stacked construction, runs on its
-``expm_unitary``, ``superoperator_matrix``, ``logm_principal`` and sweeps,
-their loop swapped for :func:`filter_lanes_serial`, the lane-by-lane
-reference of the lockstep ``_filter``; :func:`exact_embedding`, the model
+``expm_unitary``, ``superoperator_matrix`` and sweeps, their loop swapped
+for :func:`filter_lanes_serial`, the lane-by-lane reference of the
+lockstep ``_filter``, and on :func:`logm_principal_serial`, the one-matrix
+reference of the stacked logarithm; :func:`exact_embedding`, the model
 whose channel is the truth's, builds it from the library's
 ``period_superoperator`` with scipy.
 """
@@ -618,12 +619,31 @@ def model_superoperator(model):
     return superoperator_matrix(model, expm_unitary(model.h, model.tau))
 
 
+def logm_principal_serial(m):
+    """The principal logarithm of one matrix in factored form (log_w, V, V⁻¹),
+    raising ``BranchCutError`` for an eigenvalue within 1e-10 of the closed
+    negative real axis and ``IllConditionedError`` for an eigenvector
+    condition number above 1e10: the bitwise reference of
+    ``logm_principal`` and of each entry of ``logm_principal_stack``."""
+    from embedlearn.errors import BranchCutError, IllConditionedError
+    m = np.asarray(m, dtype=np.complex128)
+    w, v = np.linalg.eig(m)
+    near = np.where(w.real <= 0.0, np.abs(w.imag), np.abs(w)) < 1e-10
+    if near.any():
+        raise BranchCutError(complex(w[np.argmax(near)]))
+    cond = np.linalg.cond(v)
+    if not np.isfinite(cond) or cond > 1e10:
+        raise IllConditionedError(float(cond))
+    return np.log(w), v, np.linalg.inv(v)
+
+
 def extract_generator_serial(model):
     """A model's generator by :func:`model_superoperator` and the raising
-    ``logm_principal``: the bitwise reference of ``extract_generator``."""
+    :func:`logm_principal_serial`: the bitwise reference of
+    ``extract_generator``."""
     from embedlearn.embedding import GeneratorSuperoperator
-    from embedlearn.qla import logm_principal
-    return GeneratorSuperoperator(*logm_principal(model_superoperator(model)), tau=model.tau)
+    return GeneratorSuperoperator(*logm_principal_serial(model_superoperator(model)),
+                                  model.dims, model.tau)
 
 
 def model_channel(model):
@@ -678,7 +698,7 @@ def build_cache_serial(model, data):
     from embedlearn.embedding import kraus_stack
     from embedlearn.qla import expm_unitary, herm_eig
     ks = kraus_stack(model, expm_unitary(model.h, model.tau)).copy()
-    cache = lk._new_cache(model_channel(model), data, model, herm_eig(model.h), ks)
+    cache = lk._new_cache(model_channel(model), data, herm_eig(model.h), ks)
     with mock.patch.object(lk, "_filter", filter_lanes_serial):
         lk._raise_zero_probability(lk._sweep([cache], forward=True, backward=True), data)
     return cache
@@ -1057,7 +1077,7 @@ def score_draw_serial(model, data, theta, floor):
     m = model.with_h(unpack_hermitian(theta, model.dims.d_total))
     try:
         cache = build_cache(m, data)
-        g = log_likelihood_gradient(m, data, cache, np.arange(1, len(data.records) + 1))
+        g = log_likelihood_gradient(cache, np.arange(1, len(data.records) + 1))
     except ZeroProbabilityError:
         return floor, np.zeros(theta.size)
     return cache.log_likelihood(), gradient_to_params(g)
@@ -1086,7 +1106,6 @@ def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
     from embedlearn.embedding import equilibrium_er_state
     from embedlearn.errors import (BranchCutError, FixedPointError, IllConditionedError,
                                    NumericalError)
-    dims = posterior.base.dims
     tries = 0
     got = 0
     while got < n_draws:
@@ -1097,7 +1116,7 @@ def usable_draws_serial(posterior, n_draws, rng, outcomes=None):
         m = sample_model(posterior, rng)
         try:
             gen = extract_generator_serial(m)
-            er = equilibrium_er_state(gen, dims)
+            er = equilibrium_er_state(gen)
         except (BranchCutError, IllConditionedError, FixedPointError):
             if outcomes is not None:
                 outcomes.append(False)

@@ -75,9 +75,7 @@ def dissipative_semigroup_generator(seed=11):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = (x + x.conj().T) / (2 * np.sqrt(8))
-    dims = DimSpec(d_s=2, d_er=1)
-    model = make_embedding(dims, 1.0, h, ZERO.copy())
-    return extract_generator(model), dims
+    return extract_generator(make_embedding(DimSpec(d_s=2, d_er=1), 1.0, h, ZERO.copy()))
 
 
 class TestChoiOfMap:
@@ -135,8 +133,8 @@ class TestSuperopConversions:
 
 class TestDynamicsMaps:
     def test_time_zero_is_identity_channel(self):
-        gen, dims = dissipative_semigroup_generator()
-        (choi,) = dynamics_maps(gen, dims, np.eye(1, dtype=np.complex128),
+        gen = dissipative_semigroup_generator()
+        (choi,) = dynamics_maps(gen, np.eye(1, dtype=np.complex128),
                                 [0.0])
         assert np.max(np.abs(choi - MAX_ENTANGLED)) < 1e-12
 
@@ -146,7 +144,7 @@ class TestDynamicsMaps:
         model = make_embedding(dims, 1.0, h, ZERO.copy())
         gen = extract_generator(model)
         for t in [0.7, 2.0, 5.0]:
-            (choi,) = dynamics_maps(gen, dims, np.eye(1, dtype=np.complex128),
+            (choi,) = dynamics_maps(gen, np.eye(1, dtype=np.complex128),
                                     [t])
             u = x_rotation(t)
             want = choi_of_map(lambda r: u @ r @ u.conj().T, 2)
@@ -165,15 +163,15 @@ class TestDynamicsMaps:
             h = (x + x.conj().T) / (2 * np.sqrt(d_tot))
             model = make_embedding(dims, 1.0, h, np.kron(ZERO, ZERO))
             gen = extract_generator(model)
-            for choi in dynamics_maps(gen, dims, rho_er0, [0.5, 1.0, 3.0]):
+            for choi in dynamics_maps(gen, rho_er0, [0.5, 1.0, 3.0]):
                 assert choi_min_eigenvalue(choi) >= -1e-10
                 assert choi_output_partial_trace_deviation(choi) <= 1e-8
                 assert abs(np.trace(choi) - 1.0) < 1e-10
 
     def test_negative_time_rejected(self):
-        gen, dims = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         with pytest.raises(ValueError, match="nonnegative"):
-            dynamics_maps(gen, dims, np.eye(1, dtype=np.complex128), [-1.0])
+            dynamics_maps(gen, np.eye(1, dtype=np.complex128), [-1.0])
 
 
 class TestAverageChoiError:
@@ -569,10 +567,10 @@ class TestTomographyMleStack:
 
 class TestPredictWithControl:
     def test_identity_gate_matches_plain_propagation(self):
-        gen, dims = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         times = [0.5, 1.5, 4.0]
-        plain = predict_with_control(gen, dims, ZERO.copy(), [], times)
-        gated = predict_with_control(gen, dims, ZERO.copy(),
+        plain = predict_with_control(gen, ZERO.copy(), [], times)
+        gated = predict_with_control(gen, ZERO.copy(),
                                      [ControlEvent(1.0, np.eye(2))], times)
         for a, b in zip(plain, gated):
             assert np.max(np.abs(a - b)) < 1e-12
@@ -583,7 +581,7 @@ class TestPredictWithControl:
         model = make_embedding(dims, 1.0, h, ZERO.copy())
         gen = extract_generator(model)
         t_gate = 2.0
-        traj = predict_with_control(gen, dims, ZERO.copy(),
+        traj = predict_with_control(gen, ZERO.copy(),
                                     [ControlEvent(t_gate, SIGMA_X)],
                                     [1.0, 2.0, 3.5])
         pre = x_rotation(1.0) @ ZERO @ x_rotation(1.0).conj().T
@@ -610,7 +608,7 @@ class TestPredictWithControl:
                        [ControlEvent(1.75, SIGMA_X)],  # between requested times
                        [ControlEvent(3.0, hadamard), ControlEvent(1.0, SIGMA_X)],
                        [ControlEvent(5.0, SIGMA_X)]):  # after the last time
-            got = predict_with_control(gen, dims, rho0, events, times)
+            got = predict_with_control(gen, rho0, events, times)
             want = predict_with_control_per_time(gen, dims, rho0, events, times)
             assert len(got) == len(times)
             for a, b in zip(got, want):
@@ -630,36 +628,36 @@ class TestPredictWithControl:
             for events in ([], [ControlEvent(0.25, gate)], [ControlEvent(1.0, gate)],
                            [ControlEvent(1.75, gate), ControlEvent(3.0, SIGMA_X)],
                            [ControlEvent(5.0, gate)]):
-                got = predict_with_control(gen, dims, rho0, events, times)
+                got = predict_with_control(gen, rho0, events, times)
                 want = oracles.predict_with_control_serial(gen, dims, rho0, events, times)
                 assert got.shape == (len(times), 2, 2)
                 assert np.array_equal(got, np.reshape(want, (-1, 2, 2)))
 
     def test_unsorted_times_keep_requested_order(self):
-        gen, dims = dissipative_semigroup_generator()
-        fwd = predict_with_control(gen, dims, ZERO.copy(), [], [1.0, 3.0])
-        rev = predict_with_control(gen, dims, ZERO.copy(), [], [3.0, 1.0])
+        gen = dissipative_semigroup_generator()
+        fwd = predict_with_control(gen, ZERO.copy(), [], [1.0, 3.0])
+        rev = predict_with_control(gen, ZERO.copy(), [], [3.0, 1.0])
         assert np.max(np.abs(fwd[0] - rev[1])) < 1e-12
         assert np.max(np.abs(fwd[1] - rev[0])) < 1e-12
 
     def test_invalid_gates_and_times_rejected(self):
-        gen, dims = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         with pytest.raises(ValueError, match="unitary"):
-            predict_with_control(gen, dims, ZERO.copy(),
+            predict_with_control(gen, ZERO.copy(),
                                  [ControlEvent(1.0, 2.0 * np.eye(2))], [2.0])
         with pytest.raises(ValueError, match="unitary"):
-            predict_with_control(gen, dims, ZERO.copy(),
+            predict_with_control(gen, ZERO.copy(),
                                  [ControlEvent(1.0, np.eye(3))], [2.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            predict_with_control(gen, dims, ZERO.copy(),
+            predict_with_control(gen, ZERO.copy(),
                                  [ControlEvent(-1.0, np.eye(2))], [2.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            predict_with_control(gen, dims, ZERO.copy(), [], [-2.0])
+            predict_with_control(gen, ZERO.copy(), [], [-2.0])
 
 
 class TestConcatenationPrediction:
     def test_identity_event_reduces_to_direct_maps(self):
-        gen, _ = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         times = [1.0, 2.0, 3.0, 4.0]
         sups = [scipy.linalg.expm(t * gen.matrix) for t in times]
         states, flags = concatenation_prediction(times, sups,
@@ -672,12 +670,12 @@ class TestConcatenationPrediction:
     def test_semigroup_truth_matches_embedding_prediction(self):
         # Divisible dynamics is the regime where memoryless stitching is
         # exact; the two predictions must coincide.
-        gen, dims = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         times = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         sups = [scipy.linalg.expm(t * gen.matrix) for t in times]
         ev = ControlEvent(3.0, SIGMA_X)
         concat, flags = concatenation_prediction(times, sups, ev, ZERO.copy())
-        emb = predict_with_control(gen, dims, ZERO.copy(), [ev], times)
+        emb = predict_with_control(gen, ZERO.copy(), [ev], times)
         for a, b in zip(concat, emb):
             assert np.max(np.abs(a - b)) < 1e-8
         assert not any(flags)
@@ -692,7 +690,7 @@ class TestConcatenationPrediction:
         ev = ControlEvent(5.0, SIGMA_X)
         concat, flags = concatenation_prediction(times, channels, ev,
                                                  ZERO.copy())
-        exact_post = predict_with_control(truth, truth.dims, truth.rho0,
+        exact_post = predict_with_control(truth, truth.rho0,
                                           [ControlEvent(5, SIGMA_X)], periods)
         dist = trace_distance_trajectory(concat, exact_post)
         assert np.max(dist[:5]) < 1e-12
@@ -730,7 +728,7 @@ class TestConcatenationPrediction:
         assert flags.tolist() == want_flags
 
     def test_event_off_grid_rejected(self):
-        gen, _ = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         sups = [scipy.linalg.expm(t * gen.matrix) for t in [1.0, 2.0]]
         with pytest.raises(ValueError, match="time grid"):
             concatenation_prediction([1.0, 2.0], sups,
@@ -787,7 +785,7 @@ class TestNonmonotonicityFlag:
         assert np.max(np.diff(d)) > 0.1
 
     def test_semigroup_dynamics_stay_monotone(self):
-        gen, _ = dissipative_semigroup_generator()
+        gen = dissipative_semigroup_generator()
         sups = [scipy.linalg.expm(t * gen.matrix) for t in range(1, 8)]
         traj_a = [unvec(m @ vec(ZERO)) for m in sups]
         traj_b = [unvec(m @ vec(ONE)) for m in sups]

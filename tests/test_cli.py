@@ -6,11 +6,13 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from embedlearn import cli, datagen, jsonio
+from embedlearn.bayes import BayesConfig
 from embedlearn.cli import load_run_config, main
 from embedlearn.datagen import Dataset, load_dataset, make_records, save_dataset, split_dataset
 from embedlearn.embedding import load_model, make_embedding, save_model
@@ -79,6 +81,12 @@ class TestConfigResolution:
         resolved = load_run_config(None, None)
         assert resolved["seed"] == 0
         assert resolved["train"]["candidates"] == [1, 2]
+
+    @pytest.mark.parametrize("section, cls", [("train", TrainConfig), ("bayes", BayesConfig)])
+    def test_every_fit_field_but_the_seed_is_a_config_key(self, section, cls):
+        # A field no config key sets would be written only by code, if at all.
+        keys = set(load_run_config(None, None)[section])
+        assert {f.name for f in fields(cls)} - {"seed"} <= keys
 
     def test_default_values_are_pinned(self, tmp_path):
         times = [float(t) for t in range(21)]
@@ -408,7 +416,7 @@ class TestTrainAndValidate:
         _, out = fitted_run
         tr = load_dataset(out / "train.jsonl")
         va = load_dataset(out / "val.jsonl")
-        tc = TrainConfig(d_er=1, epochs=30, batch_size=120, seed=9, restarts=1,
+        tc = TrainConfig(epochs=30, batch_size=120, seed=9, restarts=1,
                          val_every=10)
         best, table, _, _ = select_d_er(tr, va, [1], tc)
         _, rows = read_rows(out / "selection.csv")
@@ -588,11 +596,11 @@ class TestPredict:
             (out / name).unlink(missing_ok=True)
         real, calls = cli.equilibrium_er_state, []
 
-        def fail_for_the_scan(gen, dims):
+        def fail_for_the_scan(gen):
             calls.append(gen)
             if len(calls) > 1:
                 raise FixedPointError((1.0, 1.0))
-            return real(gen, dims)
+            return real(gen)
         monkeypatch.setattr(cli, "equilibrium_er_state", fail_for_the_scan)
         cfg = write_config(tmp_path / "c.json", {
             "train": {"candidates": [1], "epochs": 2, "batch_size": 60, "restarts": 1},

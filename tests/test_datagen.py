@@ -62,7 +62,7 @@ def controlled(cfg, gate, event_period, periods):
     """The truth's S states at ``periods`` with ``gate`` on S at the
     boundary of ``event_period``, as the ``compare`` command predicts them."""
     truth = period_channel(cfg)
-    return predict_with_control(truth, truth.dims, truth.rho0,
+    return predict_with_control(truth, truth.rho0,
                                 [ControlEvent(event_period, gate)], periods)
 
 

@@ -274,6 +274,14 @@ class TestExtractGenerator:
             assert np.max(np.abs(state - via_gen)) < 1e-8
 
 
+    def test_generator_carries_its_models_dims_and_period(self):
+        # The prediction functions take both from the generator they are given.
+        model = random_model(np.random.default_rng(29), d_er=3, tau=0.8)
+        gen = extract_generator(model)
+        assert (gen.dims, gen.tau) == (model.dims, model.tau)
+        assert predict_dynamics(gen, model.rho0_ser, [0.0, 0.8]).shape == (2, 2, 2)
+
+
 class TestOneEigensystem:
     def test_generator_flow_matches_dense_exponential(self):
         rng = np.random.default_rng(27)
@@ -303,12 +311,12 @@ class TestOneEigensystem:
         model = random_model(rng)
         dims = model.dims
         gen = extract_generator(model)
-        er = equilibrium_er_state(gen, dims)
+        er = equilibrium_er_state(gen)
         rho_ser0 = kron(random_density(rng, dims.d_s), er)
-        predict_dynamics(gen, dims, rho_ser0, [0.0, 1.0, 2.5])
-        dynamics_maps(gen, dims, er, [1.0, 2.0])
-        assert calls == [(dims.d ** 2, dims.d ** 2)]
-        predict_with_control(gen, dims, rho_ser0,
+        predict_dynamics(gen, rho_ser0, [0.0, 1.0, 2.5])
+        dynamics_maps(gen, er, [1.0, 2.0])
+        assert calls == [(1, dims.d ** 2, dims.d ** 2)]  # a stack of one
+        predict_with_control(gen, rho_ser0,
                              [ControlEvent(1.0, SIGMA_X)], [0.5, 2.0])
         assert len(calls) == 1
 
@@ -339,21 +347,21 @@ class TestEquilibrium:
         rho = random_density(rng, d)
         want = 0.5 * (v0 @ rho @ dagger(v0) + v1 @ rho @ dagger(v1))
         assert np.max(np.abs(apply_channel(model, rho) - want)) < 1e-10
-        er = equilibrium_er_state(extract_generator(model), dims)
+        er = equilibrium_er_state(extract_generator(model))
         assert np.max(np.abs(er - np.eye(2) / 2)) < 1e-8
 
     def test_unitary_channel_has_no_unique_fixed_point(self):
         rng = np.random.default_rng(26)
         model, _ = decoupled_model(rng, scale=0.3)
         with pytest.raises(FixedPointError):
-            equilibrium_er_state(extract_generator(model), model.dims)
+            equilibrium_er_state(extract_generator(model))
 
     def test_matches_power_iteration(self):
         rng = np.random.default_rng(16)
         model = random_model(rng)
         dims = model.dims
         gen = extract_generator(model)
-        er = equilibrium_er_state(gen, dims)
+        er = equilibrium_er_state(gen)
         channel = scipy.linalg.expm(model.tau * gen.matrix)
         rho_inf = oracles.power_fixed_point(channel)
         want = ptrace(rho_inf, [dims.d_s, dims.d_er], [1])
@@ -365,14 +373,14 @@ class TestEquilibrium:
     def test_reservoir_state_is_density(self):
         rng = np.random.default_rng(17)
         model = random_model(rng)
-        er = equilibrium_er_state(extract_generator(model), model.dims)
+        er = equilibrium_er_state(extract_generator(model))
         assert abs(np.trace(er) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(er).min() > -1e-10
 
     def test_trivial_reservoir(self):
         rng = np.random.default_rng(18)
         model = random_model(rng, d_er=1)
-        er = equilibrium_er_state(extract_generator(model), model.dims)
+        er = equilibrium_er_state(extract_generator(model))
         assert np.array_equal(er, np.ones((1, 1), dtype=np.complex128))
 
 
@@ -384,7 +392,7 @@ class TestPredictDynamics:
         gen = extract_generator(model)
         rho_s = random_density(rng, dims.d_s)
         er = random_density(rng, dims.d_er)
-        out = predict_dynamics(gen, dims, kron(rho_s, er), [0.0])
+        out = predict_dynamics(gen, kron(rho_s, er), [0.0])
         assert np.max(np.abs(out[0] - rho_s)) < 1e-12
 
     def test_decoupled_system_evolves_unitarily(self):
@@ -397,7 +405,7 @@ class TestPredictDynamics:
         rho_s = random_density(rng, 2)
         er0 = np.eye(2, dtype=np.complex128) / 2
         times = [0.0, 1.0, 2.0, 3.0]
-        states = predict_dynamics(gen, dims, kron(rho_s, er0), times)
+        states = predict_dynamics(gen, kron(rho_s, er0), times)
         for t, got in zip(times, states):
             u = expm_unitary(h_s, t)
             assert np.max(np.abs(got - u @ rho_s @ dagger(u))) < 1e-9
@@ -406,7 +414,7 @@ class TestPredictDynamics:
         rng = np.random.default_rng(21)
         model = random_model(rng)
         gen = extract_generator(model)
-        states = predict_dynamics(gen, model.dims, model.rho0_ser,
+        states = predict_dynamics(gen, model.rho0_ser,
                                   [0.0, 0.5, 1.0, 2.5])
         for rho in states:
             assert abs(np.trace(rho) - 1.0) < 1e-8
@@ -416,7 +424,7 @@ class TestPredictDynamics:
         model = random_model(rng)
         gen = extract_generator(model)
         with pytest.raises(ValueError):
-            predict_dynamics(gen, model.dims, model.rho0_ser, [-1.0])
+            predict_dynamics(gen, model.rho0_ser, [-1.0])
 
 
 class TestPeriodChannel:

@@ -372,7 +372,7 @@ class TestGradient:
         model = random_model(rng, d_er=2)
         ds = make_dataset(random_records(rng, 10))
         cache = build_cache(model, ds)
-        g = log_likelihood_gradient(model, ds, cache)
+        g = log_likelihood_gradient(cache)
         d = model.dims.d_total
         pack, unpack = hamiltonian_parameter_map(d)
 
@@ -391,7 +391,7 @@ class TestGradient:
         model = random_model(rng)
         ds = make_dataset(random_records(rng, 6))
         cache = build_cache(model, ds)
-        g = log_likelihood_gradient(model, ds, cache)
+        g = log_likelihood_gradient(cache)
         assert np.linalg.norm(g - dagger(g)) < 1e-10
 
     def test_half_batches_average_to_full(self):
@@ -399,9 +399,9 @@ class TestGradient:
         model = random_model(rng)
         ds = make_dataset(random_records(rng, 8))
         cache = build_cache(model, ds)
-        full = log_likelihood_gradient(model, ds, cache)
-        first = log_likelihood_gradient(model, ds, cache, batch=[1, 2, 3, 4])
-        second = log_likelihood_gradient(model, ds, cache, batch=[5, 6, 7, 8])
+        full = log_likelihood_gradient(cache)
+        first = log_likelihood_gradient(cache, batch=[1, 2, 3, 4])
+        second = log_likelihood_gradient(cache, batch=[5, 6, 7, 8])
         assert np.max(np.abs(0.5 * (first + second) - full)) < 1e-10
 
     def test_batch_bounds_checked(self):
@@ -410,11 +410,11 @@ class TestGradient:
         ds = make_dataset(random_records(rng, 4))
         cache = build_cache(model, ds)
         with pytest.raises(ValueError):
-            log_likelihood_gradient(model, ds, cache, batch=[0])
+            log_likelihood_gradient(cache, batch=[0])
         with pytest.raises(ValueError):
-            log_likelihood_gradient(model, ds, cache, batch=[5])
+            log_likelihood_gradient(cache, batch=[5])
         with pytest.raises(ValueError):
-            log_likelihood_gradient(model, ds, cache, batch=[])
+            log_likelihood_gradient(cache, batch=[])
 
 
 class TestGradientThroughSuperoperator:
@@ -436,13 +436,13 @@ class TestGradientThroughSuperoperator:
         rng, model, ds, cache = self._setup(d_er, n, 30 + d_er)
         batch = (np.arange(1, n + 1) if full
                  else np.sort(rng.choice(np.arange(1, n + 1), n // 3, replace=False)))
-        got = log_likelihood_gradient(model, ds, cache, None if full else batch)
+        got = log_likelihood_gradient(cache, None if full else batch)
         assert chain_gradient_error(model, ds, got, batch) < 1e-8
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_directional_central_differences(self, d_er):
         rng, model, ds, cache = self._setup(d_er, 8, 40 + d_er)
-        g = log_likelihood_gradient(model, ds, cache)
+        g = log_likelihood_gradient(cache)
         h = np.asarray(model.h)
         rho0 = np.asarray(model.rho0_ser)
         eps = 1e-5
@@ -460,10 +460,10 @@ class TestGradientThroughSuperoperator:
 
     def test_full_batch_memory_is_bounded_at_d_er_3(self):
         # The per-merge-point chain needs about 0.75 GB here.
-        _, model, ds, cache = self._setup(3, 1000, 50)
+        *_, cache = self._setup(3, 1000, 50)
         tracemalloc.start()
         try:
-            log_likelihood_gradient(model, ds, cache)
+            log_likelihood_gradient(cache)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,10 +473,10 @@ class TestGradientThroughSuperoperator:
         # d_er = 4 is the largest the command line accepts: d_total = 512, so
         # one H-sized complex matrix is 4 MiB.  Measured peak 30.2 MiB (0.09 s
         # with one BLAS thread); the cap leaves a third on top of that.
-        _, model, ds, cache = self._setup(4, 1000, 50)
+        *_, cache = self._setup(4, 1000, 50)
         tracemalloc.start()
         try:
-            log_likelihood_gradient(model, ds, cache)
+            log_likelihood_gradient(cache)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -515,7 +515,7 @@ class TestProductFormAgainstDenseOracle:
         model, ds, cache, _ = sweeps
         rng = np.random.default_rng(80)
         batch = np.sort(rng.choice(np.arange(1, 2001), 40, replace=False))
-        got = log_likelihood_gradient(model, ds, cache, batch)
+        got = log_likelihood_gradient(cache, batch)
         assert chain_gradient_error(model, ds, got, batch) < 1e-8
 
     def test_build_cache_memory_at_d_er_3(self):
@@ -551,7 +551,7 @@ class TestConditionalValidation:
                         provenance=dict(tr.provenance))
         cache = forward_pass(model, joint)
         want = (cache.forward_log_scale[12] - cache.forward_log_scale[7]) / 5
-        got = conditional_validation_ll(model, tr, va, forward_pass(model, tr))
+        got = conditional_validation_ll(tr, va, forward_pass(model, tr))
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
@@ -565,7 +565,7 @@ class TestConditionalValidation:
                         provenance=dict(tr.provenance))
         logs = forward_pass(model, joint).forward_log_scale
         want = float(logs[41] - logs[30]) / 11
-        assert conditional_validation_ll(model, tr, va, forward_pass(model, tr)) == want
+        assert conditional_validation_ll(tr, va, forward_pass(model, tr)) == want
 
     def test_mismatched_train_cache_rejected(self):
         rng = np.random.default_rng(44)
@@ -573,17 +573,13 @@ class TestConditionalValidation:
         tr, va = self._trajectory_datasets(rng, 6, 4)
         shorter = Dataset(records=tr.records[:5], tau=1.0, provenance=dict(tr.provenance))
         with pytest.raises(ValueError):
-            conditional_validation_ll(model, tr, va, forward_pass(model, shorter))
+            conditional_validation_ll(tr, va, forward_pass(model, shorter))
         with pytest.raises(ValueError):
-            conditional_validation_ll(model, tr, va, backward_pass(model, tr))
-        # A forward sweep of another model, or over another dataset of the
-        # same length.
-        other = random_model(rng)
-        with pytest.raises(ValueError):
-            conditional_validation_ll(model, tr, va, forward_pass(other, tr))
+            conditional_validation_ll(tr, va, backward_pass(model, tr))
+        # A forward sweep over another dataset of the same length.
         other_tr, _ = self._trajectory_datasets(rng, 6, 4)
         with pytest.raises(ValueError):
-            conditional_validation_ll(model, tr, va, forward_pass(model, other_tr))
+            conditional_validation_ll(tr, va, forward_pass(model, other_tr))
 
     def test_split_halves_statistically_consistent(self):
         # Same model scored on both halves of one long exchangeable record
@@ -605,7 +601,7 @@ class TestConditionalValidation:
         tr, va = self._trajectory_datasets(rng, 6, 4)
         va.records = va.records[1:]
         with pytest.raises(DataError):
-            conditional_validation_ll(model, tr, va, forward_pass(model, tr))
+            conditional_validation_ll(tr, va, forward_pass(model, tr))
 
     def test_provenance_mismatch_rejected(self):
         rng = np.random.default_rng(21)
@@ -613,7 +609,7 @@ class TestConditionalValidation:
         tr, va = self._trajectory_datasets(rng, 6, 4)
         va.provenance["seed"] = 999
         with pytest.raises(DataError):
-            conditional_validation_ll(model, tr, va, forward_pass(model, tr))
+            conditional_validation_ll(tr, va, forward_pass(model, tr))
 
 
 class TestCacheErrors:
@@ -642,7 +638,7 @@ class TestCacheErrors:
         ds = make_dataset(random_records(rng, 3))
         cache = forward_pass(model, ds)
         with pytest.raises(ValueError):
-            log_likelihood_gradient(model, ds, cache)
+            log_likelihood_gradient(cache)
 
 
 class TestCacheReuse:
@@ -670,8 +666,8 @@ class TestCacheReuse:
         tr, va = make_dataset(recs[:30]), make_dataset(recs[30:])
         calls = self._counted(monkeypatch)
         cache = build_cache(model, tr)
-        log_likelihood_gradient(model, tr, cache, [3, 7, 30])
-        conditional_validation_ll(model, tr, va, cache)
+        log_likelihood_gradient(cache, [3, 7, 30])
+        conditional_validation_ll(tr, va, cache)
         # Both sweeps of build_cache are lanes of one loop; validation runs one more.
         assert calls == {"herm_eig": 1, "superoperator_matrix": 1, "_filter": 2}
 
@@ -693,47 +689,17 @@ class TestCacheReuse:
         # An equal but distinct model object shares nothing with the cache,
         # so its own cache recomputes every input from its own H.
         twin = model.with_h(model.h.copy())
-        assert cache.model is model and cache.model is not twin
         twin_cache = build_cache(twin, tr)
         for batch in (None, [1, 5, 20]):
-            reused = log_likelihood_gradient(model, tr, cache, batch)
-            fresh = log_likelihood_gradient(twin, tr, twin_cache, batch)
+            reused = log_likelihood_gradient(cache, batch)
+            fresh = log_likelihood_gradient(twin_cache, batch)
             assert np.array_equal(reused, fresh)
         # Validation takes only a forward sweep of its own model and data.
-        assert (conditional_validation_ll(model, tr, va, cache)
-                == conditional_validation_ll(twin, tr, va, forward_pass(twin, tr)))
+        assert (conditional_validation_ll(tr, va, cache)
+                == conditional_validation_ll(tr, va, forward_pass(twin, tr)))
         separate = backward_pass(twin, tr)
         assert np.array_equal(cache.backward_log_scale, separate.backward_log_scale)
         assert np.array_equal(cache.backward_blocks[1:], separate.backward_blocks[1:])
-
-    def test_another_model_is_not_served_from_the_cache(self):
-        # Neither validation nor the gradient combines the first model's
-        # sweeps with a second model's channel.
-        rng = np.random.default_rng(80)
-        model, other = random_model(rng), random_model(rng)
-        recs = random_records(rng, 16)
-        tr, va = make_dataset(recs[:12]), make_dataset(recs[12:])
-        cache = build_cache(model, tr)
-        with pytest.raises(ValueError):
-            conditional_validation_ll(other, tr, va, cache)
-        with pytest.raises(ValueError):
-            log_likelihood_gradient(other, tr, cache)
-
-    @pytest.mark.parametrize("foreign", ["model", "equal_model", "equal_dataset"])
-    def test_gradient_refuses_a_foreign_cache(self, foreign):
-        # With another model's sweeps the gradient was off by up to half the
-        # size of its entries here.  Equal but distinct objects are refused
-        # too: the cache is matched by identity, as validation matches it.
-        rng = np.random.default_rng(80)
-        model, other = random_model(rng), random_model(rng)
-        recs = random_records(rng, 16)
-        tr = make_dataset(recs[:12])
-        cache = build_cache(model, tr)
-        args = {"model": (other, tr),
-                "equal_model": (model.with_h(model.h.copy()), tr),
-                "equal_dataset": (model, make_dataset(recs[:12]))}[foreign]
-        with pytest.raises(ValueError, match="not a sweep of model over data"):
-            log_likelihood_gradient(*args, cache)
 
     def test_build_cache_runs_the_backward_sweep(self):
         rng = np.random.default_rng(81)
@@ -795,8 +761,8 @@ class TestStackedChannels:
             for name in self.SWEEP_FIELDS:
                 assert getattr(cache, name).tobytes() == getattr(want, name).tobytes(), name
             for batch in (None, [1, 17, 200]):
-                got = log_likelihood_gradient(model, ds, cache, batch)
-                assert got.tobytes() == log_likelihood_gradient(model, ds, want, batch).tobytes()
+                got = log_likelihood_gradient(cache, batch)
+                assert got.tobytes() == log_likelihood_gradient(want, batch).tobytes()
 
     @pytest.mark.parametrize("d_er", [1, 2])
     @pytest.mark.parametrize("outcomes, step", [([1, 0, 0], 1), ([0, 0, 1, 1, 0], 3)])
@@ -881,7 +847,7 @@ class TestOneLoop:
             caches = build_caches(models, tr)
             assert caches[1] is None
             out += [getattr(c, f) for c in (caches[0], caches[2]) for f in fields]
-            out.append(np.float64(conditional_validation_ll(models[0], tr, va, caches[0])))
+            out.append(np.float64(conditional_validation_ll(tr, va, caches[0])))
             with pytest.raises(ZeroProbabilityError) as err:
                 forward_pass(models[1], tr)
             assert err.value.step == 101
@@ -936,4 +902,4 @@ class TestRecordsOfAModelsChannel:
         train, _ = split_dataset(sample_trajectory(channel, 60, 5, "a"), 40)
         _, val = split_dataset(sample_trajectory(channel, 60, 5, "b"), 40)
         with pytest.raises(DataError, match="provenance differs"):
-            conditional_validation_ll(model, train, val, forward_pass(model, train))
+            conditional_validation_ll(train, val, forward_pass(model, train))

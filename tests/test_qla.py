@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from embedlearn.errors import BranchCutError, IllConditionedError
+from embedlearn.errors import BranchCutError, IllConditionedError, NumericalError
 from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector,
                             dagger, expm_unitary, haar_random_pure_state,
                             herm_eig, hermitianize, kron, logm_principal,
-                            ptrace, trace_norm, unvec, vec)
+                            logm_principal_stack, ptrace, trace_norm, unvec, vec)
 
 import oracles
 
@@ -245,6 +245,31 @@ class TestLogmPrincipal:
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(IllConditionedError):
             logm_principal(m)
+
+    def test_stack_matches_the_one_matrix_oracle(self):
+        # Per matrix the stack gives the oracle's factors bitwise, or the
+        # error it raises, with the same message and attributes.
+        rng = np.random.default_rng(31)
+        good = np.eye(3) + 0.1 * random_complex(rng, 3, 3)
+        branch = np.diag([-1.0, 1.0, 0.5])
+        defective = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        want = []
+        for m in (good, branch, defective):
+            try:
+                want.append(oracles.logm_principal_serial(m))
+            except NumericalError as exc:
+                want.append(exc)
+        failures, *factors = logm_principal_stack(np.stack([good, branch, defective]))
+        assert failures[0] is None
+        assert [f.shape[0] for f in factors] == [1, 1, 1]
+        for got, ref in zip(factors, want[0]):
+            assert got[0].tobytes() == ref.tobytes()
+        for got, ref in zip(logm_principal(good), want[0]):
+            assert got.tobytes() == ref.tobytes()
+        for got, ref in zip(failures[1:], want[1:]):
+            assert type(got) is type(ref) and str(got) == str(ref)
+            assert vars(got) == vars(ref)
+        assert [type(f) for f in failures[1:]] == [BranchCutError, IllConditionedError]
 
 
 class TestTraceNorm:

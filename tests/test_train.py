@@ -28,7 +28,7 @@ def markovian_fit():
     cfg = markovian_collision_config()
     ds = generate_trajectory(cfg, 800, 77)
     tr, va = split_dataset(ds, 400)
-    tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3, restarts=1,
+    tc = TrainConfig(epochs=300, batch_size=400, seed=3, restarts=1,
                      convergence_window=60, convergence_tol=1e-4, val_every=25)
     model, curve = fit(tr, va, DimSpec(d_s=2, d_er=1), tc)
     truth_train = true_model_log_likelihood(period_channel(cfg), tr)
@@ -226,7 +226,7 @@ class TestFit:
         cfg = markovian_collision_config()
         ds = generate_trajectory(cfg, 160, 55)
         tr, va = split_dataset(ds, 80)
-        tc = TrainConfig(d_er=1, epochs=25, batch_size=40, seed=9, restarts=1,
+        tc = TrainConfig(epochs=25, batch_size=40, seed=9, restarts=1,
                          convergence_window=10, convergence_tol=1e-12,
                          val_every=5)
         dims = DimSpec(d_s=2, d_er=1)
@@ -258,7 +258,7 @@ class TestFit:
                 monkeypatch.setattr(mod, name, counting)
         ds = generate_trajectory(markovian_collision_config(), 120, 57)
         tr, va = split_dataset(ds, 80)
-        tc = TrainConfig(d_er=2, epochs=6, batch_size=20, seed=4, restarts=2,
+        tc = TrainConfig(epochs=6, batch_size=20, seed=4, restarts=2,
                          convergence_window=3, convergence_tol=tol, val_every=2)
         _, curve = fit(tr, va, DimSpec(d_s=2, d_er=2), tc)
         epochs = len(curve.epoch) * tc.restarts
@@ -273,7 +273,7 @@ class TestFit:
         # is built it peaked at 21.3 MiB.  The bound lies halfway.
         import tracemalloc
         ds = generate_trajectory(CollisionModelConfig(), 20000, 11)
-        tc = TrainConfig(d_er=3, epochs=3, batch_size=1000, seed=0, restarts=1)
+        tc = TrainConfig(epochs=3, batch_size=1000, seed=0, restarts=1)
         tracemalloc.start()
         try:
             fit(ds, None, DimSpec(d_s=2, d_er=3), tc)
@@ -285,7 +285,7 @@ class TestFit:
     def test_fit_without_validation(self):
         cfg = markovian_collision_config()
         ds = generate_trajectory(cfg, 120, 56)
-        tc = TrainConfig(d_er=1, epochs=20, batch_size=60, seed=2, restarts=2,
+        tc = TrainConfig(epochs=20, batch_size=60, seed=2, restarts=2,
                          convergence_window=10, convergence_tol=1e-12,
                          val_every=5)
         model, curve = fit(ds, None, DimSpec(d_s=2, d_er=1), tc)
@@ -316,7 +316,7 @@ class TestSelectDEr:
         cfg = markovian_collision_config()
         ds = generate_trajectory(cfg, 800, 77)
         tr, va = split_dataset(ds, 400)
-        tc = TrainConfig(d_er=1, epochs=300, batch_size=400, seed=3,
+        tc = TrainConfig(epochs=300, batch_size=400, seed=3,
                          restarts=1, convergence_window=60,
                          convergence_tol=1e-4, val_every=25)
         best, table, models, _ = select_d_er(tr, va, [1, 2], tc)
@@ -330,7 +330,7 @@ class TestSelectDEr:
         cfg = markovian_collision_config()
         ds = generate_trajectory(cfg, 60, 58)
         tr, va = split_dataset(ds, 30)
-        tc = TrainConfig(d_er=2, epochs=3, batch_size=30, seed=1, restarts=1,
+        tc = TrainConfig(epochs=3, batch_size=30, seed=1, restarts=1,
                          convergence_window=2, convergence_tol=1e-12,
                          val_every=2)
         best, table, models, _ = select_d_er(tr, va, [2], tc)
@@ -347,7 +347,7 @@ class TestSelectDEr:
         ds = generate_trajectory(cfg, 80, 60)
         tr, va = split_dataset(ds, 50)
         for tol, val_every, lr in ((1.0, 4, 1e-3), (1e-12, 2, 0.3)):
-            tc = TrainConfig(d_er=1, epochs=6, batch_size=50, seed=2,
+            tc = TrainConfig(epochs=6, batch_size=50, seed=2,
                              restarts=2, convergence_window=2,
                              convergence_tol=tol, val_every=val_every, lr=lr)
             best, table, models, curves = select_d_er(tr, va, [2, 1, 2], tc)
@@ -355,7 +355,7 @@ class TestSelectDEr:
             assert set(curves) == {1, 2}
             for k, val_ll in table:
                 cache = forward_pass(models[k], tr)
-                assert val_ll == conditional_validation_ll(models[k], tr, va, cache)
+                assert val_ll == conditional_validation_ll(tr, va, cache)
             assert best == max(table, key=lambda row: row[1])[0]
 
     def test_empty_candidates_rejected(self):
