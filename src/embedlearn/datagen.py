@@ -40,8 +40,8 @@ from .qla import (
     SIGMA_Z,
     CMatrix,
     DimSpec,
-    dagger,
     expm_unitary,
+    hermitian_deviation,
     hermitianize,
     kron,
     unvec,
@@ -96,7 +96,7 @@ class CollisionModelConfig:
         if self.hamiltonian is None:
             object.__setattr__(self, "hamiltonian", default_collision_hamiltonian())
         h = np.asarray(self.hamiltonian, dtype=np.complex128)
-        if h.shape != (8, 8) or not np.max(np.abs(h - dagger(h))) <= 1e-10:
+        if h.shape != (8, 8) or not hermitian_deviation(h) <= 1e-10:
             raise ValueError("hamiltonian must be finite, Hermitian and 8x8 on S x S1 x R")
         object.__setattr__(self, "hamiltonian", h)
         if self.rho_r is None:

@@ -32,8 +32,8 @@ from .qla import (
     CMatrix,
     DimSpec,
     SpectralDecomposition,
-    dagger,
     herm_eig,
+    hermitian_deviation,
     hermitianize,
     logm_principal,
     ptrace,
@@ -165,7 +165,7 @@ def validate_model(model: MarkovianEmbedding) -> None:
     if model.h.shape != (dims.d_total, dims.d_total):
         raise ValueError(f"h has shape {model.h.shape}, expected side {dims.d_total}")
     _check_finite(model.h, "h")
-    dev = np.max(np.abs(model.h - dagger(model.h)))
+    dev = hermitian_deviation(model.h)
     if dev > 1e-10:
         raise ValueError(f"h is not Hermitian: max deviation {dev:.3e}")
     _check_state(model.rho0_ser, dims.d, "rho0_ser")
@@ -180,7 +180,7 @@ def _check_state(rho: CMatrix, side: int, name: str) -> None:
     if rho.shape != (side, side):
         raise ValueError(f"{name} has shape {rho.shape}, expected side {side}")
     _check_finite(rho, name)
-    if np.max(np.abs(rho - dagger(rho))) > 1e-10:
+    if hermitian_deviation(rho) > 1e-10:
         raise ValueError(f"{name} is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError(f"{name} has trace {np.trace(rho)}, expected 1")

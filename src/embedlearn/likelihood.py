@@ -151,7 +151,9 @@ def _projector_vectors(channel: PeriodChannel, data: Dataset) -> np.ndarray:
 def _product_operators(phis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """|phi><phi| x block for stacked system vectors and reservoir blocks."""
     d = phis.shape[1] * blocks.shape[1]
-    return np.einsum("ms,mt,mef->msetf", phis, phis.conj(), blocks).reshape(-1, d, d)
+    # C order, so the reshape copies nothing whatever the blocks' layout.
+    return np.einsum("ms,mt,mef->msetf", phis, phis.conj(), blocks,
+                     order="C").reshape(-1, d, d)
 
 
 def _dense_effects(m: np.ndarray, phis: np.ndarray,
@@ -391,10 +393,13 @@ def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
     diff = lam[:, None] - lam[None, :]
     tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(lam))[:, None]
     degenerate = np.abs(diff) <= tol
-    safe = np.where(degenerate, 1.0, diff)
-    f = (ph[:, None] - ph[None, :]) / safe
-    limit = (-1j * tau * ph)[:, None] * np.ones_like(f)
-    return np.where(degenerate, limit, f)
+    diff[degenerate] = 1.0
+    f = ph[:, None] - ph[None, :]
+    f /= diff
+    # The confluent limit times 1 + 0j: that product can flip the sign of a
+    # zero part, and the bitwise reference (tests/oracles.py) forms it.
+    f[degenerate] = (-1j * tau * ph)[degenerate.nonzero()[0]] * (1 + 0j)
+    return f
 
 
 def log_likelihood_gradient(cache: PropagationCache,
@@ -456,13 +461,23 @@ def log_likelihood_gradient(cache: PropagationCache,
     # Through M = sum_j conj(K_j) x K_j and K_j = (I x <j|) U (I x |0>) this
     # is tr[Gamma1^T dU] + tr[Gamma2^T dU+], where Gamma1 = g1 (I x <0|) and
     # Gamma2 = (I x |0>) g2; only the d_total x d factors g1, g2 are formed.
-    c4 = ((a / values[:, None]).T @ b).reshape(d, d, d, d)
+    a /= values[:, None]
+    c4 = (a.T @ b).reshape(d, d, d, d)
+    del a, b
     g1 = np.einsum("pqrs,jpr->qjs", c4, ks.conj()).reshape(dd, d)
     g2 = np.einsum("pqrs,jqs->rpj", c4, ks).reshape(d, dd)
     va = v.reshape(d, -1, dd)[:, 0, :]  # (I x <0|) V
     vg1v = (v.T @ g1) @ va.conj()  # V^T Gamma1 V*
     vg2v = va.T @ (g2 @ v.conj())  # V^T Gamma2 V*
 
-    inner = f * vg1v + f.conj() * vg2v
-    grad = v.conj() @ inner @ v.T
-    return (n / batch.size) * grad
+    # inner = f * vg1v + conj(f) * vg2v, then V* inner V^T, each H-sized
+    # array written in place and released once read.
+    np.multiply(f, vg1v, out=vg1v)
+    np.conjugate(f, out=f)
+    np.multiply(f, vg2v, out=vg2v)
+    inner = np.add(vg1v, vg2v, out=vg1v)
+    del f, vg1v, vg2v
+    grad = v.conj() @ inner
+    del inner
+    grad = grad @ v.T
+    return np.multiply(n / batch.size, grad, out=grad)

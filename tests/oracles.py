@@ -41,7 +41,12 @@ for :func:`filter_lanes_serial`, the lane-by-lane reference of the
 lockstep ``_filter``, and on :func:`logm_principal_serial`, the one-matrix
 reference of the stacked logarithm; :func:`exact_embedding`, the model
 whose channel is the truth's, builds it from the library's
-``period_superoperator`` with scipy.
+``period_superoperator`` with scipy.  The H-sized algebra of an epoch as
+first written, one new array per operation (:func:`herm_eig_allocating`,
+:func:`loewner_exp_allocating`, :func:`product_operators_allocating`,
+:func:`log_likelihood_gradient_allocating`, :func:`adam_update_allocating`),
+is the bitwise reference of the library's in-place versions; the gradient
+reads the sweeps, spectrum and Kraus stack of a library cache.
 """
 from __future__ import annotations
 
@@ -1323,3 +1328,71 @@ def predict_with_control_serial(gen, dims, rho_ser0, events, times):
     for pos, v in zip(order, joint):
         results[pos] = hermitianize(ptrace(_unvec(v), [d_s, d_er], [0]))
     return results
+
+
+# ---------------------------------------------------------------------------
+# The H-sized algebra of an epoch as first written, one new array per
+# operation: the bitwise references of the library's in-place versions.
+# ---------------------------------------------------------------------------
+
+def herm_eig_allocating(m, tol=1e-10):
+    """Eigenvalues and eigenvectors of (M + M†)/2 after a max|M - M†| check."""
+    m = np.asarray(m, dtype=np.complex128)
+    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2))) if m.size else 0.0
+    if not dev <= tol:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    return np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+
+
+def loewner_exp_allocating(lam, tau, tol=1e-12):
+    """Divided differences of z -> exp(-i tau z), the confluent limit where
+    two eigenvalues lie within ``tol * max(1, |a|)``."""
+    ph = np.exp(-1j * tau * lam)
+    diff = lam[:, None] - lam[None, :]
+    degenerate = np.abs(diff) <= tol * np.maximum(1.0, np.abs(lam))[:, None]
+    safe = np.where(degenerate, 1.0, diff)
+    f = (ph[:, None] - ph[None, :]) / safe
+    limit = (-1j * tau * ph)[:, None] * np.ones_like(f)
+    return np.where(degenerate, limit, f)
+
+
+def product_operators_allocating(phis, blocks):
+    """|phi><phi| x block, stacked, in the einsum's own output order."""
+    d = phis.shape[1] * blocks.shape[1]
+    return np.einsum("ms,mt,mef->msetf", phis, phis.conj(), blocks).reshape(-1, d, d)
+
+
+def log_likelihood_gradient_allocating(cache, batch):
+    """The merge-point gradient over the sorted distinct ``batch`` from the
+    sweeps, spectrum and Kraus stack of ``cache``, each step a new array."""
+    batch = np.unique(np.asarray(batch, dtype=np.intp))
+    dims, tau, n = cache.channel.dims, cache.channel.tau, cache.n
+    d, dd = dims.d, dims.d_total
+    lam, v = cache.spectrum.eigenvalues, cache.spectrum.eigenvectors
+    f = loewner_exp_allocating(lam, tau)
+    a = product_operators_allocating(cache.phis[batch - 1], cache.backward_blocks[batch])
+    b = product_operators_allocating(cache.phis[batch - 2].conj(),
+                                     cache.forward_blocks[batch - 1].transpose(0, 2, 1))
+    a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
+    b[batch == 1] = _vec(cache.channel.rho0)
+    values = np.einsum("mi,mi->m", a, b @ cache.channel.m.T).real
+    c4 = ((a / values[:, None]).T @ b).reshape(d, d, d, d)
+    g1 = np.einsum("pqrs,jpr->qjs", c4, cache.kraus.conj()).reshape(dd, d)
+    g2 = np.einsum("pqrs,jqs->rpj", c4, cache.kraus).reshape(d, dd)
+    va = v.reshape(d, -1, dd)[:, 0, :]
+    vg1v = (v.T @ g1) @ va.conj()
+    vg2v = va.T @ (g2 @ v.conj())
+    inner = f * vg1v + f.conj() * vg2v
+    grad = v.conj() @ inner @ v.T
+    return (n / batch.size) * grad
+
+
+def adam_update_allocating(state, params, grad, cfg):
+    """One Adam ascent step; returns (params, t, m1, m2)."""
+    t = state.t + 1
+    m1 = cfg.beta1 * state.m1 + (1.0 - cfg.beta1) * grad
+    m2 = cfg.beta2 * state.m2 + (1.0 - cfg.beta2) * grad * grad
+    m1_hat = m1 / (1.0 - cfg.beta1 ** t)
+    m2_hat = m2 / (1.0 - cfg.beta2 ** t)
+    step = cfg.lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps_adam)
+    return params + step, t, m1, m2

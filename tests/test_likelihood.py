@@ -8,13 +8,15 @@ import pytest
 
 from embedlearn.datagen import Dataset, make_records
 from embedlearn.errors import DataError, ZeroProbabilityError
-from embedlearn.likelihood import (PropagationCache, _filter, backward_pass,
+from embedlearn.likelihood import (PropagationCache, _filter, _loewner_exp,
+                                   _product_operators, backward_pass,
                                    build_cache, build_caches, conditional_validation_ll,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
 from embedlearn.embedding import (_transfer_basis, extract_generator, kraus_stack,
                                   make_embedding, model_channels, superoperator_matrix)
 from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
+from embedlearn.train import init_model
 
 import oracles
 from oracles import (backward_effects, dump_step_increments, forward_states,
@@ -459,7 +461,10 @@ class TestGradientThroughSuperoperator:
             assert abs(got.real - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_full_batch_memory_is_bounded_at_d_er_3(self):
-        # The per-merge-point chain needs about 0.75 GB here.
+        # The per-merge-point chain needs about 0.75 GB here.  d_total = 216,
+        # so one H-sized complex matrix is 0.71 MiB.  Measured peak 2.40 MiB
+        # (5.46 MiB with a new array per H-sized step); the cap leaves a
+        # third on top of that.
         *_, cache = self._setup(3, 1000, 50)
         tracemalloc.start()
         try:
@@ -467,11 +472,12 @@ class TestGradientThroughSuperoperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 3.2 * 2**20
 
     def test_full_batch_memory_is_bounded_at_d_er_4(self):
         # d_er = 4 is the largest the command line accepts: d_total = 512, so
-        # one H-sized complex matrix is 4 MiB.  Measured peak 30.2 MiB (0.09 s
+        # one H-sized complex matrix is 4 MiB.  Measured peak 12.3 MiB, three
+        # such matrices (26.2 MiB with a new array per H-sized step; 0.09 s
         # with one BLAS thread); the cap leaves a third on top of that.
         *_, cache = self._setup(4, 1000, 50)
         tracemalloc.start()
@@ -480,7 +486,50 @@ class TestGradientThroughSuperoperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 16.4 * 2**20
+
+
+class TestInPlaceAlgebraIsBitwise:
+    """The gradient's H-sized algebra, written in place, against the
+    allocating oracle byte for byte: on random models, on the start point
+    of a fit, whose H = h_ser x I has every eigenvalue repeated d_a times,
+    so the confluent branch of the divided differences runs, and on H = 0,
+    whose confluent entries have zero real parts."""
+
+    @pytest.fixture(scope="class", params=[(d_er, start) for d_er in (1, 2, 3, 4)
+                                           for start in ("random", "init", "zero")],
+                    ids=lambda p: f"d_er{p[0]}-{p[1]}")
+    def cache(self, request):
+        d_er, start = request.param
+        rng = np.random.default_rng(80 + d_er)
+        model = (random_model(rng, d_er=d_er) if start == "random"
+                 else init_model(DimSpec(d_s=2, d_er=d_er), 1.0, rng))
+        if start == "zero":
+            model = make_embedding(model.dims, model.tau, np.zeros_like(model.h),
+                                   model.rho0_ser)
+        return build_cache(model, make_dataset(random_records(rng, 24)))
+
+    def test_divided_differences(self, cache):
+        lam, tau = cache.spectrum.eigenvalues, cache.channel.tau
+        assert (_loewner_exp(lam, tau).tobytes()
+                == oracles.loewner_exp_allocating(lam, tau).tobytes())
+
+    def test_product_operators_of_transposed_blocks(self, cache):
+        batch = np.arange(2, 25)
+        phis = cache.phis[batch - 2].conj()
+        blocks = cache.forward_blocks[batch - 1].transpose(0, 2, 1)
+        got = _product_operators(phis, blocks)
+        want = oracles.product_operators_allocating(phis, blocks)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("batch", [[1, 5, 6, 17], [3, 8, 9, 20, 24], None],
+                             ids=["with-1", "partial", "full"])
+    def test_gradient(self, cache, batch):
+        got = log_likelihood_gradient(cache, batch)
+        want = oracles.log_likelihood_gradient_allocating(
+            cache, np.arange(1, 25) if batch is None else batch)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestProductFormAgainstDenseOracle:

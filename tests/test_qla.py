@@ -5,7 +5,8 @@ import pytest
 from embedlearn.errors import BranchCutError, IllConditionedError, NumericalError
 from embedlearn.qla import (SIGMA_X, SIGMA_Y, SIGMA_Z, DimSpec, bloch_vector,
                             dagger, expm_unitary, haar_random_pure_state,
-                            herm_eig, hermitianize, kron, logm_principal,
+                            herm_eig, hermitian_deviation, hermitianize, kron,
+                            logm_principal,
                             logm_principal_stack, ptrace, trace_norm, unvec, vec)
 
 import oracles
@@ -180,6 +181,56 @@ class TestHermEig:
         m[0, 0] = bad
         with pytest.raises(ValueError, match="not Hermitian"):
             herm_eig(m)
+
+
+    # Dilation sides at d_er = 1..4, and a stack.
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 64), (216, 216), (512, 512), (3, 12, 12)])
+    def test_bitwise_the_allocating_oracle(self, shape):
+        # Hermitian up to rounding-sized noise, so symmetrizing moves bits.
+        rng = np.random.default_rng(shape[-1])
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        m += 1e-13 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        before = m.copy()
+        dec = herm_eig(m)
+        w, v = oracles.herm_eig_allocating(m)
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.eigenvectors.tobytes() == v.tobytes()
+        assert m.tobytes() == before.tobytes()
+
+    def test_degenerate_kron_bitwise_the_allocating_oracle(self):
+        rng = np.random.default_rng(12)
+        h = kron(random_hermitian(rng, 6), np.eye(36, dtype=np.complex128))
+        dec = herm_eig(h)
+        w, v = oracles.herm_eig_allocating(h)
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.eigenvectors.tobytes() == v.tobytes()
+
+
+class TestHermitianDeviation:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (2, 5, 5)])
+    def test_equals_the_max_abs_difference(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+        assert hermitian_deviation(m) == want
+        assert hermitian_deviation(m, m.conj().swapaxes(-1, -2)) == want
+
+    def test_real_input_is_left_untouched(self):
+        # A real array's conj() is the array itself, not a copy.
+        m = np.arange(9.0).reshape(3, 3)
+        assert hermitian_deviation(m) == 4.0
+        assert np.array_equal(m, np.arange(9.0).reshape(3, 3))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_gives_nan(self, bad):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 1] = bad
+        assert np.isnan(hermitian_deviation(m))
+
+    def test_empty_is_zero(self):
+        assert hermitian_deviation(np.zeros((0, 0), dtype=np.complex128)) == 0.0
 
 
 class TestExpmUnitary:
