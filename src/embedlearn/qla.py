@@ -82,17 +82,14 @@ def hermitianize(m: CMatrix) -> CMatrix:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermitian_deviation(m: CMatrix, mh: CMatrix | None = None) -> float:
+def hermitian_deviation(m: CMatrix) -> float:
     """Largest entry of |M - M†| for a matrix or over a stack, NaN if an
-    entry is not finite; 0 for an empty one.  ``mh`` is M† when the caller
-    holds it already.  The difference is the one temporary formed."""
+    entry is not finite; 0 for an empty one.  The difference is the one
+    temporary formed."""
     if not m.size:
         return 0.0
-    if mh is None:
-        diff = np.conjugate(m).swapaxes(-1, -2)
-        np.subtract(m, diff, out=diff)
-    else:
-        diff = np.subtract(m, mh)
+    diff = np.conjugate(m).swapaxes(-1, -2)
+    np.subtract(m, diff, out=diff)
     np.abs(diff, out=diff)
     return np.max(diff.real)
 
@@ -164,10 +161,10 @@ def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     entry fails too; the symmetrized matrix is what gets decomposed.
     """
     m = np.asarray(m, dtype=np.complex128)
-    mh = m.conj().swapaxes(-1, -2)
-    dev = hermitian_deviation(m, mh)
+    dev = hermitian_deviation(m)
     if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    mh = m.conj().swapaxes(-1, -2)
     # hermitianize(m), written into M† in place.
     np.add(m, mh, out=mh)
     np.multiply(0.5, mh, out=mh)

@@ -132,21 +132,12 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray,
                 cfg: TrainConfig) -> tuple[np.ndarray, AdamState]:
     """One ascent step; returns the new parameters and accumulator state."""
     t = state.t + 1
-    m1 = cfg.beta1 * state.m1
-    m1 += (1.0 - cfg.beta1) * grad
-    m2 = cfg.beta2 * state.m2
-    m2 += (1.0 - cfg.beta2) * grad * grad
-    # params + lr * m1_hat / (sqrt(m2_hat) + eps) in two buffers; the
-    # product with lr and the sum with params are taken in the other
-    # operand order, which IEEE arithmetic commutes.
-    step = m1 / (1.0 - cfg.beta1 ** t)
-    step *= cfg.lr
-    den = m2 / (1.0 - cfg.beta2 ** t)
-    np.sqrt(den, out=den)
-    den += cfg.eps_adam
-    step /= den
-    step += params
-    return step, AdamState(t=t, m1=m1, m2=m2)
+    m1 = cfg.beta1 * state.m1 + (1.0 - cfg.beta1) * grad
+    m2 = cfg.beta2 * state.m2 + (1.0 - cfg.beta2) * grad * grad
+    m1_hat = m1 / (1.0 - cfg.beta1 ** t)
+    m2_hat = m2 / (1.0 - cfg.beta2 ** t)
+    step = cfg.lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps_adam)
+    return params + step, AdamState(t=t, m1=m1, m2=m2)
 
 
 def init_model(dims: DimSpec, tau: float, rng: np.random.Generator,

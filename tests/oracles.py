@@ -44,9 +44,9 @@ whose channel is the truth's, builds it from the library's
 ``period_superoperator`` with scipy.  The H-sized algebra of an epoch as
 first written, one new array per operation (:func:`herm_eig_allocating`,
 :func:`loewner_exp_allocating`, :func:`product_operators_allocating`,
-:func:`log_likelihood_gradient_allocating`, :func:`adam_update_allocating`),
-is the bitwise reference of the library's in-place versions; the gradient
-reads the sweeps, spectrum and Kraus stack of a library cache.
+:func:`log_likelihood_gradient_allocating`), is the bitwise reference of
+the library's in-place versions; the gradient reads the sweeps, spectrum
+and Kraus stack of a library cache.
 """
 from __future__ import annotations
 
@@ -1386,13 +1386,3 @@ def log_likelihood_gradient_allocating(cache, batch):
     grad = v.conj() @ inner @ v.T
     return (n / batch.size) * grad
 
-
-def adam_update_allocating(state, params, grad, cfg):
-    """One Adam ascent step; returns (params, t, m1, m2)."""
-    t = state.t + 1
-    m1 = cfg.beta1 * state.m1 + (1.0 - cfg.beta1) * grad
-    m2 = cfg.beta2 * state.m2 + (1.0 - cfg.beta2) * grad * grad
-    m1_hat = m1 / (1.0 - cfg.beta1 ** t)
-    m2_hat = m2 / (1.0 - cfg.beta2 ** t)
-    step = cfg.lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps_adam)
-    return params + step, t, m1, m2

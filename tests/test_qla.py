@@ -214,7 +214,6 @@ class TestHermitianDeviation:
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
         assert hermitian_deviation(m) == want
-        assert hermitian_deviation(m, m.conj().swapaxes(-1, -2)) == want
 
     def test_real_input_is_left_untouched(self):
         # A real array's conj() is the array itself, not a copy.

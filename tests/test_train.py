@@ -13,8 +13,6 @@ from embedlearn.train import (AdamState, LearningCurve, TrainConfig,
                               adam_update, fit, gradient_to_params, init_model,
                               pack_hermitian, select_d_er, unpack_hermitian)
 
-import oracles
-
 
 def markovian_collision_config():
     """Collision Hamiltonian acting on the system alone: the reduced
@@ -121,26 +119,6 @@ class TestAdam:
             m2_hat = m2 / (1.0 - b2 ** t)
             ref = ref + cfg.lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps_adam)
             assert np.max(np.abs(trace[t - 1] - ref)) < 1e-12
-
-    # Packed parameter counts d_total**2 at d_er = 1..4.
-    @pytest.mark.parametrize("size", [64, 4096, 46656, 262144])
-    def test_three_steps_bitwise_the_allocating_oracle(self, size):
-        cfg = TrainConfig()
-        rng = np.random.default_rng(size)
-        params = rng.standard_normal(size)
-        state = AdamState.fresh(size)
-        want_params, want_state = params, state
-        for scale in (1.0, 1e-6, 1e3):
-            g = scale * rng.standard_normal(size)
-            g[::7] = 0.0
-            params, state = adam_update(state, params, g, cfg)
-            want_params, *moments = oracles.adam_update_allocating(
-                want_state, want_params, g, cfg)
-            want_state = AdamState(*moments)
-            assert params.tobytes() == want_params.tobytes()
-            assert state.t == want_state.t
-            assert state.m1.tobytes() == want_state.m1.tobytes()
-            assert state.m2.tobytes() == want_state.m2.tobytes()
 
     def test_moments_stay_finite(self):
         cfg = TrainConfig()
@@ -293,8 +271,8 @@ class TestFit:
         # complex numbers, take 5.5 MiB.  This fit peaked at 13.5 MiB
         # traced; with the last epoch's cache still alive while the next one
         # is built it peaked at 20.6 MiB, and with a new array for every
-        # H-sized step of the gradient and the Adam update at 16.6 MiB.  The
-        # bound lies halfway to the nearer of the two.
+        # H-sized step of the gradient at 16.6 MiB.  The bound lies halfway
+        # to the nearer of the two.
         import tracemalloc
         ds = generate_trajectory(CollisionModelConfig(), 20000, 11)
         tc = TrainConfig(epochs=3, batch_size=1000, seed=0, restarts=1)
