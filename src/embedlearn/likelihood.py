@@ -411,8 +411,9 @@ def log_likelihood_gradient(cache: PropagationCache,
     the result is Hermitian, so real/imaginary Hermitian parameter
     derivatives are linear combinations of symmetric entries.
 
-    ``batch`` selects merge points m (1-based steps); the sum over the
-    batch is rescaled by n/len(batch), so a full batch reproduces the exact
+    ``batch`` selects merge points m, integers in 1..n (``ValueError``
+    otherwise; a repeat counts once); the sum over the distinct merge points
+    is rescaled by n/their number, so a full batch reproduces the exact
     gradient and a subset is an unbiased estimate.  Each term is a ratio of
     the per-merge-point derivative to the per-merge-point sandwich value,
     which cancels every renormalization scale.
@@ -427,14 +428,17 @@ def log_likelihood_gradient(cache: PropagationCache,
     m, dims, tau = cache.channel.m, cache.channel.dims, cache.channel.tau
     if batch is None:
         batch = np.arange(1, n + 1)
+    batch = np.asarray(batch)
+    if batch.size == 0:
+        raise ValueError("empty batch")
+    if batch.dtype.kind not in "iu":  # a cast would score 2.9 as 2, True as 1
+        raise ValueError(f"merge points must be integers, got dtype {batch.dtype}")
     # Sorted distinct merge points; np.unique would import numpy.ma on its
     # first call (numpy 2), which no other part of a train command needs.
-    batch = np.sort(np.asarray(batch, dtype=np.intp), axis=None)
+    batch = np.sort(batch.astype(np.intp, copy=False), axis=None)
     keep = np.ones(batch.size, dtype=bool)
     keep[1:] = batch[1:] != batch[:-1]
     batch = batch[keep]
-    if batch.size == 0:
-        raise ValueError("empty batch")
     if batch[0] < 1 or batch[-1] > n:
         raise ValueError(f"batch entries must lie in 1..{n}")
 
@@ -447,12 +451,29 @@ def log_likelihood_gradient(cache: PropagationCache,
     # state after record m-1, |phi_{m-1}><phi_{m-1}| x sigma_{m-1} (rho0 at
     # m = 1); the sandwich value is a_m^T M b_m.
     # B_m^T = conj(phi) conj(phi)^+ x sigma^T; its row at m = 1 is overwritten.
-    a = _product_operators(phis[batch - 1], cache.backward_blocks[batch])
-    b = _product_operators(phis[batch - 2].conj(),
-                           cache.forward_blocks[batch - 1].transpose(0, 2, 1))
+    full = batch.size == n  # every merge point 1..n, as a posterior draw takes
+    if full:
+        # The sweeps read through views: the product operators' einsum
+        # reduces nothing, so its values do not depend on operand strides.
+        a = _product_operators(phis, cache.backward_blocks[1:])
+        b = _product_operators(np.roll(phis, 1, axis=0).conj(),
+                               cache.forward_blocks[:-1].transpose(0, 2, 1))
+    else:
+        a = _product_operators(phis[batch - 1], cache.backward_blocks[batch])
+        b = _product_operators(phis[batch - 2].conj(),
+                               cache.forward_blocks[batch - 1].transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
     b[batch == 1] = vec(cache.channel.rho0)
-    values = np.einsum("mi,mi->m", a, b @ m.T).real
+    if full:
+        # Values in row blocks, so no third n x d^2 array b @ M^T is formed.
+        # A trailing block of one row joins the one before: numpy multiplies
+        # a single row as a matrix-vector product, which rounds differently.
+        values = np.empty(n)
+        edges = list(range(0, max(n - 1, 1), CHUNK)) + [n]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            values[lo:hi] = np.einsum("mi,mi->m", a[lo:hi], b[lo:hi] @ m.T).real
+    else:
+        values = np.einsum("mi,mi->m", a, b @ m.T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]
         raise ZeroProbabilityError(int(bad))

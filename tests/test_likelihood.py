@@ -13,7 +13,7 @@ from embedlearn.likelihood import (PropagationCache, _filter, _loewner_exp,
                                    build_cache, build_caches, conditional_validation_ll,
                                    forward_pass, log_likelihood,
                                    log_likelihood_gradient)
-from embedlearn.embedding import (_transfer_basis, extract_generator, kraus_stack,
+from embedlearn.embedding import (CHUNK, _transfer_basis, extract_generator, kraus_stack,
                                   make_embedding, model_channels, superoperator_matrix)
 from embedlearn.qla import DimSpec, dagger, expm_unitary, herm_eig, kron
 from embedlearn.train import init_model
@@ -417,6 +417,11 @@ class TestGradient:
             log_likelihood_gradient(cache, batch=[5])
         with pytest.raises(ValueError):
             log_likelihood_gradient(cache, batch=[])
+        # A cast to an index would score merge point 2 and merge point 1.
+        with pytest.raises(ValueError, match="integers"):
+            log_likelihood_gradient(cache, batch=[2.9])
+        with pytest.raises(ValueError, match="integers"):
+            log_likelihood_gradient(cache, batch=np.array([True, True]))
 
 
 class TestGradientThroughSuperoperator:
@@ -474,6 +479,21 @@ class TestGradientThroughSuperoperator:
             tracemalloc.stop()
         assert peak < 3.2 * 2**20
 
+    def test_full_batch_of_20000_holds_two_record_sized_arrays(self):
+        # A posterior draw's gradient has every record as a merge point.  At
+        # d_er = 2 one n x d^2 complex array is 4.9 MiB here.  Measured peak
+        # 11.6 MiB with the two factor arrays and the merge-point values
+        # formed in row blocks, 15.2 MiB with the whole product b @ M^T as
+        # a third such array; the cap lies halfway between the two.
+        *_, cache = self._setup(2, 20000, 51)
+        tracemalloc.start()
+        try:
+            log_likelihood_gradient(cache, np.arange(1, 20001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.4 * 2**20
+
     def test_full_batch_memory_is_bounded_at_d_er_4(self):
         # d_er = 4 is the largest the command line accepts: d_total = 512, so
         # one H-sized complex matrix is 4 MiB.  Measured peak 12.3 MiB, three
@@ -530,6 +550,40 @@ class TestInPlaceAlgebraIsBitwise:
         want = oracles.log_likelihood_gradient_allocating(
             cache, np.arange(1, 25) if batch is None else batch)
         assert got.tobytes() == want.tobytes()
+
+
+class TestFullBatchIsBitwise:
+    """A batch of every merge point reads the sweeps through views and forms
+    the merge-point values in blocks of ``CHUNK`` rows; its gradient is the
+    allocating oracle's byte for byte.  The lengths include
+    n = k CHUNK + 1, where plain blocks of ``CHUNK`` rows would end in a
+    block of one row, whose matrix-vector product rounds differently."""
+
+    LENGTHS = [1, 2, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 3000]
+
+    @pytest.fixture(scope="class", params=[(d_er, start) for d_er in (1, 2, 3, 4)
+                                           for start in ("random", "init", "zero")],
+                    ids=lambda p: f"d_er{p[0]}-{p[1]}")
+    def setup(self, request):
+        d_er, start = request.param
+        rng = np.random.default_rng(90 + d_er)
+        model = (random_model(rng, d_er=d_er) if start == "random"
+                 else init_model(DimSpec(d_s=2, d_er=d_er), 1.0, rng))
+        if start == "zero":
+            model = make_embedding(model.dims, model.tau, np.zeros_like(model.h),
+                                   model.rho0_ser)
+        return model, random_records(rng, max(self.LENGTHS))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_gradient(self, setup, n):
+        model, records = setup
+        cache = build_cache(model, make_dataset(records[:n]))
+        steps = np.arange(1, n + 1)
+        rng = np.random.default_rng(n)
+        shuffled = rng.permutation(np.concatenate([steps, rng.integers(1, n + 1, n // 3 + 1)]))
+        want = oracles.log_likelihood_gradient_allocating(cache, steps).tobytes()
+        for batch in (None, steps, shuffled):
+            assert log_likelihood_gradient(cache, batch).tobytes() == want
 
 
 class TestProductFormAgainstDenseOracle:
