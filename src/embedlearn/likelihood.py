@@ -451,8 +451,7 @@ def log_likelihood_gradient(cache: PropagationCache,
     # state after record m-1, |phi_{m-1}><phi_{m-1}| x sigma_{m-1} (rho0 at
     # m = 1); the sandwich value is a_m^T M b_m.
     # B_m^T = conj(phi) conj(phi)^+ x sigma^T; its row at m = 1 is overwritten.
-    full = batch.size == n  # every merge point 1..n, as a posterior draw takes
-    if full:
+    if batch.size == n:  # every merge point 1..n, as a posterior draw takes
         # The sweeps read through views: the product operators' einsum
         # reduces nothing, so its values do not depend on operand strides.
         a = _product_operators(phis, cache.backward_blocks[1:])
@@ -464,16 +463,13 @@ def log_likelihood_gradient(cache: PropagationCache,
                                cache.forward_blocks[batch - 1].transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
     b[batch == 1] = vec(cache.channel.rho0)
-    if full:
-        # Values in row blocks, so no third n x d^2 array b @ M^T is formed.
-        # A trailing block of one row joins the one before: numpy multiplies
-        # a single row as a matrix-vector product, which rounds differently.
-        values = np.empty(n)
-        edges = list(range(0, max(n - 1, 1), CHUNK)) + [n]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            values[lo:hi] = np.einsum("mi,mi->m", a[lo:hi], b[lo:hi] @ m.T).real
-    else:
-        values = np.einsum("mi,mi->m", a, b @ m.T).real
+    # Values in row blocks, so no third |batch| x d^2 array b @ M^T is formed.
+    # A trailing block of one row joins the one before: numpy multiplies a
+    # single row as a matrix-vector product, which rounds differently.
+    values = np.empty(batch.size)
+    edges = list(range(0, max(batch.size - 1, 1), CHUNK)) + [batch.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        values[lo:hi] = np.einsum("mi,mi->m", a[lo:hi], b[lo:hi] @ m.T).real
     if np.any(values <= 0.0):
         bad = batch[np.argmax(values <= 0.0)]
         raise ZeroProbabilityError(int(bad))

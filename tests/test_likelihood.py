@@ -482,9 +482,10 @@ class TestGradientThroughSuperoperator:
     def test_full_batch_of_20000_holds_two_record_sized_arrays(self):
         # A posterior draw's gradient has every record as a merge point.  At
         # d_er = 2 one n x d^2 complex array is 4.9 MiB here.  Measured peak
-        # 11.6 MiB with the two factor arrays and the merge-point values
-        # formed in row blocks, 15.2 MiB with the whole product b @ M^T as
-        # a third such array; the cap lies halfway between the two.
+        # 11.6 MiB with the two factor arrays read from views of the sweeps
+        # and the merge-point values formed in row blocks, 15.2 MiB with
+        # gathered copies of the sweeps and the whole product b @ M^T as a
+        # third such array; the cap lies halfway between the two.
         *_, cache = self._setup(2, 20000, 51)
         tracemalloc.start()
         try:
@@ -510,16 +511,17 @@ class TestGradientThroughSuperoperator:
 
 
 class TestInPlaceAlgebraIsBitwise:
-    """The gradient's H-sized algebra, written in place, against the
-    allocating oracle byte for byte: on random models, on the start point
-    of a fit, whose H = h_ser x I has every eigenvalue repeated d_a times,
-    so the confluent branch of the divided differences runs, and on H = 0,
-    whose confluent entries have zero real parts."""
+    """The gradient's H-sized algebra, written in place, and its merge-point
+    values, formed in blocks of ``CHUNK`` rows, against the allocating
+    oracle byte for byte: on random models, on the start point of a fit,
+    whose H = h_ser x I has every eigenvalue repeated d_a times, so the
+    confluent branch of the divided differences runs, and on H = 0, whose
+    confluent entries have zero real parts."""
 
     @pytest.fixture(scope="class", params=[(d_er, start) for d_er in (1, 2, 3, 4)
                                            for start in ("random", "init", "zero")],
                     ids=lambda p: f"d_er{p[0]}-{p[1]}")
-    def cache(self, request):
+    def model(self, request):
         d_er, start = request.param
         rng = np.random.default_rng(80 + d_er)
         model = (random_model(rng, d_er=d_er) if start == "random"
@@ -527,7 +529,12 @@ class TestInPlaceAlgebraIsBitwise:
         if start == "zero":
             model = make_embedding(model.dims, model.tau, np.zeros_like(model.h),
                                    model.rho0_ser)
-        return build_cache(model, make_dataset(random_records(rng, 24)))
+        return model, random_records(rng, 3000)
+
+    @pytest.fixture(scope="class")
+    def cache(self, model):
+        model, records = model
+        return build_cache(model, make_dataset(records[:24]))
 
     def test_divided_differences(self, cache):
         lam, tau = cache.spectrum.eigenvalues, cache.channel.tau
@@ -551,32 +558,11 @@ class TestInPlaceAlgebraIsBitwise:
             cache, np.arange(1, 25) if batch is None else batch)
         assert got.tobytes() == want.tobytes()
 
-
-class TestFullBatchIsBitwise:
-    """A batch of every merge point reads the sweeps through views and forms
-    the merge-point values in blocks of ``CHUNK`` rows; its gradient is the
-    allocating oracle's byte for byte.  The lengths include
-    n = k CHUNK + 1, where plain blocks of ``CHUNK`` rows would end in a
-    block of one row, whose matrix-vector product rounds differently."""
-
-    LENGTHS = [1, 2, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 3000]
-
-    @pytest.fixture(scope="class", params=[(d_er, start) for d_er in (1, 2, 3, 4)
-                                           for start in ("random", "init", "zero")],
-                    ids=lambda p: f"d_er{p[0]}-{p[1]}")
-    def setup(self, request):
-        d_er, start = request.param
-        rng = np.random.default_rng(90 + d_er)
-        model = (random_model(rng, d_er=d_er) if start == "random"
-                 else init_model(DimSpec(d_s=2, d_er=d_er), 1.0, rng))
-        if start == "zero":
-            model = make_embedding(model.dims, model.tau, np.zeros_like(model.h),
-                                   model.rho0_ser)
-        return model, random_records(rng, max(self.LENGTHS))
-
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_gradient(self, setup, n):
-        model, records = setup
+    # n = k CHUNK + 1 is where plain blocks of CHUNK rows would end in a
+    # block of one row, whose matrix-vector product rounds differently.
+    @pytest.mark.parametrize("n", [1, 2, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 3000])
+    def test_gradient_over_blocks(self, model, n):
+        model, records = model
         cache = build_cache(model, make_dataset(records[:n]))
         steps = np.arange(1, n + 1)
         rng = np.random.default_rng(n)
@@ -584,6 +570,9 @@ class TestFullBatchIsBitwise:
         want = oracles.log_likelihood_gradient_allocating(cache, steps).tobytes()
         for batch in (None, steps, shuffled):
             assert log_likelihood_gradient(cache, batch).tobytes() == want
+        partial = rng.choice(steps, size=(n + 1) // 2, replace=False)
+        assert (log_likelihood_gradient(cache, partial).tobytes()
+                == oracles.log_likelihood_gradient_allocating(cache, partial).tobytes())
 
 
 class TestProductFormAgainstDenseOracle:
