@@ -240,21 +240,27 @@ def _transfer_basis(m: np.ndarray, dims: DimSpec) -> np.ndarray:
     return m8.transpose(2, 0, 6, 4, 3, 1, 7, 5).reshape(dims.d_s ** 4, dims.d_er ** 4)
 
 
-def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+def _transfers(basis: np.ndarray, before: np.ndarray, after: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Transfer matrices <b| M(|a><a| x .) |b> on flattened reservoir
     blocks, one per pair of stacked system vectors a = ``before[j]``,
     b = ``after[j]``, under the superoperator whose :func:`_transfer_basis`
-    is ``basis``; shape (k, d_er^2, d_er^2)."""
+    is ``basis``; shape (k, d_er^2, d_er^2), written into ``out`` if given,
+    whose transfers may lie apart in memory if each one's entries are
+    adjacent."""
     k = len(before)
     pa = (before[:, :, None] * before[:, None, :].conj()).reshape(k, -1)
     pb = (after[:, :, None].conj() * after[:, None, :]).reshape(k, -1)  # conj(|b><b|)
     pairs = pb[:, :, None] * pa[:, None, :]
+    side = int(round(np.sqrt(basis.shape[1])))
+    if out is None:
+        out = np.empty((k, side, side), dtype=np.complex128)
     # One (1 x d_s^4) @ (d_s^4 x d_er^4) product per pair: a transfer comes
     # out bitwise the same whichever pairs share its batch, so a sweep
     # continued from a stored block repeats the one long sweep exactly.
-    t = np.matmul(pairs.reshape(k, 1, -1), basis)
-    side = int(round(np.sqrt(basis.shape[1])))
-    return t.reshape(k, side, side)
+    # Each transfer's entries are adjacent, so this reshape is a view of out.
+    np.matmul(pairs.reshape(k, 1, -1), basis, out=out.reshape(k, 1, side * side))
+    return out
 
 
 def extract_generator(model: MarkovianEmbedding) -> GeneratorSuperoperator:

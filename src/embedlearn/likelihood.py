@@ -16,9 +16,12 @@ is the forward loop run under M^+ over the records in reverse order: one
 loop serves both sweeps.  Only the first record, conditioned on the initial
 joint state (which need not be a product), and the effect at time 0 are
 joint-sized.  The transfers are built in fixed-size record chunks, so the
-work outside the d_er^2-vector loop is batched and memory beyond the blocks
-does not grow with n; at d_er = 1 each transfer is a conditional
-probability and the sweeps are cumulative sums of its log.
+work outside the d_er^2-vector loop is batched, and each chunk's blocks go
+through one chunk-sized buffer, from which a sweep keeps only the rows its
+caller reads: every row for a full cache, the rows of one batch of merge
+points for a training epoch, so that an epoch's blocks do not grow with n;
+at d_er = 1 each transfer is a conditional probability and the sweeps are
+cumulative sums of its log.
 
 At usable sequence lengths the probability underflows double precision by
 thousands of orders of magnitude, so both recurrences are renormalized by
@@ -58,21 +61,32 @@ class PropagationCache:
     """Normalized forward/backward sweeps over one record sequence, kept as
     reservoir blocks.
 
-    Index ``i`` runs 0..n over measurement times.  For ``i >= 1``,
-    ``forward_blocks[i]`` is the unit-trace reservoir block sigma_i of the
-    post-measurement state |phi_i><phi_i| x sigma_i, with
-    ``forward_log_scale[i]`` the prefix log-likelihood, and
-    ``backward_blocks[i]`` is the block beta_i = <phi_i| effect_i |phi_i> of
-    the Heisenberg effect of records i+1..n, with ``backward_log_scale[i]``
-    the log of the scale removed from it:
+    Index ``i`` runs 0..n over measurement times.  For ``i >= 1``, the
+    forward block at time i (``forward_blocks[i]`` of a full cache) is the
+    unit-trace reservoir block sigma_i of the post-measurement state
+    |phi_i><phi_i| x sigma_i, with ``forward_log_scale[i]`` the prefix
+    log-likelihood, and the backward block at time i is the block
+    beta_i = <phi_i| effect_i |phi_i> of the Heisenberg effect of records
+    i+1..n, with ``backward_log_scale[i]`` the log of the scale removed
+    from it:
 
         log tr(sigma_i @ beta_i) + forward_log_scale[i]
                                  + backward_log_scale[i]  == log p
 
-    Entry 0 of both block arrays is NaN: at time 0 the pair is the start
-    state ``channel.rho0`` and the joint effect M^+(|phi_1><phi_1| x beta_1)
-    at unit operator norm, whose log scale is ``backward_log_scale[0]``.
-    Either half may be absent if only one sweep was run.
+    The block at time 0 of both halves is NaN: at time 0 the pair is the
+    start state ``channel.rho0`` and the joint effect
+    M^+(|phi_1><phi_1| x beta_1) at unit operator norm, whose log scale is
+    ``backward_log_scale[0]``.  Either half may be absent if only one sweep
+    was run.
+
+    A full cache holds the blocks at every time 0..n, and ``forward_rows``
+    and ``backward_rows`` are None.  A compact cache, which
+    :func:`build_cache` gives for a batch of merge points, holds only the
+    blocks at the sorted times in ``forward_rows`` (the batch's merge points
+    minus one, and n) and ``backward_rows`` (the merge points, and 1), one
+    row each, with both running logs in full.  :meth:`forward_at` and
+    :meth:`backward_at` read blocks by time and raise ``ValueError`` at a
+    time the cache does not hold, so no reader takes another row's block.
 
     The sweeps ran under ``channel`` over ``data``, whose measured system
     vectors are ``phis``.  The eigensystem ``spectrum`` of the model's H and
@@ -92,6 +106,16 @@ class PropagationCache:
     forward_log_scale: np.ndarray | None = field(default=None, repr=False)
     backward_blocks: np.ndarray | None = field(default=None, repr=False)
     backward_log_scale: np.ndarray | None = field(default=None, repr=False)
+    forward_rows: np.ndarray | None = field(default=None, repr=False)
+    backward_rows: np.ndarray | None = field(default=None, repr=False)
+
+    def forward_at(self, times: np.ndarray) -> np.ndarray:
+        """Forward blocks at the integer array of ``times``, stacked."""
+        return _blocks_at(self.forward_blocks, self.forward_rows, times, "forward")
+
+    def backward_at(self, times: np.ndarray) -> np.ndarray:
+        """Backward blocks at the integer array of ``times``, stacked."""
+        return _blocks_at(self.backward_blocks, self.backward_rows, times, "backward")
 
     def log_likelihood(self) -> float:
         if self.forward_log_scale is None:
@@ -109,15 +133,48 @@ class PropagationCache:
             eff = np.eye(self.channel.dims.d)
             if self.n:
                 eff = _dense_effects(self.channel.m, self.phis[:1],
-                                     self.backward_blocks[1:2])[0][0]
+                                     self.backward_at(np.array([1])))[0][0]
             overlap = np.einsum("ij,ji->", self.channel.rho0, eff).real
         else:
-            overlap = np.einsum("ij,ji->", self.forward_blocks[m],
-                                self.backward_blocks[m]).real
+            at = np.array([m])
+            overlap = np.einsum("ij,ji->", self.forward_at(at)[0],
+                                self.backward_at(at)[0]).real
         if overlap <= 0:
             raise ZeroProbabilityError(m)
         return float(np.log(overlap) + self.forward_log_scale[m]
                      + self.backward_log_scale[m])
+
+
+def _blocks_at(blocks: np.ndarray, rows: np.ndarray | None, times: np.ndarray,
+               half: str) -> np.ndarray:
+    """``blocks[times]`` of a full cache, or the rows of a compact cache's
+    ``blocks`` held at ``times`` by the sorted ``rows``."""
+    if rows is None:
+        return blocks[times]
+    pos = np.minimum(np.searchsorted(rows, times), rows.size - 1)
+    missing = rows[pos] != times
+    if missing.any():
+        raise ValueError(f"the cache holds no {half} block at time {times[missing][0]}")
+    return blocks[pos]
+
+
+def _merge_points(batch: np.ndarray | list[int], n: int) -> np.ndarray:
+    """The sorted distinct merge points of ``batch``, integers in 1..n
+    (``ValueError`` otherwise)."""
+    batch = np.asarray(batch)
+    if batch.size == 0:
+        raise ValueError("empty batch")
+    if batch.dtype.kind not in "iu":  # a cast would score 2.9 as 2, True as 1
+        raise ValueError(f"merge points must be integers, got dtype {batch.dtype}")
+    # np.unique would import numpy.ma on its first call (numpy 2), which no
+    # other part of a train command needs.
+    batch = np.sort(batch.astype(np.intp, copy=False), axis=None)
+    keep = np.ones(batch.size, dtype=bool)
+    keep[1:] = batch[1:] != batch[:-1]
+    batch = batch[keep]
+    if batch[0] < 1 or batch[-1] > n:
+        raise ValueError(f"batch entries must lie in 1..{n}")
+    return batch
 
 
 def _new_cache(channel: PeriodChannel, data: Dataset,
@@ -168,14 +225,15 @@ def _dense_effects(m: np.ndarray, phis: np.ndarray,
     return prev / np.where(norms > 0.0, norms, 1.0)[:, None, None], norms
 
 
-def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
+def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out, keep
             ) -> tuple[np.ndarray, np.ndarray]:
     """The one scoring loop, run by both sweeps, over a leading axis of
     independent lanes.  Lane s runs under the transfer basis ``basis[s]``:
     ``x[s]`` is the flattened reservoir block after the record with vector
     ``phis[s][0]`` and ``log0[s]`` its running log; the lane conditions on
-    ``phis[s][1:]`` in turn and writes one flattened block per record into
-    ``out[s]``.
+    ``phis[s][1:]`` in turn.  Its flattened block after ``phis[s][i + 1]``
+    goes to ``out[s][j]`` for ``i = keep[s][j]``, a sorted array of record
+    positions; the others are dropped with their chunk.
 
     Returns the running logs, (lanes, n + 1) with ``log0`` first, and per
     lane the index of its first record of zero probability, or -1.  A lane
@@ -187,42 +245,53 @@ def _filter(basis, x: np.ndarray, log0: np.ndarray, phis, out: np.ndarray
     lanes, k = x.shape
     n = len(phis[0]) - 1
     unit = np.eye(int(round(np.sqrt(k))), dtype=np.complex128).reshape(1, k)
-    ps = np.empty((lanes, n))
+    # The probabilities of the records, turned into running logs in place.
+    logs = np.empty((lanes, n + 1))
+    ps = logs[:, 1:]
+    # One chunk's transfers, lane by lane, and the blocks they give.
+    t = np.empty((min(CHUNK, n), lanes, k, k), dtype=np.complex128)
+    blocks = np.empty((lanes, len(t), k), dtype=np.complex128)
     # Each lane's block is a column, so one step is two stacked products.
-    xc, outc, psc = x[:, :, None], out[..., None], ps[:, :, None, None]
+    xc, bc, psc = x[:, :, None], blocks[..., None], ps[:, :, None, None]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        t = [_transfers(b, ph[start:stop], ph[start + 1:stop + 1])
-             for b, ph in zip(basis, phis)]
+        for s, (b, ph) in enumerate(zip(basis, phis)):
+            _transfers(b, ph[start:stop], ph[start + 1:stop + 1], out=t[:stop - start, s])
         if k == 1:  # T_i is the probability of record i+1 given record i
-            for s, ts in enumerate(t):
-                ps[s, start:stop] = ts[:, 0, 0].real
+            ps[:, start:stop] = t[:stop - start, :, 0, 0].real.T
             continue
         # A dead lane runs on with meaningless numbers, which may divide by
         # zero or overflow; its first nonpositive probability is found
         # afterwards.  (np.errstate would slow every step by a fifth.)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for i, ti in enumerate(np.stack(t, axis=1), start):
+            for i, ti in enumerate(t[:stop - start]):
                 y = ti @ xc
                 p = (unit @ y).real
                 xc = y / p
-                outc[:, i] = xc
-                psc[:, i] = p
-    dead = ps <= 0.0
-    logs = np.full((lanes, n + 1), np.nan)
+                bc[:, i] = xc
+                psc[:, start + i] = p
+        for s, rows in enumerate(keep):
+            lo, hi = np.searchsorted(rows, (start, stop))
+            out[s][lo:hi] = blocks[s, rows[lo:hi] - start]
     bad = np.full(lanes, -1)
     for s in range(lanes):
-        if dead[s].any():
-            bad[s] = dead[s].argmax()
+        dead = ps[s] <= 0.0
+        if dead.any():
+            bad[s] = dead.argmax()
+            logs[s] = np.nan
         else:
-            logs[s] = np.cumsum(np.concatenate(([log0[s]], np.log(ps[s]))))
+            logs[s, 0] = log0[s]
+            np.log(ps[s], out=ps[s])
+            np.cumsum(logs[s], out=logs[s])
     if k == 1:
-        out[...] = 1.0
+        for rows in out:
+            rows[...] = 1.0
     return logs, bad
 
 
-def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> list[int]:
+def _sweep(caches: list[PropagationCache], forward: bool, backward: bool,
+           batch: np.ndarray | None = None) -> list[int]:
     """The forward and/or backward sweeps of caches of one shape over one
     record sequence, as the lanes of one :func:`_filter` call.  Each cache
     holds ``phis`` and ``channel``.
@@ -232,14 +301,33 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
     from beta_n = I under the dual channel M^+ over the records in reverse
     order, and the norm of the joint effect at time 0 closes it.  All
     forward lanes run first, then all backward lanes; a cache whose first
-    record has zero probability gets no lanes.  The caches' blocks and
-    running logs are views of rows of two arrays, which the loop writes.
-    Returns per cache the index of its first record of zero probability,
-    or -1; such a cache holds no meaningful sweep.
+    record has zero probability gets no lanes.  Without ``batch`` each cache
+    becomes full; given the sorted distinct merge points ``batch``, compact
+    (see :class:`PropagationCache`).  Returns per cache the index of its
+    first record of zero probability, or -1; such a cache holds no
+    meaningful sweep.
     """
     n, dims = len(caches[0].phis), caches[0].channel.dims
     d_s, d_er = dims.d_s, dims.d_er
     bad = [-1] * len(caches)
+    # The times whose blocks each direction keeps, ascending.
+    if batch is None:
+        held = dict.fromkeys((True, False), np.arange(n + 1))
+    else:
+        held = {True: np.append(batch - 1, n),
+                False: batch if batch[0] == 1 else np.insert(batch, 0, 1)}
+    # Every requested half gets its blocks, NaN until a lane writes them,
+    # and its running logs.
+    for cache in caches:
+        for fwd in [fwd for fwd, on in ((True, forward), (False, backward)) if on]:
+            blocks = np.full((held[fwd].size, d_er, d_er), np.nan, dtype=np.complex128)
+            rows = None if batch is None else held[fwd]
+            if fwd:
+                cache.forward_blocks, cache.forward_rows = blocks, rows
+                cache.forward_log_scale = np.zeros(n + 1)
+            else:
+                cache.backward_blocks, cache.backward_rows = blocks, rows
+                cache.backward_log_scale = np.zeros(n + 1)
     # Per lane: cache index, direction (True forward), transfer basis,
     # record vectors, start log and start block; a backward lane's record
     # vectors run from time n to 1.
@@ -258,36 +346,47 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
         if bad[c] < 0:
             lanes.append((c, False, _transfer_basis(cache.channel.m.conj().T, dims),
                           cache.phis[::-1], 0.0, np.eye(d_er)))
-    # Row s holds lane s's start block at 1 and the blocks it writes at
-    # 2..n, and their running logs.  A forward cache reads its rows from 0
-    # up, a backward one from n + 1 down, so entry 0 of both block arrays is
-    # NaN.  A direction that runs no lane reads rows after the lanes' rows.
-    running = [lane[:2] for lane in lanes]
-    idle = [(c, fwd) for fwd, on in ((True, forward), (False, backward)) if on
-            for c in range(len(caches)) if (c, fwd) not in running]
-    rows = np.full((len(running) + len(idle), n + 2, d_er * d_er), np.nan, dtype=np.complex128)
-    scales = np.zeros(rows.shape[:2])
-    for row, scale, (c, fwd) in zip(rows, scales, running + idle):
-        if fwd:
-            caches[c].forward_blocks = row[:n + 1].reshape(n + 1, d_er, d_er)
-            caches[c].forward_log_scale = scale[:n + 1]
-        else:
-            caches[c].backward_blocks = row[:0:-1].reshape(n + 1, d_er, d_er)
-            caches[c].backward_log_scale = scale[:0:-1]
     if not lanes:
         return bad
-    owner, ahead, basis, phis, log0, start = zip(*lanes)
-    rows[:len(lanes), 1] = np.reshape(start, (len(lanes), -1))
-    logs, dead = _filter(basis, rows[:len(lanes), 1].copy(), np.array(log0), phis,
-                         rows[:len(lanes), 2:n + 1])
-    scales[:len(lanes), 1:n + 1] = logs
+    # Step j of a lane is its block after j + 1 records: at time j + 1
+    # forward and n - j backward.  Step 0 is the start block, steps 1..n-1
+    # the loop's, and the block at time 0 stays NaN.  Per direction, its
+    # kept rows ordered by step hold the start block at lo if ``first``,
+    # then the loop's steps up to hi, whose record positions in the loop
+    # every lane of that direction shares.
+    plan = {}
+    for fwd, times in held.items():
+        steps = times - 1 if fwd else n - times[::-1]
+        lo, hi = np.searchsorted(steps, (0, n))
+        first = int(lo < hi and steps[lo] == 0)
+        plan[fwd] = lo, first, hi, steps[lo + first:hi] - 1
+    x = np.empty((len(lanes), d_er * d_er), dtype=np.complex128)
+    out, keep = [], []
+    for s, (c, fwd, *_, start) in enumerate(lanes):
+        x[s] = start.ravel()
+        # A view: each cache's blocks were allocated contiguous above.
+        blocks = (caches[c].forward_blocks if fwd else caches[c].backward_blocks
+                  ).reshape(-1, d_er * d_er)
+        rows = blocks if fwd else blocks[::-1]
+        lo, first, hi, positions = plan[fwd]
+        if first:
+            rows[lo] = x[s]
+        out.append(rows[lo + first:hi])
+        keep.append(positions)
+    owner, ahead, basis, phis, log0, _ = zip(*lanes)
+    logs, dead = _filter(basis, x, np.array(log0), phis, out, keep)
     for s, c in enumerate(owner):
         cache = caches[c]
+        if ahead[s]:
+            cache.forward_log_scale[1:] = logs[s]
+        else:
+            cache.backward_log_scale[:0:-1] = logs[s]
         if dead[s] >= 0:
             if bad[c] < 0:
                 bad[c] = dead[s] + 1 if ahead[s] else n - 1 - dead[s]
         elif not ahead[s]:
-            _, norm = _dense_effects(cache.channel.m, cache.phis[:1], cache.backward_blocks[1:2])
+            _, norm = _dense_effects(cache.channel.m, cache.phis[:1],
+                                     cache.backward_at(np.array([1])))
             if norm[0] <= 0.0:
                 bad[c] = 0
             else:
@@ -296,11 +395,11 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool) -> lis
 
 
 def _one_sweep(model: MarkovianEmbedding, data: Dataset, forward: bool,
-               backward: bool) -> PropagationCache:
-    """The sweeps of ``model`` over ``data`` into a new cache; raises on a
-    zero-probability record, the forward sweep's first."""
+               backward: bool, batch: np.ndarray | None = None) -> PropagationCache:
+    """The sweeps of ``model`` over ``data`` into a new cache, compact for
+    ``batch``; raises on a zero-probability record, the forward sweep's first."""
     cache = _model_caches([model], data)[0]
-    _raise_zero_probability(_sweep([cache], forward, backward), data)
+    _raise_zero_probability(_sweep([cache], forward, backward, batch), data)
     return cache
 
 
@@ -322,10 +421,23 @@ def backward_pass(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
     return _one_sweep(model, data, forward=False, backward=True)
 
 
-def build_cache(model: MarkovianEmbedding, data: Dataset) -> PropagationCache:
+def build_cache(model: MarkovianEmbedding, data: Dataset,
+                batch: np.ndarray | list[int] | None = None) -> PropagationCache:
     """Both sweeps in one cache, as two lanes of one :func:`_filter` loop;
-    raises on a zero-probability record, the forward sweep's first."""
-    return _one_sweep(model, data, forward=True, backward=True)
+    raises on a zero-probability record, the forward sweep's first.
+
+    Without ``batch`` the cache is full.  Given a batch of merge points, as
+    :func:`log_likelihood_gradient` takes it, the cache is compact: it holds
+    only the blocks that the gradient of that batch and
+    :func:`conditional_validation_ll` read, unless the batch holds every
+    merge point 1..n, which the gradient reads through views of a full
+    cache.  Every number is the same either way.
+    """
+    if batch is not None:
+        batch = _merge_points(batch, len(data))
+        if batch.size == len(data):
+            batch = None
+    return _one_sweep(model, data, forward=True, backward=True, batch=batch)
 
 
 def build_caches(models: list[MarkovianEmbedding], data: Dataset
@@ -365,10 +477,10 @@ def conditional_validation_ll(data_train: Dataset, data_val: Dataset,
     phis = np.concatenate((train_cache.phis[-1:], _projector_vectors(channel, data_val)))
     # Seeded with the prefix log, every addition matches one sweep over
     # train + validation, so the result equals that sweep's suffix bitwise.
-    x = train_cache.forward_blocks[-1].ravel()
+    x = train_cache.forward_at(np.array([train_cache.n]))[0].ravel()
     logs, bad = _filter([_transfer_basis(channel.m, channel.dims)], x[None],
                         train_cache.forward_log_scale[-1:], [phis],
-                        np.empty((1, len(data_val), x.size), dtype=np.complex128))
+                        [np.empty((0, x.size), dtype=np.complex128)], [np.empty(0, np.intp)])
     _raise_zero_probability(bad, data_val)
     return float(logs[0, -1] - logs[0, 0]) / len(data_val)
 
@@ -412,7 +524,8 @@ def log_likelihood_gradient(cache: PropagationCache,
     derivatives are linear combinations of symmetric entries.
 
     ``batch`` selects merge points m, integers in 1..n (``ValueError``
-    otherwise; a repeat counts once); the sum over the distinct merge points
+    otherwise, and for a compact cache missing one of their blocks; a repeat
+    counts once); the sum over the distinct merge points
     is rescaled by n/their number, so a full batch reproduces the exact
     gradient and a subset is an unbiased estimate.  Each term is a ratio of
     the per-merge-point derivative to the per-merge-point sandwich value,
@@ -426,21 +539,7 @@ def log_likelihood_gradient(cache: PropagationCache,
         raise ValueError("gradient needs both sweeps in the cache")
     phis, spectrum, ks, n = cache.phis, cache.spectrum, cache.kraus, cache.n
     m, dims, tau = cache.channel.m, cache.channel.dims, cache.channel.tau
-    if batch is None:
-        batch = np.arange(1, n + 1)
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ValueError("empty batch")
-    if batch.dtype.kind not in "iu":  # a cast would score 2.9 as 2, True as 1
-        raise ValueError(f"merge points must be integers, got dtype {batch.dtype}")
-    # Sorted distinct merge points; np.unique would import numpy.ma on its
-    # first call (numpy 2), which no other part of a train command needs.
-    batch = np.sort(batch.astype(np.intp, copy=False), axis=None)
-    keep = np.ones(batch.size, dtype=bool)
-    keep[1:] = batch[1:] != batch[:-1]
-    batch = batch[keep]
-    if batch[0] < 1 or batch[-1] > n:
-        raise ValueError(f"batch entries must lie in 1..{n}")
+    batch = _merge_points(np.arange(1, n + 1) if batch is None else batch, n)
 
     d, dd = dims.d, dims.d_total
     lam, v = spectrum.eigenvalues, spectrum.eigenvectors
@@ -451,16 +550,17 @@ def log_likelihood_gradient(cache: PropagationCache,
     # state after record m-1, |phi_{m-1}><phi_{m-1}| x sigma_{m-1} (rho0 at
     # m = 1); the sandwich value is a_m^T M b_m.
     # B_m^T = conj(phi) conj(phi)^+ x sigma^T; its row at m = 1 is overwritten.
-    if batch.size == n:  # every merge point 1..n, as a posterior draw takes
+    if batch.size == n and cache.forward_rows is None and cache.backward_rows is None:
+        # Every merge point 1..n of a full cache, as a posterior draw takes.
         # The sweeps read through views: the product operators' einsum
         # reduces nothing, so its values do not depend on operand strides.
         a = _product_operators(phis, cache.backward_blocks[1:])
         b = _product_operators(np.roll(phis, 1, axis=0).conj(),
                                cache.forward_blocks[:-1].transpose(0, 2, 1))
     else:
-        a = _product_operators(phis[batch - 1], cache.backward_blocks[batch])
+        a = _product_operators(phis[batch - 1], cache.backward_at(batch))
         b = _product_operators(phis[batch - 2].conj(),
-                               cache.forward_blocks[batch - 1].transpose(0, 2, 1))
+                               cache.forward_at(batch - 1).transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
     b[batch == 1] = vec(cache.channel.rho0)
     # Values in row blocks, so no third |batch| x d^2 array b @ M^T is formed.

@@ -2,12 +2,13 @@
 
 The free parameters are the independent real entries of the dilation
 Hamiltonian (diagonal, plus real and imaginary parts above it).  Each epoch
-runs the forward and backward sweeps as the two lanes of one
-:func:`~embedlearn.likelihood.build_cache` call and scores the current
-point with the forward one; unless the epoch ends the fit, it then draws
-one batch of merge points and takes one Adam ascent step on the total
-log-likelihood.  The initial joint state is drawn once per restart and then
-held fixed; only the Hamiltonian moves.
+draws one batch of merge points, runs the forward and backward sweeps as
+the two lanes of one :func:`~embedlearn.likelihood.build_cache` call,
+which keeps only the blocks that batch and the validation read, and scores
+the current point with the forward one; unless the epoch ends the fit, it
+then takes one Adam ascent step on the total log-likelihood.  The initial
+joint state is drawn once per restart and then held fixed; only the
+Hamiltonian moves.
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ def _run_single_fit(data_train, data_val, dims: DimSpec, cfg: TrainConfig,
     for attempt in range(3):
         rng_init = seeds.stream(cfg.seed, "init", restart, attempt)
         rng_batch = seeds.stream(cfg.seed, "batch", restart, attempt)
-        model = init_model(dims, data_train.tau, rng_init, cfg.init_scale)
         try:
-            return _fit_loop(model, data_train, data_val, cfg, rng_batch)
+            # Not bound to a local, which would hold the start for the whole fit.
+            return _fit_loop(init_model(dims, data_train.tau, rng_init, cfg.init_scale),
+                             data_train, data_val, cfg, rng_batch)
         except ZeroProbabilityError:
             if attempt == 2:
                 raise
@@ -185,7 +187,10 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
     best_h = model.h.copy()
     t0 = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
-        cache = build_cache(model, data_train)
+        # The batch stream feeds nothing else, so drawing before the sweep
+        # takes the same numbers; the last epoch's batch goes unread.
+        batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
+        cache = build_cache(model, data_train, batch)
         train_ps = cache.log_likelihood() / n
         converged = (epoch > cfg.convergence_window and
                      abs(train_ps - curve.train_per_step[-cfg.convergence_window])
@@ -200,10 +205,12 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
         curve.append(epoch, train_ps, val_ps, time.monotonic() - t0)
         if last:
             break
-        batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
-        grad = log_likelihood_gradient(cache, batch)
-        del cache  # else this epoch's sweeps share the peak with the next one's
-        params, adam = adam_update(adam, params, gradient_to_params(grad), cfg)
+        grad = gradient_to_params(log_likelihood_gradient(cache, batch))
+        # Neither the cache, which holds H's eigenvectors, nor the gradient
+        # may share the peak of a later step.
+        del cache
+        params, adam = adam_update(adam, params, grad, cfg)
+        del grad
         model = model.with_h(unpack_hermitian(params, dd))
     if data_val is not None:
         final_model = model.with_h(best_h)

@@ -46,7 +46,10 @@ first written, one new array per operation (:func:`herm_eig_allocating`,
 :func:`loewner_exp_allocating`, :func:`product_operators_allocating`,
 :func:`log_likelihood_gradient_allocating`), is the bitwise reference of
 the library's in-place versions; the gradient reads the sweeps, spectrum
-and Kraus stack of a library cache.
+and Kraus stack of a library cache.  :func:`fit_loop_full_cache`, a
+training restart whose epochs keep every block of the library's sweeps and
+gather the batch's rows for the gradient, is the bitwise reference of the
+compact caches of the library's fit.
 """
 from __future__ import annotations
 
@@ -658,12 +661,14 @@ def model_channel(model):
     return PeriodChannel(model_superoperator(model), model.dims, model.rho0_ser, model.tau)
 
 
-def filter_lanes_serial(basis, x, log0, phis, out):
+def filter_lanes_serial(basis, x, log0, phis, out, keep):
     """``likelihood._filter`` one lane after another, with its arguments and
     return value: the plain matrix-vector loop of one block over all the
     lane's transfers, stopped at the lane's first record of zero
     probability; at d_er = 1 every transfer is that record's probability.
-    The bitwise reference of the lockstep loop, for any number of lanes."""
+    Every block goes into one array of all the lane's records, and the rows
+    at ``keep[s]`` are copied to ``out[s]``.  The
+    bitwise reference of the lockstep loop, for any number of lanes."""
     from embedlearn.embedding import _transfers
     lanes, k = x.shape
     n = len(phis[0]) - 1
@@ -672,9 +677,10 @@ def filter_lanes_serial(basis, x, log0, phis, out):
     bad = np.full(lanes, -1)
     for s in range(lanes):
         ts = _transfers(basis[s], phis[s][:-1], phis[s][1:])
+        blocks = np.full((n, k), np.nan, dtype=np.complex128)
         if k == 1:
             ps = ts[:, 0, 0].real
-            out[s] = 1.0
+            blocks[:] = 1.0
         else:
             ps, xs = np.zeros(n), x[s]
             for i, ti in enumerate(ts):
@@ -683,7 +689,8 @@ def filter_lanes_serial(basis, x, log0, phis, out):
                 if ps[i] <= 0.0:
                     break
                 xs = y / ps[i]
-                out[s, i] = xs
+                blocks[i] = xs
+        out[s][...] = blocks[keep[s]]
         if (ps <= 0.0).any():
             bad[s] = np.argmax(ps <= 0.0)
         else:
@@ -1386,3 +1393,48 @@ def log_likelihood_gradient_allocating(cache, batch):
     grad = v.conj() @ inner @ v.T
     return (n / batch.size) * grad
 
+
+
+# ---------------------------------------------------------------------------
+# A training epoch as first written, on the full cache: the bitwise
+# reference of the compact cache of one batch.
+# ---------------------------------------------------------------------------
+
+def fit_loop_full_cache(model, data_train, data_val, cfg, rng_batch):
+    """``train._fit_loop`` with every block of both sweeps kept: each epoch
+    fills a full ``build_cache`` cache, and unless it ends the fit, draws
+    its batch after the sweep and takes the gradient by gathering the
+    batch's rows of that cache."""
+    import math
+
+    from embedlearn.likelihood import (build_cache, conditional_validation_ll,
+                                       log_likelihood_gradient)
+    from embedlearn.train import (AdamState, LearningCurve, adam_update,
+                                  gradient_to_params, pack_hermitian, unpack_hermitian)
+    n = len(data_train)
+    params = pack_hermitian(model.h)
+    adam = AdamState.fresh(params.size)
+    curve = LearningCurve()
+    best_val, best_h = -math.inf, model.h.copy()
+    for epoch in range(1, cfg.epochs + 1):
+        cache = build_cache(model, data_train)
+        train_ps = cache.log_likelihood() / n
+        converged = (epoch > cfg.convergence_window and
+                     abs(train_ps - curve.train_per_step[-cfg.convergence_window])
+                     < cfg.convergence_tol)
+        last = converged or epoch == cfg.epochs
+        val_ps = None
+        if data_val is not None and (epoch % cfg.val_every == 0 or last):
+            val_ps = conditional_validation_ll(data_train, data_val, cache)
+            if val_ps > best_val:
+                best_val, best_h = val_ps, model.h.copy()
+        curve.append(epoch, train_ps, val_ps, 0.0)
+        if last:
+            break
+        batch = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False) + 1
+        grad = gradient_to_params(log_likelihood_gradient(cache, batch))
+        params, adam = adam_update(adam, params, grad, cfg)
+        model = model.with_h(unpack_hermitian(params, model.dims.d_total))
+    if data_val is not None:
+        return model.with_h(best_h), curve, best_val
+    return model, curve, curve.train_per_step[-1]

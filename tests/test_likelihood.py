@@ -906,20 +906,35 @@ class TestOneLoop:
     @pytest.mark.parametrize("d_er", [1, 2, 3, 4])
     @pytest.mark.parametrize("lanes", ["L", "D", "LD", "LLL", "LDL"])
     def test_filter_is_the_serial_lanes(self, d_er, lanes):
+        self._check(d_er, lanes, kept=False)
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lanes", ["L", "LD", "LDL"])
+    def test_filter_keeps_the_chosen_rows(self, d_er, lanes):
+        self._check(d_er, lanes, kept=True)
+
+    def _check(self, d_er, lanes, kept):
         rng = np.random.default_rng(130 + d_er)
         basis, x, phis = zip(*(self._lane(rng, d_er, c == "D") for c in lanes))
         log0 = rng.standard_normal(len(lanes))
-        outs = [np.full((len(lanes), self.N, d_er * d_er), np.nan, dtype=np.complex128)
+        # Per lane, every record position, or some at the chunk edges and
+        # some at random.
+        keep = [np.arange(self.N)] * len(lanes)
+        if kept:
+            edges = [0, CHUNK - 1, CHUNK, self.N - 1]
+            keep = [np.union1d(edges[s % 2:], rng.choice(self.N, 20 * s))
+                    for s in range(len(lanes))]
+        outs = [[np.full((len(k), d_er * d_er), np.nan, dtype=np.complex128) for k in keep]
                 for _ in range(2)]
-        got = _filter(basis, np.array(x), log0, phis, outs[0])
-        want = oracles.filter_lanes_serial(basis, np.array(x), log0, phis, outs[1])
+        got = _filter(basis, np.array(x), log0, phis, outs[0], keep)
+        want = oracles.filter_lanes_serial(basis, np.array(x), log0, phis, outs[1], keep)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tolist() == want[1].tolist()
         assert got[1].tolist() == [self.N // 2 - 1 if c == "D" else -1 for c in lanes]
         for s, b in enumerate(want[1]):
             # A dead lane's blocks from its dead record on mean nothing.
-            stop = self.N if b < 0 else b
-            assert outs[0][s, :stop].tobytes() == outs[1][s, :stop].tobytes()
+            live = keep[s] < (self.N if b < 0 else b)
+            assert outs[0][s][live].tobytes() == outs[1][s][live].tobytes()
 
     @pytest.mark.parametrize("d_er", [1, 2, 3, 4])
     def test_sweeps_and_validation_are_the_serial_lanes(self, monkeypatch, d_er):
@@ -948,6 +963,78 @@ class TestOneLoop:
         want = results()
         monkeypatch.setattr(lk, "_filter", oracles.filter_lanes_serial)
         assert results() == want
+
+
+class TestCompactCache:
+    """The cache of one batch of merge points against the full cache of the
+    same model and records, swept lane by lane by
+    :func:`oracles.build_cache_serial`: every block it holds, its running
+    logs, its gradient and its validation are the same bytes, and it
+    refuses every block it does not hold."""
+
+    N = 5000
+
+    @pytest.fixture(scope="class", params=[1, 2, 3, 4])
+    def case(self, request):
+        """Model, training records, validation records and full cache."""
+        rng = np.random.default_rng(150 + request.param)
+        model = random_model(rng, d_er=request.param)
+        recs = random_records(rng, self.N + 200)
+        tr, va = make_dataset(recs[:self.N]), make_dataset(recs[self.N:])
+        return model, tr, va, oracles.build_cache_serial(model, tr)
+
+    @staticmethod
+    def batches():
+        rng = np.random.default_rng(160)
+        n = TestCompactCache.N
+        return {"random": rng.choice(n, 1000, replace=False) + 1,
+                "ends": np.array([n, 1, 7, 7, 1, n, n // 2]),
+                "every": rng.permutation(n) + 1,
+                "first": np.array([1]),
+                "last": np.array([n])}
+
+    @pytest.mark.parametrize("name", ["random", "ends", "every", "first", "last"])
+    def test_same_bytes_as_the_full_cache(self, case, name):
+        model, tr, va, full = case
+        batch = self.batches()[name]
+        cache = build_cache(model, tr, batch)
+        if name == "every":  # read through views of a full cache
+            assert cache.forward_rows is None and cache.backward_rows is None
+        else:
+            assert cache.forward_rows.tolist() == sorted({*(batch - 1).tolist(), self.N})
+            assert cache.backward_rows.tolist() == sorted({*batch.tolist(), 1})
+        for half in ("forward", "backward"):
+            rows = getattr(cache, f"{half}_rows")
+            rows = np.arange(self.N + 1) if rows is None else rows
+            assert (getattr(cache, f"{half}_blocks").tobytes()
+                    == getattr(full, f"{half}_blocks")[rows].tobytes())
+            assert (getattr(cache, f"{half}_log_scale").tobytes()
+                    == getattr(full, f"{half}_log_scale").tobytes())
+        got = log_likelihood_gradient(cache, batch)
+        assert got.tobytes() == log_likelihood_gradient(full, batch).tobytes()
+        assert (conditional_validation_ll(tr, va, cache)
+                == conditional_validation_ll(tr, va, full))
+
+    def test_refuses_the_blocks_it_does_not_hold(self, case):
+        model, tr, _, full = case
+        cache = build_cache(model, tr, [10, 11])
+        for batch in ([12], [9, 10], [10, 11, self.N], None):
+            with pytest.raises(ValueError, match="holds no"):
+                log_likelihood_gradient(cache, batch)
+        for m in (9, 11, self.N):
+            with pytest.raises(ValueError, match="holds no"):
+                cache.merged_log_likelihood(m)
+        # A batch whose blocks it holds, and a merge point of both halves.
+        got = log_likelihood_gradient(cache, [11, 11])
+        assert got.tobytes() == log_likelihood_gradient(full, [11]).tobytes()
+        for m in (0, 10):
+            assert cache.merged_log_likelihood(m) == full.merged_log_likelihood(m)
+
+    @pytest.mark.parametrize("batch", [[0], [N + 1], [], [2.0]])
+    def test_refuses_a_bad_batch(self, case, batch):
+        model, tr, _, _ = case
+        with pytest.raises(ValueError):
+            build_cache(model, tr, batch)
 
 
 class TestExactEmbedding:

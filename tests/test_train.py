@@ -3,6 +3,7 @@ parameter packing, and fits on data whose generating model is known."""
 import numpy as np
 import pytest
 
+import oracles
 from embedlearn import train
 from embedlearn.datagen import (CollisionModelConfig, generate_trajectory,
                                 period_channel, split_dataset)
@@ -266,23 +267,40 @@ class TestFit:
         assert calls == {"build_cache": epochs, "forward_pass": 0, "backward_pass": 0,
                          "log_likelihood_gradient": epochs - tc.restarts}
 
-    def test_fit_keeps_one_cache_alive(self):
-        # At d_er = 3 and n = 20000 one cache's blocks, 2 (n + 2) d_er^2
-        # complex numbers, take 5.5 MiB.  This fit peaked at 13.5 MiB
-        # traced; with the last epoch's cache still alive while the next one
-        # is built it peaked at 20.6 MiB, and with a new array for every
-        # H-sized step of the gradient at 16.6 MiB.  The bound lies halfway
-        # to the nearer of the two.
+    @pytest.fixture(scope="class")
+    def traced_peaks(self):
+        """Traced peak bytes of a 3-epoch d_er = 3 fit with batches of 1000
+        merge points, validated on 2000 records, at n = 20000 and 25000."""
         import tracemalloc
-        ds = generate_trajectory(CollisionModelConfig(), 20000, 11)
-        tc = TrainConfig(epochs=3, batch_size=1000, seed=0, restarts=1)
-        tracemalloc.start()
-        try:
-            fit(ds, None, DimSpec(d_s=2, d_er=3), tc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 15.0 * 2**20
+        peaks = {}
+        for n in (20000, 25000):
+            tr, va = split_dataset(generate_trajectory(CollisionModelConfig(), n + 2000, 11), n)
+            tc = TrainConfig(epochs=3, batch_size=1000, seed=0, restarts=1)
+            tracemalloc.start()
+            try:
+                fit(tr, va, DimSpec(d_s=2, d_er=3), tc)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    def test_fit_keeps_only_the_blocks_it_reads(self, traced_peaks):
+        # Both sweeps in full, 2 (n + 2) d_er^2 complex numbers, take
+        # 5.5 MiB at n = 20000.  This fit peaked at 6.87 MiB traced, keeping
+        # only the blocks its batch and validation read.  It peaked at
+        # 12.07 MiB with every block kept, at 8.29 MiB with the start model
+        # and the complex gradient held through the next sweep, and at
+        # 7.75 MiB with the last epoch's cache still alive while the next one
+        # is built.  The bound lies halfway to the nearest of the three.
+        assert traced_peaks[20000] < 7.3 * 2**20
+
+    def test_fit_memory_grows_only_by_the_record_vectors(self, traced_peaks):
+        # Per record, an epoch keeps the measured system vector (32 bytes)
+        # and the two sweeps' running logs (16 bytes), and briefly the
+        # lanes' logs before they are copied (16 bytes).  The 5000 extra
+        # records added 0.23 MiB; with every block kept they added 1.62 MiB.
+        # The bound is 64 bytes per record plus a margin of 0.25 MiB.
+        assert traced_peaks[25000] - traced_peaks[20000] < 5000 * 64 + 0.25 * 2**20
 
     def test_fit_without_validation(self):
         cfg = markovian_collision_config()
@@ -293,6 +311,78 @@ class TestFit:
         model, curve = fit(ds, None, DimSpec(d_s=2, d_er=1), tc)
         assert all(v is None for v in curve.val_per_step)
         assert np.isfinite(curve.train_per_step[-1])
+
+
+def tiny_split():
+    """The trajectory of the CI tiny config (seed 3), 200 training records
+    then 100 validation records."""
+    return split_dataset(generate_trajectory(CollisionModelConfig(), 300, 3), 200)
+
+
+class TestCompactEpochs:
+    """``fit``, whose epochs keep only the blocks their batch and validation
+    read, against :func:`oracles.fit_loop_full_cache`, whose epochs keep
+    every block: curves and models are the same bytes."""
+
+    @staticmethod
+    def _same_fit(monkeypatch, tr, va, dims, tc):
+        got = fit(tr, va, dims, tc)
+        with monkeypatch.context() as patch:
+            patch.setattr(train, "_fit_loop", oracles.fit_loop_full_cache)
+            want = fit(tr, va, dims, tc)
+        for model, curve in (got, want):
+            assert model.h.tobytes() == got[0].h.tobytes()
+            assert model.rho0_ser.tobytes() == got[0].rho0_ser.tobytes()
+            assert curve.epoch == got[1].epoch
+            assert list(map(repr, curve.train_per_step)) == list(map(repr, got[1].train_per_step))
+            assert list(map(repr, curve.val_per_step)) == list(map(repr, got[1].val_per_step))
+        return got[1]
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    @pytest.mark.parametrize("val_every", [2, 20])
+    def test_tiny_config_runs_to_its_last_epoch(self, monkeypatch, d_er, val_every):
+        tr, va = tiny_split()
+        tc = TrainConfig(epochs=5, batch_size=50, seed=3, restarts=2, val_every=val_every)
+        curve = self._same_fit(monkeypatch, tr, va, DimSpec(d_s=2, d_er=d_er), tc)
+        assert curve.epoch == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("d_er", [1, 2])
+    def test_early_convergence(self, monkeypatch, d_er):
+        tr, va = tiny_split()
+        tc = TrainConfig(epochs=40, batch_size=50, seed=3, restarts=2,
+                         convergence_window=3, convergence_tol=1e3, val_every=2)
+        curve = self._same_fit(monkeypatch, tr, va, DimSpec(d_s=2, d_er=d_er), tc)
+        assert curve.epoch == [1, 2, 3, 4]
+
+    def test_without_validation(self, monkeypatch):
+        tr, _ = tiny_split()
+        tc = TrainConfig(epochs=6, batch_size=50, seed=3, restarts=2)
+        self._same_fit(monkeypatch, tr, None, DimSpec(d_s=2, d_er=2), tc)
+
+    def test_zero_probability_retry(self, monkeypatch):
+        # The tiny config's outcomes, all measured in the computational
+        # basis.  The first start is made stuck: H = 0 from |0> on the
+        # system keeps every record until the outcome changes, which then
+        # has probability 0, so its first sweep raises and the fit retries
+        # from the next start.
+        from embedlearn.embedding import make_embedding
+        tr, va = tiny_split()
+        for ds in (tr, va):
+            ds.records["basis"] = np.eye(2)
+        assert tr.records["outcome"][0] == 0 and tr.records["outcome"].any()
+        real, starts = train.init_model, []
+
+        def stuck_first(dims, tau, rng, init_scale=0.1):
+            model = real(dims, tau, rng, init_scale)
+            starts.append(model)
+            if len(starts) % 2 == 0:  # each fit's second start
+                return model
+            rho0 = kron(np.diag([1.0, 0.0]), np.eye(dims.d_er) / dims.d_er)
+            return make_embedding(dims, tau, np.zeros_like(model.h), rho0)
+        monkeypatch.setattr(train, "init_model", stuck_first)
+        tc = TrainConfig(epochs=5, batch_size=50, seed=3, restarts=1, val_every=2)
+        curve = self._same_fit(monkeypatch, tr, va, DimSpec(d_s=2, d_er=2), tc)
+        assert len(starts) == 4 and curve.epoch == [1, 2, 3, 4, 5]
 
 
 class TestLearningCurveCsv:
