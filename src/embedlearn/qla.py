@@ -158,7 +158,11 @@ def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     LAPACK ``eigh``, which decomposes a stack one matrix at a time.
 
     Hermiticity is checked to ``tol`` in max-abs deviation, so a non-finite
-    entry fails too; the symmetrized matrix is what gets decomposed.
+    entry fails too.  The symmetrized matrix is what gets decomposed; when it
+    is bitwise the input, signs of zeros included, the input is decomposed
+    and the copy is dropped before ``eigh`` allocates its workspace.  Equal
+    values are not enough: ``eigh`` reads one triangle, whose signed zeros
+    can move the bits of its result.
     """
     m = np.asarray(m, dtype=np.complex128)
     dev = hermitian_deviation(m)
@@ -168,8 +172,17 @@ def herm_eig(m: CMatrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     # hermitianize(m), written into M† in place.
     np.add(m, mh, out=mh)
     np.multiply(0.5, mh, out=mh)
+    if _same_bits(mh, m):
+        mh = m
     w, v = np.linalg.eigh(mh)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def _same_bits(a: CMatrix, b: CMatrix) -> bool:
+    """Whether two finite complex arrays hold the same bits: equal values,
+    and the same sign on every zero part."""
+    return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
 def spectral_unitary(dec: SpectralDecomposition, t: float) -> CMatrix:

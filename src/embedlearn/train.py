@@ -112,7 +112,7 @@ def unpack_hermitian(params: np.ndarray, dd: int) -> CMatrix:
     im = params[dd + n_off:]
     h = np.zeros((dd, dd), dtype=np.complex128)
     h[iu] = re + 1j * im
-    h = h + h.conj().T
+    h += h.conj().T
     h[np.diag_indices(dd)] = diag
     return h
 
@@ -184,7 +184,10 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
     curve = LearningCurve()
     dd = model.dims.d_total
     best_val = -math.inf
-    best_h = model.h.copy()
+    # conditional_validation_ll returns a finite value or raises, so the
+    # first validated epoch always sets the checkpoint: no start H is held
+    # for it.  A checkpoint is the model's own H, which nothing writes into.
+    best_h = None
     t0 = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         # The batch stream feeds nothing else, so drawing before the sweep
@@ -201,7 +204,7 @@ def _fit_loop(model, data_train, data_val, cfg: TrainConfig,
             val_ps = conditional_validation_ll(data_train, data_val, cache)
             if val_ps > best_val:
                 best_val = val_ps
-                best_h = model.h.copy()
+                best_h = model.h
         curve.append(epoch, train_ps, val_ps, time.monotonic() - t0)
         if last:
             break

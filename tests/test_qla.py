@@ -206,6 +206,69 @@ class TestHermEig:
         assert dec.eigenvalues.tobytes() == w.tobytes()
         assert dec.eigenvectors.tobytes() == v.tobytes()
 
+    @staticmethod
+    def signed_zero_hermitian(rng, n):
+        """Hermitian by value, about half its parts exact zeros, each zero
+        signed at random apart from its mirror's: symmetrizing rewrites some
+        of those signs, and eigh reads the signs of its triangle."""
+        re, im = random_complex(rng, n, n).real, random_complex(rng, n, n).imag
+        re[rng.random((n, n)) < 0.5] = 0.0
+        im[rng.random((n, n)) < 0.5] = 0.0
+        re = np.triu(re) + np.triu(re, 1).T
+        im = np.triu(im, 1) - np.triu(im, 1).T
+        h = np.empty((n, n), dtype=np.complex128)
+        h.real = np.where(re == 0, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0), re)
+        h.imag = np.where(im == 0, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0), im)
+        assert hermitian_deviation(h) == 0.0
+        return h
+
+    @staticmethod
+    def kron_start(d_er):
+        from embedlearn.train import init_model
+        return init_model(DimSpec(d_s=2, d_er=d_er), 1.0, np.random.default_rng(d_er)).h
+
+    @staticmethod
+    def unpacked(rng, side):
+        # Parameters with exact zeros of both signs, as a step may leave.
+        from embedlearn.train import unpack_hermitian
+        p = rng.standard_normal(side * side)
+        p[rng.random(p.size) < 0.3] = 0.0
+        p[rng.random(p.size) < 0.3] = -0.0
+        return unpack_hermitian(p, side)
+
+    def assert_bitwise_the_oracle(self, m):
+        before = m.copy()
+        dec = herm_eig(m)
+        w, v = oracles.herm_eig_allocating(m)
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.eigenvectors.tobytes() == v.tobytes()
+        assert m.tobytes() == before.tobytes()
+
+    def test_signed_zeros_bitwise_the_allocating_oracle(self):
+        # 15 of these 100 decompose to other bits when the input is taken
+        # for its symmetrized copy because the two are equal in value: only
+        # the same bits may skip the copy.
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 6, 8):
+            for _ in range(25):
+                self.assert_bitwise_the_oracle(self.signed_zero_hermitian(rng, n))
+
+    @pytest.mark.parametrize("d_er", [1, 2, 3])
+    def test_kron_start_bitwise_the_allocating_oracle(self, d_er):
+        self.assert_bitwise_the_oracle(self.kron_start(d_er))
+
+    @pytest.mark.parametrize("side", [8, 64, 216])
+    def test_unpacked_bitwise_the_allocating_oracle(self, side):
+        self.assert_bitwise_the_oracle(self.unpacked(np.random.default_rng(side), side))
+
+    @pytest.mark.parametrize("mix", ["all", "unpacked"])
+    def test_mixed_stack_bitwise_the_allocating_oracle(self, mix):
+        rng = np.random.default_rng(14)
+        stack = [self.unpacked(rng, 8), self.unpacked(rng, 8)]
+        if mix == "all":
+            stack += [self.kron_start(1)] + [self.signed_zero_hermitian(rng, 8) for _ in range(12)]
+        self.assert_bitwise_the_oracle(np.stack(stack))
+
 
 class TestHermitianDeviation:
     @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (2, 5, 5)])
