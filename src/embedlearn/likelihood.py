@@ -17,11 +17,11 @@ loop serves both sweeps.  Only the first record, conditioned on the initial
 joint state (which need not be a product), and the effect at time 0 are
 joint-sized.  The transfers are built in fixed-size record chunks, so the
 work outside the d_er^2-vector loop is batched, and each chunk's blocks go
-through one chunk-sized buffer, from which a sweep keeps only the rows its
-caller reads: every row for a full cache, the rows of one batch of merge
-points for a training epoch, so that an epoch's blocks do not grow with n;
-at d_er = 1 each transfer is a conditional probability and the sweeps are
-cumulative sums of its log.
+through one chunk-sized buffer, from which a sweep keeps only the times its
+caller reads: every time 0..n without a batch, the times of one batch of
+merge points for a training epoch, so that an epoch's blocks do not grow
+with n; at d_er = 1 each transfer is a conditional probability and the
+sweeps are cumulative sums of its log.
 
 At usable sequence lengths the probability underflows double precision by
 thousands of orders of magnitude, so both recurrences are renormalized by
@@ -79,14 +79,16 @@ class PropagationCache:
     ``backward_log_scale[0]``.  Either half may be absent if only one sweep
     was run.
 
-    A full cache holds the blocks at every time 0..n, and ``forward_rows``
-    and ``backward_rows`` are None.  A compact cache, which
+    Each half holds one block per time in its sorted integer array of held
+    times, ``forward_rows`` or ``backward_rows``, with both running logs in
+    full.  A sweep without a batch holds every time 0..n, so its
+    ``forward_blocks[i]`` is the block at time i.  A compact cache, which
     :func:`build_cache` gives for a batch of merge points, holds only the
-    blocks at the sorted times in ``forward_rows`` (the batch's merge points
-    minus one, and n) and ``backward_rows`` (the merge points, and 1), one
-    row each, with both running logs in full.  :meth:`forward_at` and
-    :meth:`backward_at` read blocks by time and raise ``ValueError`` at a
-    time the cache does not hold, so no reader takes another row's block.
+    forward blocks at the merge points minus one, and n, and the backward
+    blocks at the merge points, and 1.  :meth:`forward_at` and
+    :meth:`backward_at` read blocks by time, as views of the held blocks
+    where the times are adjacent rows, and raise ``ValueError`` at a time
+    the cache does not hold, so no reader takes another row's block.
 
     The sweeps ran under ``channel`` over ``data``, whose measured system
     vectors are ``phis``.  The eigensystem ``spectrum`` of the model's H and
@@ -110,11 +112,13 @@ class PropagationCache:
     backward_rows: np.ndarray | None = field(default=None, repr=False)
 
     def forward_at(self, times: np.ndarray) -> np.ndarray:
-        """Forward blocks at the integer array of ``times``, stacked."""
+        """Forward blocks at the integer array of ``times``, stacked; a view
+        of the held blocks, not to be written, where the times are adjacent."""
         return _blocks_at(self.forward_blocks, self.forward_rows, times, "forward")
 
     def backward_at(self, times: np.ndarray) -> np.ndarray:
-        """Backward blocks at the integer array of ``times``, stacked."""
+        """Backward blocks at the integer array of ``times``, as
+        :meth:`forward_at` reads them."""
         return _blocks_at(self.backward_blocks, self.backward_rows, times, "backward")
 
     def log_likelihood(self) -> float:
@@ -145,16 +149,16 @@ class PropagationCache:
                      + self.backward_log_scale[m])
 
 
-def _blocks_at(blocks: np.ndarray, rows: np.ndarray | None, times: np.ndarray,
+def _blocks_at(blocks: np.ndarray, rows: np.ndarray, times: np.ndarray,
                half: str) -> np.ndarray:
-    """``blocks[times]`` of a full cache, or the rows of a compact cache's
-    ``blocks`` held at ``times`` by the sorted ``rows``."""
-    if rows is None:
-        return blocks[times]
+    """The rows of ``blocks`` held at ``times`` by the sorted ``rows``: a
+    view where they are adjacent rows in order, a gathered copy otherwise."""
     pos = np.minimum(np.searchsorted(rows, times), rows.size - 1)
     missing = rows[pos] != times
     if missing.any():
         raise ValueError(f"the cache holds no {half} block at time {times[missing][0]}")
+    if pos.size and (np.diff(pos) == 1).all():
+        return blocks[pos[0]:pos[-1] + 1]
     return blocks[pos]
 
 
@@ -302,10 +306,10 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool,
     order, and the norm of the joint effect at time 0 closes it.  All
     forward lanes run first, then all backward lanes; a cache whose first
     record has zero probability gets no lanes.  Without ``batch`` each cache
-    becomes full; given the sorted distinct merge points ``batch``, compact
-    (see :class:`PropagationCache`).  Returns per cache the index of its
-    first record of zero probability, or -1; such a cache holds no
-    meaningful sweep.
+    holds every time 0..n; given the sorted distinct merge points ``batch``,
+    only the times that batch reads (see :class:`PropagationCache`).
+    Returns per cache the index of its first record of zero probability, or
+    -1; such a cache holds no meaningful sweep.
     """
     n, dims = len(caches[0].phis), caches[0].channel.dims
     d_s, d_er = dims.d_s, dims.d_er
@@ -321,12 +325,11 @@ def _sweep(caches: list[PropagationCache], forward: bool, backward: bool,
     for cache in caches:
         for fwd in [fwd for fwd, on in ((True, forward), (False, backward)) if on]:
             blocks = np.full((held[fwd].size, d_er, d_er), np.nan, dtype=np.complex128)
-            rows = None if batch is None else held[fwd]
             if fwd:
-                cache.forward_blocks, cache.forward_rows = blocks, rows
+                cache.forward_blocks, cache.forward_rows = blocks, held[fwd]
                 cache.forward_log_scale = np.zeros(n + 1)
             else:
-                cache.backward_blocks, cache.backward_rows = blocks, rows
+                cache.backward_blocks, cache.backward_rows = blocks, held[fwd]
                 cache.backward_log_scale = np.zeros(n + 1)
     # Per lane: cache index, direction (True forward), transfer basis,
     # record vectors, start log and start block; a backward lane's record
@@ -426,17 +429,14 @@ def build_cache(model: MarkovianEmbedding, data: Dataset,
     """Both sweeps in one cache, as two lanes of one :func:`_filter` loop;
     raises on a zero-probability record, the forward sweep's first.
 
-    Without ``batch`` the cache is full.  Given a batch of merge points, as
-    :func:`log_likelihood_gradient` takes it, the cache is compact: it holds
-    only the blocks that the gradient of that batch and
-    :func:`conditional_validation_ll` read, unless the batch holds every
-    merge point 1..n, which the gradient reads through views of a full
-    cache.  Every number is the same either way.
+    Without ``batch`` the cache holds the blocks at every time 0..n.  Given
+    a batch of merge points, as :func:`log_likelihood_gradient` takes it,
+    the cache is compact: it holds only the blocks that the gradient of
+    that batch and :func:`conditional_validation_ll` read.  Every number is
+    the same either way.
     """
     if batch is not None:
         batch = _merge_points(batch, len(data))
-        if batch.size == len(data):
-            batch = None
     return _one_sweep(model, data, forward=True, backward=True, batch=batch)
 
 
@@ -515,7 +515,7 @@ def _loewner_exp(lam: np.ndarray, tau: float) -> np.ndarray:
 
 
 def log_likelihood_gradient(cache: PropagationCache,
-                            batch: np.ndarray | list[int] | None = None) -> GradientMatrix:
+                            batch: np.ndarray | list[int]) -> GradientMatrix:
     """Gradient of the total log-likelihood with respect to the Hamiltonian
     of the model whose sweeps ``cache`` holds.
 
@@ -539,7 +539,7 @@ def log_likelihood_gradient(cache: PropagationCache,
         raise ValueError("gradient needs both sweeps in the cache")
     phis, spectrum, ks, n = cache.phis, cache.spectrum, cache.kraus, cache.n
     m, dims, tau = cache.channel.m, cache.channel.dims, cache.channel.tau
-    batch = _merge_points(np.arange(1, n + 1) if batch is None else batch, n)
+    batch = _merge_points(batch, n)
 
     d, dd = dims.d, dims.d_total
     lam, v = spectrum.eigenvalues, spectrum.eigenvectors
@@ -550,17 +550,12 @@ def log_likelihood_gradient(cache: PropagationCache,
     # state after record m-1, |phi_{m-1}><phi_{m-1}| x sigma_{m-1} (rho0 at
     # m = 1); the sandwich value is a_m^T M b_m.
     # B_m^T = conj(phi) conj(phi)^+ x sigma^T; its row at m = 1 is overwritten.
-    if batch.size == n and cache.forward_rows is None and cache.backward_rows is None:
-        # Every merge point 1..n of a full cache, as a posterior draw takes.
-        # The sweeps read through views: the product operators' einsum
-        # reduces nothing, so its values do not depend on operand strides.
-        a = _product_operators(phis, cache.backward_blocks[1:])
-        b = _product_operators(np.roll(phis, 1, axis=0).conj(),
-                               cache.forward_blocks[:-1].transpose(0, 2, 1))
-    else:
-        a = _product_operators(phis[batch - 1], cache.backward_at(batch))
-        b = _product_operators(phis[batch - 2].conj(),
-                               cache.forward_at(batch - 1).transpose(0, 2, 1))
+    # Adjacent merge points, as every full batch holds, read the sweeps
+    # through views: the product operators' einsum reduces nothing, so its
+    # values do not depend on operand strides.
+    a = _product_operators(phis[batch - 1], cache.backward_at(batch))
+    b = _product_operators(phis[batch - 2].conj(),
+                           cache.forward_at(batch - 1).transpose(0, 2, 1))
     a, b = a.reshape(-1, d * d), b.reshape(-1, d * d)
     b[batch == 1] = vec(cache.channel.rho0)
     # Values in row blocks, so no third |batch| x d^2 array b @ M^T is formed.

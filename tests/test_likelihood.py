@@ -374,7 +374,7 @@ class TestGradient:
         model = random_model(rng, d_er=2)
         ds = make_dataset(random_records(rng, 10))
         cache = build_cache(model, ds)
-        g = log_likelihood_gradient(cache)
+        g = log_likelihood_gradient(cache, np.arange(1, 11))
         d = model.dims.d_total
         pack, unpack = hamiltonian_parameter_map(d)
 
@@ -393,7 +393,7 @@ class TestGradient:
         model = random_model(rng)
         ds = make_dataset(random_records(rng, 6))
         cache = build_cache(model, ds)
-        g = log_likelihood_gradient(cache)
+        g = log_likelihood_gradient(cache, np.arange(1, 7))
         assert np.linalg.norm(g - dagger(g)) < 1e-10
 
     def test_half_batches_average_to_full(self):
@@ -401,7 +401,7 @@ class TestGradient:
         model = random_model(rng)
         ds = make_dataset(random_records(rng, 8))
         cache = build_cache(model, ds)
-        full = log_likelihood_gradient(cache)
+        full = log_likelihood_gradient(cache, np.arange(1, 9))
         first = log_likelihood_gradient(cache, batch=[1, 2, 3, 4])
         second = log_likelihood_gradient(cache, batch=[5, 6, 7, 8])
         assert np.max(np.abs(0.5 * (first + second) - full)) < 1e-10
@@ -443,13 +443,13 @@ class TestGradientThroughSuperoperator:
         rng, model, ds, cache = self._setup(d_er, n, 30 + d_er)
         batch = (np.arange(1, n + 1) if full
                  else np.sort(rng.choice(np.arange(1, n + 1), n // 3, replace=False)))
-        got = log_likelihood_gradient(cache, None if full else batch)
+        got = log_likelihood_gradient(cache, batch)
         assert chain_gradient_error(model, ds, got, batch) < 1e-8
 
     @pytest.mark.parametrize("d_er", [1, 2, 3])
     def test_directional_central_differences(self, d_er):
         rng, model, ds, cache = self._setup(d_er, 8, 40 + d_er)
-        g = log_likelihood_gradient(cache)
+        g = log_likelihood_gradient(cache, np.arange(1, 9))
         h = np.asarray(model.h)
         rho0 = np.asarray(model.rho0_ser)
         eps = 1e-5
@@ -473,7 +473,7 @@ class TestGradientThroughSuperoperator:
         *_, cache = self._setup(3, 1000, 50)
         tracemalloc.start()
         try:
-            log_likelihood_gradient(cache)
+            log_likelihood_gradient(cache, np.arange(1, 1001))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -503,7 +503,7 @@ class TestGradientThroughSuperoperator:
         *_, cache = self._setup(4, 1000, 50)
         tracemalloc.start()
         try:
-            log_likelihood_gradient(cache)
+            log_likelihood_gradient(cache, np.arange(1, 1001))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -550,12 +550,11 @@ class TestInPlaceAlgebraIsBitwise:
         assert got.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
-    @pytest.mark.parametrize("batch", [[1, 5, 6, 17], [3, 8, 9, 20, 24], None],
+    @pytest.mark.parametrize("batch", [[1, 5, 6, 17], [3, 8, 9, 20, 24], list(range(1, 25))],
                              ids=["with-1", "partial", "full"])
     def test_gradient(self, cache, batch):
         got = log_likelihood_gradient(cache, batch)
-        want = oracles.log_likelihood_gradient_allocating(
-            cache, np.arange(1, 25) if batch is None else batch)
+        want = oracles.log_likelihood_gradient_allocating(cache, batch)
         assert got.tobytes() == want.tobytes()
 
     # n = k CHUNK + 1 is where plain blocks of CHUNK rows would end in a
@@ -568,7 +567,7 @@ class TestInPlaceAlgebraIsBitwise:
         rng = np.random.default_rng(n)
         shuffled = rng.permutation(np.concatenate([steps, rng.integers(1, n + 1, n // 3 + 1)]))
         want = oracles.log_likelihood_gradient_allocating(cache, steps).tobytes()
-        for batch in (None, steps, shuffled):
+        for batch in (steps, shuffled):
             assert log_likelihood_gradient(cache, batch).tobytes() == want
         partial = rng.choice(steps, size=(n + 1) // 2, replace=False)
         assert (log_likelihood_gradient(cache, partial).tobytes()
@@ -730,7 +729,7 @@ class TestCacheErrors:
         ds = make_dataset(random_records(rng, 3))
         cache = forward_pass(model, ds)
         with pytest.raises(ValueError):
-            log_likelihood_gradient(cache)
+            log_likelihood_gradient(cache, np.arange(1, 4))
 
 
 class TestCacheReuse:
@@ -782,7 +781,7 @@ class TestCacheReuse:
         # so its own cache recomputes every input from its own H.
         twin = model.with_h(model.h.copy())
         twin_cache = build_cache(twin, tr)
-        for batch in (None, [1, 5, 20]):
+        for batch in (np.arange(1, 21), [1, 5, 20]):
             reused = log_likelihood_gradient(cache, batch)
             fresh = log_likelihood_gradient(twin_cache, batch)
             assert np.array_equal(reused, fresh)
@@ -852,7 +851,7 @@ class TestStackedChannels:
             want = oracles.build_cache_serial(model, ds)
             for name in self.SWEEP_FIELDS:
                 assert getattr(cache, name).tobytes() == getattr(want, name).tobytes(), name
-            for batch in (None, [1, 17, 200]):
+            for batch in (np.arange(1, 201), [1, 17, 200]):
                 got = log_likelihood_gradient(cache, batch)
                 assert got.tobytes() == log_likelihood_gradient(want, batch).tobytes()
 
@@ -969,8 +968,9 @@ class TestCompactCache:
     """The cache of one batch of merge points against the full cache of the
     same model and records, swept lane by lane by
     :func:`oracles.build_cache_serial`: every block it holds, its running
-    logs, its gradient and its validation are the same bytes, and it
-    refuses every block it does not hold."""
+    logs, its gradient and its validation are the same bytes, it reads
+    adjacent times through views, and it refuses every block it does not
+    hold."""
 
     N = 5000
 
@@ -998,14 +998,11 @@ class TestCompactCache:
         model, tr, va, full = case
         batch = self.batches()[name]
         cache = build_cache(model, tr, batch)
-        if name == "every":  # read through views of a full cache
-            assert cache.forward_rows is None and cache.backward_rows is None
-        else:
-            assert cache.forward_rows.tolist() == sorted({*(batch - 1).tolist(), self.N})
-            assert cache.backward_rows.tolist() == sorted({*batch.tolist(), 1})
+        # For "every" the times 0..n forward and 1..n backward.
+        assert cache.forward_rows.tolist() == sorted({*(batch - 1).tolist(), self.N})
+        assert cache.backward_rows.tolist() == sorted({*batch.tolist(), 1})
         for half in ("forward", "backward"):
             rows = getattr(cache, f"{half}_rows")
-            rows = np.arange(self.N + 1) if rows is None else rows
             assert (getattr(cache, f"{half}_blocks").tobytes()
                     == getattr(full, f"{half}_blocks")[rows].tobytes())
             assert (getattr(cache, f"{half}_log_scale").tobytes()
@@ -1018,7 +1015,7 @@ class TestCompactCache:
     def test_refuses_the_blocks_it_does_not_hold(self, case):
         model, tr, _, full = case
         cache = build_cache(model, tr, [10, 11])
-        for batch in ([12], [9, 10], [10, 11, self.N], None):
+        for batch in ([12], [9, 10], [10, 11, self.N], np.arange(1, self.N + 1)):
             with pytest.raises(ValueError, match="holds no"):
                 log_likelihood_gradient(cache, batch)
         for m in (9, 11, self.N):
@@ -1029,6 +1026,30 @@ class TestCompactCache:
         assert got.tobytes() == log_likelihood_gradient(full, [11]).tobytes()
         for m in (0, 10):
             assert cache.merged_log_likelihood(m) == full.merged_log_likelihood(m)
+
+    @pytest.mark.parametrize("name", ["full", "every", "contiguous"])
+    def test_reads_adjacent_times_through_views(self, case, name):
+        # The times a batch reads lie in adjacent held rows, so they come
+        # back as views of the held blocks; scattered or reversed times come
+        # back as gathered copies.  Either way they are the bytes the
+        # oracles gather from the full cache.
+        model, tr, _, full = case
+        batch = np.arange(101, 1101) if name == "contiguous" else np.arange(1, self.N + 1)
+        cache = build_cache(model, tr, None if name == "full" else batch)
+        for half, times in (("forward", batch - 1), ("backward", batch)):
+            blocks = getattr(cache, f"{half}_blocks")
+            read = getattr(cache, f"{half}_at")
+            want = getattr(full, f"{half}_blocks")
+            got = read(times)
+            assert np.shares_memory(got, blocks)
+            assert got.tobytes() == want[times].tobytes()
+            for picked in (times[::7], times[::-1]):
+                got = read(picked)
+                assert not np.shares_memory(got, blocks)
+                assert got.tobytes() == want[picked].tobytes()
+        got = log_likelihood_gradient(cache, batch)
+        assert got.tobytes() == log_likelihood_gradient(full, batch).tobytes()
+        assert got.tobytes() == oracles.log_likelihood_gradient_allocating(full, batch).tobytes()
 
     @pytest.mark.parametrize("batch", [[0], [N + 1], [], [2.0]])
     def test_refuses_a_bad_batch(self, case, batch):
