@@ -153,12 +153,14 @@ def _blocks_at(blocks: np.ndarray, rows: np.ndarray, times: np.ndarray,
                half: str) -> np.ndarray:
     """The rows of ``blocks`` held at ``times`` by the sorted ``rows``: a
     view where they are adjacent rows in order, a gathered copy otherwise."""
+    if times.size:
+        lo = int(np.searchsorted(rows, times[0]))
+        if np.array_equal(rows[lo:lo + times.size], times):
+            return blocks[lo:lo + times.size]
     pos = np.minimum(np.searchsorted(rows, times), rows.size - 1)
     missing = rows[pos] != times
     if missing.any():
         raise ValueError(f"the cache holds no {half} block at time {times[missing][0]}")
-    if pos.size and (np.diff(pos) == 1).all():
-        return blocks[pos[0]:pos[-1] + 1]
     return blocks[pos]
 
 

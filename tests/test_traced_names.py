@@ -42,18 +42,8 @@ def test_traced_function_resolves(module, name, work):
     params = inspect.signature(fn).parameters
     assert any(all(p in params for p in names) for names in WORK_ARGUMENTS[work]), (
         f"embedlearn.{module}.{name} takes none of {WORK_ARGUMENTS[work]}")
-
-
-def test_every_work_counter_is_known():
-    assert {work for *_, work in TRACED} - {None} <= set(WORK_ARGUMENTS)
-
-
-def test_merge_points_are_always_bound():
-    # The merge-point counter reads the batch from the bound arguments,
-    # which hold no defaults.  A call that left a defaulted batch out would
-    # send the counter to a ``data`` argument that the gradient does not take.
-    for module, name, work in TRACED:
-        if work == "merge_points":
-            fn = getattr(importlib.import_module(f"embedlearn.{module}"), name)
-            param = inspect.signature(fn).parameters["batch"]
-            assert param.default is inspect.Parameter.empty
+    if work == "merge_points":
+        # The counter reads the batch from the bound arguments, which hold
+        # no defaults.  A call that left a defaulted batch out would send
+        # the counter to a ``data`` argument that the gradient does not take.
+        assert params["batch"].default is inspect.Parameter.empty
