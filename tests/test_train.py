@@ -286,8 +286,9 @@ class TestFit:
 
     def test_fit_keeps_only_the_blocks_it_reads(self, traced_peaks):
         # Both sweeps in full, 2 (n + 2) d_er^2 complex numbers, take
-        # 5.5 MiB at n = 20000.  This fit peaked at 6.15 MiB traced, keeping
-        # only the blocks its batch and validation read.  It peaked at
+        # 5.5 MiB at n = 20000.  This fit peaked at 6.01 MiB traced, keeping
+        # only the blocks its batch and validation read and reading them
+        # through views (6.15 MiB with gathered copies).  It peaked at
         # 12.07 MiB with every block kept, at 8.29 MiB with the start model
         # and the complex gradient held through the next sweep, at 7.75 MiB
         # with the last epoch's cache still alive while the next one is
